@@ -17,9 +17,11 @@
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import islice
 
 from .cyclo import CycField, CycNum, ExactMatrix
-from .hopf import HopfBundle, Rep, validate_bundle
+from .hopf import (AXIOMS, R_INVERSE_FREE, AxiomContext, HopfBundle, Rep,
+                   validate_bundle)
 
 __all__ = ["trivial_bundle", "z2_bundle", "sweedler_bundle", "z4_bundle",
            "uqsl2_bundle", "builtin_bundle", "BUILTIN_BUNDLES"]
@@ -451,10 +453,6 @@ def _attach_candidate_r(bundle: HopfBundle, p: int) -> HopfBundle:
     field4, rw, monomials, index = _uqsl2_core(p, 4 * p)
     one = field4.one()
     zeta = field4.zeta()  # zeta_4p, a square root of q
-    d = len(monomials)
-
-    def mono_elem(a, b, c):
-        return {(a, b % p if b else 0, c % (2 * p)): one}
 
     # Cartan factor D = (1/2p) sum_{i,j<2p} zeta^{-ij} K^i (x) K^j
     inv2p = field4.from_rational(Fraction(1, 2 * p))
@@ -467,40 +465,31 @@ def _attach_candidate_r(bundle: HopfBundle, p: int) -> HopfBundle:
     q = rw.q
     qinv = rw.qinv
     Theta: dict = {((0, 0, 0), (0, 0, 0)): one}
-    ThetaInv: dict = {((0, 0, 0), (0, 0, 0)): one}
     fact = one
     for m in range(1, p):
         fact = fact * rw.qint(m)
         cm = ((q - qinv) ** m) * fact.inverse() * rw.qpow(m * (m - 1) // 2)
         Theta[((m, 0, 0), (0, m, 0))] = cm
-        ThetaInv[((m, 0, 0), (0, m, 0))] = \
-            cm * field4.from_rational((-1) ** m) * rw.qpow(-m * (m - 1))
     R = rw.t2_mul(D, Theta)
-    Dinv: dict = {}
-    for i in range(2 * p):
-        for j in range(2 * p):
-            key = ((0, 0, i), (0, 0, j))
-            Dinv[key] = inv2p * zeta ** ((i * j) % (4 * p))
-    R_inv = rw.t2_mul(ThetaInv, Dinv)
 
     unit2 = {((0, 0, 0), (0, 0, 0)): one}
-    # Probe the three quasitriangularity axioms that need no inverse; only a
-    # candidate passing all of them is worth inverting (then R^-1 = (S (x) id)R
-    # holds automatically and the full validator runs).
+    # Probe the three quasitriangularity axioms that need no inverse, each up
+    # to its first failure; only a candidate passing all of them is worth
+    # inverting (then R^-1 = (S (x) id)R holds automatically and the full
+    # validator runs).
     trial0 = _embed_uqsl2(bundle, p, field4, rw, monomials, index,
                           R, unit2, skip_ribbon=True)
-    report = _probe_r_axioms(trial0)
+    ctx = AxiomContext(trial0)
+    report = [failure for name, _, check in AXIOMS if name in R_INVERSE_FREE
+              for failure in islice(check(ctx), 1)]
     if not report:
-        Rdict = {(i, j): c for (i, j, c) in trial0.R}
         s_id_R: dict = {}
-        for (i, j), c in Rdict.items():
+        for (i, j), c in ctx.R.items():
             for k, cs in trial0.antipode_cols[i]:
                 key = (k, j)
                 s_id_R[key] = s_id_R.get(key, field4.zero()) + c * cs
         s_id_R = {k: v for k, v in s_id_R.items() if not v.is_zero()}
-        u2 = {(i, j): a * cc for i, a in trial0.elem_unit().items()
-              for j, cc in trial0.elem_unit().items()}
-        if trial0.tensor2_mult(Rdict, s_id_R) != u2:
+        if trial0.tensor2_mult(ctx.R, s_id_R) != ctx.unit2:
             report = ["candidate: (S (x) id)R is not inverse to R"]
         else:
             mono_of = {i: m for m, i in index.items()}
@@ -523,46 +512,6 @@ def _attach_candidate_r(bundle: HopfBundle, p: int) -> HopfBundle:
         pivotal=bundle.pivotal, modules=bundle.modules,
         simples=bundle.simples, basis_labels=bundle.basis_labels,
         metadata=meta)
-
-
-def _probe_r_axioms(b: HopfBundle) -> list[str]:
-    """The three quasitriangularity identities that need no R-inverse."""
-    field = b.field
-    failures = []
-    R = {(i, j): c for (i, j, c) in b.R if not c.is_zero()}
-    for i in range(b.dim):
-        delta = b.elem_comult({i: field.one()})
-        delta_op = {(k, j): c for (j, k), c in delta.items()}
-        if b.tensor2_mult(delta_op, R) != b.tensor2_mult(R, delta):
-            failures.append(
-                "quasitriangular: Delta_op R != R Delta at e%d" % i)
-            break
-    lhs13_23: dict = {}
-    lhs13_12: dict = {}
-    for (i, j), c in R.items():
-        for (k, l), c2 in R.items():
-            for kk, cm in b.mult_table[j][l]:
-                key = (i, k, kk)
-                lhs13_23[key] = lhs13_23.get(key, field.zero()) + c * c2 * cm
-            for kk, cm in b.mult_table[i][k]:
-                key = (kk, l, j)
-                lhs13_12[key] = lhs13_12.get(key, field.zero()) + c * c2 * cm
-    lhs13_23 = {k: v for k, v in lhs13_23.items() if not v.is_zero()}
-    lhs13_12 = {k: v for k, v in lhs13_12.items() if not v.is_zero()}
-    delta_R: dict = {}
-    id_delta_R: dict = {}
-    for (i, j), c in R.items():
-        for (a, bb, c2) in b.comult_table[i]:
-            key = (a, bb, j)
-            delta_R[key] = delta_R.get(key, field.zero()) + c * c2
-        for (a, bb, c2) in b.comult_table[j]:
-            key = (i, a, bb)
-            id_delta_R[key] = id_delta_R.get(key, field.zero()) + c * c2
-    if {k: v for k, v in delta_R.items() if not v.is_zero()} != lhs13_23:
-        failures.append("quasitriangular: (Delta (x) id)R != R13 R23")
-    if {k: v for k, v in id_delta_R.items() if not v.is_zero()} != lhs13_12:
-        failures.append("quasitriangular: (id (x) Delta)R != R13 R12")
-    return failures
 
 
 def _embed_uqsl2(bundle, p, field4, rw, monomials, index, R, R_inv,

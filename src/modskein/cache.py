@@ -3,8 +3,11 @@
 A cache entry is keyed by the SHA-256 of (input file bytes, operation name,
 canonical parameter JSON, engine version).  The entry directory stores the
 payload, the input bytes (so `cache verify` can recompute without the
-original paths), and a small metadata record.  Writes go through a lock file
-plus atomic rename, so concurrent invocations are safe; eviction is manual.
+original paths), and a small metadata record.  Each file is written to a
+temporary file and renamed into place, `payload` last; readers look only at
+`payload`, so concurrent invocations never see a half-written entry and no
+lock is needed (a crashed writer leaves nothing that blocks the next one).
+Eviction is manual.
 """
 
 from __future__ import annotations
@@ -46,33 +49,6 @@ def _entry_dir(cache_dir: str, key: str) -> str:
     return os.path.join(cache_dir, key[:2], key)
 
 
-class _Lock:
-    def __init__(self, cache_dir: str, timeout: float = 30.0):
-        self.path = os.path.join(cache_dir, ".lock")
-        self.timeout = timeout
-        self._fd = None
-
-    def __enter__(self):
-        deadline = time.time() + self.timeout
-        os.makedirs(os.path.dirname(self.path), exist_ok=True)
-        while True:
-            try:
-                self._fd = os.open(self.path, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
-                return self
-            except FileExistsError:
-                if time.time() > deadline:
-                    raise TimeoutError("cache lock at %s is stuck" % self.path)
-                time.sleep(0.05)
-
-    def __exit__(self, *exc):
-        if self._fd is not None:
-            os.close(self._fd)
-        try:
-            os.unlink(self.path)
-        except FileNotFoundError:
-            pass
-
-
 def lookup(cache_dir: str, key: str) -> bytes | None:
     path = os.path.join(_entry_dir(cache_dir, key), "payload")
     try:
@@ -93,23 +69,22 @@ def store(cache_dir: str, key: str, payload: bytes, op: str, params: dict,
         "timestamp": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
         "input_sha256": hashlib.sha256(input_bytes).hexdigest(),
     }
-    with _Lock(cache_dir):
-        os.makedirs(entry, exist_ok=True)
-        for name, data in (("payload", payload),
-                           ("input", input_bytes),
-                           ("meta.json", (json.dumps(meta, indent=1) + "\n")
-                            .encode("utf-8"))):
-            fd, tmp = tempfile.mkstemp(dir=entry)
+    os.makedirs(entry, exist_ok=True)
+    for name, data in (("input", input_bytes),
+                       ("meta.json", (json.dumps(meta, indent=1) + "\n")
+                        .encode("utf-8")),
+                       ("payload", payload)):
+        fd, tmp = tempfile.mkstemp(dir=entry)
+        try:
+            with os.fdopen(fd, "wb") as fh:
+                fh.write(data)
+            os.replace(tmp, os.path.join(entry, name))
+        except BaseException:
             try:
-                with os.fdopen(fd, "wb") as fh:
-                    fh.write(data)
-                os.replace(tmp, os.path.join(entry, name))
-            except BaseException:
-                try:
-                    os.unlink(tmp)
-                except FileNotFoundError:
-                    pass
-                raise
+                os.unlink(tmp)
+            except FileNotFoundError:
+                pass
+            raise
 
 
 def entries(cache_dir: str):
@@ -132,10 +107,13 @@ def verify_all(cache_dir: str, recompute) -> list[dict]:
     """
     report = []
     for key, entry in entries(cache_dir):
+        payload = lookup(cache_dir, key)
+        if payload is None:
+            report.append({"key": key, "status": "skipped",
+                           "reason": "no payload (interrupted write)"})
+            continue
         with open(os.path.join(entry, "meta.json"), "r", encoding="utf-8") as fh:
             meta = json.load(fh)
-        with open(os.path.join(entry, "payload"), "rb") as fh:
-            payload = fh.read()
         with open(os.path.join(entry, "input"), "rb") as fh:
             input_bytes = fh.read()
         if meta.get("engine_version") != __version__:

@@ -90,20 +90,56 @@ def _emit(args, payload_obj, payload_bytes: bytes) -> None:
         sys.stdout.write(payload_bytes.decode("utf-8"))
 
 
-def _with_cache(args, op: str, params: dict, input_bytes: bytes, compute):
-    """Content-addressed caching with optional --verify recomputation."""
-    key = cache.cache_key(input_bytes, op, params)
+def _slf_payload(bundle: HopfBundle, params: dict) -> bytes:
+    basis = slf_basis(bundle)
+    return _canonical_payload({"bundle": bundle.name, "dim": len(basis),
+                               "basis": [f.to_obj(bundle) for f in basis]})
+
+
+def _skalg_payload(bundle: HopfBundle, params: dict) -> bytes:
+    alg = skalg(bundle, int(params["g"]), int(params["n"]))
+    return _canonical_payload(algebra_to_obj(alg))
+
+
+def _char_map_payload(bundle: HopfBundle, params: dict) -> bytes:
+    alg = skalg(bundle, 0, 2)
+    cm = char_map(bundle, alg)
+    return _canonical_payload({
+        "bundle": bundle.name, "g": 0, "n": 2, "dim": alg.dim,
+        "image_rank": cm["rank"],
+        "multiplicative": cm["multiplicative"],
+        "images": {name: [c.to_obj() for c in coords]
+                   for name, coords in sorted(cm["images"].items())},
+        "qchars": {name: form.to_obj(bundle)
+                   for name, form in sorted(cm["qchars"].items())},
+    })
+
+
+# The cached operations: name -> (bundle, params) -> canonical payload bytes.
+# The commands and `cache verify` compute through this one table.
+CACHED_OPS = {
+    "slf": _slf_payload,
+    "skalg": _skalg_payload,
+    "char-map": _char_map_payload,
+}
+
+
+def _cached_payload(args, op: str, params: dict):
+    """Run a cached operation on args.bundle, with --verify recomputation.
+
+    Returns (bundle, payload, cache hit)."""
+    bundle, data = _load_checked(args)
+    key = cache.cache_key(data, op, params)
     cached = cache.lookup(args.cache_dir, key)
     if cached is not None:
         if getattr(args, "verify", False):
-            fresh = compute()
-            if fresh != cached:
+            if CACHED_OPS[op](bundle, params) != cached:
                 raise ModskeinError(
                     "cache verification FAILED for %s (key %s)" % (op, key))
-        return cached, True
-    payload = compute()
-    cache.store(args.cache_dir, key, payload, op, params, input_bytes)
-    return payload, False
+        return bundle, cached, True
+    payload = CACHED_OPS[op](bundle, params)
+    cache.store(args.cache_dir, key, payload, op, params, data)
+    return bundle, payload, False
 
 
 # ---------------------------------------------------------------------------
@@ -117,7 +153,7 @@ def cmd_validate(args) -> int:
     except (OSError, StructureError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return EXIT_USAGE
-    failures = validate_bundle(bundle, threads=args.threads)
+    failures = validate_bundle(bundle)
     if args.format == "text":
         if failures:
             for f in failures:
@@ -133,7 +169,7 @@ def cmd_validate(args) -> int:
 def cmd_gen_uqsl2(args) -> int:
     bundle = uqsl2_bundle(args.p, with_r=args.with_r)
     save_bundle(bundle, args.out)
-    failures = validate_bundle(bundle, threads=args.threads)
+    failures = validate_bundle(bundle)
     note = {"bundle": bundle.name, "dim": bundle.dim, "out": args.out,
             "has_r": bundle.has_r, "valid": not failures,
             "failures": failures}
@@ -166,15 +202,7 @@ def _resolve_module(bundle: HopfBundle, name: str):
 
 
 def cmd_slf(args) -> int:
-    bundle, data = _load_checked(args)
-
-    def compute():
-        basis = slf_basis(bundle)
-        obj = {"bundle": bundle.name, "dim": len(basis),
-               "basis": [f.to_obj(bundle) for f in basis]}
-        return _canonical_payload(obj)
-
-    payload, hit = _with_cache(args, "slf", {}, data, compute)
+    bundle, payload, hit = _cached_payload(args, "slf", {})
     obj = json.loads(payload)
     if args.float_col:
         obj = _add_float_columns(bundle, obj)
@@ -215,14 +243,7 @@ def cmd_qchar(args) -> int:
 
 
 def cmd_skalg(args) -> int:
-    bundle, data = _load_checked(args)
-    params = {"g": args.g, "n": args.n}
-
-    def compute():
-        alg = skalg(bundle, args.g, args.n, threads=args.threads)
-        return _canonical_payload(algebra_to_obj(alg))
-
-    payload, hit = _with_cache(args, "skalg", params, data, compute)
+    _, payload, hit = _cached_payload(args, "skalg", {"g": args.g, "n": args.n})
     obj = json.loads(payload)
     if args.format == "csv":
         row = "%s,%d,%d,%d," % (obj["bundle"], obj["g"], obj["n"], obj["dim"])
@@ -241,23 +262,7 @@ def cmd_skalg(args) -> int:
 
 
 def cmd_char_map(args) -> int:
-    bundle, data = _load_checked(args)
-
-    def compute():
-        alg = skalg(bundle, 0, 2, threads=args.threads)
-        cm = char_map(bundle, alg)
-        obj = {
-            "bundle": bundle.name, "g": 0, "n": 2, "dim": alg.dim,
-            "image_rank": cm["rank"],
-            "multiplicative": cm["multiplicative"],
-            "images": {name: [c.to_obj() for c in coords]
-                       for name, coords in sorted(cm["images"].items())},
-            "qchars": {name: form.to_obj(bundle)
-                       for name, form in sorted(cm["qchars"].items())},
-        }
-        return _canonical_payload(obj)
-
-    payload, hit = _with_cache(args, "char-map", {}, data, compute)
+    _, payload, _ = _cached_payload(args, "char-map", {})
     obj = json.loads(payload)
     if args.format == "csv":
         print("bundle,g,n,dim,image_rank")
@@ -308,29 +313,9 @@ def cmd_red_to_blue(args) -> int:
 
 def cmd_cache_verify(args) -> int:
     def recompute(op, params, input_bytes):
-        bundle = _bundle_from_bytes(input_bytes)
-        if op == "slf":
-            basis = slf_basis(bundle)
-            return _canonical_payload(
-                {"bundle": bundle.name, "dim": len(basis),
-                 "basis": [f.to_obj(bundle) for f in basis]})
-        if op == "skalg":
-            alg = skalg(bundle, int(params["g"]), int(params["n"]),
-                        threads=args.threads)
-            return _canonical_payload(algebra_to_obj(alg))
-        if op == "char-map":
-            alg = skalg(bundle, 0, 2, threads=args.threads)
-            cm = char_map(bundle, alg)
-            return _canonical_payload({
-                "bundle": bundle.name, "g": 0, "n": 2, "dim": alg.dim,
-                "image_rank": cm["rank"],
-                "multiplicative": cm["multiplicative"],
-                "images": {name: [c.to_obj() for c in coords]
-                           for name, coords in sorted(cm["images"].items())},
-                "qchars": {name: form.to_obj(bundle)
-                           for name, form in sorted(cm["qchars"].items())},
-            })
-        raise ModskeinError("unknown cached operation %r" % op)
+        if op not in CACHED_OPS:
+            raise ModskeinError("unknown cached operation %r" % op)
+        return CACHED_OPS[op](_bundle_from_bytes(input_bytes), params)
 
     report = cache.verify_all(args.cache_dir, recompute)
     bad = [r for r in report if r["status"] == "MISMATCH"]
@@ -357,7 +342,6 @@ def build_parser() -> argparse.ArgumentParser:
                         default="json")
     parser.add_argument("--cache-dir", default=cache.default_cache_dir(),
                         help="results cache (env %s)" % cache.ENV_VAR)
-    parser.add_argument("--threads", type=int, default=1)
     parser.add_argument("--float", dest="float_col", action="store_true",
                         help="add a non-authoritative decimal column")
     sub = parser.add_subparsers(dest="command", required=True)

@@ -44,7 +44,6 @@ __all__ = [
     "slf_basis",
     "is_symmetric_form",
     "slf_from_invariant",
-    "invariant_from_slf",
     "qchar",
     "trace_invariant",
     "canonical_image_dim",
@@ -169,10 +168,6 @@ def slf_from_invariant(b: HopfBundle, f: CoendElem) -> SLFElem:
     return SLFElem(b, list(f.coords))
 
 
-def invariant_from_slf(b: HopfBundle, f: SLFElem) -> CoendElem:
-    return CoendElem(list(f.coords))
-
-
 def slf_basis(b: HopfBundle) -> list[SLFElem]:
     """Exact basis of {f : f(xy) = f(yx)}.
 
@@ -269,38 +264,11 @@ def apply_factored_action(b: HopfBundle, factors: list[Rep], i: int,
         total *= dd
     out = [field.zero()] * total
     for (idxs, c) in iterated_comult(b, i, m):
-        contrib = vec
-        for t in range(m):
-            contrib = _apply_one_factor(field, factors[t].mats[idxs[t]],
-                                        dims, t, contrib)
+        contrib = _contract_blocks(
+            field, [f.mats[k] for f, k in zip(factors, idxs)], dims, dims, vec)
         for pos in range(total):
             if not contrib[pos].is_zero():
                 out[pos] = out[pos] + c * contrib[pos]
-    return out
-
-
-def _apply_one_factor(field, mat: ExactMatrix, dims, t: int, vec: list) -> list:
-    left = 1
-    for dd in dims[:t]:
-        left *= dd
-    mid = dims[t]
-    right = 1
-    for dd in dims[t + 1:]:
-        right *= dd
-    out = [field.zero()] * (left * mid * right)
-    for l in range(left):
-        base_l = l * mid * right
-        for s in range(mid):
-            for r in range(right):
-                v = vec[base_l + s * right + r]
-                if v.is_zero():
-                    continue
-                col = mat.col(s)
-                for rr in range(mid):
-                    a = col[rr]
-                    if not a.is_zero():
-                        idx = base_l + rr * right + r
-                        out[idx] = out[idx] + a * v
     return out
 
 

@@ -580,17 +580,6 @@ class ExactMatrix:
                             orow[base + j2] = a * b
         return out
 
-    def hstack(self, other: "ExactMatrix") -> "ExactMatrix":
-        if self.rows != other.rows:
-            raise CycloError("hstack row mismatch")
-        return ExactMatrix(self.field,
-                           [r1 + r2 for r1, r2 in zip(self.data, other.data)])
-
-    def vstack(self, other: "ExactMatrix") -> "ExactMatrix":
-        if self.cols != other.cols:
-            raise CycloError("vstack col mismatch")
-        return ExactMatrix(self.field, self.data + other.data)
-
     def trace(self) -> CycNum:
         if self.rows != self.cols:
             raise CycloError("trace of a non-square matrix")

@@ -19,7 +19,6 @@ from .cyclo import CycNum, ExactMatrix, LinearSystem
 from .errors import StructureError
 from .hopf import HopfBundle, Rep, braiding, hom_space, tensor_rep, trivial_rep
 from .coend import coadjoint_rep, trace_invariant, qchar
-from .util import pmap
 
 __all__ = [
     "AlgebraPresentation",
@@ -215,9 +214,8 @@ def skalg(b: HopfBundle, g: int, n: int, threads: int = 1) -> AlgebraPresentatio
     Computes the exact invariant basis of L^{(x)(2g+n-1)}, restricts the
     braided-power product to it (closure is asserted), and returns the
     presentation with the coordinates of eps^{(x)m} as the unit.  Requires a
-    quasitriangular bundle; n = 0 is out of scope.  Structure-constant
-    entries are independent and may be computed on `threads` workers; they
-    are assembled in basis order either way.
+    quasitriangular bundle; n = 0 is out of scope.  `threads` is accepted
+    and ignored.
     """
     m = _surface_power(g, n)
     b.require_r()
@@ -231,9 +229,7 @@ def skalg(b: HopfBundle, g: int, n: int, threads: int = 1) -> AlgebraPresentatio
     # Express products (and the unit) back in the invariant basis: one shared
     # solve with all right-hand sides stacked.
     sys = LinearSystem(field, len(basis), len(basis) ** 2 + 1)
-    pairs = [(vi, vj) for vi in basis for vj in basis]
-    rhs_cols = pmap(lambda pr: _apply_mu(field, mu_m, pr[0], pr[1]), pairs,
-                    threads)
+    rhs_cols = [_apply_mu(field, mu_m, vi, vj) for vi in basis for vj in basis]
     eps_power = _eps_power(b, m)
     rhs_cols.append(eps_power)
     for row_idx in range(power.dim):

@@ -63,6 +63,12 @@ def test_validate_exit_codes(work):
     assert r.returncode == 2
 
 
+def test_threads_flag_is_rejected(work):
+    r = run_cli(work, "--threads=2", "validate", work["sweedler"])
+    assert r.returncode == 2
+    assert "unrecognized arguments: --threads=2" in r.stderr
+
+
 def test_gen_uqsl2(work):
     out = work["root"] / "uq2.json"
     r = run_cli(work, "gen-uqsl2", "2", str(out))

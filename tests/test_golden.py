@@ -1,0 +1,69 @@
+"""Golden payloads: sha256 of the canonical JSON that the CLI writes.
+
+The `slf`, `skalg` and `char-map` payloads are the engine's product.  Any
+refactor of the kernel, the module layer or the CLI must leave them
+byte-identical; a deliberate change of convention updates the hashes here
+in the same commit that changes the output.
+"""
+
+import hashlib
+
+import pytest
+
+from modskein.bundles import sweedler_bundle, z2_bundle, z4_bundle
+from modskein.cli import main
+from modskein.hopf import save_bundle
+
+GOLDEN = {
+    ("slf", "z2", ()):
+        "01be6133d1be2f6857e555ed4669c4f2a8fc3de6773863a04966b24261941fd9",
+    ("slf", "sweedler", ()):
+        "50ee4b74a1cd078a2556f1455c1218e78253e55d5d2d66f70741a0397de2d0a1",
+    ("slf", "z4", ()):
+        "3bb1b820559fad57e391adcca6fa34b5f7d9b952fe120ce8f54d04446541d98b",
+    ("slf", "uqsl2_p2", ()):
+        "2aa9adc3cc6969323f464e5b97a3b36b065ff6926573b675891dbd3d80998e58",
+    ("skalg", "z2", ("0", "2")):
+        "79d859d415d541f729c6b87927006a9a70aa81a6175d4ef5ac19e820b046a770",
+    ("skalg", "sweedler", ("0", "2")):
+        "63603f2a2fd1108b71a12b9b780bf867745c0056ffbb54a45f82705254566e5d",
+    ("skalg", "z4", ("0", "2")):
+        "28ffecd7ea7bd3d7fe78ee80a25d3b3ebed8ccf6a7560eb54c2319de7e04f164",
+    ("skalg", "sweedler", ("1", "1")):
+        "aba4a2d4ffcb32c3d6afc74a4989a5b8ab87d6b973783609866c8c9fd8027045",
+    ("char-map", "z2", ()):
+        "40b9b1fe9737427e701bcb870eb27f062daddc415e71f2fa5abb8ce4f5437c18",
+    ("char-map", "sweedler", ()):
+        "15aeca02d992a0ef6e4808b15be8485656f82827d50538857b68611791a33631",
+    ("char-map", "z4", ()):
+        "9fee25b26c99fd1a6d385cb44a133efd1b2990ff2226a94b6cdfd8fafc1da583",
+}
+
+
+@pytest.fixture(scope="module")
+def bundle_files(tmp_path_factory):
+    root = tmp_path_factory.mktemp("golden")
+    paths = {}
+    for name, maker in (("z2", z2_bundle), ("sweedler", sweedler_bundle),
+                        ("z4", z4_bundle)):
+        paths[name] = str(root / ("%s.json" % name))
+        save_bundle(maker(), paths[name])
+    paths["uqsl2_p2"] = str(root / "uqsl2_p2.json")
+    assert main(["--format", "text", "--cache-dir", str(root / "cache"),
+                 "gen-uqsl2", "2", paths["uqsl2_p2"]]) == 0
+    return root, paths
+
+
+def _payload_sha(tmp_path, bundle_path, argv):
+    out = tmp_path / "payload.json"
+    code = main(["--format", "text", "--cache-dir", str(tmp_path / "cache"),
+                 argv[0], bundle_path] + argv[1:] + ["--out", str(out)])
+    assert code == 0
+    return hashlib.sha256(out.read_bytes()).hexdigest()
+
+
+@pytest.mark.parametrize("op,bundle,args", sorted(GOLDEN))
+def test_golden_payload(bundle_files, tmp_path, op, bundle, args):
+    _, paths = bundle_files
+    got = _payload_sha(tmp_path, paths[bundle], [op] + list(args))
+    assert got == GOLDEN[(op, bundle, args)]

@@ -7,7 +7,7 @@ import pytest
 from modskein.bundles import sweedler_bundle
 from modskein.cyclo import ExactMatrix
 from modskein.errors import CapabilityError, StructureError
-from modskein.hopf import (braiding, braiding_inverse, bundle_from_obj,
+from modskein.hopf import (Rep, braiding, braiding_inverse, bundle_from_obj,
                            bundle_to_obj, dual_rep, hom_space, is_projective,
                            regular_rep, tensor_rep, trivial_rep, twist,
                            twist_inverse, validate_bundle)
@@ -245,6 +245,22 @@ def test_is_projective(z2, sweedler, uqsl2_p2):
     assert is_projective(bq, bq.module("X-2"))
     assert not is_projective(bq, bq.module("X+1"))
     assert not is_projective(bq, bq.module("X-1"))
+
+
+def test_projective_verdicts_on_fresh_copies():
+    # Each copy is freed after its call, so the next copy often reuses its
+    # id(); the cached verdict must follow the module's content.
+    b = sweedler_bundle()
+    expected = {"triv": False, "sgn": False, "proj_plus": True,
+                "proj_minus": True, "reg": True}
+    names = sorted(expected)
+    wrong = 0
+    for k in range(300):
+        name = names[k % len(names)]
+        m = b.module(name)
+        wrong += is_projective(b, Rep(m.dim, [a.copy() for a in m.mats])) \
+            != expected[name]
+    assert wrong == 0
 
 
 def test_tensor_ideal_monotonicity(z2, sweedler):
