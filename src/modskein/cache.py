@@ -1,9 +1,11 @@
 """Content-addressed results cache for expensive computations.
 
 A cache entry is keyed by the SHA-256 of (input file bytes, operation name,
-canonical parameter JSON, engine version).  The entry directory stores the
-payload, the input bytes (so `cache verify` can recompute without the
-original paths), and a small metadata record.  Each file is written to a
+canonical parameter JSON, engine fingerprint).  The fingerprint hashes the
+engine's source files, so any edit to the engine, released or not, makes the
+old entries unreachable, and `verify_all` skips them.  The entry directory
+stores the payload, the input bytes (so `cache verify` can recompute without
+the original paths), and a small metadata record.  Each file is written to a
 temporary file and renamed into place, `payload` last; readers look only at
 `payload`, so concurrent invocations never see a half-written entry and no
 lock is needed (a crashed writer leaves nothing that blocks the next one).
@@ -12,13 +14,12 @@ Eviction is manual.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import os
 import tempfile
 import time
-
-from . import __version__
 
 ENV_VAR = "MODSKEIN_CACHE_DIR"
 
@@ -32,6 +33,20 @@ def default_cache_dir() -> str:
     return os.path.join(base, "modskein")
 
 
+@functools.cache
+def engine_fingerprint() -> str:
+    """SHA-256 over the names and bytes of the `modskein/*.py` sources."""
+    h = hashlib.sha256()
+    src = os.path.dirname(os.path.abspath(__file__))
+    for name in sorted(os.listdir(src)):
+        if name.endswith(".py"):
+            with open(os.path.join(src, name), "rb") as fh:
+                data = fh.read()
+            h.update(b"%s\x00%d\x00" % (name.encode("utf-8"), len(data)))
+            h.update(data)
+    return h.hexdigest()
+
+
 def cache_key(input_bytes: bytes, op: str, params: dict) -> str:
     h = hashlib.sha256()
     h.update(input_bytes)
@@ -41,7 +56,7 @@ def cache_key(input_bytes: bytes, op: str, params: dict) -> str:
     h.update(json.dumps(params, sort_keys=True,
                         separators=(",", ":")).encode("utf-8"))
     h.update(b"\x00")
-    h.update(__version__.encode("utf-8"))
+    h.update(engine_fingerprint().encode("utf-8"))
     return h.hexdigest()
 
 
@@ -65,7 +80,7 @@ def store(cache_dir: str, key: str, payload: bytes, op: str, params: dict,
         "key": key,
         "op": op,
         "params": params,
-        "engine_version": __version__,
+        "engine_fingerprint": engine_fingerprint(),
         "timestamp": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
         "input_sha256": hashlib.sha256(input_bytes).hexdigest(),
     }
@@ -116,10 +131,10 @@ def verify_all(cache_dir: str, recompute) -> list[dict]:
             meta = json.load(fh)
         with open(os.path.join(entry, "input"), "rb") as fh:
             input_bytes = fh.read()
-        if meta.get("engine_version") != __version__:
+        if meta.get("engine_fingerprint") != engine_fingerprint():
             report.append({"key": key, "status": "skipped",
-                           "reason": "engine version %s"
-                           % meta.get("engine_version")})
+                           "reason": "engine fingerprint %s"
+                           % meta.get("engine_fingerprint")})
             continue
         fresh = recompute(meta["op"], meta["params"], input_bytes)
         report.append({"key": key,

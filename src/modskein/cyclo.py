@@ -2,8 +2,12 @@
 
 Numbers are written in the power basis of Q[x]/Phi_N(x), with Phi_N the N-th
 cyclotomic polynomial, so every element has a unique normal form and equality
-is coefficient-wise.  All coefficients are `fractions.Fraction`; nothing in
-this module (or anything built on it) ever rounds.
+is coefficient-wise.  An element is an integer vector over one positive
+denominator, reduced so that the denominator shares no factor with all the
+numerators; sums and products are integer operations, with a single gcd to
+renormalize.  `fractions.Fraction` appears only at the edges (`coeffs`,
+`repr`, JSON), floats are refused as input, and nothing in this module (or
+anything built on it) ever rounds.
 
 Matrices are eliminated fraction-free: rows are scaled to integer coefficient
 vectors in Z[zeta_N] and reduced by content-normalized cross-multiplication
@@ -15,7 +19,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from functools import reduce
+from operator import add as _add, sub as _sub
 
 __all__ = [
     "CycloError",
@@ -98,102 +102,100 @@ class CycField:
         self = super().__new__(cls)
         self.order = order
         phi_poly = cyclotomic_poly(order)
-        self.degree = len(phi_poly) - 1
-        # x^k mod Phi_N for k = degree .. 2*degree-2, as integer rows.
-        red: list[tuple[int, ...]] = []
+        deg = self.degree = len(phi_poly) - 1
+        # x^k mod Phi_N for k = 0 .. N-1, as integer rows (x^N = 1).
         top = [-c for c in phi_poly[:-1]]  # x^deg = top (Phi_N is monic)
-        red.append(tuple(top))
-        for _ in range(self.degree - 2):
-            prev = red[-1]
-            row = [0] + list(prev[:-1])
-            if prev[-1]:
-                for i in range(self.degree):
-                    row[i] += prev[-1] * top[i]
-            red.append(tuple(row))
-        self._red = red
+        row = [1] + [0] * (deg - 1)
+        powers = []
+        for _ in range(order):
+            powers.append(tuple(row))
+            carry, row = row[-1], [0] + row[:-1]
+            if carry:
+                row = [r + carry * t for r, t in zip(row, top)]
+        self._powers = tuple(powers)
+        # x^k for k = deg .. 2*deg-2: what a product of two vectors reduces.
+        self._red = [powers[k % order] for k in range(deg, 2 * deg - 1)]
+        # k of the Galois automorphisms zeta -> zeta^k other than the identity
+        self._conjugators = tuple(k for k in range(2, order)
+                                  if math.gcd(k, order) == 1)
+        self._zero = _normal(self, (0,) * deg, 1)
+        self._one = _normal(self, powers[0], 1)
         cls._registry[order] = self
         return self
 
     # -- constructors ------------------------------------------------------
 
     def zero(self) -> "CycNum":
-        return CycNum(self, (Fraction(0),) * self.degree, _checked=True)
+        return self._zero
 
     def one(self) -> "CycNum":
-        return self.from_rational(1)
+        return self._one
 
     def from_rational(self, r) -> "CycNum":
-        coeffs = [Fraction(0)] * self.degree
-        coeffs[0] = Fraction(r)
-        return CycNum(self, tuple(coeffs), _checked=True)
+        """r: an int, a Fraction or a rational string; floats are refused."""
+        q = parse_rational(r)
+        return _normal(self, (q.numerator,) + self._zero.num[1:], q.denominator)
 
     def zeta(self, power: int = 1) -> "CycNum":
         """zeta_N ** power, reduced."""
-        power %= self.order
-        mono = [0] * (power + 1)
-        mono[power] = 1
-        return CycNum(self, self._reduce([Fraction(c) for c in mono]), _checked=True)
+        return _normal(self, self._powers[power % self.order], 1)
 
     def from_coeffs(self, coeffs) -> "CycNum":
-        coeffs = [Fraction(c) for c in coeffs]
-        if len(coeffs) > self.degree:
-            coeffs = self._reduce(coeffs)
-        else:
-            coeffs = tuple(coeffs + [Fraction(0)] * (self.degree - len(coeffs)))
-        return CycNum(self, tuple(coeffs), _checked=True)
+        """sum c_k zeta^k over the given coefficients, of any length."""
+        qs = [parse_rational(c) for c in coeffs]
+        den = math.lcm(*(q.denominator for q in qs))
+        return _normal(self, self._combine(
+            (k, q.numerator * (den // q.denominator)) for k, q in enumerate(qs)),
+            den)
 
     # -- internals ----------------------------------------------------------
 
-    def _reduce(self, coeffs: list[Fraction]) -> tuple[Fraction, ...]:
-        deg = self.degree
-        out = list(coeffs[:deg]) + [Fraction(0)] * max(0, deg - len(coeffs))
-        for k in range(deg, len(coeffs)):
-            c = coeffs[k]
+    def _combine(self, terms) -> tuple[int, ...]:
+        """sum c * x^e over the integer pairs (e, c), reduced mod Phi_N."""
+        out = [0] * self.degree
+        powers, order = self._powers, self.order
+        for e, c in terms:
             if c:
-                row = self._red[k - deg]
-                for i in range(deg):
-                    if row[i]:
-                        out[i] += c * row[i]
+                for i, p in enumerate(powers[e % order]):
+                    if p:
+                        out[i] += c * p
         return tuple(out)
-
-    def _mul_coeffs(self, a, b) -> tuple[Fraction, ...]:
-        deg = self.degree
-        conv = [Fraction(0)] * (2 * deg - 1)
-        for i, ai in enumerate(a):
-            if ai:
-                for j, bj in enumerate(b):
-                    if bj:
-                        conv[i + j] += ai * bj
-        return self._reduce(conv)
 
     def __repr__(self):
         return "CycField(%d)" % self.order
 
 
 class CycNum:
-    """An exact element of Q(zeta_N) in the power basis mod Phi_N."""
+    """An exact element num/den of Q(zeta_N) in the power basis mod Phi_N.
 
-    __slots__ = ("field", "coeffs")
+    `num` is a tuple of `degree` ints and `den` a positive int with
+    gcd(den, *num) == 1; zero is (0, ..., 0)/1.  Instances are immutable.
+    """
 
-    def __init__(self, field: CycField, coeffs, _checked: bool = False):
-        if not _checked:
-            num = field.from_coeffs(coeffs)
-            coeffs = num.coeffs
-        self.field = field
-        self.coeffs = coeffs
+    __slots__ = ("field", "num", "den")
+
+    def __init__(self, field: CycField, coeffs):
+        x = field.from_coeffs(coeffs)
+        self.field, self.num, self.den = field, x.num, x.den
+
+    @property
+    def coeffs(self) -> tuple[Fraction, ...]:
+        """The power-basis coefficients as Fractions, for I/O."""
+        den = self.den
+        return tuple(Fraction(c, den) for c in self.num)
 
     # -- predicates ----------------------------------------------------------
 
     def is_zero(self) -> bool:
-        return not any(self.coeffs)
+        return not any(self.num)
 
     def is_rational(self) -> bool:
-        return not any(self.coeffs[1:])
+        return not any(self.num[1:])
 
     def rational_value(self) -> Fraction:
         if not self.is_rational():
             raise CycloError("not a rational number: %s" % (self,))
-        return self.coeffs[0]
+        return Fraction(self.num[0], self.den)
 
     # -- coercion ------------------------------------------------------------
 
@@ -217,83 +219,83 @@ class CycNum:
                 "cannot embed order %d into order %d" % (self.field.order, order)
             )
         step = order // self.field.order
-        out = big.zero()
-        for k, c in enumerate(self.coeffs):
-            if c:
-                out = out + CycNum(big, big._reduce(
-                    [Fraction(0)] * (k * step) + [c]), _checked=True)
-        return out
+        return _normal(big, big._combine(
+            (k * step, c) for k, c in enumerate(self.num)), self.den)
 
     # -- arithmetic ------------------------------------------------------------
+    # A zero operand returns the other operand itself: instances are immutable.
 
     def __add__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return CycNum(self.field,
-                      tuple(a + b for a, b in zip(self.coeffs, other.coeffs)),
-                      _checked=True)
+        if other.__class__ is not CycNum or other.field is not self.field:
+            other = self._coerce(other)
+            if other is NotImplemented:
+                return NotImplemented
+        a, b = self.num, other.num
+        if not any(b):
+            return self
+        if not any(a):
+            return other
+        da, db = self.den, other.den
+        if da == db:
+            return _normal(self.field, tuple(map(_add, a, b)), da)
+        return _normal(self.field,
+                       tuple([x * db + y * da for x, y in zip(a, b)]), da * db)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return CycNum(self.field, tuple(-a for a in self.coeffs), _checked=True)
+        return _normal(self.field, tuple([-c for c in self.num]), self.den)
 
     def __sub__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return CycNum(self.field,
-                      tuple(a - b for a, b in zip(self.coeffs, other.coeffs)),
-                      _checked=True)
+        if other.__class__ is not CycNum or other.field is not self.field:
+            other = self._coerce(other)
+            if other is NotImplemented:
+                return NotImplemented
+        a, b = self.num, other.num
+        if not any(b):
+            return self
+        da, db = self.den, other.den
+        if da == db:
+            return _normal(self.field, tuple(map(_sub, a, b)), da)
+        return _normal(self.field,
+                       tuple([x * db - y * da for x, y in zip(a, b)]), da * db)
 
     def __rsub__(self, other):
         return (-self) + other
 
     def __mul__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return CycNum(self.field,
-                      self.field._mul_coeffs(self.coeffs, other.coeffs),
-                      _checked=True)
+        if other.__class__ is not CycNum or other.field is not self.field:
+            other = self._coerce(other)
+            if other is NotImplemented:
+                return NotImplemented
+        a, b = self.num, other.num
+        if not any(a):
+            return self
+        if not any(b):
+            return other
+        field = self.field
+        return _normal(field, _ivec_mul(a, b, field.degree, field._red),
+                       self.den * other.den)
 
     __rmul__ = __mul__
 
     def inverse(self) -> "CycNum":
-        if self.is_zero():
+        a = self.num
+        if not any(a):
             raise CycloError("division by zero in Q(zeta_%d)" % self.field.order)
-        # Extended Euclid in Q[x] against Phi_N.
-        deg = self.field.degree
-        phi = [Fraction(c) for c in cyclotomic_poly(self.field.order)]
-        r0, r1 = phi, list(self.coeffs)
-        s0, s1 = [Fraction(0)], [Fraction(1)]
-        while True:
-            while r1 and not r1[-1]:
-                r1.pop()
-            assert r1, "gcd(f, Phi_N) != 1 cannot happen for nonzero f"
-            if len(r1) == 1:
-                inv_c = 1 / r1[0]
-                coeffs = [c * inv_c for c in s1]
-                return CycNum(self.field, self.field._reduce(coeffs), _checked=True)
-            q = [Fraction(0)] * (len(r0) - len(r1) + 1)
-            rem = list(r0)
-            for k in range(len(q) - 1, -1, -1):
-                factor = rem[k + len(r1) - 1] / r1[-1]
-                q[k] = factor
-                if factor:
-                    for i, c in enumerate(r1):
-                        rem[k + i] -= factor * c
-            rem = rem[: len(r1) - 1]
-            qs1 = [Fraction(0)] * (len(q) + len(s1) - 1)
-            for i, qi in enumerate(q):
-                if qi:
-                    for j, sj in enumerate(s1):
-                        qs1[i + j] += qi * sj
-            new_s = [a - b for a, b in
-                     zip(s0 + [Fraction(0)] * max(0, len(qs1) - len(s0)),
-                         qs1 + [Fraction(0)] * max(0, len(s0) - len(qs1)))]
-            r0, r1, s0, s1 = r1, rem, s1, new_s
+        field = self.field
+        if field.degree == 1:
+            return _normal(field, (self.den if a[0] > 0 else -self.den,), abs(a[0]))
+        # 1/a = (product of the other Galois conjugates of a) / norm(a).  The
+        # norm a * rest is a rational integer, and positive: for degree > 1
+        # the conjugates come in complex-conjugate pairs.
+        deg, red = field.degree, field._red
+        rest = field._powers[0]
+        for k in field._conjugators:
+            conj = field._combine((j * k, c) for j, c in enumerate(a))
+            rest = _ivec_mul(rest, conj, deg, red)
+        norm = _ivec_mul(a, rest, deg, red)[0]
+        return _normal(field, tuple([c * self.den for c in rest]), norm)
 
     def __truediv__(self, other):
         other = self._coerce(other)
@@ -321,10 +323,11 @@ class CycNum:
             other = self.field.from_rational(other)
         if not isinstance(other, CycNum):
             return NotImplemented
-        return self.field is other.field and self.coeffs == other.coeffs
+        return (self.field is other.field and self.num == other.num
+                and self.den == other.den)
 
     def __hash__(self):
-        return hash((self.field.order, self.coeffs))
+        return hash((self.field.order, self.num, self.den))
 
     # -- rendering ----------------------------------------------------------
 
@@ -332,9 +335,9 @@ class CycNum:
         z = complex(math.cos(2 * math.pi / self.field.order),
                     math.sin(2 * math.pi / self.field.order))
         total = 0j
-        for k, c in enumerate(self.coeffs):
+        for k, c in enumerate(self.num):
             if c:
-                total += float(c) * z ** k
+                total += c / self.den * z ** k
         return total
 
     def __repr__(self):
@@ -355,7 +358,7 @@ class CycNum:
     def to_obj(self):
         """JSON form: plain "p/q" string when rational, else {order, coeffs}."""
         if self.is_rational():
-            return rational_str(self.coeffs[0])
+            return rational_str(self.rational_value())
         return {"order": self.field.order,
                 "coeffs": [rational_str(c) for c in self.coeffs]}
 
@@ -363,12 +366,28 @@ class CycNum:
     def from_obj(obj, field: CycField) -> "CycNum":
         if isinstance(obj, dict):
             order = int(obj["order"])
-            coeffs = [parse_rational(c) for c in obj["coeffs"]]
-            num = CycField(order).from_coeffs(coeffs)
+            num = CycField(order).from_coeffs(obj["coeffs"])
             if order != field.order:
                 num = num.embed(field.order)
             return num
         return field.from_rational(parse_rational(obj))
+
+
+_new = object.__new__
+
+
+def _normal(field: CycField, num: tuple, den: int) -> CycNum:
+    """The CycNum num/den, brought to normal form; den must be positive."""
+    if den != 1:
+        g = math.gcd(den, *num)
+        if g != 1:
+            num = tuple([c // g for c in num])
+            den //= g
+    x = _new(CycNum)
+    x.field = field
+    x.num = num
+    x.den = den
+    return x
 
 
 def rational_str(r: Fraction) -> str:
@@ -379,11 +398,19 @@ def rational_str(r: Fraction) -> str:
 
 
 def parse_rational(s) -> Fraction:
+    """An int, a Fraction or a string such as "-7/3" as a Fraction.
+
+    Floats (and anything else) are refused: 0.1 is not 1/10 in binary, and
+    accepting it would put a rounded value into exact arithmetic.
+    """
     if isinstance(s, (int, Fraction)):
         return Fraction(s)
     if isinstance(s, str):
-        return Fraction(s.strip())
-    raise CycloError("cannot parse rational from %r" % (s,))
+        try:
+            return Fraction(s.strip())
+        except ValueError:
+            pass
+    raise CycloError("cannot parse an exact rational from %r" % (s,))
 
 
 def unify(a: CycNum, b: CycNum) -> tuple[CycNum, CycNum]:
@@ -466,7 +493,7 @@ class ExactMatrix:
 
     @staticmethod
     def from_rows(field: CycField, rows) -> "ExactMatrix":
-        conv = [[field.from_rational(e) if isinstance(e, (int, Fraction)) else e
+        conv = [[e if isinstance(e, CycNum) else field.from_rational(e)
                  for e in row] for row in rows]
         return ExactMatrix(field, conv)
 
@@ -541,22 +568,17 @@ class ExactMatrix:
         if self.cols != other.rows:
             raise CycloError("matrix shape mismatch in mul: %dx%d * %dx%d"
                              % (self.rows, self.cols, other.rows, other.cols))
-        zero = self.field.zero()
         out = ExactMatrix.zeros(self.field, self.rows, other.cols)
         bdata = other.data
-        for i in range(self.rows):
-            arow = self.data[i]
-            orow = out.data[i]
-            for k in range(self.cols):
-                a = arow[k]
-                if a.is_zero():
-                    continue
-                brow = bdata[k]
-                for j in range(other.cols):
-                    b = brow[j]
-                    if not b.is_zero():
+        b_nonzero: dict[int, list] = {}  # row k of other, its nonzero entries
+        for arow, orow in zip(self.data, out.data):
+            for k, a in enumerate(arow):
+                if any(a.num):
+                    brow = b_nonzero.get(k)
+                    if brow is None:
+                        brow = b_nonzero[k] = _nonzero_entries(bdata[k])
+                    for j, b in brow:
                         orow[j] = orow[j] + a * b
-        del zero
         return out
 
     __rmul__ = scale
@@ -565,19 +587,16 @@ class ExactMatrix:
         """Kronecker product, row-major index convention (i1*r2+i2, j1*c2+j2)."""
         out = ExactMatrix.zeros(self.field, self.rows * other.rows,
                                 self.cols * other.cols)
-        for i1 in range(self.rows):
-            for j1 in range(self.cols):
-                a = self.data[i1][j1]
-                if a.is_zero():
+        b_nonzero = [_nonzero_entries(row) for row in other.data]
+        for i1, arow in enumerate(self.data):
+            orows = out.data[i1 * other.rows:(i1 + 1) * other.rows]
+            for j1, a in enumerate(arow):
+                if not any(a.num):
                     continue
-                for i2 in range(other.rows):
-                    orow = out.data[i1 * other.rows + i2]
-                    brow = other.data[i2]
-                    base = j1 * other.cols
-                    for j2 in range(other.cols):
-                        b = brow[j2]
-                        if not b.is_zero():
-                            orow[base + j2] = a * b
+                base = j1 * other.cols
+                for orow, brow in zip(orows, b_nonzero):
+                    for j2, b in brow:
+                        orow[base + j2] = a * b
         return out
 
     def trace(self) -> CycNum:
@@ -649,18 +668,15 @@ class LinearSystem:
     # -- row intake ----------------------------------------------------------
 
     def _clear_row(self, coeffs: dict, rhs: dict | None) -> dict[int, tuple[int, ...]]:
-        denom = 1
         items = list(coeffs.items())
         if rhs:
             items += [(self.ncols + j, e) for j, e in rhs.items()]
-        for _, e in items:
-            for c in e.coeffs:
-                denom = denom * c.denominator // math.gcd(denom, c.denominator)
+        denom = math.lcm(*[e.den for _, e in items])
         row = {}
         for j, e in items:
-            vec = tuple(int(c * denom) for c in e.coeffs)
-            if any(vec):
-                row[j] = vec
+            if any(e.num):
+                scale = denom // e.den
+                row[j] = e.num if scale == 1 else tuple([c * scale for c in e.num])
         return row
 
     def add_row(self, coeffs: dict, rhs: dict | None = None) -> None:
@@ -691,15 +707,15 @@ class LinearSystem:
             for c in set(row) | set(prow):
                 if c <= lead:
                     continue
-                av = _ivec_mul(a, row.get(c), deg, red)
-                bv = _ivec_mul(b, prow.get(c), deg, red)
-                if av is None:
-                    vec = tuple(-y for y in bv) if bv else None
-                elif bv is None:
-                    vec = av
+                rv, pv = row.get(c), prow.get(c)
+                if pv is None:
+                    vec = _ivec_mul(a, rv, deg, red)
+                elif rv is None:
+                    vec = tuple([-y for y in _ivec_mul(b, pv, deg, red)])
                 else:
-                    vec = tuple(x - y for x, y in zip(av, bv))
-                if vec and any(vec):
+                    vec = tuple(map(_sub, _ivec_mul(a, rv, deg, red),
+                                    _ivec_mul(b, pv, deg, red)))
+                if any(vec):
                     new[c] = vec
             row = _normalize_content(new)
 
@@ -708,8 +724,8 @@ class LinearSystem:
     def rank(self) -> int:
         return len(self._pivots)
 
-    def _to_cyc(self, v) -> CycNum:
-        return CycNum(self.field, tuple(Fraction(c) for c in v), _checked=True)
+    def _to_cyc(self, v: tuple[int, ...]) -> CycNum:
+        return _normal(self.field, v, 1)
 
     def _back_substitute(self, x: list, pivot_cols, upto: int | None = None):
         zero = self.field.zero()
@@ -758,25 +774,33 @@ class LinearSystem:
         return SolveResult(part, kernel)
 
 
+def _nonzero_entries(row: list) -> list[tuple[int, CycNum]]:
+    return [(j, e) for j, e in enumerate(row) if any(e.num)]
+
+
 def _ivec_mul(a, b, deg, red):
-    if b is None:
-        return None
+    """The product of integer vectors a, b of Z[x]/Phi_N: their convolution,
+    with x^deg .. x^(2*deg-2) replaced by the rows of `red`.  Degrees 1 (Q)
+    and 2 (orders 3, 4, 6) are written out: most bundles live there."""
+    if deg == 1:
+        return (a[0] * b[0],)
+    if deg == 2:
+        (a0, a1), (b0, b1), (r0, r1) = a, b, red[0]
+        top = a1 * b1
+        return (a0 * b0 + top * r0, a0 * b1 + a1 * b0 + top * r1)
     conv = [0] * (2 * deg - 1)
-    for i in range(deg):
-        ai = a[i]
+    for i, ai in enumerate(a):
         if ai:
-            for j in range(deg):
-                bj = b[j]
+            for j, bj in enumerate(b):
                 if bj:
                     conv[i + j] += ai * bj
     out = conv[:deg]
     for k in range(deg, 2 * deg - 1):
         c = conv[k]
         if c:
-            rrow = red[k - deg]
-            for i in range(deg):
-                if rrow[i]:
-                    out[i] += c * rrow[i]
+            for i, r in enumerate(red[k - deg]):
+                if r:
+                    out[i] += c * r
     return tuple(out)
 
 

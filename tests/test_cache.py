@@ -1,6 +1,9 @@
 """The results cache: entries become visible only once complete."""
 
 import os
+import shutil
+import subprocess
+import sys
 import time
 
 from modskein import cache
@@ -25,3 +28,39 @@ def test_entry_without_payload_is_not_served(tmp_path):
     assert cache.lookup(cache_dir, key) is None
     report = cache.verify_all(cache_dir, lambda *a: b"payload")
     assert [r["status"] for r in report] == ["skipped"]
+
+
+def test_changed_engine_fingerprint_changes_key_and_skips_entry(
+        tmp_path, monkeypatch):
+    cache_dir = str(tmp_path)
+    key = cache.cache_key(b"input", "slf", {})
+    cache.store(cache_dir, key, b"payload", "slf", {}, b"input")
+    assert [r["status"] for r in
+            cache.verify_all(cache_dir, lambda *a: b"payload")] == ["ok"]
+    # the same input, operation and parameters under an edited engine
+    monkeypatch.setattr(cache, "engine_fingerprint", lambda: "0" * 64)
+    assert cache.cache_key(b"input", "slf", {}) != key
+    recomputed = []
+    report = cache.verify_all(cache_dir, lambda *a: recomputed.append(a))
+    assert [r["status"] for r in report] == ["skipped"]
+    assert recomputed == []
+
+
+def test_engine_fingerprint_follows_the_sources(tmp_path):
+    # a copy of the package, fingerprinted before and after a one-byte edit
+    pkg = tmp_path / "modskein"
+    shutil.copytree(os.path.dirname(cache.__file__), pkg,
+                    ignore=shutil.ignore_patterns("__pycache__"))
+
+    def fingerprint():
+        return subprocess.run(
+            [sys.executable, "-c",
+             "from modskein import cache; print(cache.engine_fingerprint())"],
+            env=dict(os.environ, PYTHONPATH=str(tmp_path)), check=True,
+            capture_output=True, text=True).stdout.strip()
+
+    before = fingerprint()
+    assert before == cache.engine_fingerprint()
+    with open(pkg / "cyclo.py", "a") as fh:
+        fh.write("\n")
+    assert fingerprint() != before

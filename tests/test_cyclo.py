@@ -1,6 +1,7 @@
 """Exact cyclotomic arithmetic and fraction-free linear algebra."""
 
 import random
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
@@ -201,3 +202,39 @@ def test_matrix_kron_and_trace():
     assert ab.rows == 4 and ab[0, 1] == field.one() and ab[0, 3] == i
     assert a.trace() == field.from_rational(2)
     assert (a * a.inverse()) == ExactMatrix.identity(field, 2)
+
+
+def test_floats_are_refused():
+    # 0.1 would enter as 3602879701896397/36028797018963968
+    field = CycField(4)
+    for bad in (0.1, 1.0, float("nan"), Decimal("0.1"), None, "1/x"):
+        with pytest.raises(CycloError):
+            field.from_rational(bad)
+        with pytest.raises(CycloError):
+            field.from_coeffs([1, bad])
+    with pytest.raises(CycloError):
+        ExactMatrix.from_rows(field, [[1, 0.5]])
+    assert field.from_rational("-7/3") == field.from_rational(Fraction(-7, 3))
+    assert field.from_coeffs(["1/2", 3]) == 3 * field.zeta() + Fraction(1, 2)
+
+
+def test_scalar_interface_the_benchmark_tracer_uses(monkeypatch):
+    # perfbench/tracer.py counts scalar operations by patching these names in
+    # the class dict, and measures coefficient sizes through `coeffs`.
+    counted = ("__add__", "__radd__", "__sub__", "__mul__", "__rmul__",
+               "inverse")
+    for order in (1, 4, 12):
+        field = CycField(order)
+        x = field.zeta() * Fraction(-7, 3) + Fraction(1, 2)
+        assert type(x.coeffs) is tuple and len(x.coeffs) == field.degree
+        assert all(type(c) is Fraction for c in x.coeffs)
+    assert (-CycField(4).zeta()).coeffs == (0, -1)
+    calls = []
+    for name in counted:
+        def counter(*args, _name=name, _fn=vars(CycNum)[name]):
+            calls.append(_name)
+            return _fn(*args)
+        monkeypatch.setattr(CycNum, name, counter)
+    a, b = CycField(12).zeta(), CycField(12).one()
+    a + b, 1 + a, a - b, a * b, 2 * a, a.inverse()
+    assert calls == list(counted)
