@@ -8,15 +8,13 @@ power of the coend, all in exact cyclotomic arithmetic.
 
 __version__ = "0.1.0"
 
-from .cyclo import CycField, CycNum, ExactMatrix, solve_linear, kernel_basis
+from .cyclo import CycField, CycNum, ExactMatrix
 
 __all__ = [
     "__version__",
     "CycField",
     "CycNum",
     "ExactMatrix",
-    "solve_linear",
-    "kernel_basis",
     "HopfBundle",
     "Rep",
     "validate_bundle",

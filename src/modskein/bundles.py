@@ -19,7 +19,7 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import islice
 
-from .cyclo import CycField, CycNum, ExactMatrix
+from .cyclo import CycField, CycNum, ExactMatrix, _sparse_sum
 from .hopf import (AXIOMS, R_INVERSE_FREE, AxiomContext, HopfBundle, Rep,
                    validate_bundle)
 
@@ -249,33 +249,24 @@ class _UqRewriter:
                 for (a, b, c), v in elem.items()}
 
     def rmul_F(self, elem: dict) -> dict:
-        out: dict = {}
-        for (a, b, c), v in elem.items():
-            if b + 1 >= self.p:
-                continue
-            key = (a, b + 1, c)
-            w = v * self.qpow(-2 * c)
-            out[key] = out.get(key, self.field.zero()) + w
-        return {k: v for k, v in out.items() if not v.is_zero()}
+        return _sparse_sum(((a, b + 1, c), v * self.qpow(-2 * c))
+                           for (a, b, c), v in elem.items() if b + 1 < self.p)
 
     def rmul_E(self, elem: dict) -> dict:
-        out: dict = {}
+        return _sparse_sum(self._rmul_E_terms(elem))
 
-        def add(key, val):
-            out[key] = out.get(key, self.field.zero()) + val
-
+    def _rmul_E_terms(self, elem: dict):
         for (a, b, c), v in elem.items():
             v = v * self.qpow(2 * c)
             if a + 1 < self.p:
-                add((a + 1, b, c), v)
+                yield (a + 1, b, c), v
             if b >= 1:
                 # F^b E = E F^b - [b] F^{b-1} (q^{1-b} K - q^{b-1} K^-1)/(q-q^-1)
                 coef = v * self.qint(b) * self.denom_inv
-                add((a, b - 1, (c + 1) % (2 * self.p)),
-                    -coef * self.qpow(-(b - 1)))
-                add((a, b - 1, (c - 1) % (2 * self.p)),
-                    coef * self.qpow(b - 1))
-        return {k: v for k, v in out.items() if not v.is_zero()}
+                yield ((a, b - 1, (c + 1) % (2 * self.p)),
+                       -coef * self.qpow(-(b - 1)))
+                yield ((a, b - 1, (c - 1) % (2 * self.p)),
+                       coef * self.qpow(b - 1))
 
     def rmul_monomial(self, elem: dict, mono: tuple) -> dict:
         a, b, c = mono
@@ -287,49 +278,25 @@ class _UqRewriter:
             elem = self.rmul_K(elem, c)
         return elem
 
-    def one(self) -> dict:
-        return {(0, 0, 0): self.field.one()}
-
-    def scale(self, c: CycNum, elem: dict) -> dict:
-        if c.is_zero():
-            return {}
-        return {k: c * v for k, v in elem.items()}
-
-    def mul(self, x: dict, y: dict) -> dict:
-        out: dict = {}
-        for mono, v in y.items():
-            term = self.rmul_monomial(dict(x), mono)
-            for k, w in term.items():
-                out[k] = out.get(k, self.field.zero()) + v * w
-        return {k: v for k, v in out.items() if not v.is_zero()}
-
     def antipode_monomial(self, mono: tuple) -> dict:
         # S(E^a F^b K^c) = K^{-c} (-KF)^b (-EK^{-1})^a
         a, b, c = mono
         elem = {(0, 0, (-c) % (2 * self.p)): self.field.one()}
         for _ in range(b):
-            elem = self.rmul_K(elem)
-            elem = self.rmul_F(elem)
-            elem = self.scale(self.field.from_rational(-1), elem)
+            elem = {k: -v for k, v in self.rmul_F(self.rmul_K(elem)).items()}
         for _ in range(a):
-            elem = self.rmul_E(elem)
-            elem = self.rmul_K(elem, 2 * self.p - 1)
-            elem = self.scale(self.field.from_rational(-1), elem)
+            elem = {k: -v for k, v in
+                    self.rmul_K(self.rmul_E(elem), 2 * self.p - 1).items()}
         return elem
 
     def t2_mul(self, x: dict, y: dict) -> dict:
         """Multiply sparse elements of H (x) H keyed by monomial pairs."""
-        out: dict = {}
-        for (m1, m2), v in x.items():
-            for (n1, n2), w in y.items():
-                left = self.rmul_monomial({m1: self.field.one()}, n1)
-                right = self.rmul_monomial({m2: self.field.one()}, n2)
-                vw = v * w
-                for k1, c1 in left.items():
-                    for k2, c2 in right.items():
-                        key = (k1, k2)
-                        out[key] = out.get(key, self.field.zero()) + vw * c1 * c2
-        return {k: v for k, v in out.items() if not v.is_zero()}
+        one = self.field.one()
+        return _sparse_sum(
+            ((k1, k2), v * w * c1 * c2)
+            for (m1, m2), v in x.items() for (n1, n2), w in y.items()
+            for k1, c1 in self.rmul_monomial({m1: one}, n1).items()
+            for k2, c2 in self.rmul_monomial({m2: one}, n2).items())
 
 
 def _uqsl2_core(p: int, order: int):
@@ -483,12 +450,8 @@ def _attach_candidate_r(bundle: HopfBundle, p: int) -> HopfBundle:
     report = [failure for name, _, check in AXIOMS if name in R_INVERSE_FREE
               for failure in islice(check(ctx), 1)]
     if not report:
-        s_id_R: dict = {}
-        for (i, j), c in ctx.R.items():
-            for k, cs in trial0.antipode_cols[i]:
-                key = (k, j)
-                s_id_R[key] = s_id_R.get(key, field4.zero()) + c * cs
-        s_id_R = {k: v for k, v in s_id_R.items() if not v.is_zero()}
+        s_id_R = _sparse_sum(((k, j), c * cs) for (i, j), c in ctx.R.items()
+                             for k, cs in trial0.antipode_cols[i])
         if trial0.tensor2_mult(ctx.R, s_id_R) != ctx.unit2:
             report = ["candidate: (S (x) id)R is not inverse to R"]
         else:

@@ -30,42 +30,25 @@ returns the input exactly.
 
 from __future__ import annotations
 
-from .cyclo import CycNum, ExactMatrix, LinearSystem
+from itertools import chain
+
+from .cyclo import CycNum, ExactMatrix, LinearSystem, _sparse_sum
 from .errors import InadmissibleError, StructureError
 from .hopf import (HopfBundle, Rep, dual_rep, hom_space, projective_section,
                    regular_rep, trivial_rep)
 
 __all__ = [
-    "CoendElem",
     "SLFElem",
     "coadjoint_rep",
     "dinat",
-    "invariant_basis",
     "slf_basis",
     "is_symmetric_form",
-    "slf_from_invariant",
     "qchar",
-    "trace_invariant",
     "canonical_image_dim",
     "red_to_blue",
     "iterated_comult",
     "apply_factored_action",
 ]
-
-
-class CoendElem:
-    """An element of L = H*, as coordinates in the dual basis."""
-
-    __slots__ = ("coords",)
-
-    def __init__(self, coords):
-        self.coords = list(coords)
-
-    def __eq__(self, other):
-        return isinstance(other, CoendElem) and self.coords == other.coords
-
-    def __repr__(self):
-        return "CoendElem(%s)" % (self.coords,)
 
 
 class SLFElem:
@@ -151,52 +134,33 @@ def dinat(b: HopfBundle, m: Rep) -> ExactMatrix:
     return out
 
 
-def invariant_basis(b: HopfBundle) -> list[CoendElem]:
-    """Deterministic basis of Hom(1, L) = coadjoint invariants."""
-    rep = coadjoint_rep(b)
-    basis = hom_space(b, trivial_rep(b), rep)
-    return [CoendElem([mat.data[i][0] for i in range(b.dim)]) for mat in basis]
-
-
-def slf_from_invariant(b: HopfBundle, f: CoendElem) -> SLFElem:
-    """Identify an invariant of L with a symmetric form.
-
-    The identification carries no residual pivotal twist in this model (the
-    duality twists cancel inside the dinatural maps); membership is still
-    checked, so a convention drift would fail loudly here.
-    """
-    return SLFElem(b, list(f.coords))
-
-
 def slf_basis(b: HopfBundle) -> list[SLFElem]:
     """Exact basis of {f : f(xy) = f(yx)}.
 
     Hom(1, L) is computed independently; its dimension must agree and each
     invariant must itself be symmetric -- the two models of the annulus
-    skein algebra coincide, and this function asserts both facts.
+    skein algebra coincide, and this function asserts both facts.  The
+    identification carries no residual pivotal twist in this model (the
+    duality twists cancel inside the dinatural maps), so a convention drift
+    fails loudly here.
     """
-    field = b.field
-    sys = LinearSystem(field, b.dim)
+    sys = LinearSystem(b.field, b.dim)
     for i in range(b.dim):
         for j in range(i + 1, b.dim):
-            row: dict = {}
-            for k, c in b.mult_table[i][j]:
-                row[k] = row.get(k, field.zero()) + c
-            for k, c in b.mult_table[j][i]:
-                row[k] = row.get(k, field.zero()) - c
-            row = {k: v for k, v in row.items() if not v.is_zero()}
+            row = _sparse_sum(chain(b.mult_table[i][j],
+                                    ((k, -c) for k, c in b.mult_table[j][i])))
             if row:
                 sys.add_row(row)
     kern = sys.kernel()
-    basis = [SLFElem(b, [kern.data[i][j] for i in range(b.dim)])
-             for j in range(kern.cols)]
-    invs = invariant_basis(b)
+    basis = [SLFElem(b, kern.col(j)) for j in range(kern.cols)]
+    invs = hom_space(b, trivial_rep(b), coadjoint_rep(b))
     if len(invs) != len(basis):
         raise StructureError(
             "SLF dimension %d != coadjoint invariant dimension %d"
             % (len(basis), len(invs)))
     for f in invs:
-        slf_from_invariant(b, f)  # raises if an invariant is not symmetric
+        if not is_symmetric_form(b, f.col(0)):
+            raise StructureError("coadjoint invariant is not a symmetric form")
     return basis
 
 
@@ -209,11 +173,6 @@ def qchar(b: HopfBundle, m: Rep) -> SLFElem:
     """
     coords = [m.mats[h].trace() for h in range(b.dim)]
     return SLFElem(b, coords)
-
-
-def trace_invariant(b: HopfBundle, m: Rep) -> CoendElem:
-    """i_M o coev as an invariant vector of L (same coordinates as qchar)."""
-    return CoendElem([m.mats[h].trace() for h in range(b.dim)])
 
 
 def canonical_image_dim(b: HopfBundle) -> int:
@@ -241,14 +200,9 @@ def iterated_comult(b: HopfBundle, i: int, m: int) -> list[tuple[tuple, CycNum]]
     if m == 1:
         out = [((i,), b.field.one())]
     else:
-        out = []
-        for (j, k, c) in b.comult_table[i]:
-            for (tail, c2) in iterated_comult(b, k, m - 1):
-                out.append(((j,) + tail, c * c2))
-        merged: dict = {}
-        for key2, c in out:
-            merged[key2] = merged.get(key2, b.field.zero()) + c
-        out = [(k2, c) for k2, c in merged.items() if not c.is_zero()]
+        out = list(_sparse_sum(
+            ((j,) + tail, c * c2) for (j, k, c) in b.comult_table[i]
+            for tail, c2 in iterated_comult(b, k, m - 1)).items())
     cache[i] = out
     return out
 

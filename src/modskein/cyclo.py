@@ -27,11 +27,8 @@ __all__ = [
     "CycNum",
     "ExactMatrix",
     "SolveResult",
-    "cyc_arith",
     "cyclotomic_poly",
     "euler_phi",
-    "kernel_basis",
-    "solve_linear",
     "parse_rational",
     "rational_str",
 ]
@@ -413,27 +410,6 @@ def parse_rational(s) -> Fraction:
     raise CycloError("cannot parse an exact rational from %r" % (s,))
 
 
-def unify(a: CycNum, b: CycNum) -> tuple[CycNum, CycNum]:
-    """Embed both arguments into Q(zeta_lcm)."""
-    if a.field is b.field:
-        return a, b
-    m = math.lcm(a.field.order, b.field.order)
-    return a.embed(m), b.embed(m)
-
-
-def cyc_arith(a: CycNum, b: CycNum, op: str) -> CycNum:
-    """Four-function exact arithmetic; same order required (embed first)."""
-    if op == "add":
-        return a + b
-    if op == "sub":
-        return a - b
-    if op == "mul":
-        return a * b
-    if op == "div":
-        return a / b
-    raise CycloError("unknown operation %r" % (op,))
-
-
 # ---------------------------------------------------------------------------
 # Exact matrices
 # ---------------------------------------------------------------------------
@@ -612,11 +588,9 @@ class ExactMatrix:
     def _system(self, rhs: "ExactMatrix | None" = None) -> "LinearSystem":
         sys = LinearSystem(self.field, self.cols, rhs.cols if rhs else 0)
         for i in range(self.rows):
-            coeffs = {j: e for j, e in enumerate(self.data[i]) if not e.is_zero()}
-            rvals = None
-            if rhs is not None:
-                rvals = {j: e for j, e in enumerate(rhs.data[i]) if not e.is_zero()}
-            sys.add_row(coeffs, rvals)
+            rvals = (None if rhs is None
+                     else dict(_nonzero_entries(rhs.data[i])))
+            sys.add_row(dict(_nonzero_entries(self.data[i])), rvals)
         return sys
 
     def rank(self) -> int:
@@ -727,27 +701,40 @@ class LinearSystem:
     def _to_cyc(self, v: tuple[int, ...]) -> CycNum:
         return _normal(self.field, v, 1)
 
-    def _back_substitute(self, x: list, pivot_cols, upto: int | None = None):
-        zero = self.field.zero()
-        for pc in reversed(pivot_cols):
+    def _pivot_inverses(self) -> list[tuple[int, CycNum]]:
+        """(pivot column, inverse of its pivot entry), last pivot first."""
+        return [(pc, self._to_cyc(self._pivots[pc][pc]).inverse())
+                for pc in sorted(self._pivots, reverse=True) if pc < self.ncols]
+
+    def _back_substitute(self, x: list, inverses: list,
+                         rcol: int | None = None,
+                         upto: int | None = None) -> None:
+        """Solve the pivot rows for their pivot entries of x, last pivot first.
+
+        The right-hand side is column `rcol` of the rows (zero when None);
+        the free entries of x are given.  Pivots right of `upto` are skipped:
+        with x zero beyond `upto` their entries stay zero.
+        """
+        zero, ncols = self.field.zero(), self.ncols
+        for pc, inverse in inverses:
             if upto is not None and pc > upto:
                 continue
             row = self._pivots[pc]
-            s = zero
+            s = self._to_cyc(row[rcol]) if rcol in row else zero
             for c, vec in row.items():
-                if c > pc and c < self.ncols and not x[c].is_zero():
-                    s = s + self._to_cyc(vec) * x[c]
-            x[pc] = -s / self._to_cyc(row[pc])
+                if pc < c < ncols and any(x[c].num):
+                    s = s - self._to_cyc(vec) * x[c]
+            x[pc] = s * inverse
 
     def kernel(self) -> "ExactMatrix":
-        pivot_cols = sorted(c for c in self._pivots if c < self.ncols)
+        inverses = self._pivot_inverses()
         free_cols = [c for c in range(self.ncols) if c not in self._pivots]
         zero, one = self.field.zero(), self.field.one()
         out = ExactMatrix.zeros(self.field, self.ncols, len(free_cols))
         for j, fc in enumerate(free_cols):
             x = [zero] * self.ncols
             x[fc] = one
-            self._back_substitute(x, pivot_cols, upto=fc)
+            self._back_substitute(x, inverses, upto=fc)
             for i in range(self.ncols):
                 out.data[i][j] = x[i]
         return out
@@ -756,26 +743,36 @@ class LinearSystem:
         kernel = self.kernel()
         if self._infeasible_row:
             return SolveResult(None, kernel)
-        pivot_cols = sorted(self._pivots)
+        inverses = self._pivot_inverses()
         zero = self.field.zero()
         part = ExactMatrix.zeros(self.field, self.ncols, self.nrhs)
         for j in range(self.nrhs):
             x = [zero] * self.ncols
-            rcol = self.ncols + j
-            for pc in reversed(pivot_cols):
-                row = self._pivots[pc]
-                s = self._to_cyc(row[rcol]) if rcol in row else zero
-                for c, vec in row.items():
-                    if c > pc and c < self.ncols and not x[c].is_zero():
-                        s = s - self._to_cyc(vec) * x[c]
-                x[pc] = s / self._to_cyc(row[pc])
+            self._back_substitute(x, inverses, rcol=self.ncols + j)
             for i in range(self.ncols):
                 part.data[i][j] = x[i]
         return SolveResult(part, kernel)
 
 
 def _nonzero_entries(row: list) -> list[tuple[int, CycNum]]:
+    """The nonzero entries of a dense row (or column) as (index, entry)."""
     return [(j, e) for j, e in enumerate(row) if any(e.num)]
+
+
+def _sparse_sum(terms) -> dict:
+    """Sum (key, CycNum) pairs into a dict without zero values.
+
+    This is the one way the engine forms a sparse linear combination.  Keys
+    keep the order in which they first appear (a key whose sum cancels to
+    zero is dropped at the end, not moved), so a caller that writes the dict
+    out in iteration order gets the same order every time.
+    """
+    out: dict = {}
+    get = out.get
+    for key, c in terms:
+        s = get(key)
+        out[key] = c if s is None else s + c
+    return {key: c for key, c in out.items() if any(c.num)}
 
 
 def _ivec_mul(a, b, deg, red):
@@ -815,11 +812,3 @@ def _normalize_content(row: dict) -> dict:
     if g > 1:
         return {c: tuple(x // g for x in vec) for c, vec in row.items()}
     return row
-
-
-def solve_linear(a: ExactMatrix, b: ExactMatrix) -> SolveResult:
-    return a.solve(b)
-
-
-def kernel_basis(a: ExactMatrix) -> ExactMatrix:
-    return a.kernel_basis()

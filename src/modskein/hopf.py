@@ -9,15 +9,23 @@ form the tensor ideal that admissible skeins are colored by.
 Every axiom the engine relies on is a named check in the table `AXIOMS`;
 `validate_bundle` runs them and returns a deterministic, sorted list of
 named failures (empty = valid).
-Elements of H are sparse {basis index: CycNum} dicts throughout.
+
+One sparse convention holds throughout: an element of H is a
+{basis index: CycNum} dict and an element of H (x) H an {(i, j): CycNum}
+dict, neither holding zero values, and every such linear combination is
+formed by `cyclo._sparse_sum`.  The matrix of an element of H on a module M,
+or of H (x) H on M (x) N, is written by the one builder `_action_matrix`,
+which visits only the nonzero entries of the action matrices.
 """
 
 from __future__ import annotations
 
 import json
 from functools import cached_property
+from itertools import chain
 
-from .cyclo import CycField, CycNum, ExactMatrix, LinearSystem
+from .cyclo import (CycField, CycNum, ExactMatrix, LinearSystem,
+                    _nonzero_entries, _sparse_sum)
 from .errors import CapabilityError, StructureError
 
 __all__ = [
@@ -61,18 +69,7 @@ class Rep:
 
     def act(self, elem: dict, field: CycField) -> ExactMatrix:
         """Matrix of a (sparse) algebra element on this module."""
-        out = ExactMatrix.zeros(field, self.dim, self.dim)
-        for i, c in elem.items():
-            if c.is_zero():
-                continue
-            m = self.mats[i]
-            for r in range(self.dim):
-                row = m.data[r]
-                orow = out.data[r]
-                for s in range(self.dim):
-                    if not row[s].is_zero():
-                        orow[s] = orow[s] + c * row[s]
-        return out
+        return _action_matrix(field, elem.items(), _rep_rows(self))
 
     def __eq__(self, other):
         if not isinstance(other, Rep):
@@ -203,32 +200,12 @@ class HopfBundle:
         return [elem.get(i, z) for i in range(self.dim)]
 
     def elem_add(self, x: dict, y: dict) -> dict:
-        out = dict(x)
-        for i, c in y.items():
-            s = out.get(i)
-            s = c if s is None else s + c
-            if s.is_zero():
-                out.pop(i, None)
-            else:
-                out[i] = s
-        return out
-
-    def elem_scale(self, c: CycNum, x: dict) -> dict:
-        if c.is_zero():
-            return {}
-        return {i: c * v for i, v in x.items()}
+        return _sparse_sum(chain(x.items(), y.items()))
 
     def elem_mult(self, x: dict, y: dict) -> dict:
-        out: dict = {}
-        for i, a in x.items():
-            rowi = self.mult_table[i]
-            for j, b in y.items():
-                ab = a * b
-                for k, c in rowi[j]:
-                    s = out.get(k)
-                    s = ab * c if s is None else s + ab * c
-                    out[k] = s
-        return {k: v for k, v in out.items() if not v.is_zero()}
+        table = self.mult_table
+        return _sparse_sum((k, a * b * c) for i, a in x.items()
+                           for j, b in y.items() for k, c in table[i][j])
 
     def elem_unit(self) -> dict:
         return self.elem(self.unit)
@@ -240,24 +217,13 @@ class HopfBundle:
         return t
 
     def elem_antipode(self, x: dict) -> dict:
-        out: dict = {}
-        for i, c in x.items():
-            for k, s in self.antipode_cols[i]:
-                v = out.get(k)
-                v = c * s if v is None else v + c * s
-                out[k] = v
-        return {k: v for k, v in out.items() if not v.is_zero()}
+        return _sparse_sum((k, c * s) for i, c in x.items()
+                           for k, s in self.antipode_cols[i])
 
     def elem_comult(self, x: dict) -> dict:
         """Delta(x) as a sparse {(j, k): CycNum} dict."""
-        out: dict = {}
-        for i, c in x.items():
-            for (j, k, w) in self.comult_table[i]:
-                key = (j, k)
-                v = out.get(key)
-                v = c * w if v is None else v + c * w
-                out[key] = v
-        return {k: v for k, v in out.items() if not v.is_zero()}
+        return _sparse_sum(((j, k), c * w) for i, c in x.items()
+                           for j, k, w in self.comult_table[i])
 
     def elem_inverse(self, x: dict) -> dict | None:
         """Two-sided inverse in H, or None (left inverse = right inverse here
@@ -281,18 +247,12 @@ class HopfBundle:
 
     def tensor2_mult(self, x: dict, y: dict) -> dict:
         """Product of sparse elements of H (x) H, keys (i, j)."""
-        out: dict = {}
-        for (i1, j1), a in x.items():
-            for (i2, j2), b in y.items():
-                ab = a * b
-                for k1, c1 in self.mult_table[i1][i2]:
-                    for k2, c2 in self.mult_table[j1][j2]:
-                        key = (k1, k2)
-                        v = out.get(key)
-                        w = ab * c1 * c2
-                        v = w if v is None else v + w
-                        out[key] = v
-        return {k: v for k, v in out.items() if not v.is_zero()}
+        table = self.mult_table
+        return _sparse_sum(((k1, k2), a * b * c1 * c2)
+                           for (i1, j1), a in x.items()
+                           for (i2, j2), b in y.items()
+                           for k1, c1 in table[i1][i2]
+                           for k2, c2 in table[j1][j2])
 
     def r_sparse(self) -> list:
         self.require_r()
@@ -304,12 +264,11 @@ class HopfBundle:
 
     def drinfeld_u(self) -> dict:
         """u = sum S(R2) R1, satisfying S^2(x) = u x u^{-1}."""
-        u: dict = {}
-        for (i, j, c) in self.r_sparse():
-            term = self.elem_mult(self.elem_antipode({j: self.field.one()}),
-                                  {i: self.field.one()})
-            u = self.elem_add(u, self.elem_scale(c, term))
-        return u
+        one = self.field.one()
+        return _sparse_sum(
+            (k, c * v) for (i, j, c) in self.r_sparse()
+            for k, v in self.elem_mult(self.elem_antipode({j: one}),
+                                       {i: one}).items())
 
     def ribbon_elem(self) -> dict:
         self.require_ribbon()
@@ -360,15 +319,14 @@ def validate_rep(b: HopfBundle, rep: Rep) -> list[str]:
     """Check rho(1) = id and rho(e_i) rho(e_j) = sum m_ij^k rho(e_k)."""
     failures = []
     field = b.field
+    rows = _rep_rows(rep)
     ident = ExactMatrix.identity(field, rep.dim)
-    if rep.act(b.elem_unit(), field) != ident:
+    if _action_matrix(field, b.elem_unit().items(), rows) != ident:
         failures.append("unit does not act as identity")
     for i in range(b.dim):
         for j in range(b.dim):
             lhs = rep.mats[i] * rep.mats[j]
-            rhs = ExactMatrix.zeros(field, rep.dim, rep.dim)
-            for k, c in b.mult_table[i][j]:
-                rhs = rhs + rep.mats[k].scale(c)
+            rhs = _action_matrix(field, b.mult_table[i][j], rows)
             if lhs != rhs:
                 failures.append("action not multiplicative at (%d, %d)" % (i, j))
                 return failures
@@ -403,22 +361,21 @@ class AxiomContext:
 
 def _outer(x: dict, y: dict) -> dict:
     """x (x) y as a sparse element of H (x) H."""
-    out = {(i, j): a * c for i, a in x.items() for j, c in y.items()}
-    return {k: v for k, v in out.items() if not v.is_zero()}
-
-
-def _nonzero(x: dict) -> dict:
-    return {k: v for k, v in x.items() if not v.is_zero()}
+    return _sparse_sum(((i, j), a * c) for i, a in x.items()
+                       for j, c in y.items())
 
 
 def _associativity(ctx):
-    b, basis, prod = ctx.b, ctx.basis, ctx.prod
-    d = b.dim
+    table, prod = ctx.b.mult_table, ctx.prod
+    d = ctx.b.dim
     for i in range(d):
         for j in range(d):
             for l in range(d):
-                if b.elem_mult(prod[i][j], basis[l]) != \
-                   b.elem_mult(basis[i], prod[j][l]):
+                left = _sparse_sum((t, c * c2) for k, c in prod[i][j].items()
+                                   for t, c2 in table[k][l])
+                right = _sparse_sum((t, c * c2) for k, c in prod[j][l].items()
+                                    for t, c2 in table[i][k])
+                if left != right:
                     yield ("associativity: (e%d e%d) e%d != e%d (e%d e%d)"
                            % (i, j, l, i, j, l))
 
@@ -431,32 +388,22 @@ def _unit(ctx):
 
 
 def _coassociativity(ctx):
-    b = ctx.b
-    zero = b.field.zero()
-    for i in range(b.dim):
-        left: dict = {}
-        right: dict = {}
-        for (j, k, c) in b.comult_table[i]:
-            for (a, bb, c2) in b.comult_table[j]:
-                key = (a, bb, k)
-                left[key] = left.get(key, zero) + c * c2
-            for (a, bb, c2) in b.comult_table[k]:
-                key = (j, a, bb)
-                right[key] = right.get(key, zero) + c * c2
-        if _nonzero(left) != _nonzero(right):
+    table = ctx.b.comult_table
+    for i, delta in enumerate(table):
+        left = _sparse_sum(((a, bb, k), c * c2) for (j, k, c) in delta
+                           for (a, bb, c2) in table[j])
+        right = _sparse_sum(((j, a, bb), c * c2) for (j, k, c) in delta
+                            for (a, bb, c2) in table[k])
+        if left != right:
             yield "coassociativity: at e%d" % i
 
 
 def _counit(ctx):
     b = ctx.b
-    zero = b.field.zero()
-    for i in range(b.dim):
-        lc: dict = {}
-        rc: dict = {}
-        for (j, k, c) in b.comult_table[i]:
-            lc[k] = lc.get(k, zero) + c * b.counit[j]
-            rc[j] = rc.get(j, zero) + c * b.counit[k]
-        if _nonzero(lc) != ctx.basis[i] or _nonzero(rc) != ctx.basis[i]:
+    for i, delta in enumerate(b.comult_table):
+        lc = _sparse_sum((k, c * b.counit[j]) for (j, k, c) in delta)
+        rc = _sparse_sum((j, c * b.counit[k]) for (j, k, c) in delta)
+        if lc != ctx.basis[i] or rc != ctx.basis[i]:
             yield "counit: at e%d" % i
 
 
@@ -479,15 +426,15 @@ def _bialgebra(ctx):
 
 def _antipode(ctx):
     b, basis = ctx.b, ctx.basis
-    for i in range(b.dim):
-        left_s: dict = {}
-        right_s: dict = {}
-        for (j, k, c) in b.comult_table[i]:
-            sj = b.elem_antipode(basis[j])
-            left_s = b.elem_add(left_s, b.elem_scale(c, b.elem_mult(sj, basis[k])))
-            sk = b.elem_antipode(basis[k])
-            right_s = b.elem_add(right_s, b.elem_scale(c, b.elem_mult(basis[j], sk)))
-        target = b.elem_scale(b.counit[i], ctx.unit)
+    s_basis = [b.elem_antipode(e) for e in basis]
+    for i, delta in enumerate(b.comult_table):
+        left_s = _sparse_sum(
+            (t, c * v) for (j, k, c) in delta
+            for t, v in b.elem_mult(s_basis[j], basis[k]).items())
+        right_s = _sparse_sum(
+            (t, c * v) for (j, k, c) in delta
+            for t, v in b.elem_mult(basis[j], s_basis[k]).items())
+        target = _sparse_sum((t, b.counit[i] * v) for t, v in ctx.unit.items())
         if left_s != target or right_s != target:
             yield "antipode: at e%d" % i
 
@@ -510,36 +457,22 @@ def _r_intertwines_delta(ctx):
 
 
 def _r_delta_left(ctx):
-    b, R = ctx.b, ctx.R
-    zero = b.field.zero()
-    r13_r23: dict = {}
-    delta_r: dict = {}
-    for (i, j), c in R.items():
-        for (k, l), c2 in R.items():
-            for kk, cm in b.mult_table[j][l]:
-                key = (i, k, kk)
-                r13_r23[key] = r13_r23.get(key, zero) + c * c2 * cm
-        for (a, bb, c2) in b.comult_table[i]:
-            key = (a, bb, j)
-            delta_r[key] = delta_r.get(key, zero) + c * c2
-    if _nonzero(delta_r) != _nonzero(r13_r23):
+    b, R = ctx.b, ctx.R.items()
+    r13_r23 = _sparse_sum(((i, k, kk), c * c2 * cm) for (i, j), c in R
+                          for (k, l), c2 in R for kk, cm in b.mult_table[j][l])
+    delta_r = _sparse_sum(((a, bb, j), c * c2) for (i, j), c in R
+                          for (a, bb, c2) in b.comult_table[i])
+    if delta_r != r13_r23:
         yield "quasitriangular: (Delta (x) id)R != R13 R23"
 
 
 def _r_delta_right(ctx):
-    b, R = ctx.b, ctx.R
-    zero = b.field.zero()
-    r13_r12: dict = {}
-    delta_r: dict = {}
-    for (i, j), c in R.items():
-        for (k, l), c2 in R.items():
-            for kk, cm in b.mult_table[i][k]:
-                key = (kk, l, j)
-                r13_r12[key] = r13_r12.get(key, zero) + c * c2 * cm
-        for (a, bb, c2) in b.comult_table[j]:
-            key = (i, a, bb)
-            delta_r[key] = delta_r.get(key, zero) + c * c2
-    if _nonzero(delta_r) != _nonzero(r13_r12):
+    b, R = ctx.b, ctx.R.items()
+    r13_r12 = _sparse_sum(((kk, l, j), c * c2 * cm) for (i, j), c in R
+                          for (k, l), c2 in R for kk, cm in b.mult_table[i][k])
+    delta_r = _sparse_sum(((i, a, bb), c * c2) for (i, j), c in R
+                          for (a, bb, c2) in b.comult_table[j])
+    if delta_r != r13_r12:
         yield "quasitriangular: (id (x) Delta)R != R13 R12"
 
 
@@ -664,27 +597,59 @@ def regular_rep(b: HopfBundle) -> Rep:
     return b._cache["regular"]
 
 
+def _rep_rows(m: Rep) -> list[list[list]]:
+    """Sparse rows of each action matrix of M: [i][r] -> [(col, entry)]."""
+    return [[_nonzero_entries(row) for row in mat.data] for mat in m.mats]
+
+
+def _sparse_cols(mat: ExactMatrix) -> list[list]:
+    return [_nonzero_entries(col) for col in zip(*mat.data)]
+
+
+def _action_matrix(field: CycField, terms, m_rows: list,
+                   n_rows: list | None = None) -> ExactMatrix:
+    """The matrix of a linear combination of action matrices.
+
+    Without `n_rows`, `terms` are pairs (i, c) and the result is
+    sum c * rho_M(e_i); with it, `terms` are triples (i, j, c) and the result
+    is sum c * rho_M(e_i) (x) rho_N(e_j) on M (x) N, in the row-major
+    convention of `ExactMatrix.kron`.  `m_rows` and `n_rows` are `_rep_rows`
+    of M and N.  Each product c * a * b is added straight into one dense
+    output, and only nonzero entries of the factors are visited.
+    """
+    m_dim = len(m_rows[0])
+    n_dim = len(n_rows[0]) if n_rows is not None else 1
+    out = ExactMatrix.zeros(field, m_dim * n_dim, m_dim * n_dim)
+    data = out.data
+    if n_rows is None:
+        for i, c in terms:
+            for orow, arow in zip(data, m_rows[i]):
+                for s, a in arow:
+                    orow[s] = orow[s] + c * a
+        return out
+    for i, j, c in terms:
+        for r1, arow in enumerate(m_rows[i]):
+            orows = data[r1 * n_dim:(r1 + 1) * n_dim]
+            for s1, a in arow:
+                ca, base = c * a, s1 * n_dim
+                for orow, brow in zip(orows, n_rows[j]):
+                    for s2, bb in brow:
+                        orow[base + s2] = orow[base + s2] + ca * bb
+    return out
+
+
 def tensor_rep(b: HopfBundle, m: Rep, n: Rep) -> Rep:
     """Action on M (x) N through the comultiplication."""
-    dim = m.dim * n.dim
-    mats = []
-    for i in range(b.dim):
-        acc = ExactMatrix.zeros(b.field, dim, dim)
-        for (j, k, c) in b.comult_table[i]:
-            acc = acc + m.mats[j].kron(n.mats[k]).scale(c)
-        mats.append(acc)
-    return Rep(dim, mats)
+    m_rows, n_rows = _rep_rows(m), _rep_rows(n)
+    return Rep(m.dim * n.dim, [_action_matrix(b.field, delta, m_rows, n_rows)
+                               for delta in b.comult_table])
 
 
 def dual_rep(b: HopfBundle, m: Rep) -> Rep:
     """Left dual: rho*(e_i) = rho(S(e_i))^T."""
-    mats = []
-    for i in range(b.dim):
-        acc = ExactMatrix.zeros(b.field, m.dim, m.dim)
-        for k, c in b.antipode_cols[i]:
-            acc = acc + m.mats[k].scale(c)
-        mats.append(acc.transpose())
-    return Rep(m.dim, mats)
+    rows = _rep_rows(m)
+    return Rep(m.dim, [_action_matrix(b.field, s_i, rows).transpose()
+                       for s_i in b.antipode_cols])
 
 
 def direct_sum_rep(b: HopfBundle, m: Rep, n: Rep) -> Rep:
@@ -702,16 +667,6 @@ def direct_sum_rep(b: HopfBundle, m: Rep, n: Rep) -> Rep:
     return Rep(dim, mats)
 
 
-def _sparse_rows(mat: ExactMatrix) -> list[list]:
-    return [[(c, a) for c, a in enumerate(row) if not a.is_zero()]
-            for row in mat.data]
-
-
-def _sparse_cols(mat: ExactMatrix) -> list[list]:
-    return [[(r, mat.data[r][c]) for r in range(mat.rows)
-             if not mat.data[r][c].is_zero()] for c in range(mat.cols)]
-
-
 def _intertwiner_rows(n_rows: list, m_cols: list, m_dim: int):
     """Rows of rho_N(e_i) F - F rho_M(e_i) = 0, one per entry (r, c).
 
@@ -721,14 +676,8 @@ def _intertwiner_rows(n_rows: list, m_cols: list, m_dim: int):
     """
     for r, n_row in enumerate(n_rows):
         for c, m_col in enumerate(m_cols):
-            row: dict = {}
-            for s, a in n_row:
-                key = s * m_dim + c
-                row[key] = row[key] + a if key in row else a
-            for t, a in m_col:
-                key = r * m_dim + t
-                row[key] = row[key] - a if key in row else -a
-            row = {k: v for k, v in row.items() if not v.is_zero()}
+            row = _sparse_sum(chain(((s * m_dim + c, a) for s, a in n_row),
+                                    ((r * m_dim + t, -a) for t, a in m_col)))
             if row:
                 yield row
 
@@ -740,9 +689,8 @@ def hom_space(b: HopfBundle, m: Rep, n: Rep) -> list[ExactMatrix]:
     of the stacked commutation constraints.
     """
     sys = LinearSystem(b.field, n.dim * m.dim)
-    for i in range(b.dim):
-        for row in _intertwiner_rows(_sparse_rows(n.mats[i]),
-                                     _sparse_cols(m.mats[i]), m.dim):
+    for n_rows, m_mat in zip(_rep_rows(n), m.mats):
+        for row in _intertwiner_rows(n_rows, _sparse_cols(m_mat), m.dim):
             sys.add_row(row)
     kern = sys.kernel()
     out = []
@@ -768,21 +716,15 @@ def flip_matrix(field: CycField, m: int, n: int) -> ExactMatrix:
 def braiding(b: HopfBundle, m: Rep, n: Rep) -> ExactMatrix:
     """c_{M,N} = flip o (rho_M (x) rho_N)(R) : M (x) N -> N (x) M."""
     b.require_r()
-    field = b.field
-    acc = ExactMatrix.zeros(field, m.dim * n.dim, m.dim * n.dim)
-    for (i, j, c) in b.r_sparse():
-        acc = acc + m.mats[i].kron(n.mats[j]).scale(c)
-    return flip_matrix(field, m.dim, n.dim) * acc
+    acc = _action_matrix(b.field, b.r_sparse(), _rep_rows(m), _rep_rows(n))
+    return flip_matrix(b.field, m.dim, n.dim) * acc
 
 
 def braiding_inverse(b: HopfBundle, m: Rep, n: Rep) -> ExactMatrix:
     """(c_{N,M})^-1 = (rho_N (x) rho_M)(R^-1) o flip : M (x) N -> N (x) M."""
     b.require_r()
-    field = b.field
-    acc = ExactMatrix.zeros(field, n.dim * m.dim, n.dim * m.dim)
-    for (i, j, c) in b.r_inv_sparse():
-        acc = acc + n.mats[i].kron(m.mats[j]).scale(c)
-    return acc * flip_matrix(field, m.dim, n.dim)
+    acc = _action_matrix(b.field, b.r_inv_sparse(), _rep_rows(n), _rep_rows(m))
+    return acc * flip_matrix(b.field, m.dim, n.dim)
 
 
 def twist(b: HopfBundle, m: Rep) -> ExactMatrix:
@@ -810,29 +752,17 @@ def _free_cover_system(b: HopfBundle, m: Rep):
     field = b.field
     d, md = b.dim, m.dim
     sys = LinearSystem(field, d * md * md, 1)
-
-    def unknown(h, r, c):
-        return (h * md + r) * md + c
-
-    reg = regular_rep(b)
-    for i in range(d):
-        lrows = _sparse_rows(reg.mats[i])
+    for lrows, m_mat in zip(_rep_rows(regular_rep(b)), m.mats):
         free_rows = [[(h * md + rp, a) for h, a in lrows[hp]]
                      for hp in range(d) for rp in range(md)]
-        for row in _intertwiner_rows(free_rows, _sparse_cols(m.mats[i]), md):
+        for row in _intertwiner_rows(free_rows, _sparse_cols(m_mat), md):
             sys.add_row(row)
     # pi o sigma = id, with pi(e_h (x) delta_r) = rho(e_h) column r
     one = field.one()
     for cp in range(md):
         for c in range(md):
-            row = {}
-            for h in range(d):
-                mh = m.mats[h]
-                for r in range(md):
-                    a = mh.data[cp][r]
-                    if not a.is_zero():
-                        key = unknown(h, r, c)
-                        row[key] = row.get(key, field.zero()) + a
+            row = _sparse_sum(((h * md + r) * md + c, m.mats[h].data[cp][r])
+                              for h in range(d) for r in range(md))
             sys.add_row(row, {0: one} if cp == c else None)
     return sys
 

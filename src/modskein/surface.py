@@ -15,10 +15,10 @@ ambiguity left by the mirror braiding choice is documented, not resolved.
 
 from __future__ import annotations
 
-from .cyclo import CycNum, ExactMatrix, LinearSystem
+from .cyclo import CycNum, ExactMatrix, LinearSystem, _sparse_sum
 from .errors import StructureError
 from .hopf import HopfBundle, Rep, braiding, hom_space, tensor_rep, trivial_rep
-from .coend import coadjoint_rep, trace_invariant, qchar
+from .coend import coadjoint_rep, qchar
 
 __all__ = [
     "AlgebraPresentation",
@@ -109,7 +109,12 @@ def _power_mult(b: HopfBundle, m: int) -> ExactMatrix:
 
 
 class AlgebraPresentation:
-    """Basis, exact structure constants and unit of a computed skein algebra."""
+    """Basis, exact structure constants and unit of a computed skein algebra.
+
+    `structure[(i, j)]` is the product v_i v_j as a sparse {k: CycNum} dict
+    with no zero values, in the engine's one sparse convention; the unit and
+    the basis vectors are dense coordinate lists.
+    """
 
     def __init__(self, bundle_name, g, n, basis_vectors, labels, structure,
                  unit_coords, provenance=None, field=None):
@@ -118,7 +123,7 @@ class AlgebraPresentation:
         self.n = n
         self.basis_vectors = basis_vectors  # list of coordinate lists in L^m
         self.labels = list(labels)
-        self.structure = structure          # dict[(i, j)] -> list[CycNum]
+        self.structure = structure          # dict[(i, j)] -> {k: CycNum}
         self.unit_coords = list(unit_coords)
         self.provenance = provenance or {}
         self.field = field
@@ -127,46 +132,45 @@ class AlgebraPresentation:
     def dim(self) -> int:
         return len(self.basis_vectors)
 
+    def _product(self, x: dict, y: dict) -> dict:
+        """Structure-constant product of two sparse coordinate dicts."""
+        st = self.structure
+        return _sparse_sum((k, a * bb * c) for i, a in x.items()
+                           for j, bb in y.items()
+                           for k, c in st[(i, j)].items())
+
     def product_coords(self, x, y) -> list:
         """Structure-constant product of two coordinate vectors."""
-        field = self.field
-        out = [field.zero()] * self.dim
-        for i, a in enumerate(x):
-            if a.is_zero():
-                continue
-            for j, bb in enumerate(y):
-                if bb.is_zero():
-                    continue
-                ab = a * bb
-                for k, c in enumerate(self.structure[(i, j)]):
-                    if not c.is_zero():
-                        out[k] = out[k] + ab * c
-        return out
+        xy = self._product(_sparse_sum(enumerate(x)),
+                           _sparse_sum(enumerate(y)))
+        zero = self.field.zero()
+        return [xy.get(k, zero) for k in range(self.dim)]
 
     # -- law checks (all exact) ---------------------------------------------
 
     def check_unit(self) -> bool:
-        field = self.field
+        unit, one = _sparse_sum(enumerate(self.unit_coords)), self.field.one()
         for i in range(self.dim):
-            e_i = [field.one() if t == i else field.zero()
-                   for t in range(self.dim)]
-            if self.product_coords(self.unit_coords, e_i) != e_i:
+            e_i = {i: one}
+            if self._product(unit, e_i) != e_i:
                 return False
-            if self.product_coords(e_i, self.unit_coords) != e_i:
+            if self._product(e_i, unit) != e_i:
                 return False
         return True
 
     def check_associativity(self) -> bool:
-        field = self.field
-        basis = [[field.one() if t == i else field.zero()
-                  for t in range(self.dim)] for i in range(self.dim)]
+        """(v_i v_j) v_k == v_i (v_j v_k) for every triple, expanded through
+        the structure constants."""
+        st = self.structure
         for i in range(self.dim):
             for j in range(self.dim):
-                ij = self.product_coords(basis[i], basis[j])
                 for k in range(self.dim):
-                    left = self.product_coords(ij, basis[k])
-                    right = self.product_coords(
-                        basis[i], self.product_coords(basis[j], basis[k]))
+                    left = _sparse_sum((s, c * c2)
+                                       for t, c in st[(i, j)].items()
+                                       for s, c2 in st[(t, k)].items())
+                    right = _sparse_sum((s, c * c2)
+                                        for t, c in st[(j, k)].items()
+                                        for s, c2 in st[(i, t)].items())
                     if left != right:
                         return False
         return True
@@ -243,14 +247,10 @@ def skalg(b: HopfBundle, g: int, n: int, threads: int = 1) -> AlgebraPresentatio
         raise StructureError(
             "invariants are not closed under the braided product "
             "(convention drift); this should be impossible")
-    structure = {}
     dim = len(basis)
-    for i in range(dim):
-        for j in range(dim):
-            col = i * dim + j
-            structure[(i, j)] = [res.particular.data[t][col]
-                                 for t in range(dim)]
-    unit_coords = [res.particular.data[t][dim * dim] for t in range(dim)]
+    structure = {(i, j): _sparse_sum(enumerate(res.particular.col(i * dim + j)))
+                 for i in range(dim) for j in range(dim)}
+    unit_coords = res.particular.col(dim * dim)
     labels = ["v%d" % t for t in range(dim)]
     alg = AlgebraPresentation(
         bundle_name=b.name, g=g, n=n, basis_vectors=basis, labels=labels,
@@ -308,7 +308,7 @@ def char_map(b: HopfBundle, alg: AlgebraPresentation) -> dict:
     dim = alg.dim
 
     sys = LinearSystem(field, dim, len(b.simples))
-    t_vecs = [trace_invariant(b, b.module(name)).coords for name in b.simples]
+    t_vecs = [qchar(b, b.module(name)).coords for name in b.simples]
     for row_idx in range(b.dim):
         row = {t: alg.basis_vectors[t][row_idx] for t in range(dim)
                if not alg.basis_vectors[t][row_idx].is_zero()}
@@ -327,15 +327,13 @@ def char_map(b: HopfBundle, alg: AlgebraPresentation) -> dict:
                                  ).rank()
 
     mu = coend_mult(b)
+    chars = {name: qchar(b, rep).coords for name, rep in b.modules.items()}
     mult_report = {}
     for name_m in sorted(b.modules):
         for name_n in sorted(b.modules):
-            rep_m = b.module(name_m)
-            rep_n = b.module(name_n)
-            lhs = _apply_mu(field, mu,
-                            trace_invariant(b, rep_m).coords,
-                            trace_invariant(b, rep_n).coords)
-            rhs = trace_invariant(b, tensor_rep(b, rep_m, rep_n)).coords
+            lhs = _apply_mu(field, mu, chars[name_m], chars[name_n])
+            rhs = qchar(b, tensor_rep(b, b.module(name_m),
+                                      b.module(name_n))).coords
             mult_report[(name_m, name_n)] = (lhs == rhs)
     return {
         "images": images,
@@ -352,11 +350,9 @@ def char_map(b: HopfBundle, alg: AlgebraPresentation) -> dict:
 
 
 def algebra_to_obj(alg: AlgebraPresentation) -> dict:
-    sc = []
-    for (i, j), coeffs in sorted(alg.structure.items()):
-        for k, c in enumerate(coeffs):
-            if not c.is_zero():
-                sc.append([i, j, k, c.to_obj()])
+    sc = [[i, j, k, c.to_obj()]
+          for (i, j), coeffs in sorted(alg.structure.items())
+          for k, c in sorted(coeffs.items())]
     return {
         "bundle": alg.bundle_name,
         "g": alg.g,
@@ -373,10 +369,11 @@ def algebra_to_obj(alg: AlgebraPresentation) -> dict:
 
 def algebra_from_obj(obj: dict, field) -> AlgebraPresentation:
     dim = int(obj["dim"])
-    structure = {(i, j): [field.zero()] * dim
-                 for i in range(dim) for j in range(dim)}
+    structure = {(i, j): {} for i in range(dim) for j in range(dim)}
     for (i, j, k, c) in obj["structure_constants"]:
-        structure[(int(i), int(j))][int(k)] = CycNum.from_obj(c, field)
+        c = CycNum.from_obj(c, field)
+        if not c.is_zero():
+            structure[(int(i), int(j))][int(k)] = c
     return AlgebraPresentation(
         bundle_name=obj["bundle"], g=int(obj["g"]), n=int(obj["n"]),
         basis_vectors=[[CycNum.from_obj(c, field) for c in vec]

@@ -39,6 +39,16 @@ GOLDEN = {
         "9fee25b26c99fd1a6d385cb44a133efd1b2990ff2226a94b6cdfd8fafc1da583",
 }
 
+# sha256 of the bundle file written by `gen-uqsl2 2`, without and with the
+# candidate R.  The order of its mult and comult entries is the order in
+# which the normal-ordering rewriter's sparse sums first meet each key.
+GEN_UQSL2_GOLDEN = {
+    ():
+        "67ec6b5098f747ba8dc65bcdeefdc84dc00a2ef4ef8bd9434db2d46cbc596b9f",
+    ("--with-r",):
+        "6c0330d7d73ac3b2ba389892a8e50b20bf8d20c9306e0c6762ef77c774d92953",
+}
+
 
 @pytest.fixture(scope="module")
 def bundle_files(tmp_path_factory):
@@ -67,3 +77,12 @@ def test_golden_payload(bundle_files, tmp_path, op, bundle, args):
     _, paths = bundle_files
     got = _payload_sha(tmp_path, paths[bundle], [op] + list(args))
     assert got == GOLDEN[(op, bundle, args)]
+
+
+@pytest.mark.parametrize("flags", sorted(GEN_UQSL2_GOLDEN))
+def test_golden_gen_uqsl2_bundle(tmp_path, flags):
+    out = tmp_path / "uq2.json"
+    assert main(["--format", "text", "--cache-dir", str(tmp_path / "cache"),
+                 "gen-uqsl2", "2", str(out)] + list(flags)) == 0
+    got = hashlib.sha256(out.read_bytes()).hexdigest()
+    assert got == GEN_UQSL2_GOLDEN[flags]

@@ -8,9 +8,9 @@ from modskein.bundles import sweedler_bundle
 from modskein.cyclo import ExactMatrix
 from modskein.errors import CapabilityError, StructureError
 from modskein.hopf import (Rep, braiding, braiding_inverse, bundle_from_obj,
-                           bundle_to_obj, dual_rep, hom_space, is_projective,
-                           regular_rep, tensor_rep, trivial_rep, twist,
-                           twist_inverse, validate_bundle)
+                           bundle_to_obj, dual_rep, flip_matrix, hom_space,
+                           is_projective, regular_rep, tensor_rep, trivial_rep,
+                           twist, twist_inverse, validate_bundle)
 
 
 def test_validators_pass(z2, sweedler, z4, trivial, uqsl2_p2):
@@ -339,3 +339,44 @@ def test_uqsl2_p2_shape(uqsl2_p2):
     assert not b.has_r
     dims = sorted(b.module(s).dim for s in b.simples)
     assert dims == [1, 1, 2, 2]
+
+
+def _dense_sum(field, dim, terms):
+    """sum c * mat over the pairs (c, mat), by whole-matrix operations."""
+    acc = ExactMatrix.zeros(field, dim, dim)
+    for c, mat in terms:
+        acc = acc + mat.scale(c)
+    return acc
+
+
+def test_action_matrices_match_the_dense_definition(z2, sweedler, z4):
+    # The reference is the plain definition sum c * A (x) B, one dense
+    # Kronecker product per term, against which the sparse builder is pinned.
+    for b in (z2, sweedler, z4):
+        f = b.field
+        mods = sorted(b.modules.items())
+        elems = [{i: f.from_rational(i + 2) for i in range(b.dim)},
+                 b.elem_unit(), b.pivotal_elem(), b.ribbon_inverse(),
+                 b.drinfeld_u()]
+        for _, m in mods:
+            for x in elems:
+                assert m.act(x, f) == _dense_sum(
+                    f, m.dim, ((c, m.mats[i]) for i, c in x.items()))
+            dual = dual_rep(b, m)
+            for i, s_i in enumerate(b.antipode_cols):
+                assert dual.mats[i] == _dense_sum(
+                    f, m.dim, ((c, m.mats[k]) for k, c in s_i)).transpose()
+            for _, n in mods:
+                dim = m.dim * n.dim
+                prod = tensor_rep(b, m, n)
+                for i, delta in enumerate(b.comult_table):
+                    assert prod.mats[i] == _dense_sum(
+                        f, dim, ((c, m.mats[j].kron(n.mats[k]))
+                                 for j, k, c in delta))
+                flip = flip_matrix(f, m.dim, n.dim)
+                assert braiding(b, m, n) == flip * _dense_sum(
+                    f, dim, ((c, m.mats[i].kron(n.mats[j]))
+                             for i, j, c in b.r_sparse()))
+                assert braiding_inverse(b, m, n) == _dense_sum(
+                    f, dim, ((c, n.mats[i].kron(m.mats[j]))
+                             for i, j, c in b.r_inv_sparse())) * flip

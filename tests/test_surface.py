@@ -2,13 +2,14 @@
 
 import pytest
 
-from modskein.coend import coadjoint_rep, dinat, trace_invariant
-from modskein.cyclo import ExactMatrix
+from modskein.coend import coadjoint_rep, dinat, qchar
+from modskein.cyclo import CycField, ExactMatrix
 from modskein.errors import CapabilityError, StructureError
 from modskein.hopf import (braiding, dual_rep, hom_space, is_projective,
                            tensor_rep, trivial_rep)
-from modskein.surface import (algebra_from_obj, algebra_to_obj, char_map,
-                              coend_mult, skalg, skalg_dimension, _apply_mu)
+from modskein.surface import (AlgebraPresentation, algebra_from_obj,
+                              algebra_to_obj, char_map, coend_mult, skalg,
+                              skalg_dimension, _apply_mu)
 
 
 def test_coend_mult_unit_is_counit(z2, sweedler, z4):
@@ -171,9 +172,9 @@ def test_trace_invariants_multiplicative_under_mu(sweedler, z4):
         for n1 in names:
             for n2 in names:
                 m, n = b.module(n1), b.module(n2)
-                lhs = _apply_mu(b.field, mu, trace_invariant(b, m).coords,
-                                trace_invariant(b, n).coords)
-                rhs = trace_invariant(b, tensor_rep(b, m, n)).coords
+                lhs = _apply_mu(b.field, mu, qchar(b, m).coords,
+                                qchar(b, n).coords)
+                rhs = qchar(b, tensor_rep(b, m, n)).coords
                 assert lhs == rhs, (b.name, n1, n2)
 
 
@@ -202,3 +203,39 @@ def test_threaded_runs_are_deterministic(sweedler):
     assert a1.structure == a2.structure
     assert a1.unit_coords == a2.unit_coords
     assert a1.basis_vectors == a2.basis_vectors
+
+
+def test_law_checks_reject_mutated_structure_constants(sweedler, z4):
+    for b, (g, n) in ((sweedler, (0, 2)), (z4, (0, 2)), (sweedler, (1, 1))):
+        obj = algebra_to_obj(skalg(b, g, n))
+        assert not [e for e in obj["structure_constants"] if e[:2] == [0, 1]]
+        obj["structure_constants"].append([0, 1, 1, "1"])  # v_0 v_1 = v_1
+        bad = algebra_from_obj(obj, b.field)
+        assert not bad.check_unit(), (b.name, g, n)
+        assert not bad.check_associativity(), (b.name, g, n)
+    # Doubling the idempotent v_0 v_0 = v_0 keeps the product associative
+    # but breaks the unit law: the two checks are independent.
+    obj = algebra_to_obj(skalg(z4, 0, 2))
+    assert obj["structure_constants"][0] == [0, 0, 0, "1"]
+    obj["structure_constants"][0][3] = "2"
+    bad = algebra_from_obj(obj, z4.field)
+    assert not bad.check_unit()
+    assert bad.check_associativity()
+
+
+def test_law_checks_on_the_matrix_algebra():
+    # Every skein algebra computed here is commutative; the 2x2 matrix
+    # algebra (matrix unit E_ab at index 2a + b, E_ab E_cd = [b = c] E_ad)
+    # is not, so it pins the order of the products in both checks.
+    field = CycField(1)
+    one, zero = field.one(), field.zero()
+    structure = {(2 * a + b, 2 * c + d): {2 * a + d: one} if b == c else {}
+                 for a in range(2) for b in range(2)
+                 for c in range(2) for d in range(2)}
+    labels = ["E00", "E01", "E10", "E11"]
+    alg = AlgebraPresentation("m2", 0, 1, [[one]] * 4, labels, structure,
+                              [one, zero, zero, one], field=field)
+    assert not alg.is_commutative()
+    assert alg.check_unit() and alg.check_associativity()
+    assert alg.product_coords([zero, one, zero, zero],
+                              [zero, zero, one, zero]) == [one, zero, zero, zero]
