@@ -754,6 +754,25 @@ class LinearSystem:
         return SolveResult(part, kernel)
 
 
+def _solve_in_basis(field: CycField, basis: list, targets: list) -> SolveResult:
+    """Coordinates of sparse `targets` in the span of sparse `basis` vectors.
+
+    Column t of the system is basis vector t and right-hand side s is target
+    s; there is one row per coordinate key, added in sorted key order, so
+    pivots do not depend on how the vectors were built.  An empty basis gives
+    an infeasible result unless every target is zero.
+    """
+    rows: dict = {}
+    for side, vecs in enumerate((basis, targets)):
+        for t, vec in enumerate(vecs):
+            for key, c in vec.items():
+                rows.setdefault(key, ({}, {}))[side][t] = c
+    sys = LinearSystem(field, len(basis), len(targets))
+    for key in sorted(rows):
+        sys.add_row(*rows[key])
+    return sys.solve()
+
+
 def _nonzero_entries(row: list) -> list[tuple[int, CycNum]]:
     """The nonzero entries of a dense row (or column) as (index, entry)."""
     return [(j, e) for j, e in enumerate(row) if any(e.num)]

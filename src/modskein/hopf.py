@@ -238,6 +238,7 @@ class HopfBundle:
         return inv
 
     def left_mult_matrix(self, x: dict) -> ExactMatrix:
+        """The matrix of y -> x y on H; `regular_rep` is built from it."""
         out = ExactMatrix.zeros(self.field, self.dim, self.dim)
         for j in range(self.dim):
             for i, a in x.items():
@@ -586,14 +587,9 @@ def trivial_rep(b: HopfBundle) -> Rep:
 def regular_rep(b: HopfBundle) -> Rep:
     """H acting on itself by left multiplication."""
     if "regular" not in b._cache:
-        mats = []
-        for i in range(b.dim):
-            m = ExactMatrix.zeros(b.field, b.dim, b.dim)
-            for j in range(b.dim):
-                for k, c in b.mult_table[i][j]:
-                    m.data[k][j] = m.data[k][j] + c
-            mats.append(m)
-        b._cache["regular"] = Rep(b.dim, mats)
+        one = b.field.one()
+        b._cache["regular"] = Rep(b.dim, [b.left_mult_matrix({i: one})
+                                          for i in range(b.dim)])
     return b._cache["regular"]
 
 

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import json
 
-from .cyclo import CycNum, ExactMatrix
+from .cyclo import CycNum, ExactMatrix, _solve_in_basis
 from .errors import InadmissibleError, StructureError, TypingError
 from .hopf import (HopfBundle, Rep, braiding, braiding_inverse, dual_rep,
                    hom_space, is_projective, tensor_rep, trivial_rep, twist,
@@ -370,26 +370,16 @@ def diagram_to_obj(b: HopfBundle, diagram: Diagram) -> dict:
 
 
 def _coupon_coords(b, matrix, basis):
-    from .cyclo import LinearSystem
-    field = b.field
-    n = matrix.rows * matrix.cols
-    sys = LinearSystem(field, len(basis), 1)
-    rows: dict = {}
-    for t, bmat in enumerate(basis):
-        for r in range(bmat.rows):
-            for c in range(bmat.cols):
-                v = bmat.data[r][c]
-                if not v.is_zero():
-                    rows.setdefault((r, c), {})[t] = v
-    for r in range(matrix.rows):
-        for c in range(matrix.cols):
-            row = rows.get((r, c), {})
-            rhs = matrix.data[r][c]
-            sys.add_row(row, {0: rhs} if not rhs.is_zero() else None)
-    res = sys.solve()
+    """Coordinates of a coupon matrix in its hom-space basis, or None."""
+    def entries(mat):
+        return {(r, c): v for r, row in enumerate(mat.data)
+                for c, v in enumerate(row) if not v.is_zero()}
+
+    res = _solve_in_basis(b.field, [entries(m) for m in basis],
+                          [entries(matrix)])
     if not res.feasible:
         return None
-    return [res.particular.data[t][0] for t in range(len(basis))]
+    return res.particular.col(0)
 
 
 def diagram_from_obj(b: HopfBundle, obj: dict) -> Diagram:

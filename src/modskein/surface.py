@@ -11,11 +11,19 @@ splitting i_H by f -> 1 (x) f makes mu an explicit finite sum over the
 R-matrix and the comultiplication.  Tensor powers multiply factor-wise with
 the positive braiding mediating the middle swap; the algebra-vs-opposite
 ambiguity left by the mirror braiding choice is documented, not resolved.
+
+The product of L^{(x)m} is kept as sparse columns: for basis vectors e_i,
+e_j of L^{(x)m}, `_power_mult(b, m)[(i, j)]` is e_i e_j as a {k: CycNum} dict,
+present only when nonzero.  Each column is summed straight from the
+definition above out of the columns of mu, of mu_{m-1} and of the braiding;
+no identity factor or dense product of the tensor powers is formed.
 """
 
 from __future__ import annotations
 
-from .cyclo import CycNum, ExactMatrix, LinearSystem, _sparse_sum
+from itertools import product
+
+from .cyclo import CycNum, ExactMatrix, _solve_in_basis, _sparse_sum
 from .errors import StructureError
 from .hopf import HopfBundle, Rep, braiding, hom_space, tensor_rep, trivial_rep
 from .coend import coadjoint_rep, qchar
@@ -69,43 +77,58 @@ def coend_mult(b: HopfBundle) -> ExactMatrix:
 
 
 def _power_rep(b: HopfBundle, m: int) -> Rep:
+    """L^{(x)m}, built as L^{(x)(m-1)} (x) L."""
     key = ("coend_power", m)
-    if key in b._cache:
-        return b._cache[key]
-    coad = coadjoint_rep(b)
-    rep = coad
-    for _ in range(m - 1):
-        rep = tensor_rep(b, rep, coad)
-    b._cache[key] = rep
-    return rep
+    if key not in b._cache:
+        coad = coadjoint_rep(b)
+        b._cache[key] = (coad if m == 1
+                         else tensor_rep(b, _power_rep(b, m - 1), coad))
+    return b._cache[key]
 
 
-def _power_mult(b: HopfBundle, m: int) -> ExactMatrix:
-    """mu_m : L^{(x)m} (x) L^{(x)m} -> L^{(x)m}, factor-wise with braided swaps.
+def _power_mult(b: HopfBundle, m: int) -> dict:
+    """mu_m : L^{(x)m} (x) L^{(x)m} -> L^{(x)m} as sparse columns.
 
     mu_m = (mu (x) mu_{m-1}) o (id_L (x) c_{L^{m-1}, L} (x) id_{L^{m-1}}).
+    The result maps (i, j) to e_i e_j as a {k: CycNum} dict, for nonzero
+    products only; for m = 1 these are the columns of `coend_mult`.  For
+    m > 1, with D = d^(m-1), column (a*D + r, b*D + s) sums, over the nonzero
+    entries (b'*D + r', c) of column r*d + b of c_{L^{m-1}, L}, the sparse
+    tensor products c * mu[(a, b')] (x) mu_{m-1}[(r', s)] (keys k1*D + k2).
     """
     key = ("coend_power_mult", m)
     if key in b._cache:
         return b._cache[key]
-    field = b.field
     d = b.dim
-    mu = coend_mult(b)
     if m == 1:
-        b._cache[key] = mu
-        return mu
-    mu_prev = _power_mult(b, m - 1)
-    coad = coadjoint_rep(b)
-    rest = _power_rep(b, m - 1)
-    swap = braiding(b, rest, coad)  # L^{m-1} (x) L -> L (x) L^{m-1}
-    dm1 = d ** (m - 1)
-    eye_l = ExactMatrix.identity(field, d)
-    eye_rest = ExactMatrix.identity(field, dm1)
-    middle = eye_l.kron(swap).kron(eye_rest)
-    outer = mu.kron(mu_prev)
-    result = outer * middle
-    b._cache[key] = result
-    return result
+        cols = {divmod(c, d): v
+                for c, col in enumerate(zip(*coend_mult(b).data))
+                if (v := _sparse_sum(enumerate(col)))}
+    else:
+        mu, prev = _power_mult(b, 1), _power_mult(b, m - 1)
+        swap = braiding(b, _power_rep(b, m - 1), coadjoint_rep(b))
+        swap_cols = [_sparse_sum(enumerate(col)) for col in zip(*swap.data)]
+        dm1, none = d ** (m - 1), {}
+        cols = {(a * dm1 + r, bb * dm1 + s): v
+                for a, r, bb, s in product(range(d), range(dm1), range(d),
+                                           range(dm1))
+                if (v := _sparse_sum(
+                    (k1 * dm1 + k2, c * c1 * c2)
+                    for t, c in swap_cols[r * d + bb].items()
+                    for k1, c1 in mu.get((a, t // dm1), none).items()
+                    for k2, c2 in prev.get((t % dm1, s), none).items()))}
+    b._cache[key] = cols
+    return cols
+
+
+def _apply_mu(cols: dict, x: dict, y: dict) -> dict:
+    """The product of sparse vectors x and y under sparse columns `cols`
+    (as built by `_power_mult`, or structure constants): the sum of
+    x_i y_j cols[(i, j)]."""
+    none = {}
+    return _sparse_sum((k, a * bb * c) for i, a in x.items()
+                       for j, bb in y.items()
+                       for k, c in cols.get((i, j), none).items())
 
 
 class AlgebraPresentation:
@@ -134,10 +157,7 @@ class AlgebraPresentation:
 
     def _product(self, x: dict, y: dict) -> dict:
         """Structure-constant product of two sparse coordinate dicts."""
-        st = self.structure
-        return _sparse_sum((k, a * bb * c) for i, a in x.items()
-                           for j, bb in y.items()
-                           for k, c in st[(i, j)].items())
+        return _apply_mu(self.structure, x, y)
 
     def product_coords(self, x, y) -> list:
         """Structure-constant product of two coordinate vectors."""
@@ -150,13 +170,8 @@ class AlgebraPresentation:
 
     def check_unit(self) -> bool:
         unit, one = _sparse_sum(enumerate(self.unit_coords)), self.field.one()
-        for i in range(self.dim):
-            e_i = {i: one}
-            if self._product(unit, e_i) != e_i:
-                return False
-            if self._product(e_i, unit) != e_i:
-                return False
-        return True
+        return all(self._product(unit, e) == e == self._product(e, unit)
+                   for e in ({i: one} for i in range(self.dim)))
 
     def check_associativity(self) -> bool:
         """(v_i v_j) v_k == v_i (v_j v_k) for every triple, expanded through
@@ -176,11 +191,9 @@ class AlgebraPresentation:
         return True
 
     def is_commutative(self) -> bool:
-        for i in range(self.dim):
-            for j in range(self.dim):
-                if self.structure[(i, j)] != self.structure[(j, i)]:
-                    return False
-        return True
+        st = self.structure
+        return all(st[(i, j)] == st[(j, i)]
+                   for i in range(self.dim) for j in range(self.dim))
 
     def csv_row(self, image_rank=None) -> str:
         rank = "" if image_rank is None else str(image_rank)
@@ -224,25 +237,17 @@ def skalg(b: HopfBundle, g: int, n: int, threads: int = 1) -> AlgebraPresentatio
     m = _surface_power(g, n)
     b.require_r()
     field = b.field
-    d = b.dim
     power = _power_rep(b, m)
     inv = hom_space(b, trivial_rep(b), power)
     basis = [[mat.data[i][0] for i in range(power.dim)] for mat in inv]
+    vecs = [_sparse_sum(enumerate(v)) for v in basis]
     mu_m = _power_mult(b, m)
 
     # Express products (and the unit) back in the invariant basis: one shared
     # solve with all right-hand sides stacked.
-    sys = LinearSystem(field, len(basis), len(basis) ** 2 + 1)
-    rhs_cols = [_apply_mu(field, mu_m, vi, vj) for vi in basis for vj in basis]
-    eps_power = _eps_power(b, m)
-    rhs_cols.append(eps_power)
-    for row_idx in range(power.dim):
-        row = {t: basis[t][row_idx] for t in range(len(basis))
-               if not basis[t][row_idx].is_zero()}
-        rhs = {col: vec[row_idx] for col, vec in enumerate(rhs_cols)
-               if not vec[row_idx].is_zero()}
-        sys.add_row(row, rhs)
-    res = sys.solve()
+    targets = [_apply_mu(mu_m, x, y) for x in vecs for y in vecs]
+    targets.append(_eps_power(b, m))
+    res = _solve_in_basis(field, vecs, targets)
     if not res.feasible:
         raise StructureError(
             "invariants are not closed under the braided product "
@@ -261,33 +266,12 @@ def skalg(b: HopfBundle, g: int, n: int, threads: int = 1) -> AlgebraPresentatio
     return alg
 
 
-def _apply_mu(field, mu_m: ExactMatrix, x: list, y: list) -> list:
-    dm = len(x)
-    out = [field.zero()] * dm
-    for i, a in enumerate(x):
-        if a.is_zero():
-            continue
-        for j, bb in enumerate(y):
-            if bb.is_zero():
-                continue
-            ab = a * bb
-            col = i * dm + j
-            for r in range(dm):
-                c = mu_m.data[r][col]
-                if not c.is_zero():
-                    out[r] = out[r] + ab * c
-    return out
-
-
-def _eps_power(b: HopfBundle, m: int) -> list:
-    field = b.field
-    vec = list(b.counit)
+def _eps_power(b: HopfBundle, m: int) -> dict:
+    """eps^{(x)m}, the unit of L^{(x)m}, as a sparse vector."""
+    vec = eps = _sparse_sum(enumerate(b.counit))
     for _ in range(m - 1):
-        new = []
-        for a in vec:
-            for c in b.counit:
-                new.append(a * c)
-        vec = new
+        vec = {i * b.dim + j: a * c for i, a in vec.items()
+               for j, c in eps.items()}
     return vec
 
 
@@ -305,35 +289,29 @@ def char_map(b: HopfBundle, alg: AlgebraPresentation) -> dict:
     if not b.simples:
         raise StructureError("bundle has no simple module list")
     field = b.field
-    dim = alg.dim
 
-    sys = LinearSystem(field, dim, len(b.simples))
-    t_vecs = [qchar(b, b.module(name)).coords for name in b.simples]
-    for row_idx in range(b.dim):
-        row = {t: alg.basis_vectors[t][row_idx] for t in range(dim)
-               if not alg.basis_vectors[t][row_idx].is_zero()}
-        rhs = {s: vec[row_idx] for s, vec in enumerate(t_vecs)
-               if not vec[row_idx].is_zero()}
-        sys.add_row(row, rhs)
-    res = sys.solve()
+    def sparse_qchar(rep):
+        return _sparse_sum(enumerate(qchar(b, rep).coords))
+
+    res = _solve_in_basis(
+        field, [_sparse_sum(enumerate(v)) for v in alg.basis_vectors],
+        [sparse_qchar(b.module(name)) for name in b.simples])
     if not res.feasible:
         raise StructureError(
             "q-characters do not lie in the invariant space "
             "(internal consistency error: convention mismatch)")
-    images = {}
-    for s, name in enumerate(b.simples):
-        images[name] = [res.particular.data[t][s] for t in range(dim)]
+    images = {name: res.particular.col(s) for s, name in enumerate(b.simples)}
     rank = ExactMatrix.from_rows(field, [images[name] for name in b.simples]
                                  ).rank()
 
-    mu = coend_mult(b)
-    chars = {name: qchar(b, rep).coords for name, rep in b.modules.items()}
+    mu = _power_mult(b, 1)
+    chars = {name: sparse_qchar(rep) for name, rep in b.modules.items()}
     mult_report = {}
     for name_m in sorted(b.modules):
         for name_n in sorted(b.modules):
-            lhs = _apply_mu(field, mu, chars[name_m], chars[name_n])
-            rhs = qchar(b, tensor_rep(b, b.module(name_m),
-                                      b.module(name_n))).coords
+            lhs = _apply_mu(mu, chars[name_m], chars[name_n])
+            rhs = sparse_qchar(tensor_rep(b, b.module(name_m),
+                                          b.module(name_n)))
             mult_report[(name_m, name_n)] = (lhs == rhs)
     return {
         "images": images,

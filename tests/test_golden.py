@@ -37,6 +37,13 @@ GOLDEN = {
         "15aeca02d992a0ef6e4808b15be8485656f82827d50538857b68611791a33631",
     ("char-map", "z4", ()):
         "9fee25b26c99fd1a6d385cb44a133efd1b2990ff2226a94b6cdfd8fafc1da583",
+    # Products on L^(x)3 (sweedler at g = 1, n = 2) and on L^(x)2 over Q(i).
+    ("skalg", "sweedler", ("1", "2")):
+        "6723d30b4e0deda6fc988ad1e51274a60f065e459849570fc18c4ab550cdc58e",
+    ("skalg", "z4", ("1", "1")):
+        "98a217a872f2171ef1ba55960dc6f270ea849b056df2652eb4018b003fd7a97e",
+    ("skalg", "z4", ("0", "3")):
+        "cc90650659c96f58de7d68b12490d349743354afb2ea37e00b0bfc85ce5ffb22",
 }
 
 # sha256 of the bundle file written by `gen-uqsl2 2`, without and with the
@@ -72,7 +79,13 @@ def _payload_sha(tmp_path, bundle_path, argv):
     return hashlib.sha256(out.read_bytes()).hexdigest()
 
 
-@pytest.mark.parametrize("op,bundle,args", sorted(GOLDEN))
+# Parametrized test ids are positional ("args5"): the first eleven entries
+# are sorted and the later ones follow in order, so an added payload never
+# renames the test of an older one.
+GOLDEN_CASES = sorted(list(GOLDEN)[:11]) + list(GOLDEN)[11:]
+
+
+@pytest.mark.parametrize("op,bundle,args", GOLDEN_CASES)
 def test_golden_payload(bundle_files, tmp_path, op, bundle, args):
     _, paths = bundle_files
     got = _payload_sha(tmp_path, paths[bundle], [op] + list(args))

@@ -288,6 +288,13 @@ def test_regular_rep_columns(sweedler):
             assert col == b.coords(prod)
 
 
+def test_left_mult_matrix_is_the_regular_action(z2, sweedler, z4, uqsl2_p2):
+    for b in (z2, sweedler, z4, uqsl2_p2):
+        x = {i: b.field.zeta(i) + b.field.from_rational(i)
+             for i in range(0, b.dim, 3)}
+        assert b.left_mult_matrix(x) == regular_rep(b).act(x, b.field), b.name
+
+
 def test_capability_errors_on_pivotal_only(uqsl2_p2):
     b = uqsl2_p2
     m = b.module("X+1")

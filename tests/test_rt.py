@@ -333,3 +333,17 @@ def test_diagram_json_roundtrip(sweedler):
                 g2["index"] = 0
     d3 = diagram_from_obj(b, obj2)
     evaluate(b, d3)
+
+
+def test_coupon_outside_an_empty_hom_space_is_refused(sweedler):
+    # Hom(triv, sgn) = 0, so no combination of the (empty) basis gives [[1]].
+    b = sweedler
+    assert hom_space(b, b.module("triv"), b.module("sgn")) == []
+    one = ExactMatrix.from_rows(b.field, [[b.field.one()]])
+    d = Diagram([("triv", "+")], [("sgn", "+")], [
+        [Generator("coupon", dom=[("triv", "+")], cod=[("sgn", "+")],
+                   matrix=one)],
+    ])
+    with pytest.raises(StructureError,
+                       match="coupon is not in the computed hom space"):
+        diagram_to_obj(b, d)

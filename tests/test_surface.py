@@ -9,19 +9,22 @@ from modskein.hopf import (braiding, dual_rep, hom_space, is_projective,
                            tensor_rep, trivial_rep)
 from modskein.surface import (AlgebraPresentation, algebra_from_obj,
                               algebra_to_obj, char_map, coend_mult, skalg,
-                              skalg_dimension, _apply_mu)
+                              skalg_dimension, _apply_mu, _power_mult,
+                              _power_rep)
+
+
+def sparse(vec):
+    return {k: c for k, c in enumerate(vec) if not c.is_zero()}
 
 
 def test_coend_mult_unit_is_counit(z2, sweedler, z4):
     for b in (z2, sweedler, z4):
-        mu = coend_mult(b)
-        field = b.field
-        eps = list(b.counit)
+        mu = _power_mult(b, 1)
+        eps = sparse(b.counit)
         for j in range(b.dim):
-            e_j = [field.one() if t == j else field.zero()
-                   for t in range(b.dim)]
-            assert _apply_mu(field, mu, eps, e_j) == e_j
-            assert _apply_mu(field, mu, e_j, eps) == e_j
+            e_j = {j: b.field.one()}
+            assert _apply_mu(mu, eps, e_j) == e_j
+            assert _apply_mu(mu, e_j, eps) == e_j
 
 
 def test_coend_mult_h_linear(sweedler, z4):
@@ -74,6 +77,30 @@ def test_coend_mult_dinatural_characterization(z2, sweedler, z4):
                                 perm.data[dst][src] = one
                 rhs = dinat(b, mn) * perm * mid
                 assert lhs == rhs, (b.name, n1, n2)
+
+
+def _dense_power_mult(b, m):
+    """The dense definition mu_m = (mu (x) mu_{m-1}) o
+    (id_L (x) c_{L^{m-1}, L} (x) id_{L^{m-1}}), as a d^m x d^{2m} matrix."""
+    mu = coend_mult(b)
+    if m == 1:
+        return mu
+    swap = braiding(b, _power_rep(b, m - 1), coadjoint_rep(b))
+    eye_l = ExactMatrix.identity(b.field, b.dim)
+    eye_rest = ExactMatrix.identity(b.field, b.dim ** (m - 1))
+    return mu.kron(_dense_power_mult(b, m - 1)) * \
+        eye_l.kron(swap).kron(eye_rest)
+
+
+@pytest.mark.parametrize("name,m", [("z2", 2), ("sweedler", 2), ("z4", 2),
+                                    ("z2", 3)])
+def test_power_mult_columns_match_dense_definition(request, name, m):
+    b = request.getfixturevalue(name)
+    dense = _dense_power_mult(b, m)
+    dm = b.dim ** m
+    want = {(i, j): col for i in range(dm) for j in range(dm)
+            if (col := sparse(dense.col(i * dm + j)))}
+    assert _power_mult(b, m) == want
 
 
 def test_z2_coend_mult_is_convolution(z2):
@@ -167,14 +194,14 @@ def test_char_map_needs_annulus(sweedler):
 
 def test_trace_invariants_multiplicative_under_mu(sweedler, z4):
     for b in (sweedler, z4):
-        mu = coend_mult(b)
+        mu = _power_mult(b, 1)
         names = sorted(b.modules)
         for n1 in names:
             for n2 in names:
                 m, n = b.module(n1), b.module(n2)
-                lhs = _apply_mu(b.field, mu, qchar(b, m).coords,
-                                qchar(b, n).coords)
-                rhs = qchar(b, tensor_rep(b, m, n)).coords
+                lhs = _apply_mu(mu, sparse(qchar(b, m).coords),
+                                sparse(qchar(b, n).coords))
+                rhs = sparse(qchar(b, tensor_rep(b, m, n)).coords)
                 assert lhs == rhs, (b.name, n1, n2)
 
 
