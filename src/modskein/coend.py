@@ -30,9 +30,11 @@ returns the input exactly.
 
 from __future__ import annotations
 
+import math
 from itertools import chain
 
-from .cyclo import CycNum, ExactMatrix, LinearSystem, _sparse_sum
+from .cyclo import (CycNum, ExactMatrix, LinearSystem, _dense, _sparse_rows,
+                    _sparse_sum, _transpose)
 from .errors import InadmissibleError, StructureError
 from .hopf import (HopfBundle, Rep, dual_rep, hom_space, projective_section,
                    regular_rep, trivial_rep)
@@ -208,53 +210,55 @@ def iterated_comult(b: HopfBundle, i: int, m: int) -> list[tuple[tuple, CycNum]]
 
 
 def apply_factored_action(b: HopfBundle, factors: list[Rep], i: int,
-                          vec: list) -> list:
-    """Apply rho_{F1 (x) ... (x) Fm}(e_i) to a dense coordinate vector."""
-    field = b.field
-    m = len(factors)
+                          vec: dict) -> dict:
+    """Apply rho_{F1 (x) ... (x) Fm}(e_i) to a sparse vector {pos: CycNum}.
+
+    Returns the image as a sparse vector; positions are row-major in the
+    factors, as in `ExactMatrix.kron`.
+    """
     dims = [f.dim for f in factors]
-    total = 1
-    for dd in dims:
-        total *= dd
-    out = [field.zero()] * total
-    for (idxs, c) in iterated_comult(b, i, m):
-        contrib = _contract_blocks(
-            field, [f.mats[k] for f, k in zip(factors, idxs)], dims, dims, vec)
-        for pos in range(total):
-            if not contrib[pos].is_zero():
-                out[pos] = out[pos] + c * contrib[pos]
-    return out
+    return _sparse_sum(
+        (pos, c * v) for idxs, c in iterated_comult(b, i, len(factors))
+        for pos, v in _contract_blocks(
+            [f.cols[k] for f, k in zip(factors, idxs)], dims, dims,
+            vec).items())
 
 
-def _contract_blocks(field, block_mats, dims_in, dims_out, vec):
-    """Apply (x)block_mats to vec where block t maps dims_in[t] -> dims_out[t]."""
+def _contract_blocks(block_cols, dims_in, dims_out, vec: dict) -> dict:
+    """Apply (x)blocks to the sparse vector vec, block t mapping dims_in[t]
+    to dims_out[t].  A block is given by its sparse columns, or is None for
+    the identity."""
     cur_dims = list(dims_in)
-    for t, mat in enumerate(block_mats):
-        if mat is None:
+    for t, cols in enumerate(block_cols):
+        if cols is None:
             continue
-        left = 1
-        for dd in cur_dims[:t]:
-            left *= dd
-        mid_in = cur_dims[t]
-        right = 1
-        for dd in cur_dims[t + 1:]:
-            right *= dd
-        mid_out = dims_out[t]
-        out = [field.zero()] * (left * mid_out * right)
-        for l in range(left):
-            for s in range(mid_in):
-                for r in range(right):
-                    v = vec[(l * mid_in + s) * right + r]
-                    if v.is_zero():
-                        continue
-                    for rr in range(mid_out):
-                        a = mat.data[rr][s]
-                        if not a.is_zero():
-                            idx = (l * mid_out + rr) * right + r
-                            out[idx] = out[idx] + a * v
-        vec = out
-        cur_dims[t] = mid_out
+        right = math.prod(cur_dims[t + 1:])
+        vec = _sparse_sum(_block_terms(vec, cols, cur_dims[t], dims_out[t],
+                                       right))
+        cur_dims[t] = dims_out[t]
     return vec
+
+
+def _block_terms(vec: dict, cols, mid_in: int, mid_out: int, right: int):
+    """The terms of one block applied to vec: position (l, s, r) goes to
+    (l, rr, r) with weight cols[s][rr]."""
+    for pos, v in vec.items():
+        ls, r = divmod(pos, right)
+        l, s = divmod(ls, mid_in)
+        base = l * mid_out * right + r
+        for rr, a in cols[s]:
+            yield base + rr * right, a * v
+
+
+def _sparse_cols(mat: ExactMatrix) -> tuple:
+    """Per column of a dense matrix, its nonzero (row, entry) pairs."""
+    return _transpose(_sparse_rows(mat), mat.cols)
+
+
+def _from_cols(field, cols: list[dict], nrows: int) -> ExactMatrix:
+    """The dense nrows x len(cols) matrix with sparse columns `cols`."""
+    return _dense(field, _transpose([c.items() for c in cols], nrows),
+                  len(cols))
 
 
 # ---------------------------------------------------------------------------
@@ -271,6 +275,8 @@ def red_to_blue(b: HopfBundle, f: ExactMatrix, p_rep: Rep, k: int,
     representation recomposes to f exactly.  A single term suffices because
     the regular representation's dinatural map is onto.
     """
+    if k < 0:
+        raise StructureError("k must be >= 0")
     field = b.field
     d = b.dim
     coad = coadjoint_rep(b)
@@ -279,17 +285,17 @@ def red_to_blue(b: HopfBundle, f: ExactMatrix, p_rep: Rep, k: int,
     if f.rows != cod_dim or f.cols != p_rep.dim:
         raise StructureError("morphism must be %dx%d, got %dx%d"
                              % (cod_dim, p_rep.dim, f.rows, f.cols))
+    f_cols = [dict(col) for col in _sparse_cols(f)]
 
-    # intertwiner check (factored on the codomain side, plain on the domain)
-    for i in range(b.dim):
-        rhs = f * p_rep.mats[i]
-        for j in range(p_rep.dim):
-            col = [f.data[r][j] for r in range(cod_dim)]
-            lhs_col = apply_factored_action(b, cod_factors, i, col)
-            for r in range(cod_dim):
-                if lhs_col[r] != rhs.data[r][j]:
-                    raise StructureError(
-                        "morphism is not an intertwiner (fails at e%d)" % i)
+    # intertwiner check, column by column: factored on the codomain side,
+    # f rho_P(e_i) from the sparse columns of rho_P(e_i) on the domain side
+    for i in range(d):
+        for j, p_col in enumerate(p_rep.cols[i]):
+            rhs = _sparse_sum((r, a * c) for s, c in p_col
+                              for r, a in f_cols[s].items())
+            if apply_factored_action(b, cod_factors, i, f_cols[j]) != rhs:
+                raise StructureError(
+                    "morphism is not an intertwiner (fails at e%d)" % i)
 
     section = projective_section(b, p_rep)
     if section is None:
@@ -299,67 +305,43 @@ def red_to_blue(b: HopfBundle, f: ExactMatrix, p_rep: Rep, k: int,
         return [(field.one(), f)]
 
     reg = regular_rep(b)
-    dreg = dual_rep(b, reg)
-    lift_factors = []
-    for _ in range(k):
-        lift_factors.extend([reg, dreg])
-    lift_factors.append(x_rep)
+    lift_factors = [reg, dual_rep(b, reg)] * k + [x_rep]
     lift_dim = d ** (2 * k) * x_rep.dim
 
-    # linear (non-H-linear) section of the dinatural map: phi -> 1 (x) phi
-    unit = b.unit
-    sigma0 = ExactMatrix.zeros(field, d * d, d)
-    for h in range(d):
-        if unit[h].is_zero():
-            continue
-        for bb in range(d):
-            sigma0.data[h * d + bb][bb] = unit[h]
-    in_dims = [d] * k + [x_rep.dim]
-    out_dims = [d * d] * k + [x_rep.dim]
-    w_cols = []
-    for j in range(p_rep.dim):
-        col = [f.data[r][j] for r in range(cod_dim)]
-        w_cols.append(_contract_blocks(field, [sigma0] * k + [None],
-                                       in_dims, out_dims, col))
+    # linear (non-H-linear) section of the dinatural map: phi -> 1 (x) phi,
+    # as sparse columns: column bb is sum_h unit_h e_(h * d + bb)
+    unit = b.elem_unit().items()
+    sigma0 = [tuple((h * d + bb, u) for h, u in unit) for bb in range(d)]
+    w_cols = [_contract_blocks([sigma0] * k + [None],
+                               [d] * k + [x_rep.dim],
+                               [d * d] * k + [x_rep.dim], col)
+              for col in f_cols]
 
-    fhat = ExactMatrix.zeros(field, lift_dim, p_rep.dim)
+    # column r of fhat is sum_(h, j) section[h * md + j][r] e_h . w_j
     md = p_rep.dim
-    for r in range(md):
-        acc = [field.zero()] * lift_dim
-        for h in range(d):
-            for j in range(md):
-                c = section.data[h * md + j][r]
-                if c.is_zero():
-                    continue
-                moved = apply_factored_action(b, lift_factors, h, w_cols[j])
-                for pos in range(lift_dim):
-                    if not moved[pos].is_zero():
-                        acc[pos] = acc[pos] + c * moved[pos]
-        for pos in range(lift_dim):
-            fhat.data[pos][r] = acc[pos]
-    return [(field.one(), fhat)]
+    fhat_cols = [
+        _sparse_sum((pos, c * v) for s, c in sec_col
+                    for pos, v in apply_factored_action(
+                        b, lift_factors, s // md, w_cols[s % md]).items())
+        for sec_col in _sparse_cols(section)]
+    return [(field.one(), _from_cols(field, fhat_cols, lift_dim))]
 
 
 def recompose(b: HopfBundle, terms: list[tuple[CycNum, ExactMatrix]], k: int,
               x_rep: Rep) -> ExactMatrix:
     """Apply dinat(H_reg) in every resolved slot: the inverse direction of
     red_to_blue, used to verify the roundtrip."""
-    field = b.field
+    if not terms:
+        raise StructureError("empty term list has no morphism to recompose")
+    if k < 0:
+        raise StructureError("k must be >= 0")
     d = b.dim
-    i_reg = dinat(b, regular_rep(b))
+    blocks = [_sparse_cols(dinat(b, regular_rep(b)))] * k + [None]
     in_dims = [d * d] * k + [x_rep.dim]
     out_dims = [d] * k + [x_rep.dim]
-    acc = None
-    for (c, fhat) in terms:
-        cols = []
-        for j in range(fhat.cols):
-            col = [fhat.data[r][j] for r in range(fhat.rows)]
-            cols.append(_contract_blocks(field, [i_reg] * k + [None],
-                                         in_dims, out_dims, col))
-        mat = ExactMatrix.zeros(field, d ** k * x_rep.dim, fhat.cols)
-        for j, col in enumerate(cols):
-            for r in range(len(col)):
-                mat.data[r][j] = col[r]
-        mat = mat.scale(c)
-        acc = mat if acc is None else acc + mat
-    return acc
+    term_cols = [(c, _sparse_cols(fhat)) for c, fhat in terms]
+    cols = [_sparse_sum((pos, c * v) for c, fcols in term_cols
+                        for pos, v in _contract_blocks(
+                            blocks, in_dims, out_dims, dict(fcols[j])).items())
+            for j in range(terms[0][1].cols)]
+    return _from_cols(b.field, cols, d ** k * x_rep.dim)

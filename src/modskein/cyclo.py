@@ -563,7 +563,7 @@ class ExactMatrix:
         """Kronecker product, row-major index convention (i1*r2+i2, j1*c2+j2)."""
         out = ExactMatrix.zeros(self.field, self.rows * other.rows,
                                 self.cols * other.cols)
-        b_nonzero = [_nonzero_entries(row) for row in other.data]
+        b_nonzero = _sparse_rows(other)
         for i1, arow in enumerate(self.data):
             orows = out.data[i1 * other.rows:(i1 + 1) * other.rows]
             for j1, a in enumerate(arow):
@@ -776,6 +776,44 @@ def _solve_in_basis(field: CycField, basis: list, targets: list) -> SolveResult:
 def _nonzero_entries(row: list) -> list[tuple[int, CycNum]]:
     """The nonzero entries of a dense row (or column) as (index, entry)."""
     return [(j, e) for j, e in enumerate(row) if any(e.num)]
+
+
+def _sparse_rows(mat: ExactMatrix) -> tuple:
+    """The sparse rows of a dense matrix: per row, its nonzero entries as
+    (column, entry) pairs sorted by column."""
+    return tuple(tuple(_nonzero_entries(row)) for row in mat.data)
+
+
+def _sorted_row(vec: dict) -> tuple:
+    """A sparse vector {index: CycNum} as one sparse row, sorted by index."""
+    return tuple(sorted(vec.items()))
+
+
+def _transpose(rows, ncols: int) -> tuple:
+    """The sparse columns of the matrix with sparse rows `rows`, i.e. the
+    sparse rows of its transpose (each sorted, since rows are visited in
+    order)."""
+    cols: list[list] = [[] for _ in range(ncols)]
+    for r, row in enumerate(rows):
+        for c, v in row:
+            cols[c].append((r, v))
+    return tuple(map(tuple, cols))
+
+
+def _sparse_product(a_rows, b_rows) -> tuple:
+    """The sparse rows of the product A B, from the sparse rows of A and B."""
+    return tuple(_sorted_row(_sparse_sum((j, a * v) for k, a in row
+                                         for j, v in b_rows[k]))
+                 for row in a_rows)
+
+
+def _dense(field: CycField, rows, ncols: int) -> ExactMatrix:
+    """The dense matrix with sparse rows `rows` and `ncols` columns."""
+    out = ExactMatrix.zeros(field, len(rows), ncols)
+    for orow, row in zip(out.data, rows):
+        for c, v in row:
+            orow[c] = v
+    return out
 
 
 def _sparse_sum(terms) -> dict:

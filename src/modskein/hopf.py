@@ -13,9 +13,12 @@ named failures (empty = valid).
 One sparse convention holds throughout: an element of H is a
 {basis index: CycNum} dict and an element of H (x) H an {(i, j): CycNum}
 dict, neither holding zero values, and every such linear combination is
-formed by `cyclo._sparse_sum`.  The matrix of an element of H on a module M,
-or of H (x) H on M (x) N, is written by the one builder `_action_matrix`,
-which visits only the nonzero entries of the action matrices.
+formed by `cyclo._sparse_sum`.  A module keeps its action as sparse rows
+(see `Rep`), and the action of an element of H on a module M, or of H (x) H
+on M (x) N, is written by the one builder `_action_rows`, which visits only
+the nonzero entries of the factors and returns sparse rows again.
+`Rep.act` and `braiding` make their dense matrices from those rows, and
+`validate_rep` compares the rows themselves.
 """
 
 from __future__ import annotations
@@ -24,8 +27,9 @@ import json
 from functools import cached_property
 from itertools import chain
 
-from .cyclo import (CycField, CycNum, ExactMatrix, LinearSystem,
-                    _nonzero_entries, _sparse_sum)
+from .cyclo import (CycField, CycNum, ExactMatrix, LinearSystem, _dense,
+                    _sorted_row, _sparse_product, _sparse_rows, _sparse_sum,
+                    _transpose)
 from .errors import CapabilityError, StructureError
 
 __all__ = [
@@ -56,28 +60,67 @@ __all__ = [
 
 
 class Rep:
-    """A finite-dimensional H-module: one action matrix per basis element."""
+    """A finite-dimensional H-module, immutable once built.
 
-    __slots__ = ("dim", "mats")
+    `rows[i][r]` holds the nonzero entries of row r of the action matrix
+    rho(e_i) as (column, CycNum) pairs sorted by column.  That form is
+    canonical, so equality and the hash compare (dim, rows) and equal
+    modules are equal cache keys.  `Rep(dim, mats)` reads dense action
+    matrices and `Rep.from_rows` takes sparse rows as they are.  The dense
+    matrices `mats` and the sparse columns `cols` are built from the rows on
+    first access and kept; treat them as read-only.
+    """
+
+    __slots__ = ("dim", "rows", "field", "_mats", "_cols", "_hash")
 
     def __init__(self, dim: int, mats: list[ExactMatrix]):
-        self.dim = dim
-        self.mats = mats
         for m in mats:
             if m.rows != dim or m.cols != dim:
                 raise StructureError("action matrix shape != module dimension")
+        self._set(mats[0].field if mats else None, dim,
+                  tuple(_sparse_rows(m) for m in mats))
+
+    @classmethod
+    def from_rows(cls, field: CycField, dim: int, rows) -> "Rep":
+        """The module whose action matrices have the sparse rows `rows`:
+        per basis element, a tuple of rows, each a tuple of (column, CycNum)
+        pairs sorted by column, without zeros."""
+        rep = cls.__new__(cls)
+        rep._set(field, dim, tuple(rows))
+        return rep
+
+    def _set(self, field, dim, rows):
+        self.field, self.dim, self.rows = field, dim, rows
+        self._mats = self._cols = self._hash = None
+
+    @property
+    def mats(self) -> list[ExactMatrix]:
+        if self._mats is None:
+            self._mats = [_dense(self.field, rows, self.dim)
+                          for rows in self.rows]
+        return self._mats
+
+    @property
+    def cols(self) -> tuple:
+        """The sparse columns of each action matrix, sorted by row."""
+        if self._cols is None:
+            self._cols = tuple(_transpose(rows, self.dim) for rows in self.rows)
+        return self._cols
 
     def act(self, elem: dict, field: CycField) -> ExactMatrix:
         """Matrix of a (sparse) algebra element on this module."""
-        return _action_matrix(field, elem.items(), _rep_rows(self))
+        return _dense(field, _action_rows(elem.items(), self.rows), self.dim)
 
     def __eq__(self, other):
         if not isinstance(other, Rep):
             return NotImplemented
-        return self.dim == other.dim and self.mats == other.mats
+        return self is other or (self.dim == other.dim
+                                 and self.rows == other.rows)
 
     def __hash__(self):
-        return hash((self.dim, tuple(self.mats)))
+        if self._hash is None:
+            self._hash = hash((self.dim, self.rows))
+        return self._hash
 
     def __repr__(self):
         return "Rep(dim=%d)" % self.dim
@@ -151,7 +194,7 @@ class HopfBundle:
             if name not in self.modules:
                 raise StructureError("simple %r not in module list" % name)
         for name, rep in self.modules.items():
-            if len(rep.mats) != d:
+            if len(rep.rows) != d:
                 raise StructureError("module %r needs %d action matrices"
                                      % (name, d))
 
@@ -198,9 +241,6 @@ class HopfBundle:
     def coords(self, elem: dict) -> list:
         z = self.field.zero()
         return [elem.get(i, z) for i in range(self.dim)]
-
-    def elem_add(self, x: dict, y: dict) -> dict:
-        return _sparse_sum(chain(x.items(), y.items()))
 
     def elem_mult(self, x: dict, y: dict) -> dict:
         table = self.mult_table
@@ -319,16 +359,14 @@ def _basis_elem(field, i):
 def validate_rep(b: HopfBundle, rep: Rep) -> list[str]:
     """Check rho(1) = id and rho(e_i) rho(e_j) = sum m_ij^k rho(e_k)."""
     failures = []
-    field = b.field
-    rows = _rep_rows(rep)
-    ident = ExactMatrix.identity(field, rep.dim)
-    if _action_matrix(field, b.elem_unit().items(), rows) != ident:
+    rows, one = rep.rows, b.field.one()
+    ident = tuple(((r, one),) for r in range(rep.dim))
+    if _action_rows(b.elem_unit().items(), rows) != ident:
         failures.append("unit does not act as identity")
     for i in range(b.dim):
         for j in range(b.dim):
-            lhs = rep.mats[i] * rep.mats[j]
-            rhs = _action_matrix(field, b.mult_table[i][j], rows)
-            if lhs != rhs:
+            if _sparse_product(rows[i], rows[j]) != \
+                    _action_rows(b.mult_table[i][j], rows):
                 failures.append("action not multiplicative at (%d, %d)" % (i, j))
                 return failures
     return failures
@@ -593,74 +631,51 @@ def regular_rep(b: HopfBundle) -> Rep:
     return b._cache["regular"]
 
 
-def _rep_rows(m: Rep) -> list[list[list]]:
-    """Sparse rows of each action matrix of M: [i][r] -> [(col, entry)]."""
-    return [[_nonzero_entries(row) for row in mat.data] for mat in m.mats]
-
-
-def _sparse_cols(mat: ExactMatrix) -> list[list]:
-    return [_nonzero_entries(col) for col in zip(*mat.data)]
-
-
-def _action_matrix(field: CycField, terms, m_rows: list,
-                   n_rows: list | None = None) -> ExactMatrix:
-    """The matrix of a linear combination of action matrices.
+def _action_rows(terms, m_rows, n_rows=None) -> tuple:
+    """The sparse rows of a linear combination of action matrices.
 
     Without `n_rows`, `terms` are pairs (i, c) and the result is
     sum c * rho_M(e_i); with it, `terms` are triples (i, j, c) and the result
     is sum c * rho_M(e_i) (x) rho_N(e_j) on M (x) N, in the row-major
-    convention of `ExactMatrix.kron`.  `m_rows` and `n_rows` are `_rep_rows`
-    of M and N.  Each product c * a * b is added straight into one dense
-    output, and only nonzero entries of the factors are visited.
+    convention of `ExactMatrix.kron`.  `m_rows` and `n_rows` are the `rows`
+    of M and N.  Only nonzero entries of the factors are visited, and each
+    product c * a is formed once per row of M.
     """
     m_dim = len(m_rows[0])
-    n_dim = len(n_rows[0]) if n_rows is not None else 1
-    out = ExactMatrix.zeros(field, m_dim * n_dim, m_dim * n_dim)
-    data = out.data
     if n_rows is None:
-        for i, c in terms:
-            for orow, arow in zip(data, m_rows[i]):
-                for s, a in arow:
-                    orow[s] = orow[s] + c * a
-        return out
-    for i, j, c in terms:
-        for r1, arow in enumerate(m_rows[i]):
-            orows = data[r1 * n_dim:(r1 + 1) * n_dim]
-            for s1, a in arow:
-                ca, base = c * a, s1 * n_dim
-                for orow, brow in zip(orows, n_rows[j]):
-                    for s2, bb in brow:
-                        orow[base + s2] = orow[base + s2] + ca * bb
-    return out
+        return tuple(_sorted_row(_sparse_sum(
+            (s, c * a) for i, c in terms for s, a in m_rows[i][r]))
+            for r in range(m_dim))
+    n_dim = len(n_rows[0])
+    out = []
+    for r1 in range(m_dim):
+        left = [(c * a, s1 * n_dim, n_rows[j]) for i, j, c in terms
+                for s1, a in m_rows[i][r1]]
+        out.extend(_sorted_row(_sparse_sum(
+            (base + s2, ca * bb) for ca, base, nr in left for s2, bb in nr[r2]))
+            for r2 in range(n_dim))
+    return tuple(out)
 
 
 def tensor_rep(b: HopfBundle, m: Rep, n: Rep) -> Rep:
     """Action on M (x) N through the comultiplication."""
-    m_rows, n_rows = _rep_rows(m), _rep_rows(n)
-    return Rep(m.dim * n.dim, [_action_matrix(b.field, delta, m_rows, n_rows)
-                               for delta in b.comult_table])
+    return Rep.from_rows(b.field, m.dim * n.dim,
+                         [_action_rows(delta, m.rows, n.rows)
+                          for delta in b.comult_table])
 
 
 def dual_rep(b: HopfBundle, m: Rep) -> Rep:
     """Left dual: rho*(e_i) = rho(S(e_i))^T."""
-    rows = _rep_rows(m)
-    return Rep(m.dim, [_action_matrix(b.field, s_i, rows).transpose()
-                       for s_i in b.antipode_cols])
+    return Rep.from_rows(b.field, m.dim,
+                         [_transpose(_action_rows(s_i, m.rows), m.dim)
+                          for s_i in b.antipode_cols])
 
 
 def direct_sum_rep(b: HopfBundle, m: Rep, n: Rep) -> Rep:
-    dim = m.dim + n.dim
-    mats = []
-    for i in range(b.dim):
-        mat = ExactMatrix.zeros(b.field, dim, dim)
-        for r in range(m.dim):
-            for c in range(m.dim):
-                mat.data[r][c] = m.mats[i].data[r][c]
-        for r in range(n.dim):
-            for c in range(n.dim):
-                mat.data[m.dim + r][m.dim + c] = n.mats[i].data[r][c]
-        mats.append(mat)
-    return Rep(dim, mats)
+    """M (+) N, with the coordinates of N after those of M."""
+    return Rep.from_rows(b.field, m.dim + n.dim, [
+        m_rows + tuple(tuple((c + m.dim, v) for c, v in row) for row in n_rows)
+        for m_rows, n_rows in zip(m.rows, n.rows)])
 
 
 def _intertwiner_rows(n_rows: list, m_cols: list, m_dim: int):
@@ -685,8 +700,8 @@ def hom_space(b: HopfBundle, m: Rep, n: Rep) -> list[ExactMatrix]:
     of the stacked commutation constraints.
     """
     sys = LinearSystem(b.field, n.dim * m.dim)
-    for n_rows, m_mat in zip(_rep_rows(n), m.mats):
-        for row in _intertwiner_rows(n_rows, _sparse_cols(m_mat), m.dim):
+    for n_rows, m_cols in zip(n.rows, m.cols):
+        for row in _intertwiner_rows(n_rows, m_cols, m.dim):
             sys.add_row(row)
     kern = sys.kernel()
     out = []
@@ -710,17 +725,35 @@ def flip_matrix(field: CycField, m: int, n: int) -> ExactMatrix:
 
 
 def braiding(b: HopfBundle, m: Rep, n: Rep) -> ExactMatrix:
-    """c_{M,N} = flip o (rho_M (x) rho_N)(R) : M (x) N -> N (x) M."""
+    """c_{M,N} = flip o (rho_M (x) rho_N)(R) : M (x) N -> N (x) M.
+
+    The flip moves row a * dim N + b of (rho_M (x) rho_N)(R) to row
+    b * dim M + a.  The matrix is kept in `b._cache` by module content and
+    each call returns a copy of it.
+    """
     b.require_r()
-    acc = _action_matrix(b.field, b.r_sparse(), _rep_rows(m), _rep_rows(n))
-    return flip_matrix(b.field, m.dim, n.dim) * acc
+    key = ("braiding", m, n)
+    if key not in b._cache:
+        acc = _action_rows(b.r_sparse(), m.rows, n.rows)
+        rows = [acc[a * n.dim + bb] for bb in range(n.dim) for a in range(m.dim)]
+        b._cache[key] = _dense(b.field, rows, m.dim * n.dim)
+    return b._cache[key].copy()
 
 
 def braiding_inverse(b: HopfBundle, m: Rep, n: Rep) -> ExactMatrix:
-    """(c_{N,M})^-1 = (rho_N (x) rho_M)(R^-1) o flip : M (x) N -> N (x) M."""
+    """(c_{N,M})^-1 = (rho_N (x) rho_M)(R^-1) o flip : M (x) N -> N (x) M.
+
+    The flip moves column b * dim M + a of (rho_N (x) rho_M)(R^-1) to column
+    a * dim N + b.  Kept and copied as `braiding` is.
+    """
     b.require_r()
-    acc = _action_matrix(b.field, b.r_inv_sparse(), _rep_rows(n), _rep_rows(m))
-    return acc * flip_matrix(b.field, m.dim, n.dim)
+    key = ("braiding_inv", m, n)
+    if key not in b._cache:
+        perm = [(k % m.dim) * n.dim + k // m.dim for k in range(m.dim * n.dim)]
+        rows = [sorted((perm[k], v) for k, v in row)
+                for row in _action_rows(b.r_inv_sparse(), n.rows, m.rows)]
+        b._cache[key] = _dense(b.field, rows, m.dim * n.dim)
+    return b._cache[key].copy()
 
 
 def twist(b: HopfBundle, m: Rep) -> ExactMatrix:
@@ -748,17 +781,17 @@ def _free_cover_system(b: HopfBundle, m: Rep):
     field = b.field
     d, md = b.dim, m.dim
     sys = LinearSystem(field, d * md * md, 1)
-    for lrows, m_mat in zip(_rep_rows(regular_rep(b)), m.mats):
+    for lrows, m_cols in zip(regular_rep(b).rows, m.cols):
         free_rows = [[(h * md + rp, a) for h, a in lrows[hp]]
                      for hp in range(d) for rp in range(md)]
-        for row in _intertwiner_rows(free_rows, _sparse_cols(m_mat), md):
+        for row in _intertwiner_rows(free_rows, m_cols, md):
             sys.add_row(row)
     # pi o sigma = id, with pi(e_h (x) delta_r) = rho(e_h) column r
     one = field.one()
     for cp in range(md):
         for c in range(md):
-            row = _sparse_sum(((h * md + r) * md + c, m.mats[h].data[cp][r])
-                              for h in range(d) for r in range(md))
+            row = _sparse_sum(((h * md + r) * md + c, a)
+                              for h in range(d) for r, a in m.rows[h][cp])
             sys.add_row(row, {0: one} if cp == c else None)
     return sys
 
@@ -824,11 +857,9 @@ def bundle_to_obj(b: HopfBundle) -> dict:
         "modules": {
             name: {
                 "dim": rep.dim,
-                "action": [[i, r, c, rep.mats[i].data[r][c].to_obj()]
-                           for i in range(b.dim)
-                           for r in range(rep.dim)
-                           for c in range(rep.dim)
-                           if not rep.mats[i].data[r][c].is_zero()],
+                "action": [[i, r, c, v.to_obj()]
+                           for i, rows in enumerate(rep.rows)
+                           for r, row in enumerate(rows) for c, v in row],
             }
             for name, rep in sorted(b.modules.items())
         },

@@ -25,7 +25,8 @@ from __future__ import annotations
 
 import json
 
-from .cyclo import CycNum, ExactMatrix, _solve_in_basis
+from .cyclo import (CycNum, ExactMatrix, _dense, _solve_in_basis,
+                    _sparse_product, _sparse_rows)
 from .errors import InadmissibleError, StructureError, TypingError
 from .hopf import (HopfBundle, Rep, braiding, braiding_inverse, dual_rep,
                    hom_space, is_projective, tensor_rep, trivial_rep, twist,
@@ -273,7 +274,8 @@ def evaluate(b: HopfBundle, diagram: Diagram) -> ExactMatrix:
     """
     diagram.check_types(b)
     field = b.field
-    total = ExactMatrix.identity(field, boundary_rep(b, diagram.bottom).dim)
+    dim = boundary_rep(b, diagram.bottom).dim
+    total = None  # sparse rows of the slices composed so far
     for sl in diagram.slices:
         mat = None
         for gen in sl:
@@ -281,8 +283,11 @@ def evaluate(b: HopfBundle, diagram: Diagram) -> ExactMatrix:
             mat = gmat if mat is None else mat.kron(gmat)
         if mat is None:
             mat = ExactMatrix.identity(field, 1)
-        total = mat * total
-    return total
+        rows = _sparse_rows(mat)
+        total = rows if total is None else _sparse_product(rows, total)
+    if total is None:
+        return ExactMatrix.identity(field, dim)
+    return _dense(field, total, dim)
 
 
 class SkeinVector:

@@ -213,6 +213,17 @@ def test_red_to_blue_cli(work):
     assert "projectivity" in r.stderr
 
 
+def test_red_to_blue_cli_negative_k_is_a_usage_error(work):
+    job = {"P": "regular", "k": -1, "X": "trivial",
+           "f": {"rows": 4, "cols": 4, "entries": []}}
+    jpath = work["root"] / "job_negative_k.json"
+    jpath.write_text(json.dumps(job))
+    r = run_cli(work, "red-to-blue", work["sweedler"], str(jpath))
+    assert r.returncode == 2
+    assert "k must be >= 0" in r.stderr
+    assert "Traceback" not in r.stderr
+
+
 def test_cache_verify_command(work):
     run_cli(work, "skalg", work["z2"], "0", "2")
     r = run_cli(work, "--format", "text", "cache", "verify")

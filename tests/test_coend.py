@@ -4,9 +4,10 @@ import random
 
 import pytest
 
-from modskein.coend import (SLFElem, canonical_image_dim, coadjoint_rep,
-                            dinat, is_symmetric_form, qchar, recompose,
-                            red_to_blue, slf_basis)
+from modskein.coend import (SLFElem, apply_factored_action,
+                            canonical_image_dim, coadjoint_rep, dinat,
+                            is_symmetric_form, iterated_comult, qchar,
+                            recompose, red_to_blue, slf_basis)
 from modskein.cyclo import ExactMatrix
 from modskein.errors import InadmissibleError, StructureError
 from modskein.hopf import (direct_sum_rep, dual_rep, hom_space, regular_rep,
@@ -186,3 +187,59 @@ def test_red_to_blue_rejects_non_intertwiner(sweedler):
     bad.data[1][2] = b.field.one()
     with pytest.raises(StructureError):
         red_to_blue(b, bad, reg, 1, trivial_rep(b))
+
+
+def _kron_action(b, factors, i, vec):
+    """rho_{F1 (x) ... (x) Fm}(e_i) vec by its definition: the sum over
+    Delta^(m)(e_i) of c * (rho_F1 (x) ... (x) rho_Fm) as dense Kronecker
+    products, applied to the dense vector."""
+    total = 1
+    for f in factors:
+        total *= f.dim
+    column = ExactMatrix.column(b.field, [vec.get(p, b.field.zero())
+                                          for p in range(total)])
+    acc = ExactMatrix.zeros(b.field, total, 1)
+    for idxs, c in iterated_comult(b, i, len(factors)):
+        mat = ExactMatrix.identity(b.field, 1)
+        for f, k in zip(factors, idxs):
+            mat = mat.kron(f.mats[k])
+        acc = acc + (mat * column).scale(c)
+    return {p: v for p, v in enumerate(acc.col(0)) if not v.is_zero()}
+
+
+def test_apply_factored_action_matches_the_kronecker_definition(sweedler, z4):
+    for b in (sweedler, z4):
+        reg, coad = regular_rep(b), coadjoint_rep(b)
+        x = b.module(sorted(b.modules)[1])
+        for factors in ([coad, x], [reg, dual_rep(b, reg), x],
+                        [x, coad, coad]):
+            total = 1
+            for f in factors:
+                total *= f.dim
+            vec = {p: b.field.from_rational(p % 5 - 2)
+                   for p in range(0, total, 3) if p % 5 != 2}
+            for i in range(b.dim):
+                assert apply_factored_action(b, factors, i, vec) == \
+                    _kron_action(b, factors, i, vec), (b.name, i)
+
+
+def test_red_to_blue_rejects_negative_k(sweedler):
+    # With X = reg, d ** k * dim X is 1.0 and a 1 x 4 morphism passed the
+    # shape check: the error must come before any size is computed.
+    b = sweedler
+    reg = regular_rep(b)
+    f = hom_space(b, reg, tensor_rep(b, coadjoint_rep(b), trivial_rep(b)))[0]
+    for f, x_rep in ((f, trivial_rep(b)),
+                     (ExactMatrix.zeros(b.field, 1, b.dim), reg)):
+        with pytest.raises(StructureError, match="k must be >= 0"):
+            red_to_blue(b, f, reg, -1, x_rep)
+
+
+def test_recompose_rejects_empty_terms_and_negative_k(sweedler):
+    b = sweedler
+    with pytest.raises(StructureError):
+        recompose(b, [], 1, trivial_rep(b))
+    reg = regular_rep(b)
+    terms = [(b.field.one(), ExactMatrix.zeros(b.field, 1, b.dim))]
+    with pytest.raises(StructureError, match="k must be >= 0"):
+        recompose(b, terms, -1, reg)

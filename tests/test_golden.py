@@ -7,12 +7,14 @@ in the same commit that changes the output.
 """
 
 import hashlib
+import json
 
 import pytest
 
 from modskein.bundles import sweedler_bundle, z2_bundle, z4_bundle
 from modskein.cli import main
-from modskein.hopf import save_bundle
+from modskein.coend import coadjoint_rep
+from modskein.hopf import hom_space, regular_rep, save_bundle, tensor_rep
 
 GOLDEN = {
     ("slf", "z2", ()):
@@ -99,3 +101,91 @@ def test_golden_gen_uqsl2_bundle(tmp_path, flags):
                  "gen-uqsl2", "2", str(out)] + list(flags)) == 0
     got = hashlib.sha256(out.read_bytes()).hexdigest()
     assert got == GEN_UQSL2_GOLDEN[flags]
+
+
+# The disk layer: `rt-eval` and `red-to-blue` payloads on job files that
+# `_disk_job` writes.  Keys are (op, bundle, job name).
+DISK_GOLDEN = {
+    ("rt-eval", "sweedler", "r3-lhs"):
+        "9443e41fa8bd9c15f97d63dcbdb9d2b121c8bdbebde5f5ef8ddd53a59036ed8d",
+    ("rt-eval", "sweedler", "r3-rhs"):
+        "9443e41fa8bd9c15f97d63dcbdb9d2b121c8bdbebde5f5ef8ddd53a59036ed8d",
+    ("rt-eval", "z4", "ev-coev-twist-braid-inv"):
+        "92330e70337fc52905a1db66d1590cf7f910519afb379bda016dcc3bd97a10d1",
+    ("red-to-blue", "sweedler", "regular-k1"):
+        "a175854468505fb33a60130de5e791435331a95ec9c71fb4ce7dbb35ecfc1014",
+    ("red-to-blue", "z4", "chi1-k2"):
+        "a5f0cccee7f86b0600f07f56afb60de94fe7bc54ea719fcd42cc4d2151ce33cd",
+}
+
+
+def _gen(kind, *points):
+    return {"kind": kind, "points": [list(p) for p in points]}
+
+
+def _r3_diagram(side):
+    """One side of the braid relation on strands colored reg, proj_plus, sgn."""
+    a, b, c = ("reg", "+"), ("proj_plus", "+"), ("sgn", "+")
+    if side == "lhs":
+        slices = [[_gen("braid", a, b), _gen("id", c)],
+                  [_gen("id", b), _gen("braid", a, c)],
+                  [_gen("braid", b, c), _gen("id", a)]]
+    else:
+        slices = [[_gen("id", a), _gen("braid", b, c)],
+                  [_gen("braid", a, c), _gen("id", b)],
+                  [_gen("id", c), _gen("braid", a, b)]]
+    return {"bottom": [list(a), list(b), list(c)],
+            "top": [list(c), list(b), list(a)], "slices": slices}
+
+
+def _z4_diagram():
+    """A z4 diagram through ev, coev, twist and braid_inv."""
+    rp, rm, x = ("reg", "+"), ("reg", "-"), ("chi1", "+")
+    return {"bottom": [list(rm), list(rp), list(x)],
+            "top": [list(rp), list(rm), list(x)],
+            "slices": [[_gen("ev", rp), _gen("twist", x)],
+                       [_gen("id", x), _gen("coev", rp)],
+                       [_gen("braid_inv", x, rp), _gen("twist", rm)],
+                       [_gen("twist", rp), _gen("braid_inv", x, rm)]]}
+
+
+def _rtb_job(b, p_name, x_name, k):
+    """A red-to-blue job on f = sum (t + 1) * (t-th basis vector of
+    Hom(P, L^(x)k (x) X))."""
+    p_rep = regular_rep(b) if p_name == "regular" else b.module(p_name)
+    x_rep = b.module(x_name) if x_name != "trivial" else None
+    target = coadjoint_rep(b)
+    for _ in range(k - 1):
+        target = tensor_rep(b, target, coadjoint_rep(b))
+    if x_rep is not None:
+        target = tensor_rep(b, target, x_rep)
+    basis = hom_space(b, p_rep, target)
+    f = basis[0]
+    for t, mat in enumerate(basis[1:], start=1):
+        f = f + mat.scale(t + 1)
+    return {"P": p_name, "X": x_name, "k": k,
+            "f": {"rows": f.rows, "cols": f.cols,
+                  "entries": [[r, c, f.data[r][c].to_obj()]
+                              for r in range(f.rows) for c in range(f.cols)
+                              if not f.data[r][c].is_zero()]}}
+
+
+def _disk_job(bundle, job):
+    if job == "r3-lhs":
+        return _r3_diagram("lhs")
+    if job == "r3-rhs":
+        return _r3_diagram("rhs")
+    if job == "ev-coev-twist-braid-inv":
+        return _z4_diagram()
+    if job == "regular-k1":
+        return _rtb_job(sweedler_bundle(), "regular", "trivial", 1)
+    return _rtb_job(z4_bundle(), "chi1", "chi1", 2)
+
+
+@pytest.mark.parametrize("op,bundle,job", sorted(DISK_GOLDEN))
+def test_golden_disk_payload(bundle_files, tmp_path, op, bundle, job):
+    _, paths = bundle_files
+    job_path = tmp_path / "job.json"
+    job_path.write_text(json.dumps(_disk_job(bundle, job)))
+    got = _payload_sha(tmp_path, paths[bundle], [op, str(job_path)])
+    assert got == DISK_GOLDEN[(op, bundle, job)]

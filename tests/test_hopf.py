@@ -8,7 +8,8 @@ from modskein.bundles import sweedler_bundle
 from modskein.cyclo import ExactMatrix
 from modskein.errors import CapabilityError, StructureError
 from modskein.hopf import (Rep, braiding, braiding_inverse, bundle_from_obj,
-                           bundle_to_obj, dual_rep, flip_matrix, hom_space,
+                           bundle_to_obj, direct_sum_rep, dual_rep,
+                           flip_matrix, hom_space,
                            is_projective, regular_rep, tensor_rep, trivial_rep,
                            twist, twist_inverse, validate_bundle)
 
@@ -387,3 +388,66 @@ def test_action_matrices_match_the_dense_definition(z2, sweedler, z4):
                 assert braiding_inverse(b, m, n) == _dense_sum(
                     f, dim, ((c, n.mats[i].kron(m.mats[j]))
                              for i, j, c in b.r_inv_sparse())) * flip
+
+
+def test_rep_from_rows_equals_rep_from_mats(z2, sweedler, z4):
+    # A module built from sparse rows and the same module read from dense
+    # matrices are one cache key: equal, and with equal hashes.
+    for b in (z2, sweedler, z4):
+        mods = [m for _, m in sorted(b.modules.items())]
+        built = [dual_rep(b, m) for m in mods]
+        built += [tensor_rep(b, m, n) for m in mods for n in mods[:2]]
+        built += [direct_sum_rep(b, mods[0], mods[-1])]
+        for rep in mods + built:
+            dense = Rep(rep.dim, [mat.copy() for mat in rep.mats])
+            assert dense is not rep and dense == rep and rep == dense
+            assert hash(dense) == hash(rep)
+            assert Rep.from_rows(b.field, rep.dim, dense.rows) == rep
+
+
+def test_direct_sum_matches_the_block_definition(sweedler, z4):
+    for b in (sweedler, z4):
+        mods = [m for _, m in sorted(b.modules.items())]
+        for m in mods:
+            for n in mods:
+                s = direct_sum_rep(b, m, n)
+                for i in range(b.dim):
+                    dense = ExactMatrix.zeros(b.field, s.dim, s.dim)
+                    for r in range(m.dim):
+                        for c in range(m.dim):
+                            dense.data[r][c] = m.mats[i].data[r][c]
+                    for r in range(n.dim):
+                        for c in range(n.dim):
+                            dense.data[m.dim + r][m.dim + c] = \
+                                n.mats[i].data[r][c]
+                    assert s.mats[i] == dense
+
+
+def test_braiding_memo_returns_fresh_copies():
+    b = sweedler_bundle()
+    m, n = b.module("proj_plus"), b.module("reg")
+    f = b.field
+    flip = flip_matrix(f, m.dim, n.dim)
+    for fn in (braiding, braiding_inverse):
+        first = fn(b, m, n)
+        expected = first.copy()
+        first.data[0][0] = first.data[0][0] + f.one()
+        first.data[1] = [f.one()] * first.cols
+        again = fn(b, m, n)
+        assert again == expected and again != first
+        assert again is not fn(b, m, n)
+    assert braiding(b, m, n) == flip * _dense_sum(
+        f, m.dim * n.dim, ((c, m.mats[i].kron(n.mats[j]))
+                           for i, j, c in b.r_sparse()))
+
+
+def test_equal_modules_share_a_braiding_memo_entry():
+    b = sweedler_bundle()
+    m, n = b.module("proj_plus"), b.module("proj_minus")
+    twin = Rep(m.dim, [mat.copy() for mat in m.mats])
+    assert twin is not m and twin == m
+    for fn, tag in ((braiding, "braiding"), (braiding_inverse, "braiding_inv")):
+        fn(b, m, n)
+        keys = [k for k in b._cache if k[0] == tag]
+        assert fn(b, twin, n) == fn(b, m, n)
+        assert [k for k in b._cache if k[0] == tag] == keys and len(keys) == 1

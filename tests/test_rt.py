@@ -5,9 +5,9 @@ import pytest
 from modskein.cyclo import ExactMatrix, LinearSystem
 from modskein.errors import InadmissibleError, StructureError, TypingError
 from modskein.hopf import hom_space, tensor_rep, twist
-from modskein.rt import (Diagram, Generator, SkeinVector, boundary_rep,
-                         diagram_from_obj, diagram_to_obj, evaluate, skein_eq,
-                         skein_module_disk)
+from modskein.rt import (GENERATOR_KINDS, Diagram, Generator, SkeinVector,
+                         _generator_matrix, boundary_rep, diagram_from_obj,
+                         diagram_to_obj, evaluate, skein_eq, skein_module_disk)
 
 
 def gen(kind, *points):
@@ -347,3 +347,48 @@ def test_coupon_outside_an_empty_hom_space_is_refused(sweedler):
     with pytest.raises(StructureError,
                        match="coupon is not in the computed hom space"):
         diagram_to_obj(b, d)
+
+
+def _dense_evaluate(b, diagram):
+    """The plain definition: the identity on the bottom boundary, times each
+    slice's Kronecker product of generator matrices, by dense products."""
+    total = ident(b, diagram.bottom)
+    for sl in diagram.slices:
+        mat = ExactMatrix.identity(b.field, 1)
+        for g in sl:
+            mat = mat.kron(_generator_matrix(b, g))
+        total = mat * total
+    return total
+
+
+def _every_kind_diagrams(b, a, x):
+    """Diagrams on colours a and x through every generator kind, plus a
+    slice with no generators."""
+    ap, am, xp = (a, "+"), (a, "-"), (x, "+")
+    xx = b.module(x)
+    basis = hom_space(b, xx, xx)
+    f = basis[0]
+    for t, mat in enumerate(basis[1:], start=2):
+        f = f + mat.scale(t)
+    coupon = Generator("coupon", dom=[xp], cod=[xp], matrix=f)
+    full = Diagram([am, ap, xp], [am, ap, xp], [
+        [gen("ev", ap), gen("id", xp)],
+        [gen("coev", ap), gen("id", xp)],
+        [gen("id", ap), gen("braid", am, xp)],
+        [gen("braid_inv", ap, xp), gen("twist", am)],
+        [gen("twist_inv", xp), gen("ev_piv", ap)],
+        [gen("coev_piv", ap), coupon],
+    ])
+    closed = Diagram([am, ap], [ap, am], [
+        [gen("ev", ap)], [], [gen("coev", ap)]])
+    return full, closed
+
+
+@pytest.mark.parametrize("bundle,a,x", [("sweedler", "proj_plus", "reg"),
+                                        ("z4", "reg", "chi1")])
+def test_evaluate_matches_the_dense_definition(request, bundle, a, x):
+    b = request.getfixturevalue(bundle)
+    full, closed = _every_kind_diagrams(b, a, x)
+    assert {g.kind for sl in full.slices for g in sl} == set(GENERATOR_KINDS)
+    for d in (full, closed):
+        assert evaluate(b, d) == _dense_evaluate(b, d), d
