@@ -6,7 +6,9 @@ non-authoritative.  Every command is bit-reproducible for identical inputs
 and engine version: there is no randomness anywhere and all pivot orders are
 fixed.  Expensive commands (slf, skalg, char-map) cache their canonical JSON
 payload content-addressed by (input bytes, operation, parameters, version);
-`--verify` recomputes on a cache hit and insists on byte equality.
+`--verify` recomputes on a cache hit and insists on byte equality.  Every
+command that computes on a bundle validates it first, before any cache
+lookup, and exits 1 with the named failures when it is not valid.
 """
 
 from __future__ import annotations
@@ -188,8 +190,18 @@ def cmd_gen_uqsl2(args) -> int:
 
 
 def _load_checked(args):
+    """Read, parse and validate args.bundle: (bundle, file bytes).
+
+    Every command that computes on a bundle loads it here, so none computes
+    on, or serves a cached result for, a bundle that fails an axiom; the
+    failures are named in the error (exit 1).
+    """
     data = _read_bytes(args.bundle)
     bundle = _bundle_from_bytes(data)
+    failures = validate_bundle(bundle)
+    if failures:
+        raise ModskeinError("bundle %r is not valid:\n%s" % (
+            bundle.name, "\n".join("FAIL %s" % f for f in failures)))
     return bundle, data
 
 

@@ -7,8 +7,39 @@ ribbon category the rest of the engine computes in; the projective modules
 form the tensor ideal that admissible skeins are colored by.
 
 Every axiom the engine relies on is a named check in the table `AXIOMS`;
-`validate_bundle` runs them and returns a deterministic, sorted list of
+`validate_bundle` decides them and returns a deterministic, sorted list of
 named failures (empty = valid).
+
+Associativity, the bialgebra laws and the module laws are decided on a
+generating set S of basis elements (see `_generators`) instead of on every
+basis element.  Let N be the set of left-nested products
+s_1 (s_2 (... (s_k 1))) of elements of S, with k = 0 giving 1; S is chosen so
+that N spans H.  Each law below is linear in the element x it is stated for,
+so it holds on H once it holds on N, and on N it follows by induction on k:
+
+(i) Let 1 be a two-sided unit, and suppose A_s: (x s) z = x (s z) for all
+    x, z and every s in S.  Then H is associative.  A_y is linear in y and
+    A_1 holds; A_s together with A_y' gives A_(s y'), since
+    (x (s y')) z = ((x s) y') z = (x s) (y' z) = x (s (y' z)) = x ((s y') z).
+(ii) Let H be associative with Delta(1) = 1 (x) 1 and counit(1) = 1, and
+    suppose Delta(s y) = Delta(s) Delta(y) and counit(s y) =
+    counit(s) counit(y) for every s in S and all y.  Then Delta and the
+    counit are multiplicative.  The case x = 1 is Delta(1) = 1 (x) 1, and
+    for x = s x' with x' in N, by associativity of H and of H (x) H,
+    Delta(x y) = Delta(s (x' y)) = Delta(s) Delta(x') Delta(y)
+    = Delta(x) Delta(y); the counit likewise.
+(iii) Let H be associative and rho(1) = id, and suppose
+    rho(s) rho(y) = rho(s y) for every s in S and all y.  Then rho is a
+    representation, by the same induction.
+
+Each of these checks is one loop whose index over S runs either over S or
+over every basis element.  When a lemma's hypothesis fails (the unit,
+Delta(1), counit(1) or rho(1) is wrong, or there is no S because
+associativity on S fails), or the loop over S finds a failure, the loop runs
+over every basis element, so the named failures are those of the exhaustive
+check, in its order.  When the loop over S passes, the lemma says the
+exhaustive loop would find nothing either.  The other checks are linear in
+d and run over every basis element.
 
 One sparse convention holds throughout: an element of H is a
 {basis index: CycNum} dict and an element of H (x) H an {(i, j): CycNum}
@@ -25,7 +56,7 @@ from __future__ import annotations
 
 import json
 from functools import cached_property
-from itertools import chain
+from itertools import chain, islice
 
 from .cyclo import (CycField, CycNum, ExactMatrix, LinearSystem, _dense,
                     _sorted_row, _sparse_product, _sparse_rows, _sparse_sum,
@@ -194,9 +225,7 @@ class HopfBundle:
             if name not in self.modules:
                 raise StructureError("simple %r not in module list" % name)
         for name, rep in self.modules.items():
-            if len(rep.rows) != d:
-                raise StructureError("module %r needs %d action matrices"
-                                     % (name, d))
+            _check_rep(self, rep, "module %r" % name)
 
     def _build_tables(self):
         d = self.dim
@@ -356,19 +385,51 @@ def _basis_elem(field, i):
     return {i: field.one()}
 
 
+def _check_rep(b: HopfBundle, rep: Rep, what: str = "module") -> None:
+    """Refuse a module without one action matrix per basis element of b,
+    such as a module of another bundle, with a StructureError."""
+    if len(rep.rows) != b.dim:
+        raise StructureError("%s has %d action matrices, bundle %r needs %d"
+                             % (what, len(rep.rows), b.name, b.dim))
+
+
+def _decided_on(gens, d: int, loop):
+    """The failures of `loop(range(d))`, read from `loop(gens)` when it can.
+
+    `loop(indices)` is a check whose index over S runs over `indices`.  When
+    `gens` is a generating set whose lemma hypotheses hold and `loop(gens)`
+    finds nothing, the lemma says `loop(range(d))` finds nothing either;
+    otherwise `loop(range(d))` runs and its failures are returned as found.
+    """
+    if gens is not None and next(loop(gens), None) is None:
+        return
+    yield from loop(range(d))
+
+
 def validate_rep(b: HopfBundle, rep: Rep) -> list[str]:
-    """Check rho(1) = id and rho(e_i) rho(e_j) = sum m_ij^k rho(e_k)."""
+    """Check rho(1) = id and rho(e_i) rho(e_j) = sum m_ij^k rho(e_k).
+
+    Decided on i in S by lemma (iii) of the module docstring when H is
+    associative and rho(1) = id; otherwise, or when that finds a failure,
+    the first failing pair (i, j) of all of them is named.  A module with the
+    wrong number of action matrices raises StructureError.
+    """
+    _check_rep(b, rep)
     failures = []
-    rows, one = rep.rows, b.field.one()
+    rows, one, d = rep.rows, b.field.one(), b.dim
     ident = tuple(((r, one),) for r in range(rep.dim))
     if _action_rows(b.elem_unit().items(), rows) != ident:
         failures.append("unit does not act as identity")
-    for i in range(b.dim):
-        for j in range(b.dim):
-            if _sparse_product(rows[i], rows[j]) != \
-                    _action_rows(b.mult_table[i][j], rows):
-                failures.append("action not multiplicative at (%d, %d)" % (i, j))
-                return failures
+
+    def multiplicative(lefts):
+        for i in lefts:
+            for j in range(d):
+                if _sparse_product(rows[i], rows[j]) != \
+                        _action_rows(b.mult_table[i][j], rows):
+                    yield "action not multiplicative at (%d, %d)" % (i, j)
+
+    gens = None if failures else _generators(b)
+    failures.extend(islice(_decided_on(gens, d, multiplicative), 1))
     return failures
 
 
@@ -379,11 +440,23 @@ class AxiomContext:
         self.b = b
         self.basis = [_basis_elem(b.field, i) for i in range(b.dim)]
         self.unit = b.elem_unit()
+        self._prods = [[None] * b.dim for _ in range(b.dim)]
 
     @cached_property
-    def prod(self) -> list[list[dict]]:
-        b, basis = self.b, self.basis
-        return [[b.elem_mult(x, y) for y in basis] for x in basis]
+    def delta(self) -> list[dict]:
+        """Delta(e_i) for every basis element."""
+        return [self.b.elem_comult(e) for e in self.basis]
+
+    def prod(self, i: int, j: int) -> dict:
+        """e_i e_j, computed on first use and kept."""
+        row = self._prods[i]
+        if row[j] is None:
+            row[j] = self.b.elem_mult(self.basis[i], self.basis[j])
+        return row[j]
+
+    @cached_property
+    def generators(self) -> list[int] | None:
+        return _generators(self.b, self)
 
     @cached_property
     def unit2(self) -> dict:
@@ -398,6 +471,59 @@ class AxiomContext:
         return self.b.elem_inverse(self.b.pivotal_elem())
 
 
+def _generators(b: HopfBundle,
+                ctx: AxiomContext | None = None) -> list[int] | None:
+    """The generating set S the checks are decided on, or None.
+
+    S is greedy in basis order: e_i joins S when it is not in the span W of
+    the left-nested products of S, and after each addition W is closed under
+    left multiplication by S, so at the end the nested products span H.
+    Membership is a rank test in one `LinearSystem`.  S is returned only if 1
+    is a two-sided unit and (x s) z = x (s z) holds for every s in S and all
+    basis x, z, so that H is associative by lemma (i); otherwise None.  The
+    result is kept in `b._cache`, as `regular_rep` is.
+    """
+    if "generators" not in b._cache:
+        b._cache["generators"] = _find_generators(ctx or AxiomContext(b))
+    return b._cache["generators"]
+
+
+def _find_generators(ctx: AxiomContext) -> list[int] | None:
+    b = ctx.b
+    if next(_unit(ctx), None) is not None:
+        return None
+    span = LinearSystem(b.field, b.dim)
+
+    def grows(x):
+        rank = span.rank()
+        span.add_row(x)
+        return span.rank() > rank
+
+    gens: list[int] = []
+    # A basis of W made of nested products, and per product the number of
+    # elements of S (a prefix, since S only grows) it was multiplied by.
+    words, done = [ctx.unit], [0]
+    grows(ctx.unit)
+    for i in range(b.dim):
+        if span.rank() == b.dim:
+            break
+        if not grows(ctx.basis[i]):
+            continue
+        gens.append(i)
+        words.append(ctx.basis[i])
+        done.append(0)
+        for w, word in enumerate(words):
+            for s in gens[done[w]:]:
+                x = b.elem_mult(ctx.basis[s], word)
+                if grows(x):
+                    words.append(x)
+                    done.append(0)
+            done[w] = len(gens)
+    if next(_associativity_at(ctx, gens), None) is not None:
+        return None
+    return gens
+
+
 def _outer(x: dict, y: dict) -> dict:
     """x (x) y as a sparse element of H (x) H."""
     return _sparse_sum(((i, j), a * c) for i, a in x.items()
@@ -405,14 +531,22 @@ def _outer(x: dict, y: dict) -> dict:
 
 
 def _associativity(ctx):
+    """Lemma (i): the generating-set search has checked A_s on S already."""
+    if ctx.generators is None:
+        yield from _associativity_at(ctx, range(ctx.b.dim))
+
+
+def _associativity_at(ctx, middles):
+    """(e_i e_j) e_l = e_i (e_j e_l) for all i, l and every j in `middles`."""
     table, prod = ctx.b.mult_table, ctx.prod
     d = ctx.b.dim
     for i in range(d):
-        for j in range(d):
+        for j in middles:
+            left_ij = prod(i, j).items()
             for l in range(d):
-                left = _sparse_sum((t, c * c2) for k, c in prod[i][j].items()
+                left = _sparse_sum((t, c * c2) for k, c in left_ij
                                    for t, c2 in table[k][l])
-                right = _sparse_sum((t, c * c2) for k, c in prod[j][l].items()
+                right = _sparse_sum((t, c * c2) for k, c in prod(j, l).items()
                                     for t, c2 in table[i][k])
                 if left != right:
                     yield ("associativity: (e%d e%d) e%d != e%d (e%d e%d)"
@@ -447,20 +581,29 @@ def _counit(ctx):
 
 
 def _bialgebra(ctx):
-    b, basis, prod = ctx.b, ctx.basis, ctx.prod
+    """Lemma (ii): decided on the left factor in S when H is associative,
+    Delta(1) = 1 (x) 1 and counit(1) = 1."""
+    b, prod, delta = ctx.b, ctx.prod, ctx.delta
+    gens = ctx.generators
     if b.elem_comult(ctx.unit) != ctx.unit2:
+        gens = None
         yield "bialgebra: Delta(1) != 1 (x) 1"
     if b.elem_counit(ctx.unit) != b.field.one():
+        gens = None
         yield "bialgebra: counit(1) != 1"
-    for i in range(b.dim):
-        for j in range(b.dim):
-            if b.elem_comult(prod[i][j]) != b.tensor2_mult(
-                    b.elem_comult(basis[i]), b.elem_comult(basis[j])):
-                yield ("bialgebra: Delta not multiplicative at (e%d, e%d)"
-                       % (i, j))
-            if b.elem_counit(prod[i][j]) != b.counit[i] * b.counit[j]:
-                yield ("bialgebra: counit not multiplicative at (e%d, e%d)"
-                       % (i, j))
+
+    def multiplicative(lefts):
+        for i in lefts:
+            for j in range(b.dim):
+                if b.elem_comult(prod(i, j)) != b.tensor2_mult(delta[i],
+                                                               delta[j]):
+                    yield ("bialgebra: Delta not multiplicative at (e%d, e%d)"
+                           % (i, j))
+                if b.elem_counit(prod(i, j)) != b.counit[i] * b.counit[j]:
+                    yield ("bialgebra: counit not multiplicative at (e%d, e%d)"
+                           % (i, j))
+
+    yield from _decided_on(gens, b.dim, multiplicative)
 
 
 def _antipode(ctx):
@@ -488,8 +631,7 @@ def _r_inverse(ctx):
 
 def _r_intertwines_delta(ctx):
     b, R = ctx.b, ctx.R
-    for i, e in enumerate(ctx.basis):
-        delta = b.elem_comult(e)
+    for i, delta in enumerate(ctx.delta):
         delta_op = {(k, j): c for (j, k), c in delta.items()}
         if b.tensor2_mult(delta_op, R) != b.tensor2_mult(R, delta):
             yield "quasitriangular: Delta_op != R Delta R^-1 at e%d" % i
@@ -595,13 +737,19 @@ R_INVERSE_FREE = ("R Delta = Delta_op R", "(Delta (x) id)R = R13 R23",
 
 
 def validate_bundle(b: HopfBundle, threads: int = 1) -> list[str]:
-    """Exhaustively check every Hopf/quasitriangular/ribbon/pivotal axiom.
+    """Decide every Hopf/quasitriangular/ribbon/pivotal axiom.
 
     Runs every check of AXIOMS whose structure the bundle carries and
     returns the sorted list of named failures; empty means the bundle is a
-    valid input for everything downstream.  Malformed shapes raise
-    StructureError at construction instead of appearing here.  `threads` is
-    accepted and ignored.
+    valid input for everything downstream.  Associativity, the bialgebra
+    laws and the module laws are decided on the generating set S by lemmas
+    (i)-(iii) of the module docstring, whose hypotheses are the two-sided
+    unit, (x s) z = x (s z) for s in S, Delta(1) = 1 (x) 1, counit(1) = 1
+    and rho(1) = id.  When a hypothesis fails, or the check on S finds a
+    failure, that check runs over every basis element, so the list is the
+    one an exhaustive check returns.  Malformed shapes raise StructureError
+    at construction instead of appearing here.  `threads` is accepted and
+    ignored.
     """
     ctx = AxiomContext(b)
     failures: set[str] = set()
@@ -659,6 +807,8 @@ def _action_rows(terms, m_rows, n_rows=None) -> tuple:
 
 def tensor_rep(b: HopfBundle, m: Rep, n: Rep) -> Rep:
     """Action on M (x) N through the comultiplication."""
+    _check_rep(b, m)
+    _check_rep(b, n)
     return Rep.from_rows(b.field, m.dim * n.dim,
                          [_action_rows(delta, m.rows, n.rows)
                           for delta in b.comult_table])
@@ -666,6 +816,7 @@ def tensor_rep(b: HopfBundle, m: Rep, n: Rep) -> Rep:
 
 def dual_rep(b: HopfBundle, m: Rep) -> Rep:
     """Left dual: rho*(e_i) = rho(S(e_i))^T."""
+    _check_rep(b, m)
     return Rep.from_rows(b.field, m.dim,
                          [_transpose(_action_rows(s_i, m.rows), m.dim)
                           for s_i in b.antipode_cols])
@@ -699,6 +850,8 @@ def hom_space(b: HopfBundle, m: Rep, n: Rep) -> list[ExactMatrix]:
     Matrices are dim(N) x dim(M); the basis is the deterministic kernel basis
     of the stacked commutation constraints.
     """
+    _check_rep(b, m)
+    _check_rep(b, n)
     sys = LinearSystem(b.field, n.dim * m.dim)
     for n_rows, m_cols in zip(n.rows, m.cols):
         for row in _intertwiner_rows(n_rows, m_cols, m.dim):

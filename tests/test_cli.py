@@ -7,8 +7,10 @@ import sys
 
 import pytest
 
-from modskein.bundles import sweedler_bundle, z2_bundle
+from modskein import cache
+from modskein.bundles import sweedler_bundle, z2_bundle, z4_bundle
 from modskein.hopf import bundle_to_obj, save_bundle
+from test_hopf import _perturbed
 
 
 @pytest.fixture(scope="module")
@@ -237,3 +239,59 @@ def test_env_cache_dir(work, tmp_path):
                 env_extra={"MODSKEIN_CACHE_DIR": envdir}, use_flag=False)
     assert r.returncode == 0
     assert os.path.isdir(envdir)
+
+
+def _mutant_z4_r():
+    obj = bundle_to_obj(z4_bundle())
+    obj["R"][0][-1] = _perturbed(obj["R"][0][-1])
+    return obj
+
+
+def _mutant_sweedler_ribbon():
+    obj = bundle_to_obj(sweedler_bundle())
+    obj["ribbon"][0] = _perturbed(obj["ribbon"][0])
+    return obj
+
+
+@pytest.mark.parametrize("make, named", [
+    (_mutant_z4_r, "quasitriangular"),
+    (_mutant_sweedler_ribbon, "ribbon:"),
+])
+def test_commands_refuse_an_invalid_bundle(work, tmp_path, make, named):
+    obj = make()
+    path = tmp_path / "mutant.json"
+    path.write_text(json.dumps(obj))
+    data = path.read_bytes()
+    r = run_cli(work, "validate", str(path))
+    assert r.returncode == 1
+    failures = json.loads(r.stdout)["failures"]
+    assert any(f.startswith(named) for f in failures)
+
+    # A planted skalg entry must not be served: validation comes before the
+    # cache lookup, and nothing is stored for an invalid bundle.
+    cache_dir = str(tmp_path / "cache")
+    params = {"g": 0, "n": 2}
+    cache.store(cache_dir, cache.cache_key(data, "skalg", params), b"planted\n",
+                "skalg", params, data)
+    module = sorted(obj["modules"])[0]
+    strand = [module, "+"]
+    diag = tmp_path / "id.json"
+    diag.write_text(json.dumps({
+        "bundle_ref": obj["name"], "bottom": [strand], "top": [strand],
+        "slices": [[{"kind": "id", "points": [strand]}]]}))
+    job = tmp_path / "job.json"
+    job.write_text(json.dumps({
+        "P": "regular", "k": 1, "X": "trivial",
+        "f": {"rows": obj["dim"], "cols": obj["dim"], "entries": []}}))
+    for argv in (["skalg", str(path), "0", "2"], ["char-map", str(path)],
+                 ["slf", str(path)], ["qchar", str(path), module],
+                 ["rt-eval", str(path), str(diag)],
+                 ["red-to-blue", str(path), str(job)]):
+        r = run_cli(work, *argv, env_extra={"MODSKEIN_CACHE_DIR": cache_dir},
+                    use_flag=False)
+        assert r.returncode == 1, argv
+        assert r.stdout == "", argv
+        assert "is not valid" in r.stderr, argv
+        assert ["FAIL %s" % f for f in failures] == \
+            r.stderr.strip().splitlines()[1:], argv
+    assert len(list(cache.entries(cache_dir))) == 1

@@ -1,17 +1,20 @@
 """Bundle validation and the ribbon category operations."""
 
 import random
+from fractions import Fraction
 
 import pytest
 
-from modskein.bundles import sweedler_bundle
-from modskein.cyclo import ExactMatrix
+from modskein.bundles import (sweedler_bundle, trivial_bundle, uqsl2_bundle,
+                              z2_bundle, z4_bundle)
+from modskein.cyclo import ExactMatrix, LinearSystem
 from modskein.errors import CapabilityError, StructureError
-from modskein.hopf import (Rep, braiding, braiding_inverse, bundle_from_obj,
-                           bundle_to_obj, direct_sum_rep, dual_rep,
-                           flip_matrix, hom_space,
+from modskein.hopf import (AXIOMS, AxiomContext, Rep, _generators, braiding,
+                           braiding_inverse, bundle_from_obj, bundle_to_obj,
+                           direct_sum_rep, dual_rep, flip_matrix, hom_space,
                            is_projective, regular_rep, tensor_rep, trivial_rep,
-                           twist, twist_inverse, validate_bundle)
+                           twist, twist_inverse, validate_bundle, validate_rep)
+from test_acceptance import _perturb_once
 
 
 def test_validators_pass(z2, sweedler, z4, trivial, uqsl2_p2):
@@ -451,3 +454,174 @@ def test_equal_modules_share_a_braiding_memo_entry():
         keys = [k for k in b._cache if k[0] == tag]
         assert fn(b, twin, n) == fn(b, m, n)
         assert [k for k in b._cache if k[0] == tag] == keys and len(keys) == 1
+
+
+# -- the laws decided on a generating set, against their exhaustive definitions
+
+
+def _oracle_associativity(b):
+    e = [{i: b.field.one()} for i in range(b.dim)]
+    for i in range(b.dim):
+        for j in range(b.dim):
+            for l in range(b.dim):
+                if b.elem_mult(b.elem_mult(e[i], e[j]), e[l]) != \
+                        b.elem_mult(e[i], b.elem_mult(e[j], e[l])):
+                    yield ("associativity: (e%d e%d) e%d != e%d (e%d e%d)"
+                           % (i, j, l, i, j, l))
+
+
+def _oracle_bialgebra(b):
+    one = b.field.one()
+    e = [{i: one} for i in range(b.dim)]
+    unit = b.elem_unit()
+    if b.elem_comult(unit) != {(i, j): x * y for i, x in unit.items()
+                               for j, y in unit.items()}:
+        yield "bialgebra: Delta(1) != 1 (x) 1"
+    if b.elem_counit(unit) != one:
+        yield "bialgebra: counit(1) != 1"
+    for i in range(b.dim):
+        for j in range(b.dim):
+            prod = b.elem_mult(e[i], e[j])
+            if b.elem_comult(prod) != b.tensor2_mult(b.elem_comult(e[i]),
+                                                     b.elem_comult(e[j])):
+                yield ("bialgebra: Delta not multiplicative at (e%d, e%d)"
+                       % (i, j))
+            if b.elem_counit(prod) != b.counit[i] * b.counit[j]:
+                yield ("bialgebra: counit not multiplicative at (e%d, e%d)"
+                       % (i, j))
+
+
+def _oracle_rep(b, rep):
+    """rho(1) = id, then every pair (i, j) in order up to the first failure,
+    on dense matrices."""
+    failures = []
+    mats, f = rep.mats, b.field
+
+    def rho(x):
+        return _dense_sum(f, rep.dim, ((c, mats[k]) for k, c in x.items()))
+
+    if rho(b.elem_unit()) != ExactMatrix.identity(f, rep.dim):
+        failures.append("unit does not act as identity")
+    for i in range(b.dim):
+        for j in range(b.dim):
+            if mats[i] * mats[j] != rho(b.elem_mult({i: f.one()},
+                                                    {j: f.one()})):
+                failures.append("action not multiplicative at (%d, %d)"
+                                % (i, j))
+                return failures
+    return failures
+
+
+_ORACLES = {
+    "associativity": _oracle_associativity,
+    "bialgebra": _oracle_bialgebra,
+    "modules": lambda b: ("module:%s: %s" % (name, msg)
+                          for name in sorted(b.modules)
+                          for msg in _oracle_rep(b, b.modules[name])),
+}
+
+
+def _oracle_validate(b):
+    """validate_bundle with the three reduced checks replaced by the
+    exhaustive d^3 / d^2 definitions."""
+    ctx = AxiomContext(b)
+    failures = set()
+    for name, needs, check in AXIOMS:
+        if needs is None or getattr(b, needs):
+            failures.update(_ORACLES[name](b) if name in _ORACLES
+                            else check(ctx))
+    return sorted(failures)
+
+
+def _entry_mutants(maker):
+    """One mutant per mult and per comult entry, that entry plus 1."""
+    obj = bundle_to_obj(maker())
+    for tensor in ("mult", "comult"):
+        for k in range(len(obj[tensor])):
+            mutant = bundle_to_obj(maker())
+            entry = mutant[tensor][k]
+            entry[-1] = _perturbed(entry[-1])
+            yield "%s %s[%d]" % (maker.__name__, tensor, k), mutant
+
+
+def _perturbed(coeff):
+    """A coefficient of the bundle file format plus 1."""
+    if isinstance(coeff, dict):
+        coeffs = list(coeff["coeffs"])
+        coeffs[0] = str(Fraction(coeffs[0]) + 1)
+        return {"order": coeff["order"], "coeffs": coeffs}
+    return str(Fraction(coeff) + 1)
+
+
+def _oracle_cases():
+    for maker in (trivial_bundle, z2_bundle, sweedler_bundle, z4_bundle,
+                  lambda: uqsl2_bundle(2)):
+        b = maker()
+        yield b.name, b
+    rng = random.Random(99)      # the criterion-7 mutants
+    for maker in (sweedler_bundle, z2_bundle):
+        for k in range(12):
+            obj = bundle_to_obj(maker())
+            which = _perturb_once(obj, rng)
+            yield "%s criterion-7 #%d (%s)" % (maker.__name__, k, which), \
+                bundle_from_obj(obj)
+    for maker in (z2_bundle, sweedler_bundle, z4_bundle):
+        for label, obj in _entry_mutants(maker):
+            yield label, bundle_from_obj(obj)
+
+
+def test_reduced_checks_return_the_exhaustive_lists():
+    seen_failing = 0
+    for label, b in _oracle_cases():
+        expected = _oracle_validate(b)
+        assert validate_bundle(b) == expected, label
+        for name in sorted(b.modules):
+            rep = b.modules[name]
+            assert validate_rep(b, rep) == _oracle_rep(b, rep), (label, name)
+        seen_failing += bool(expected)
+    assert seen_failing >= 60
+
+
+@pytest.mark.parametrize("maker, size", [
+    (trivial_bundle, 0), (z2_bundle, 1), (sweedler_bundle, 2), (z4_bundle, 1),
+    (lambda: uqsl2_bundle(2), 3), (lambda: uqsl2_bundle(3), 3)])
+def test_generating_set(maker, size):
+    b = maker()
+    gens = _generators(b)
+    assert gens == _generators(maker()) and len(gens) == size
+    if b.name.startswith("uqsl2"):
+        assert sorted(b.basis_labels[s] for s in gens) == [
+            "E0F0K1", "E0F1K0", "E1F0K0"]
+    # The left-nested products of S, formed by the regular action, span H.
+    reg, f = regular_rep(b).mats, b.field
+    span = LinearSystem(f, b.dim)
+    level = [b.unit]
+    while level:
+        fresh = []
+        for vec in level:
+            rank = span.rank()
+            span.add_row({k: c for k, c in enumerate(vec) if not c.is_zero()})
+            if span.rank() > rank:
+                fresh.append(vec)
+        level = [[sum((reg[s].data[r][k] * vec[k] for k in range(b.dim)),
+                      f.zero()) for r in range(b.dim)]
+                 for vec in fresh for s in gens]
+    assert span.rank() == b.dim
+    assert validate_bundle(b) == []
+
+
+@pytest.mark.parametrize("call", [
+    lambda b, m: validate_rep(b, m),
+    lambda b, m: hom_space(b, regular_rep(b), m),
+    lambda b, m: hom_space(b, m, regular_rep(b)),
+    lambda b, m: tensor_rep(b, m, trivial_rep(b)),
+    lambda b, m: tensor_rep(b, trivial_rep(b), m),
+    lambda b, m: dual_rep(b, m),
+], ids=["validate_rep", "hom_space to", "hom_space from", "tensor_rep left",
+        "tensor_rep right", "dual_rep"])
+@pytest.mark.parametrize("own, other", [(z2_bundle, sweedler_bundle),
+                                        (sweedler_bundle, z2_bundle)],
+                         ids=["z2 given sweedler", "sweedler given z2"])
+def test_a_module_of_another_bundle_is_refused(call, own, other):
+    with pytest.raises(StructureError, match="action matrices"):
+        call(own(), other().module("reg"))
