@@ -21,6 +21,8 @@ import os
 import tempfile
 import time
 
+from .errors import ModskeinError
+
 ENV_VAR = "MODSKEIN_CACHE_DIR"
 
 
@@ -114,11 +116,17 @@ def entries(cache_dir: str):
             yield key, os.path.join(shard_path, key)
 
 
+def _corrupt(key: str, reason: str) -> dict:
+    return {"key": key, "status": "corrupt", "reason": reason}
+
+
 def verify_all(cache_dir: str, recompute) -> list[dict]:
     """Recompute every entry from its stored input and compare payloads.
 
     `recompute(op, params, input_bytes) -> bytes`; returns a report list with
-    one record per entry.
+    one record per entry.  An entry whose metadata or input cannot be read,
+    or whose recomputation raises a ModskeinError (an unknown `op`, an input
+    that no longer parses), is reported "corrupt" and the walk goes on.
     """
     report = []
     for key, entry in entries(cache_dir):
@@ -127,17 +135,30 @@ def verify_all(cache_dir: str, recompute) -> list[dict]:
             report.append({"key": key, "status": "skipped",
                            "reason": "no payload (interrupted write)"})
             continue
-        with open(os.path.join(entry, "meta.json"), "r", encoding="utf-8") as fh:
-            meta = json.load(fh)
-        with open(os.path.join(entry, "input"), "rb") as fh:
-            input_bytes = fh.read()
+        try:
+            with open(os.path.join(entry, "meta.json"), "rb") as fh:
+                meta = json.loads(fh.read().decode("utf-8"))
+            with open(os.path.join(entry, "input"), "rb") as fh:
+                input_bytes = fh.read()
+            op, params = meta["op"], meta["params"]
+        except (OSError, ValueError, TypeError, KeyError) as exc:
+            report.append(_corrupt(key, "unreadable entry: %r" % exc))
+            continue
+        if not isinstance(op, str) or not isinstance(params, dict):
+            report.append(_corrupt(key, "op %r or params %r of wrong type"
+                                   % (op, params)))
+            continue
         if meta.get("engine_fingerprint") != engine_fingerprint():
             report.append({"key": key, "status": "skipped",
                            "reason": "engine fingerprint %s"
                            % meta.get("engine_fingerprint")})
             continue
-        fresh = recompute(meta["op"], meta["params"], input_bytes)
+        try:
+            fresh = recompute(op, params, input_bytes)
+        except ModskeinError as exc:
+            report.append(_corrupt(key, str(exc)))
+            continue
         report.append({"key": key,
-                       "op": meta["op"],
+                       "op": op,
                        "status": "ok" if fresh == payload else "MISMATCH"})
     return report

@@ -99,7 +99,11 @@ def _slf_payload(bundle: HopfBundle, params: dict) -> bytes:
 
 
 def _skalg_payload(bundle: HopfBundle, params: dict) -> bytes:
-    alg = skalg(bundle, int(params["g"]), int(params["n"]))
+    try:
+        g, n = int(params["g"]), int(params["n"])
+    except (KeyError, TypeError, ValueError) as exc:
+        raise StructureError("bad skalg params %r: %r" % (params, exc))
+    alg = skalg(bundle, g, n)
     return _canonical_payload(algebra_to_obj(alg))
 
 
@@ -330,15 +334,18 @@ def cmd_cache_verify(args) -> int:
         return CACHED_OPS[op](_bundle_from_bytes(input_bytes), params)
 
     report = cache.verify_all(args.cache_dir, recompute)
-    bad = [r for r in report if r["status"] == "MISMATCH"]
+    bad = sum(r["status"] == "MISMATCH" for r in report)
+    corrupt = sum(r["status"] == "corrupt" for r in report)
     if args.format == "text":
         for r in report:
-            print("%s %s %s" % (r["status"], r.get("op", "?"), r["key"]))
-        print("%d entries, %d mismatches" % (len(report), len(bad)))
+            print("%s %s %s%s" % (r["status"], r.get("op", "?"), r["key"],
+                                  ": " + r["reason"] if "reason" in r else ""))
+        print("%d entries, %d mismatches, %d corrupt"
+              % (len(report), bad, corrupt))
     else:
-        print(json.dumps({"entries": report, "mismatches": len(bad)},
-                         indent=1))
-    return EXIT_OK if not bad else EXIT_FAIL
+        print(json.dumps({"entries": report, "mismatches": bad,
+                          "corrupt": corrupt}, indent=1))
+    return EXIT_OK if not bad and not corrupt else EXIT_FAIL
 
 
 # ---------------------------------------------------------------------------

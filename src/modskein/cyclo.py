@@ -220,7 +220,8 @@ class CycNum:
             (k * step, c) for k, c in enumerate(self.num)), self.den)
 
     # -- arithmetic ------------------------------------------------------------
-    # A zero operand returns the other operand itself: instances are immutable.
+    # A zero operand of + and *, and a unit factor of *, return the other
+    # operand itself: instances are immutable.
 
     def __add__(self, other):
         if other.__class__ is not CycNum or other.field is not self.field:
@@ -271,6 +272,11 @@ class CycNum:
         if not any(b):
             return other
         field = self.field
+        one = field._powers[0]
+        if self.den == 1 and a == one:
+            return other
+        if other.den == 1 and b == one:
+            return self
         return _normal(field, _ivec_mul(a, b, field.degree, field._red),
                        self.den * other.den)
 

@@ -97,32 +97,51 @@ class Rep:
     rho(e_i) as (column, CycNum) pairs sorted by column.  That form is
     canonical, so equality and the hash compare (dim, rows) and equal
     modules are equal cache keys.  `Rep(dim, mats)` reads dense action
-    matrices and `Rep.from_rows` takes sparse rows as they are.  The dense
-    matrices `mats` and the sparse columns `cols` are built from the rows on
-    first access and kept; treat them as read-only.
+    matrices and `Rep.from_rows` takes sparse rows as they are.  A derived
+    module (`Rep.deferred`) knows its dim and action count at once and builds
+    its rows on first read.  The dense matrices `mats` and the sparse columns
+    `cols` are built from the rows on first access and kept; treat them as
+    read-only.
     """
 
-    __slots__ = ("dim", "rows", "field", "_mats", "_cols", "_hash")
+    __slots__ = ("dim", "n_actions", "field", "_build", "_rows", "_mats",
+                 "_cols", "_hash")
 
     def __init__(self, dim: int, mats: list[ExactMatrix]):
         for m in mats:
             if m.rows != dim or m.cols != dim:
                 raise StructureError("action matrix shape != module dimension")
-        self._set(mats[0].field if mats else None, dim,
-                  tuple(_sparse_rows(m) for m in mats))
+        rows = tuple(_sparse_rows(m) for m in mats)
+        self._set(mats[0].field if mats else None, dim, len(rows),
+                  lambda: rows)
 
     @classmethod
     def from_rows(cls, field: CycField, dim: int, rows) -> "Rep":
         """The module whose action matrices have the sparse rows `rows`:
         per basis element, a tuple of rows, each a tuple of (column, CycNum)
         pairs sorted by column, without zeros."""
+        rows = tuple(rows)
+        return cls.deferred(field, dim, len(rows), lambda: rows)
+
+    @classmethod
+    def deferred(cls, field: CycField, dim: int, n_actions: int,
+                 build) -> "Rep":
+        """The module with `n_actions` action matrices whose sparse rows
+        `build()` returns on the first read of `rows`."""
         rep = cls.__new__(cls)
-        rep._set(field, dim, tuple(rows))
+        rep._set(field, dim, n_actions, build)
         return rep
 
-    def _set(self, field, dim, rows):
-        self.field, self.dim, self.rows = field, dim, rows
-        self._mats = self._cols = self._hash = None
+    def _set(self, field, dim, n_actions, build):
+        self.field, self.dim, self.n_actions = field, dim, n_actions
+        self._build = build
+        self._rows = self._mats = self._cols = self._hash = None
+
+    @property
+    def rows(self) -> tuple:
+        if self._rows is None:
+            self._rows, self._build = tuple(self._build()), None
+        return self._rows
 
     @property
     def mats(self) -> list[ExactMatrix]:
@@ -388,9 +407,9 @@ def _basis_elem(field, i):
 def _check_rep(b: HopfBundle, rep: Rep, what: str = "module") -> None:
     """Refuse a module without one action matrix per basis element of b,
     such as a module of another bundle, with a StructureError."""
-    if len(rep.rows) != b.dim:
+    if rep.n_actions != b.dim:
         raise StructureError("%s has %d action matrices, bundle %r needs %d"
-                             % (what, len(rep.rows), b.name, b.dim))
+                             % (what, rep.n_actions, b.name, b.dim))
 
 
 def _decided_on(gens, d: int, loop):
@@ -806,25 +825,27 @@ def _action_rows(terms, m_rows, n_rows=None) -> tuple:
 
 
 def tensor_rep(b: HopfBundle, m: Rep, n: Rep) -> Rep:
-    """Action on M (x) N through the comultiplication."""
+    """Action on M (x) N through the comultiplication, built on first read."""
     _check_rep(b, m)
     _check_rep(b, n)
-    return Rep.from_rows(b.field, m.dim * n.dim,
-                         [_action_rows(delta, m.rows, n.rows)
-                          for delta in b.comult_table])
+    return Rep.deferred(b.field, m.dim * n.dim, b.dim, lambda: [
+        _action_rows(delta, m.rows, n.rows) for delta in b.comult_table])
 
 
 def dual_rep(b: HopfBundle, m: Rep) -> Rep:
-    """Left dual: rho*(e_i) = rho(S(e_i))^T."""
+    """Left dual: rho*(e_i) = rho(S(e_i))^T, built on first read."""
     _check_rep(b, m)
-    return Rep.from_rows(b.field, m.dim,
-                         [_transpose(_action_rows(s_i, m.rows), m.dim)
-                          for s_i in b.antipode_cols])
+    return Rep.deferred(b.field, m.dim, b.dim, lambda: [
+        _transpose(_action_rows(s_i, m.rows), m.dim)
+        for s_i in b.antipode_cols])
 
 
 def direct_sum_rep(b: HopfBundle, m: Rep, n: Rep) -> Rep:
-    """M (+) N, with the coordinates of N after those of M."""
-    return Rep.from_rows(b.field, m.dim + n.dim, [
+    """M (+) N, with the coordinates of N after those of M, built on first
+    read."""
+    _check_rep(b, m)
+    _check_rep(b, n)
+    return Rep.deferred(b.field, m.dim + n.dim, b.dim, lambda: [
         m_rows + tuple(tuple((c + m.dim, v) for c, v in row) for row in n_rows)
         for m_rows, n_rows in zip(m.rows, n.rows)])
 

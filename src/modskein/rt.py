@@ -26,7 +26,7 @@ from __future__ import annotations
 import json
 
 from .cyclo import (CycNum, ExactMatrix, _dense, _solve_in_basis,
-                    _sparse_product, _sparse_rows)
+                    _sparse_product, _sparse_rows, _sparse_sum)
 from .errors import InadmissibleError, StructureError, TypingError
 from .hopf import (HopfBundle, Rep, braiding, braiding_inverse, dual_rep,
                    hom_space, is_projective, tensor_rep, trivial_rep, twist,
@@ -256,7 +256,9 @@ class Diagram:
 
 
 def boundary_rep(b: HopfBundle, points) -> Rep:
-    """Tensor product of the realized boundary colors (trivial if empty)."""
+    """Tensor product of the realized boundary colors (trivial if empty).
+
+    Its action rows are built only when read, so `.dim` costs no product."""
     reps = [_realize(b, Point(*p)) for p in points]
     if not reps:
         return trivial_rep(b)
@@ -309,11 +311,18 @@ class SkeinVector:
     def evaluate(self, b: HopfBundle) -> ExactMatrix:
         if not self.terms:
             raise StructureError("empty skein vector has no boundary")
-        acc = None
-        for c, d in self.terms:
-            mat = evaluate(b, d).scale(c)
-            acc = mat if acc is None else acc + mat
-        return acc
+        terms = [(c, evaluate(b, d)) for c, d in self.terms]
+        return _combination(b.field, terms, terms[0][1].rows, terms[0][1].cols)
+
+
+def _combination(field, terms, nrows: int, ncols: int) -> ExactMatrix:
+    """The nrows x ncols matrix sum c * M over the (c, M) pairs `terms`."""
+    rows = [[] for _ in range(nrows)]
+    for (r, j), v in _sparse_sum(((r, j), c * v) for c, mat in terms
+                                 for r, row in enumerate(_sparse_rows(mat))
+                                 for j, v in row).items():
+        rows[r].append((j, v))
+    return _dense(field, rows, ncols)
 
 
 def skein_eq(b: HopfBundle, s1: SkeinVector, s2: SkeinVector) -> bool:
@@ -400,8 +409,15 @@ def diagram_from_obj(b: HopfBundle, obj: dict) -> Diagram:
                     basis = hom_space(b, boundary_rep(b, dom),
                                       boundary_rep(b, cod))
                     if "index" in gobj:
+                        index = gobj["index"]
+                        if (not isinstance(index, int)
+                                or isinstance(index, bool)
+                                or not 0 <= index < len(basis)):
+                            raise StructureError(
+                                "coupon index %r is not an int in [0, %d)"
+                                % (index, len(basis)))
                         coeffs = [b.field.zero()] * len(basis)
-                        coeffs[int(gobj["index"])] = b.field.one()
+                        coeffs[index] = b.field.one()
                     else:
                         coeffs = [CycNum.from_obj(c, b.field)
                                   for c in gobj["coeffs"]]
@@ -409,11 +425,9 @@ def diagram_from_obj(b: HopfBundle, obj: dict) -> Diagram:
                         raise StructureError(
                             "coupon has %d coefficients for a %d-dim hom space"
                             % (len(coeffs), len(basis)))
-                    mat = ExactMatrix.zeros(b.field,
-                                            basis[0].rows if basis else 1,
-                                            basis[0].cols if basis else 1)
-                    for t, c in enumerate(coeffs):
-                        mat = mat + basis[t].scale(c)
+                    mat = _combination(b.field, zip(coeffs, basis),
+                                       basis[0].rows if basis else 1,
+                                       basis[0].cols if basis else 1)
                     row.append(Generator("coupon", dom=dom, cod=cod, matrix=mat))
                 else:
                     row.append(Generator(kind, points=[Point(*p)

@@ -6,7 +6,10 @@ import subprocess
 import sys
 import time
 
+import pytest
+
 from modskein import cache
+from modskein.errors import StructureError
 
 
 def test_stale_lock_neither_delays_store_nor_hides_payload(tmp_path):
@@ -64,3 +67,43 @@ def test_engine_fingerprint_follows_the_sources(tmp_path):
     with open(pkg / "cyclo.py", "a") as fh:
         fh.write("\n")
     assert fingerprint() != before
+
+
+def _two_entries(cache_dir):
+    keys = [cache.cache_key(b"input", op, {}) for op in ("slf", "char-map")]
+    for key, op in zip(keys, ("slf", "char-map")):
+        cache.store(cache_dir, key, b"payload", op, {}, b"input")
+    return keys
+
+
+@pytest.mark.parametrize("damage", [
+    lambda meta: meta.write_bytes(b"{not json"),
+    lambda meta: meta.write_bytes(b"\xff\xfe"),
+    lambda meta: meta.write_text('["a list"]'),
+    lambda meta: meta.write_text('{"op": ["slf"], "params": {}}'),
+    lambda meta: meta.unlink(),
+], ids=["undecodable", "not utf-8", "not an object", "op not a string",
+        "missing"])
+def test_an_unreadable_entry_is_corrupt_and_the_walk_goes_on(tmp_path, damage):
+    cache_dir = str(tmp_path)
+    keys = _two_entries(cache_dir)
+    damage(tmp_path / keys[0][:2] / keys[0] / "meta.json")
+    report = {r["key"]: r for r in
+              cache.verify_all(cache_dir, lambda *a: b"payload")}
+    assert report[keys[0]]["status"] == "corrupt" and report[keys[0]]["reason"]
+    assert report[keys[1]]["status"] == "ok"
+
+
+def test_a_failing_recompute_is_corrupt_and_the_walk_goes_on(tmp_path):
+    cache_dir = str(tmp_path)
+    keys = _two_entries(cache_dir)
+
+    def recompute(op, params, input_bytes):
+        if op == "slf":
+            raise StructureError("unknown cached operation %r" % op)
+        return b"payload"
+
+    report = {r["key"]: r for r in cache.verify_all(cache_dir, recompute)}
+    assert report[keys[0]] == {"key": keys[0], "status": "corrupt",
+                               "reason": "unknown cached operation 'slf'"}
+    assert report[keys[1]]["status"] == "ok"

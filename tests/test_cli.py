@@ -295,3 +295,33 @@ def test_commands_refuse_an_invalid_bundle(work, tmp_path, make, named):
         assert ["FAIL %s" % f for f in failures] == \
             r.stderr.strip().splitlines()[1:], argv
     assert len(list(cache.entries(cache_dir))) == 1
+
+
+def test_cache_verify_reports_damaged_entries_and_fails(work, tmp_path):
+    env = {"MODSKEIN_CACHE_DIR": str(tmp_path)}
+    for argv in (("slf", work["z2"]), ("slf", work["sweedler"]),
+                 ("skalg", work["z2"], "0", "2"), ("char-map", work["z2"])):
+        r = run_cli(work, *argv, env_extra=env, use_flag=False)
+        assert r.returncode == 0
+    metas = {}
+    for path in sorted(tmp_path.glob("*/*/meta.json")):
+        metas.setdefault(json.loads(path.read_text())["op"], []).append(path)
+    assert sorted((op, len(p)) for op, p in metas.items()) == [
+        ("char-map", 1), ("skalg", 1), ("slf", 2)]
+    metas["slf"][0].write_bytes(b"{truncated")
+    for path, field, value in ((metas["slf"][1], "op", "no-such-op"),
+                               (metas["skalg"][0], "params", {"g": "x"})):
+        meta = json.loads(path.read_text())
+        meta[field] = value
+        path.write_text(json.dumps(meta))
+    text = run_cli(work, "--format", "text", "cache", "verify",
+                   env_extra=env, use_flag=False)
+    assert text.returncode == 1 and "Traceback" not in text.stderr
+    assert "4 entries, 0 mismatches, 3 corrupt" in text.stdout
+    assert "no-such-op" in text.stdout and "bad skalg params" in text.stdout
+    out = run_cli(work, "cache", "verify", env_extra=env, use_flag=False)
+    assert out.returncode == 1
+    report = json.loads(out.stdout)
+    assert report["corrupt"] == 3 and report["mismatches"] == 0
+    assert sorted(r["status"] for r in report["entries"]) == [
+        "corrupt", "corrupt", "corrupt", "ok"]

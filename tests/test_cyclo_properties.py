@@ -191,3 +191,13 @@ def test_zeta_powers(field, j, k):
     z = field.zeta()
     assert field.zeta(k) == z ** k
     assert field.zeta(j) * field.zeta(k) == field.zeta(j + k)
+
+
+@given(fields.flatmap(lambda f: st.tuples(elems(f), st.sampled_from(
+    [f.one(), f.from_rational(1), f.zeta(f.order), f.from_coeffs(
+        (1,) + (0,) * (f.degree - 1)), 1, Fraction(1)]))))
+def test_multiplying_by_one_keeps_the_normal_form(x_one):
+    x, one = x_one
+    for y in (x * one, one * x):
+        assert y == x and (y.num, y.den) == (x.num, x.den)
+        assert type(y.num) is tuple and type(y.den) is int

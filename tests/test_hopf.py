@@ -625,3 +625,68 @@ def test_generating_set(maker, size):
 def test_a_module_of_another_bundle_is_refused(call, own, other):
     with pytest.raises(StructureError, match="action matrices"):
         call(own(), other().module("reg"))
+
+
+# -- derived modules are built on the first read of their rows
+
+
+def _eager_tensor(b, m, n):
+    """M (x) N from dense Kronecker products, built at once."""
+    dim = m.dim * n.dim
+    return Rep(dim, [_dense_sum(b.field, dim, ((c, m.mats[j].kron(n.mats[k]))
+                                               for j, k, c in delta))
+                     for delta in b.comult_table])
+
+
+_FIRST_READS = {
+    "rows": lambda rep: rep.rows,
+    "cols": lambda rep: rep.cols,
+    "mats": lambda rep: rep.mats,
+    "hash": hash,
+    "==": lambda rep: rep == Rep.from_rows(rep.field, rep.dim, ()),
+}
+
+
+def _assert_same_module(lazy, eager, first):
+    assert lazy._rows is None and lazy.dim == eager.dim
+    _FIRST_READS[first](lazy)
+    assert lazy._rows is not None and lazy._build is None
+    assert lazy.rows == eager.rows and lazy.cols == eager.cols
+    assert lazy.mats == eager.mats and hash(lazy) == hash(eager)
+    assert lazy == eager and eager == lazy
+
+
+@pytest.mark.parametrize("first", sorted(_FIRST_READS))
+def test_a_lazy_product_equals_the_eager_one(z2, sweedler, z4, uqsl2_p2,
+                                             first):
+    for b in (z2, sweedler, z4, uqsl2_p2):
+        mods = [m for _, m in sorted(b.modules.items())]
+        for m in mods:
+            for n in mods:
+                _assert_same_module(tensor_rep(b, m, n),
+                                    _eager_tensor(b, m, n), first)
+
+
+def test_lazy_threefold_chains_equal_the_eager_ones(sweedler):
+    b = sweedler
+    mods = [m for _, m in sorted(b.modules.items())]
+    reads = sorted(_FIRST_READS)
+    chains = [(x, y, z) for x in mods for y in mods for z in mods]
+    for t, (x, y, z) in enumerate(chains):
+        lazy = tensor_rep(b, tensor_rep(b, x, y), z)
+        eager = _eager_tensor(b, _eager_tensor(b, x, y), z)
+        _assert_same_module(lazy, eager, reads[t % len(reads)])
+
+
+def test_a_lazy_module_of_another_bundle_is_refused_unbuilt(z2, sweedler):
+    reg = sweedler.module("reg")
+    for lazy in (tensor_rep(sweedler, reg, reg), dual_rep(sweedler, reg),
+                 direct_sum_rep(sweedler, reg, reg)):
+        assert lazy.n_actions == sweedler.dim
+        for call in (lambda: tensor_rep(z2, lazy, z2.module("reg")),
+                     lambda: tensor_rep(z2, z2.module("reg"), lazy),
+                     lambda: dual_rep(z2, lazy),
+                     lambda: direct_sum_rep(z2, lazy, z2.module("reg"))):
+            with pytest.raises(StructureError, match="action matrices"):
+                call()
+        assert lazy._rows is None

@@ -2,6 +2,8 @@
 
 import pytest
 
+from modskein import hopf
+from modskein.bundles import sweedler_bundle
 from modskein.cyclo import ExactMatrix, LinearSystem
 from modskein.errors import InadmissibleError, StructureError, TypingError
 from modskein.hopf import hom_space, tensor_rep, twist
@@ -392,3 +394,44 @@ def test_evaluate_matches_the_dense_definition(request, bundle, a, x):
     assert {g.kind for sl in full.slices for g in sl} == set(GENERATOR_KINDS)
     for d in (full, closed):
         assert evaluate(b, d) == _dense_evaluate(b, d), d
+
+
+def test_an_identity_diagram_never_builds_its_boundary_module(monkeypatch):
+    b = sweedler_bundle()
+    calls = []
+    real = hopf._action_rows
+
+    def counting(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(hopf, "_action_rows", counting)
+    reg = ("reg", "+")
+    d = Diagram([reg] * 3, [reg] * 3, [[gen("id", reg)] * 3])
+    assert evaluate(b, d) == ExactMatrix.identity(b.field, 64)
+    assert calls == []
+    # the counter sees a build when the rows are read
+    assert boundary_rep(b, d.bottom).rows and calls
+
+
+@pytest.mark.parametrize("index", [-1, 4, 1.7, True, "1", None])
+def test_a_coupon_index_outside_the_hom_space_is_refused(sweedler, index):
+    b = sweedler
+    reg = [["reg", "+"]]
+    obj = {"bottom": reg, "top": reg,
+           "slices": [[{"kind": "coupon", "dom": reg, "cod": reg,
+                        "index": index}]]}
+    with pytest.raises(StructureError, match="coupon index"):
+        diagram_from_obj(b, obj)
+
+
+def test_a_coupon_index_picks_its_basis_element(sweedler):
+    b = sweedler
+    reg = b.module("reg")
+    basis = hom_space(b, reg, reg)
+    assert len(basis) == 4
+    for index, mat in enumerate(basis):
+        obj = {"bottom": [["reg", "+"]], "top": [["reg", "+"]],
+               "slices": [[{"kind": "coupon", "dom": [["reg", "+"]],
+                            "cod": [["reg", "+"]], "index": index}]]}
+        assert evaluate(b, diagram_from_obj(b, obj)) == mat
