@@ -494,9 +494,9 @@ def _embed_uqsl2(bundle, p, field4, rw, monomials, index, R, R_inv,
                                     for row in bundle.antipode.data])
     pivotal = [emb(c) for c in bundle.pivotal]
     modules = {
-        name: Rep(rep.dim, [ExactMatrix(field4, [[emb(c) for c in row]
-                                                 for row in m.data])
-                            for m in rep.mats])
+        name: Rep.from_rows(field4, rep.dim, [
+            tuple(tuple((c, emb(v)) for c, v in row) for row in rows)
+            for rows in rep.rows])
         for name, rep in bundle.modules.items()}
     Rlist = [(index[m1], index[m2], c) for (m1, m2), c in sorted(R.items())]
     Rinvlist = [(index[m1], index[m2], c)

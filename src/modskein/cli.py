@@ -21,7 +21,7 @@ import sys
 from . import __version__, cache
 from .bundles import uqsl2_bundle
 from .coend import qchar, red_to_blue, slf_basis
-from .cyclo import CycNum, ExactMatrix
+from .cyclo import CycNum, ExactMatrix, _parse_index
 from .errors import (CapabilityError, InadmissibleError, ModskeinError,
                      StructureError, TypingError)
 from .hopf import (HopfBundle, bundle_from_obj, regular_rep, save_bundle,
@@ -68,7 +68,8 @@ def _float_str(v: CycNum) -> str:
 def _matrix_from_obj(obj: dict, field) -> ExactMatrix:
     mat = ExactMatrix.zeros(field, int(obj["rows"]), int(obj["cols"]))
     for (r, c, v) in obj["entries"]:
-        mat.data[int(r)][int(c)] = CycNum.from_obj(v, field)
+        mat.data[_parse_index(r, mat.rows)][_parse_index(c, mat.cols)] = \
+            CycNum.from_obj(v, field)
     return mat
 
 
@@ -314,7 +315,7 @@ def cmd_red_to_blue(args) -> int:
         x_rep = _resolve_module(bundle, job.get("X", "trivial"))
         k = int(job["k"])
         f = _matrix_from_obj(job["f"], bundle.field)
-    except (OSError, json.JSONDecodeError, KeyError, TypeError) as exc:
+    except (OSError, KeyError, TypeError, ValueError) as exc:
         print("error: malformed job file: %s" % exc, file=sys.stderr)
         return EXIT_USAGE
     terms = red_to_blue(bundle, f, p_rep, k, x_rep)

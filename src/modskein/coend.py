@@ -33,8 +33,8 @@ from __future__ import annotations
 import math
 from itertools import chain
 
-from .cyclo import (CycNum, ExactMatrix, LinearSystem, _dense, _sparse_rows,
-                    _sparse_sum, _transpose)
+from .cyclo import (CycNum, ExactMatrix, LinearSystem, _dense, _sorted_row,
+                    _sparse_rows, _sparse_sum, _transpose)
 from .errors import InadmissibleError, StructureError
 from .hopf import (HopfBundle, Rep, dual_rep, hom_space, projective_section,
                    regular_rep, trivial_rep)
@@ -97,25 +97,20 @@ def is_symmetric_form(b: HopfBundle, coords) -> bool:
 
 
 def coadjoint_rep(b: HopfBundle) -> Rep:
-    """L as an H-module: (h . f)(x) = f(S(h_2) x h_1)."""
+    """L as an H-module: (h . f)(x) = f(S(h_2) x h_1).
+
+    On dual coordinates, entry (x, t) of rho(e_i) is (e_i . e^t)(e_x), the
+    coefficient of e_t in sum c S(e_k) e_x e_j over the terms c e_j (x) e_k
+    of Delta(e_i); row x is that one sum, read from the comultiplication,
+    antipode and multiplication tables.
+    """
     if "coadjoint" in b._cache:
         return b._cache["coadjoint"]
-    field = b.field
-    d = b.dim
-    one = field.one()
-    mats = []
-    for i in range(d):
-        mat = ExactMatrix.zeros(field, d, d)
-        for (j, k, c) in b.comult_table[i]:
-            sk = b.elem_antipode({k: one})
-            for x in range(d):
-                t = b.elem_mult(sk, b.elem_mult({x: one}, {j: one}))
-                # (e_i . f)(e_x) = sum_bidx [coeff of e_bidx in S(e_k) e_x e_j] f(e_bidx),
-                # so on dual coordinates rho_coad(e_i)[x][bidx] is that coefficient.
-                for bidx, coeff in t.items():
-                    mat.data[x][bidx] = mat.data[x][bidx] + c * coeff
-        mats.append(mat)
-    rep = Rep(d, mats)
+    table, d = b.mult_table, b.dim
+    rep = Rep.from_rows(b.field, d, [tuple(_sorted_row(_sparse_sum(
+        (t, c * c1 * a * c2) for j, k, c in delta for y, c1 in table[x][j]
+        for s, a in b.antipode_cols[k] for t, c2 in table[s][y]))
+        for x in range(d)) for delta in b.comult_table])
     b._cache["coadjoint"] = rep
     return rep
 
@@ -125,15 +120,9 @@ def dinat(b: HopfBundle, m: Rep) -> ExactMatrix:
 
     Column (a * dim + b) is the matrix coefficient h -> rho_M(e_h)[b][a].
     """
-    field = b.field
-    out = ExactMatrix.zeros(field, b.dim, m.dim * m.dim)
-    for h in range(b.dim):
-        mat = m.mats[h]
-        row = out.data[h]
-        for a in range(m.dim):
-            for bb in range(m.dim):
-                row[a * m.dim + bb] = mat.data[bb][a]
-    return out
+    return _dense(b.field, [[(a * m.dim + bb, v) for bb, row in enumerate(rows)
+                             for a, v in row] for rows in m.rows],
+                  m.dim * m.dim)
 
 
 def slf_basis(b: HopfBundle) -> list[SLFElem]:
@@ -173,8 +162,9 @@ def qchar(b: HopfBundle, m: Rep) -> SLFElem:
     element enters the loop's evaluation twice with cancelling exponents,
     so no twist survives.  Membership in the SLF space is checked.
     """
-    coords = [m.mats[h].trace() for h in range(b.dim)]
-    return SLFElem(b, coords)
+    zero = b.field.zero()
+    return SLFElem(b, [sum((v for r, row in enumerate(rows) for c, v in row
+                            if c == r), zero) for rows in m.rows])
 
 
 def canonical_image_dim(b: HopfBundle) -> int:

@@ -404,16 +404,26 @@ def parse_rational(s) -> Fraction:
     """An int, a Fraction or a string such as "-7/3" as a Fraction.
 
     Floats (and anything else) are refused: 0.1 is not 1/10 in binary, and
-    accepting it would put a rounded value into exact arithmetic.
+    accepting it would put a rounded value into exact arithmetic.  So is a
+    zero denominator.
     """
     if isinstance(s, (int, Fraction)):
         return Fraction(s)
     if isinstance(s, str):
         try:
             return Fraction(s.strip())
-        except ValueError:
+        except (ValueError, ZeroDivisionError):
             pass
     raise CycloError("cannot parse an exact rational from %r" % (s,))
+
+
+def _parse_index(s, bound: int) -> int:
+    """An index read from a file, refused unless it lies in [0, bound): a
+    negative one would count from the end of a Python list."""
+    i = int(s)
+    if not 0 <= i < bound:
+        raise CycloError("index %r is not in [0, %d)" % (s, bound))
+    return i
 
 
 # ---------------------------------------------------------------------------
@@ -495,9 +505,6 @@ class ExactMatrix:
     def __setitem__(self, idx, value):
         i, j = idx
         self.data[i][j] = value
-
-    def row(self, i) -> list:
-        return list(self.data[i])
 
     def col(self, j) -> list:
         return [self.data[i][j] for i in range(self.rows)]

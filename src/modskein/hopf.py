@@ -59,8 +59,8 @@ from functools import cached_property
 from itertools import chain, islice
 
 from .cyclo import (CycField, CycNum, ExactMatrix, LinearSystem, _dense,
-                    _sorted_row, _sparse_product, _sparse_rows, _sparse_sum,
-                    _transpose)
+                    _parse_index, _sorted_row, _sparse_product, _sparse_rows,
+                    _sparse_sum, _transpose)
 from .errors import CapabilityError, StructureError
 
 __all__ = [
@@ -101,7 +101,8 @@ class Rep:
     module (`Rep.deferred`) knows its dim and action count at once and builds
     its rows on first read.  The dense matrices `mats` and the sparse columns
     `cols` are built from the rows on first access and kept; treat them as
-    read-only.
+    read-only.  `mats` is a view for callers outside the engine, which
+    itself reads only `rows` and `cols`.
     """
 
     __slots__ = ("dim", "n_actions", "field", "_build", "_rows", "_mats",
@@ -326,7 +327,7 @@ class HopfBundle:
         return inv
 
     def left_mult_matrix(self, x: dict) -> ExactMatrix:
-        """The matrix of y -> x y on H; `regular_rep` is built from it."""
+        """The matrix of y -> x y on H, the action of x on `regular_rep`."""
         out = ExactMatrix.zeros(self.field, self.dim, self.dim)
         for j in range(self.dim):
             for i, a in x.items():
@@ -785,16 +786,18 @@ def validate_bundle(b: HopfBundle, threads: int = 1) -> list[str]:
 
 def trivial_rep(b: HopfBundle) -> Rep:
     """The tensor unit: H acts through the counit."""
-    mats = [ExactMatrix.from_rows(b.field, [[b.counit[i]]]) for i in range(b.dim)]
-    return Rep(1, mats)
+    return Rep.from_rows(b.field, 1, [(() if c.is_zero() else ((0, c),),)
+                                      for c in b.counit])
 
 
 def regular_rep(b: HopfBundle) -> Rep:
-    """H acting on itself by left multiplication."""
+    """H acting on itself by left multiplication: column j of rho(e_i) is
+    e_i e_j, read from the multiplication table."""
     if "regular" not in b._cache:
-        one = b.field.one()
-        b._cache["regular"] = Rep(b.dim, [b.left_mult_matrix({i: one})
-                                          for i in range(b.dim)])
+        table, d = b.mult_table, b.dim
+        b._cache["regular"] = Rep.from_rows(b.field, d, [
+            _transpose([_sparse_sum(table[i][j]).items() for j in range(d)], d)
+            for i in range(d)])
     return b._cache["regular"]
 
 
@@ -1075,10 +1078,15 @@ def bundle_from_obj(obj: dict) -> HopfBundle:
         modules = {}
         for name, mobj in obj.get("modules", {}).items():
             mdim = int(mobj["dim"])
-            mats = [ExactMatrix.zeros(field, mdim, mdim) for _ in range(dim)]
+            if mdim < 0:
+                raise StructureError("module %r has dim %d" % (name, mdim))
+            rows = [[{} for _ in range(mdim)] for _ in range(dim)]
             for (i, r, c, coeff) in mobj["action"]:
-                mats[int(i)].data[int(r)][int(c)] = CycNum.from_obj(coeff, field)
-            modules[name] = Rep(mdim, mats)
+                rows[_parse_index(i, dim)][_parse_index(r, mdim)][
+                    _parse_index(c, mdim)] = CycNum.from_obj(coeff, field)
+            modules[name] = Rep.from_rows(field, mdim, [
+                tuple(_sorted_row(_sparse_sum(row.items())) for row in mat)
+                for mat in rows])
         return HopfBundle(
             name=obj.get("name", "bundle"), field=field, dim=dim, unit=unit,
             mult=mult, comult=comult, counit=counit, antipode=antipode,
@@ -1086,7 +1094,7 @@ def bundle_from_obj(obj: dict) -> HopfBundle:
             simples=obj.get("simples", []),
             basis_labels=obj.get("basis_labels"),
             metadata=obj.get("metadata"))
-    except (KeyError, TypeError, IndexError) as exc:
+    except (LookupError, TypeError, ValueError, AttributeError) as exc:
         raise StructureError("malformed bundle object: %s" % exc) from exc
 
 

@@ -26,11 +26,11 @@ from __future__ import annotations
 import json
 
 from .cyclo import (CycNum, ExactMatrix, _dense, _solve_in_basis,
-                    _sparse_product, _sparse_rows, _sparse_sum)
+                    _sparse_product, _sparse_rows, _sparse_sum, _transpose)
 from .errors import InadmissibleError, StructureError, TypingError
-from .hopf import (HopfBundle, Rep, braiding, braiding_inverse, dual_rep,
-                   hom_space, is_projective, tensor_rep, trivial_rep, twist,
-                   twist_inverse)
+from .hopf import (HopfBundle, Rep, _action_rows, braiding, braiding_inverse,
+                   dual_rep, hom_space, is_projective, tensor_rep, trivial_rep,
+                   twist, twist_inverse)
 
 __all__ = [
     "Point",
@@ -139,57 +139,35 @@ class Generator:
         return "%s%s" % (self.kind, list(self.points))
 
 
-def _pairing_ev(b: HopfBundle, m: Rep) -> ExactMatrix:
-    field = b.field
-    out = ExactMatrix.zeros(field, 1, m.dim * m.dim)
-    one = field.one()
-    for a in range(m.dim):
-        out.data[0][a * m.dim + a] = one
-    return out
+# The duality pairings of the module docstring: kind -> (written as a row,
+# the bundle's element A acts by, or None for the identity).
+_PAIRINGS = {"ev": (True, None), "coev": (False, None),
+             "ev_piv": (True, HopfBundle.pivotal_elem),
+             "coev_piv": (False, HopfBundle.pivotal_inverse)}
 
 
-def _pairing_coev(b: HopfBundle, m: Rep) -> ExactMatrix:
-    field = b.field
-    out = ExactMatrix.zeros(field, m.dim * m.dim, 1)
-    one = field.one()
-    for a in range(m.dim):
-        out.data[a * m.dim + a][0] = one
-    return out
-
-
-def _pairing_ev_piv(b: HopfBundle, m: Rep) -> ExactMatrix:
-    field = b.field
-    g = m.act(b.pivotal_elem(), field)
-    out = ExactMatrix.zeros(field, 1, m.dim * m.dim)
-    for a in range(m.dim):
-        for c in range(m.dim):
-            out.data[0][c * m.dim + a] = g.data[a][c]
-    return out
-
-
-def _pairing_coev_piv(b: HopfBundle, m: Rep) -> ExactMatrix:
-    field = b.field
-    ginv = m.act(b.pivotal_inverse(), field)
-    out = ExactMatrix.zeros(field, m.dim * m.dim, 1)
-    for a in range(m.dim):
-        for c in range(m.dim):
-            out.data[a * m.dim + c][0] = ginv.data[c][a]
-    return out
+def _pairing(b: HopfBundle, m: Rep, as_row: bool, elem) -> ExactMatrix:
+    """The pairing whose entry c * dim + a is A[a][c], for A = rho_M(elem(b))
+    or the identity, as one row (an evaluation) or one column."""
+    if elem is None:
+        a_rows = [((a, b.field.one()),) for a in range(m.dim)]
+    else:
+        a_rows = _action_rows(elem(b).items(), m.rows)
+    entries = [(c * m.dim + a, v) for a, row in enumerate(a_rows)
+               for c, v in row]
+    size = m.dim * m.dim
+    if as_row:
+        return _dense(b.field, [entries], size)
+    return _dense(b.field, _transpose([entries], size), 1)
 
 
 def _generator_matrix(b: HopfBundle, gen: Generator) -> ExactMatrix:
     k = gen.kind
-    field = b.field
     if k == "id":
-        return ExactMatrix.identity(field, _realize(b, gen.points[0]).dim)
-    if k == "ev":
-        return _pairing_ev(b, _realize(b, Point(gen.points[0][0], "+")))
-    if k == "coev":
-        return _pairing_coev(b, _realize(b, Point(gen.points[0][0], "+")))
-    if k == "ev_piv":
-        return _pairing_ev_piv(b, _realize(b, Point(gen.points[0][0], "+")))
-    if k == "coev_piv":
-        return _pairing_coev_piv(b, _realize(b, Point(gen.points[0][0], "+")))
+        return ExactMatrix.identity(b.field, _realize(b, gen.points[0]).dim)
+    if k in _PAIRINGS:
+        return _pairing(b, _realize(b, Point(gen.points[0][0], "+")),
+                        *_PAIRINGS[k])
     if k == "braid":
         return braiding(b, _realize(b, gen.points[0]), _realize(b, gen.points[1]))
     if k == "braid_inv":
@@ -246,8 +224,10 @@ class Diagram:
         if mat.rows != cod_rep.dim or mat.cols != dom_rep.dim:
             raise TypingError(idx, "coupon matrix is %dx%d, expected %dx%d"
                               % (mat.rows, mat.cols, cod_rep.dim, dom_rep.dim))
-        for i in range(b.dim):
-            if cod_rep.mats[i] * mat != mat * dom_rep.mats[i]:
+        mat_rows = _sparse_rows(mat)
+        for cod_rows, dom_rows in zip(cod_rep.rows, dom_rep.rows):
+            if _sparse_product(cod_rows, mat_rows) != \
+                    _sparse_product(mat_rows, dom_rows):
                 raise TypingError(idx, "coupon color is not an intertwiner")
 
     def __repr__(self):

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from itertools import product
 
-from .cyclo import CycNum, ExactMatrix, _solve_in_basis, _sparse_sum
+from .cyclo import CycNum, ExactMatrix, _dense, _solve_in_basis, _sparse_sum
 from .errors import StructureError
 from .hopf import HopfBundle, Rep, braiding, hom_space, tensor_rep, trivial_rep
 from .coend import coadjoint_rep, qchar
@@ -48,30 +48,29 @@ def coend_mult(b: HopfBundle) -> ExactMatrix:
             e^i(S(alpha) h_1) e^j(S(beta_2) h_2 beta_1)
 
     which is the section-free unwinding of the defining composite above.
+    With R = alpha (x) beta and the coadjoint action
+    (beta . f)(x) = f(S(beta_2) x beta_1) it reads
+
+        (e^i * e^j)(h) = sum_R sum_(h) e^i(S(alpha) h_1) (beta . e^j)(h_2),
+
+    so row h pairs the coefficients of S(alpha) h_1 with row h_2 of the
+    action of beta in `coadjoint_rep`, which keeps the coadjoint formula in
+    one place.
     """
     b.require_r()
     if "coend_mult" in b._cache:
         return b._cache["coend_mult"]
-    field = b.field
-    d = b.dim
-    one = field.one()
-    out = ExactMatrix.zeros(field, d, d * d)
-    s_table = [b.elem_antipode({a: one}) for a in range(d)]
-    for h in range(d):
-        row = out.data[h]
-        for (alpha, beta, c_r) in b.r_sparse():
-            s_alpha = s_table[alpha]
-            for (b1, b2, c_b) in b.comult_table[beta]:
-                s_b2 = s_table[b2]
-                for (h1, h2, c_h) in b.comult_table[h]:
-                    coeff = c_r * c_b * c_h
-                    u = b.elem_mult(s_alpha, {h1: one})
-                    w = b.elem_mult(s_b2, b.elem_mult({h2: one}, {b1: one}))
-                    for iu, cu in u.items():
-                        cu_c = coeff * cu
-                        for jw, cw in w.items():
-                            col = iu * d + jw
-                            row[col] = row[col] + cu_c * cw
+    d, one = b.dim, b.field.one()
+    coad = coadjoint_rep(b).rows
+    r_terms = b.r_sparse()
+    s_alpha_h = {alpha: [b.elem_mult(b.elem_antipode({alpha: one}), {h: one})
+                         for h in range(d)]
+                 for alpha in {alpha for alpha, _, _ in r_terms}}
+    out = _dense(b.field, [_sparse_sum(
+        (i * d + j, c_r * c_h * u * w) for alpha, beta, c_r in r_terms
+        for h1, h2, c_h in b.comult_table[h]
+        for i, u in s_alpha_h[alpha][h1].items()
+        for j, w in coad[beta][h2]).items() for h in range(d)], d * d)
     b._cache["coend_mult"] = out
     return out
 

@@ -226,6 +226,68 @@ def test_red_to_blue_cli_negative_k_is_a_usage_error(work):
     assert "Traceback" not in r.stderr
 
 
+def _intertwiner_job(wrap):
+    """A red-to-blue job on sweedler whose f is a regular -> coadjoint
+    intertwiner; with `wrap`, each entry's row and column are written
+    4 lower, which names the same entry if negative indices wrap."""
+    from modskein.coend import coadjoint_rep
+    from modskein.hopf import hom_space, regular_rep
+    b = sweedler_bundle()
+    f = hom_space(b, regular_rep(b), coadjoint_rep(b))[0]
+    shift = 4 if wrap else 0
+    return {"P": "regular", "k": 1, "X": "trivial",
+            "f": {"rows": 4, "cols": 4,
+                  "entries": [[r - shift, c - shift, f.data[r][c].to_obj()]
+                              for r in range(4) for c in range(4)
+                              if not f.data[r][c].is_zero()]}}
+
+
+def _bad_bundle(edit):
+    obj = bundle_to_obj(sweedler_bundle())
+    edit(obj)
+    return obj
+
+
+def _bad_job(edit):
+    job = _intertwiner_job(False)
+    edit(job)
+    return job
+
+
+# Malformed inputs: (command, the file's content).  Each must end in a named
+# error with exit 2, not in a traceback or in a silent wrong read.
+MALFORMED = {
+    "negative action index": ("validate", lambda: _bad_bundle(
+        lambda o: o["modules"]["triv"]["action"].append([-1, 0, 0, "5"]))),
+    "mult index not an int": ("validate", lambda: _bad_bundle(
+        lambda o: o["mult"][0].__setitem__(0, "a"))),
+    "float coefficient": ("validate", lambda: _bad_bundle(
+        lambda o: o["mult"][0].__setitem__(3, 0.5))),
+    "zero denominator": ("validate", lambda: _bad_bundle(
+        lambda o: o["mult"][0].__setitem__(3, "1/0"))),
+    "cyclotomic order 0": ("validate", lambda: _bad_bundle(
+        lambda o: o.__setitem__("cyclotomic_order", 0))),
+    "negative f index": ("red-to-blue", lambda: _intertwiner_job(True)),
+    "f index not an int": ("red-to-blue", lambda: _bad_job(
+        lambda j: j["f"]["entries"][0].__setitem__(0, "a"))),
+    "f zero denominator": ("red-to-blue", lambda: _bad_job(
+        lambda j: j["f"]["entries"][0].__setitem__(2, "1/0"))),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED))
+def test_malformed_input_is_a_usage_error(work, case):
+    command, content = MALFORMED[case]
+    path = work["root"] / ("malformed_%s.json" % case.replace(" ", "_"))
+    path.write_text(json.dumps(content()))
+    argv = ((command, str(path)) if command == "validate"
+            else (command, work["sweedler"], str(path)))
+    r = run_cli(work, *argv)
+    assert r.returncode == 2, (r.stdout, r.stderr)
+    assert r.stderr.startswith("error: ")
+    assert "Traceback" not in r.stderr
+
+
 def test_cache_verify_command(work):
     run_cli(work, "skalg", work["z2"], "0", "2")
     r = run_cli(work, "--format", "text", "cache", "verify")

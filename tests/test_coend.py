@@ -8,15 +8,51 @@ from modskein.coend import (SLFElem, apply_factored_action,
                             canonical_image_dim, coadjoint_rep, dinat,
                             is_symmetric_form, iterated_comult, qchar,
                             recompose, red_to_blue, slf_basis)
-from modskein.cyclo import ExactMatrix
+from modskein.bundles import (sweedler_bundle, trivial_bundle, uqsl2_bundle,
+                              z2_bundle, z4_bundle)
+from modskein.cyclo import ExactMatrix, _sparse_rows
 from modskein.errors import InadmissibleError, StructureError
 from modskein.hopf import (direct_sum_rep, dual_rep, hom_space, regular_rep,
                            tensor_rep, trivial_rep, validate_rep)
 
 
+# Fresh bundles by name, so that no cached coadjoint action is compared.
+BUNDLES = {"z2": z2_bundle, "z4": z4_bundle, "trivial": trivial_bundle,
+           "sweedler_0": lambda: sweedler_bundle(0),
+           "sweedler_1": lambda: sweedler_bundle(1),
+           "sweedler_2": lambda: sweedler_bundle(2),
+           "uqsl2_p2": lambda: uqsl2_bundle(2)}
+
+
 def test_coadjoint_is_a_module(z2, sweedler, z4, trivial):
     for b in (z2, sweedler, z4, trivial):
         assert validate_rep(b, coadjoint_rep(b)) == []
+
+
+def _dense_coadjoint(b):
+    """The coadjoint action matrices by a dense loop over S(e_k) e_x e_j:
+    the oracle for the sparse rows of `coadjoint_rep`."""
+    field, d = b.field, b.dim
+    one = field.one()
+    mats = []
+    for i in range(d):
+        mat = ExactMatrix.zeros(field, d, d)
+        for (j, k, c) in b.comult_table[i]:
+            sk = b.elem_antipode({k: one})
+            for x in range(d):
+                t = b.elem_mult(sk, b.elem_mult({x: one}, {j: one}))
+                for bidx, coeff in t.items():
+                    mat.data[x][bidx] = mat.data[x][bidx] + c * coeff
+        mats.append(mat)
+    return mats
+
+
+@pytest.mark.parametrize("name", ["z2", "sweedler_0", "sweedler_1",
+                                  "sweedler_2", "z4", "trivial", "uqsl2_p2"])
+def test_coadjoint_rows_match_the_dense_loop(name):
+    b = BUNDLES[name]()
+    rep = coadjoint_rep(b)
+    assert rep.rows == tuple(_sparse_rows(m) for m in _dense_coadjoint(b))
 
 
 def test_coadjoint_trivial_for_commutative_cocommutative(z2, z4):

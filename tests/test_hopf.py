@@ -7,6 +7,8 @@ import pytest
 
 from modskein.bundles import (sweedler_bundle, trivial_bundle, uqsl2_bundle,
                               z2_bundle, z4_bundle)
+from modskein.coend import (canonical_image_dim, coadjoint_rep, qchar,
+                            recompose, red_to_blue, slf_basis)
 from modskein.cyclo import ExactMatrix, LinearSystem
 from modskein.errors import CapabilityError, StructureError
 from modskein.hopf import (AXIOMS, AxiomContext, Rep, _generators, braiding,
@@ -14,6 +16,8 @@ from modskein.hopf import (AXIOMS, AxiomContext, Rep, _generators, braiding,
                            direct_sum_rep, dual_rep, flip_matrix, hom_space,
                            is_projective, regular_rep, tensor_rep, trivial_rep,
                            twist, twist_inverse, validate_bundle, validate_rep)
+from modskein.rt import diagram_from_obj, evaluate
+from modskein.surface import char_map, skalg, skalg_dimension
 from test_acceptance import _perturb_once
 
 
@@ -331,6 +335,24 @@ def test_structure_errors():
     obj2["mult"].append([0, 0, 99, "1"])
     with pytest.raises(StructureError):
         bundle_from_obj(obj2)
+    # a negative index would count from the end of the action list
+    for entry in ([-1, 0, 0, "5"], [0, 0, -1, "5"], [4, 0, 0, "5"],
+                  [0, 1, 0, "5"]):
+        obj3 = bundle_to_obj(b)
+        obj3["modules"]["triv"]["action"].append(entry)
+        with pytest.raises(StructureError, match="index"):
+            bundle_from_obj(obj3)
+    for edit in (lambda o: o["mult"][0].__setitem__(0, "a"),
+                 lambda o: o["mult"][0].__setitem__(3, 0.5),
+                 lambda o: o["mult"][0].__setitem__(3, "1/0"),
+                 lambda o: o["antipode"][0].__setitem__(0, "1/0"),
+                 lambda o: o.__setitem__("cyclotomic_order", 0),
+                 lambda o: o.__setitem__("modules", []),
+                 lambda o: o["modules"]["triv"].__setitem__("dim", -1)):
+        obj4 = bundle_to_obj(b)
+        edit(obj4)
+        with pytest.raises(StructureError):
+            bundle_from_obj(obj4)
 
 
 def test_degenerate_trivial_bundle(trivial):
@@ -690,3 +712,34 @@ def test_a_lazy_module_of_another_bundle_is_refused_unbuilt(z2, sweedler):
             with pytest.raises(StructureError, match="action matrices"):
                 call()
         assert lazy._rows is None
+
+
+def test_the_engine_reads_no_dense_action_matrix(monkeypatch):
+    # `Rep.mats` is a view for callers outside the engine: every engine path
+    # below reads sparse rows, so it runs with the dense view refused.
+    def refuse(self):
+        raise AssertionError("the engine read Rep.mats")
+
+    monkeypatch.setattr(Rep, "mats", property(refuse))
+    b = sweedler_bundle()
+    assert len(slf_basis(b)) == 2
+    assert [qchar(b, b.module(name)).coords[0].to_obj()
+            for name in sorted(b.modules)] == ["2", "2", "4", "1", "1"]
+    assert canonical_image_dim(b) == 2
+    alg = skalg(b, 0, 2)
+    assert alg.dim == 2 and char_map(b, alg)["rank"] == 2
+    assert skalg_dimension(b, 0, 3) == 5
+    reg = [["reg", "+"]]
+    coupon = {"bottom": reg, "top": reg,
+              "slices": [[{"kind": "coupon", "dom": reg, "cod": reg,
+                           "index": 1}]]}
+    assert evaluate(b, diagram_from_obj(b, coupon)) == \
+        hom_space(b, regular_rep(b), regular_rep(b))[1]
+    triv = trivial_rep(b)
+    f = hom_space(b, regular_rep(b),
+                  tensor_rep(b, coadjoint_rep(b), triv))[0]
+    assert recompose(b, red_to_blue(b, f, regular_rep(b), 1, triv), 1,
+                     triv) == f
+    assert uqsl2_bundle(2, with_r=True).dim == 16
+    obj = bundle_to_obj(b)
+    assert bundle_to_obj(bundle_from_obj(obj)) == obj

@@ -11,6 +11,7 @@ from modskein.surface import (AlgebraPresentation, algebra_from_obj,
                               algebra_to_obj, char_map, coend_mult, skalg,
                               skalg_dimension, _apply_mu, _power_mult,
                               _power_rep)
+from test_coend import BUNDLES
 
 
 def sparse(vec):
@@ -77,6 +78,37 @@ def test_coend_mult_dinatural_characterization(z2, sweedler, z4):
                                 perm.data[dst][src] = one
                 rhs = dinat(b, mn) * perm * mid
                 assert lhs == rhs, (b.name, n1, n2)
+
+
+def _dense_coend_mult(b):
+    """mu by a dense loop over R, Delta(beta) and Delta(h) that forms
+    S(beta_2) h_2 beta_1 itself: the oracle for `coend_mult`, which reads
+    that product from the coadjoint rows."""
+    field, d = b.field, b.dim
+    one = field.one()
+    out = ExactMatrix.zeros(field, d, d * d)
+    s_table = [b.elem_antipode({a: one}) for a in range(d)]
+    for h in range(d):
+        row = out.data[h]
+        for (alpha, beta, c_r) in b.r_sparse():
+            for (b1, b2, c_b) in b.comult_table[beta]:
+                for (h1, h2, c_h) in b.comult_table[h]:
+                    coeff = c_r * c_b * c_h
+                    u = b.elem_mult(s_table[alpha], {h1: one})
+                    w = b.elem_mult(s_table[b2],
+                                    b.elem_mult({h2: one}, {b1: one}))
+                    for iu, cu in u.items():
+                        for jw, cw in w.items():
+                            col = iu * d + jw
+                            row[col] = row[col] + coeff * cu * cw
+    return out
+
+
+@pytest.mark.parametrize("name", ["z2", "sweedler_0", "sweedler_1",
+                                  "sweedler_2", "z4", "trivial"])
+def test_coend_mult_matches_the_dense_loop(name):
+    b = BUNDLES[name]()
+    assert coend_mult(b) == _dense_coend_mult(b)
 
 
 def _dense_power_mult(b, m):
