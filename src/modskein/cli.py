@@ -66,7 +66,8 @@ def _float_str(v: CycNum) -> str:
 
 
 def _matrix_from_obj(obj: dict, field) -> ExactMatrix:
-    mat = ExactMatrix.zeros(field, int(obj["rows"]), int(obj["cols"]))
+    mat = ExactMatrix.zeros(field, _parse_index(obj["rows"]),
+                            _parse_index(obj["cols"]))
     for (r, c, v) in obj["entries"]:
         mat.data[_parse_index(r, mat.rows)][_parse_index(c, mat.cols)] = \
             CycNum.from_obj(v, field)
@@ -313,7 +314,9 @@ def cmd_red_to_blue(args) -> int:
             job = json.load(fh)
         p_rep = _resolve_module(bundle, job["P"])
         x_rep = _resolve_module(bundle, job.get("X", "trivial"))
-        k = int(job["k"])
+        k = job["k"]
+        if not isinstance(k, int) or isinstance(k, bool):
+            raise TypeError("k %r is not an int" % (k,))
         f = _matrix_from_obj(job["f"], bundle.field)
     except (OSError, KeyError, TypeError, ValueError) as exc:
         print("error: malformed job file: %s" % exc, file=sys.stderr)

@@ -36,8 +36,8 @@ from itertools import chain
 from .cyclo import (CycNum, ExactMatrix, LinearSystem, _dense, _sorted_row,
                     _sparse_rows, _sparse_sum, _transpose)
 from .errors import InadmissibleError, StructureError
-from .hopf import (HopfBundle, Rep, dual_rep, hom_space, projective_section,
-                   regular_rep, trivial_rep)
+from .hopf import (HopfBundle, Rep, _check_rep, _memo, dual_rep, hom_space,
+                   projective_section, regular_rep, trivial_rep)
 
 __all__ = [
     "SLFElem",
@@ -104,15 +104,12 @@ def coadjoint_rep(b: HopfBundle) -> Rep:
     of Delta(e_i); row x is that one sum, read from the comultiplication,
     antipode and multiplication tables.
     """
-    if "coadjoint" in b._cache:
-        return b._cache["coadjoint"]
     table, d = b.mult_table, b.dim
-    rep = Rep.from_rows(b.field, d, [tuple(_sorted_row(_sparse_sum(
-        (t, c * c1 * a * c2) for j, k, c in delta for y, c1 in table[x][j]
-        for s, a in b.antipode_cols[k] for t, c2 in table[s][y]))
-        for x in range(d)) for delta in b.comult_table])
-    b._cache["coadjoint"] = rep
-    return rep
+    return _memo(b, ("coadjoint",), lambda: Rep.from_rows(b.field, d, [
+        tuple(_sorted_row(_sparse_sum(
+            (t, c * c1 * a * c2) for j, k, c in delta for y, c1 in table[x][j]
+            for s, a in b.antipode_cols[k] for t, c2 in table[s][y]))
+            for x in range(d)) for delta in b.comult_table]))
 
 
 def dinat(b: HopfBundle, m: Rep) -> ExactMatrix:
@@ -120,6 +117,7 @@ def dinat(b: HopfBundle, m: Rep) -> ExactMatrix:
 
     Column (a * dim + b) is the matrix coefficient h -> rho_M(e_h)[b][a].
     """
+    _check_rep(b, m)
     return _dense(b.field, [[(a * m.dim + bb, v) for bb, row in enumerate(rows)
                              for a, v in row] for rows in m.rows],
                   m.dim * m.dim)
@@ -185,18 +183,11 @@ def iterated_comult(b: HopfBundle, i: int, m: int) -> list[tuple[tuple, CycNum]]
     """Delta^{(m)}(e_i) as a sparse list of (index tuple of length m, coeff)."""
     if m < 1:
         raise StructureError("need at least one tensor factor")
-    key = ("itcom", m)
-    cache = b._cache.setdefault(key, {})
-    if i in cache:
-        return cache[i]
     if m == 1:
-        out = [((i,), b.field.one())]
-    else:
-        out = list(_sparse_sum(
-            ((j,) + tail, c * c2) for (j, k, c) in b.comult_table[i]
-            for tail, c2 in iterated_comult(b, k, m - 1)).items())
-    cache[i] = out
-    return out
+        return [((i,), b.field.one())]
+    return _memo(b, ("itcom", i, m), lambda: list(_sparse_sum(
+        ((j,) + tail, c * c2) for (j, k, c) in b.comult_table[i]
+        for tail, c2 in iterated_comult(b, k, m - 1)).items()))
 
 
 def apply_factored_action(b: HopfBundle, factors: list[Rep], i: int,
@@ -295,7 +286,8 @@ def red_to_blue(b: HopfBundle, f: ExactMatrix, p_rep: Rep, k: int,
         return [(field.one(), f)]
 
     reg = regular_rep(b)
-    lift_factors = [reg, dual_rep(b, reg)] * k + [x_rep]
+    reg_dual = _memo(b, ("dual", reg), lambda: dual_rep(b, reg))
+    lift_factors = [reg, reg_dual] * k + [x_rep]
     lift_dim = d ** (2 * k) * x_rep.dim
 
     # linear (non-H-linear) section of the dinatural map: phi -> 1 (x) phi,

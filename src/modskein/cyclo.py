@@ -368,7 +368,7 @@ class CycNum:
     @staticmethod
     def from_obj(obj, field: CycField) -> "CycNum":
         if isinstance(obj, dict):
-            order = int(obj["order"])
+            order = _parse_index(obj["order"])
             num = CycField(order).from_coeffs(obj["coeffs"])
             if order != field.order:
                 num = num.embed(field.order)
@@ -417,13 +417,13 @@ def parse_rational(s) -> Fraction:
     raise CycloError("cannot parse an exact rational from %r" % (s,))
 
 
-def _parse_index(s, bound: int) -> int:
-    """An index read from a file, refused unless it lies in [0, bound): a
-    negative one would count from the end of a Python list."""
-    i = int(s)
-    if not 0 <= i < bound:
-        raise CycloError("index %r is not in [0, %d)" % (s, bound))
-    return i
+def _parse_index(s, bound: float = float("inf")) -> int:
+    """An index or size read from a file, refused unless it is an int, not a
+    bool, in [0, bound): int() would truncate a float or a bool, and a
+    negative index would count from the end of a Python list."""
+    if not isinstance(s, int) or isinstance(s, bool) or not 0 <= s < bound:
+        raise CycloError("index %r is not an int in [0, %s)" % (s, bound))
+    return s
 
 
 # ---------------------------------------------------------------------------

@@ -55,7 +55,7 @@ the nonzero entries of the factors and returns sparse rows again.
 from __future__ import annotations
 
 import json
-from functools import cached_property
+from functools import cached_property, partial
 from itertools import chain, islice
 
 from .cyclo import (CycField, CycNum, ExactMatrix, LinearSystem, _dense,
@@ -175,6 +175,25 @@ class Rep:
 
     def __repr__(self):
         return "Rep(dim=%d)" % self.dim
+
+
+def _memo(b: HopfBundle, key: tuple, build):
+    """The value of `build()` for `key`, built once per bundle.
+
+    Everything the engine derives from a bundle and keeps is kept here, in
+    `b._cache`, and nowhere else.  A key names content: a tag, then ints and
+    modules (a `Rep` hashes and compares by its rows), never a module name
+    or an id().  A stored ExactMatrix, list or dict is handed out as a copy,
+    the dicts inside a stored dict too, so nothing a caller does to a result
+    can change what a later call returns.
+    """
+    if key not in b._cache:
+        b._cache[key] = build()
+    value = b._cache[key]
+    if isinstance(value, dict):
+        return {k: v.copy() if isinstance(v, dict) else v
+                for k, v in value.items()}
+    return value.copy() if isinstance(value, (ExactMatrix, list)) else value
 
 
 class HopfBundle:
@@ -355,10 +374,10 @@ class HopfBundle:
     def drinfeld_u(self) -> dict:
         """u = sum S(R2) R1, satisfying S^2(x) = u x u^{-1}."""
         one = self.field.one()
-        return _sparse_sum(
+        return _memo(self, ("drinfeld_u",), lambda: _sparse_sum(
             (k, c * v) for (i, j, c) in self.r_sparse()
             for k, v in self.elem_mult(self.elem_antipode({j: one}),
-                                       {i: one}).items())
+                                       {i: one}).items()))
 
     def ribbon_elem(self) -> dict:
         self.require_ribbon()
@@ -366,23 +385,22 @@ class HopfBundle:
 
     def ribbon_inverse(self) -> dict:
         self.require_ribbon()
-        if "ribbon_inv" not in self._cache:
-            inv = self.elem_inverse(self.ribbon_elem())
-            if inv is None:
-                raise StructureError("ribbon element is not invertible")
-            self._cache["ribbon_inv"] = inv
-        return self._cache["ribbon_inv"]
+        return self._inverse("ribbon")
 
     def pivotal_elem(self) -> dict:
         return self.elem(self.pivotal)
 
     def pivotal_inverse(self) -> dict:
-        if "pivotal_inv" not in self._cache:
-            inv = self.elem_inverse(self.pivotal_elem())
-            if inv is None:
-                raise StructureError("pivotal element is not invertible")
-            self._cache["pivotal_inv"] = inv
-        return self._cache["pivotal_inv"]
+        return self._inverse("pivotal")
+
+    def _inverse(self, which: str, check: bool = True) -> dict | None:
+        """The inverse of the "ribbon" or "pivotal" element; when it has
+        none, a StructureError, or None without `check`."""
+        elem = self.ribbon_elem if which == "ribbon" else self.pivotal_elem
+        inv = _memo(self, (which + "_inv",), lambda: self.elem_inverse(elem()))
+        if inv is None and check:
+            raise StructureError("%s element is not invertible" % which)
+        return inv
 
     def module(self, name: str) -> Rep:
         if name not in self.modules:
@@ -488,7 +506,7 @@ class AxiomContext:
 
     @cached_property
     def ginv(self) -> dict | None:
-        return self.b.elem_inverse(self.b.pivotal_elem())
+        return self.b._inverse("pivotal", check=False)
 
 
 def _generators(b: HopfBundle,
@@ -500,12 +518,10 @@ def _generators(b: HopfBundle,
     left multiplication by S, so at the end the nested products span H.
     Membership is a rank test in one `LinearSystem`.  S is returned only if 1
     is a two-sided unit and (x s) z = x (s z) holds for every s in S and all
-    basis x, z, so that H is associative by lemma (i); otherwise None.  The
-    result is kept in `b._cache`, as `regular_rep` is.
+    basis x, z, so that H is associative by lemma (i); otherwise None.
     """
-    if "generators" not in b._cache:
-        b._cache["generators"] = _find_generators(ctx or AxiomContext(b))
-    return b._cache["generators"]
+    return _memo(b, ("generators",),
+                 lambda: _find_generators(ctx or AxiomContext(b)))
 
 
 def _find_generators(ctx: AxiomContext) -> list[int] | None:
@@ -717,7 +733,7 @@ def _pivotal_ribbon(ctx):
     b = ctx.b
     if ctx.ginv is None:
         return
-    vinv = b.elem_inverse(b.ribbon_elem())
+    vinv = b._inverse("ribbon", check=False)
     if vinv is None:
         yield "ribbon: v not invertible"
     elif b.elem_mult(b.drinfeld_u(), vinv) != b.pivotal_elem():
@@ -793,12 +809,10 @@ def trivial_rep(b: HopfBundle) -> Rep:
 def regular_rep(b: HopfBundle) -> Rep:
     """H acting on itself by left multiplication: column j of rho(e_i) is
     e_i e_j, read from the multiplication table."""
-    if "regular" not in b._cache:
-        table, d = b.mult_table, b.dim
-        b._cache["regular"] = Rep.from_rows(b.field, d, [
-            _transpose([_sparse_sum(table[i][j]).items() for j in range(d)], d)
-            for i in range(d)])
-    return b._cache["regular"]
+    table, d = b.mult_table, b.dim
+    return _memo(b, ("regular",), lambda: Rep.from_rows(b.field, d, [
+        _transpose([_sparse_sum(table[i][j]).items() for j in range(d)], d)
+        for i in range(d)]))
 
 
 def _action_rows(terms, m_rows, n_rows=None) -> tuple:
@@ -905,32 +919,31 @@ def braiding(b: HopfBundle, m: Rep, n: Rep) -> ExactMatrix:
     """c_{M,N} = flip o (rho_M (x) rho_N)(R) : M (x) N -> N (x) M.
 
     The flip moves row a * dim N + b of (rho_M (x) rho_N)(R) to row
-    b * dim M + a.  The matrix is kept in `b._cache` by module content and
-    each call returns a copy of it.
+    b * dim M + a.
     """
     b.require_r()
-    key = ("braiding", m, n)
-    if key not in b._cache:
+
+    def build():
         acc = _action_rows(b.r_sparse(), m.rows, n.rows)
         rows = [acc[a * n.dim + bb] for bb in range(n.dim) for a in range(m.dim)]
-        b._cache[key] = _dense(b.field, rows, m.dim * n.dim)
-    return b._cache[key].copy()
+        return _dense(b.field, rows, m.dim * n.dim)
+    return _memo(b, ("braiding", m, n), build)
 
 
 def braiding_inverse(b: HopfBundle, m: Rep, n: Rep) -> ExactMatrix:
     """(c_{N,M})^-1 = (rho_N (x) rho_M)(R^-1) o flip : M (x) N -> N (x) M.
 
     The flip moves column b * dim M + a of (rho_N (x) rho_M)(R^-1) to column
-    a * dim N + b.  Kept and copied as `braiding` is.
+    a * dim N + b.
     """
     b.require_r()
-    key = ("braiding_inv", m, n)
-    if key not in b._cache:
+
+    def build():
         perm = [(k % m.dim) * n.dim + k // m.dim for k in range(m.dim * n.dim)]
         rows = [sorted((perm[k], v) for k, v in row)
                 for row in _action_rows(b.r_inv_sparse(), n.rows, m.rows)]
-        b._cache[key] = _dense(b.field, rows, m.dim * n.dim)
-    return b._cache[key].copy()
+        return _dense(b.field, rows, m.dim * n.dim)
+    return _memo(b, ("braiding_inv", m, n), build)
 
 
 def twist(b: HopfBundle, m: Rep) -> ExactMatrix:
@@ -980,22 +993,19 @@ def projective_section(b: HopfBundle, m: Rep) -> ExactMatrix | None:
     exactly when pi splits H-linearly, decided by exact solve.  The regular
     representation splits by h -> h (x) delta_1 and is special-cased.
     """
-    key = ("proj_section", m)  # by content: an id() is reused once m is freed
-    if key in b._cache:
-        return b._cache[key]
-    field = b.field
-    if m == regular_rep(b):
-        unit_idx = [i for i, c in enumerate(b.unit) if not c.is_zero()]
-        if len(unit_idx) == 1 and b.unit[unit_idx[0]] == field.one():
-            sec = ExactMatrix.zeros(field, b.dim * b.dim, b.dim)
-            for h in range(b.dim):
-                sec.data[h * b.dim + unit_idx[0]][h] = field.one()
-            b._cache[key] = sec
-            return sec
-    sys = _free_cover_system(b, m)
-    res = sys.solve()
-    sec = None
-    if res.feasible:
+
+    def build():
+        field = b.field
+        if m == regular_rep(b):
+            unit_idx = [i for i, c in enumerate(b.unit) if not c.is_zero()]
+            if len(unit_idx) == 1 and b.unit[unit_idx[0]] == field.one():
+                sec = ExactMatrix.zeros(field, b.dim * b.dim, b.dim)
+                for h in range(b.dim):
+                    sec.data[h * b.dim + unit_idx[0]][h] = field.one()
+                return sec
+        res = _free_cover_system(b, m).solve()
+        if not res.feasible:
+            return None
         md = m.dim
         sec = ExactMatrix.zeros(field, b.dim * md, md)
         for h in range(b.dim):
@@ -1003,8 +1013,8 @@ def projective_section(b: HopfBundle, m: Rep) -> ExactMatrix | None:
                 for c in range(md):
                     sec.data[h * md + r][c] = \
                         res.particular.data[(h * md + r) * md + c][0]
-    b._cache[key] = sec
-    return sec
+        return sec
+    return _memo(b, ("proj_section", m), build)
 
 
 def is_projective(b: HopfBundle, m: Rep) -> bool:
@@ -1055,12 +1065,13 @@ def bundle_to_obj(b: HopfBundle) -> dict:
 
 def bundle_from_obj(obj: dict) -> HopfBundle:
     try:
-        field = CycField(int(obj["cyclotomic_order"]))
-        dim = int(obj["dim"])
+        field = CycField(_parse_index(obj["cyclotomic_order"]))
+        dim = _parse_index(obj["dim"])
+        ix = partial(_parse_index, bound=dim)
         unit = [CycNum.from_obj(c, field) for c in obj["unit"]]
-        mult = [(int(i), int(j), int(k), CycNum.from_obj(c, field))
+        mult = [(ix(i), ix(j), ix(k), CycNum.from_obj(c, field))
                 for (i, j, k, c) in obj["mult"]]
-        comult = [(int(i), int(j), int(k), CycNum.from_obj(c, field))
+        comult = [(ix(i), ix(j), ix(k), CycNum.from_obj(c, field))
                   for (i, j, k, c) in obj["comult"]]
         counit = [CycNum.from_obj(c, field) for c in obj["counit"]]
         antipode = ExactMatrix(field, [[CycNum.from_obj(c, field) for c in row]
@@ -1068,22 +1079,20 @@ def bundle_from_obj(obj: dict) -> HopfBundle:
         pivotal = [CycNum.from_obj(c, field) for c in obj["pivotal"]]
         R = R_inv = None
         if "R" in obj:
-            R = [(int(i), int(j), CycNum.from_obj(c, field))
+            R = [(ix(i), ix(j), CycNum.from_obj(c, field))
                  for (i, j, c) in obj["R"]]
-            R_inv = [(int(i), int(j), CycNum.from_obj(c, field))
+            R_inv = [(ix(i), ix(j), CycNum.from_obj(c, field))
                      for (i, j, c) in obj["R_inv"]]
         ribbon = None
         if "ribbon" in obj:
             ribbon = [CycNum.from_obj(c, field) for c in obj["ribbon"]]
         modules = {}
         for name, mobj in obj.get("modules", {}).items():
-            mdim = int(mobj["dim"])
-            if mdim < 0:
-                raise StructureError("module %r has dim %d" % (name, mdim))
+            mdim = _parse_index(mobj["dim"])
             rows = [[{} for _ in range(mdim)] for _ in range(dim)]
             for (i, r, c, coeff) in mobj["action"]:
-                rows[_parse_index(i, dim)][_parse_index(r, mdim)][
-                    _parse_index(c, mdim)] = CycNum.from_obj(coeff, field)
+                rows[ix(i)][_parse_index(r, mdim)][_parse_index(c, mdim)] = \
+                    CycNum.from_obj(coeff, field)
             modules[name] = Rep.from_rows(field, mdim, [
                 tuple(_sorted_row(_sparse_sum(row.items())) for row in mat)
                 for mat in rows])

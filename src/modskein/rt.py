@@ -28,9 +28,9 @@ import json
 from .cyclo import (CycNum, ExactMatrix, _dense, _solve_in_basis,
                     _sparse_product, _sparse_rows, _sparse_sum, _transpose)
 from .errors import InadmissibleError, StructureError, TypingError
-from .hopf import (HopfBundle, Rep, _action_rows, braiding, braiding_inverse,
-                   dual_rep, hom_space, is_projective, tensor_rep, trivial_rep,
-                   twist, twist_inverse)
+from .hopf import (HopfBundle, Rep, _action_rows, _memo, braiding,
+                   braiding_inverse, dual_rep, hom_space, is_projective,
+                   tensor_rep, trivial_rep, twist, twist_inverse)
 
 __all__ = [
     "Point",
@@ -70,10 +70,7 @@ class Point(tuple):
 def _realize(b: HopfBundle, pt: Point) -> Rep:
     rep = b.module(pt[0])
     if pt[1] == "-":
-        key = ("dual", pt[0])
-        if key not in b._cache:
-            b._cache[key] = dual_rep(b, rep)
-        return b._cache[key]
+        return _memo(b, ("dual", rep), lambda: dual_rep(b, rep))
     return rep
 
 

@@ -23,9 +23,11 @@ from __future__ import annotations
 
 from itertools import product
 
-from .cyclo import CycNum, ExactMatrix, _dense, _solve_in_basis, _sparse_sum
+from .cyclo import (CycNum, ExactMatrix, _dense, _parse_index, _solve_in_basis,
+                    _sparse_sum)
 from .errors import StructureError
-from .hopf import HopfBundle, Rep, braiding, hom_space, tensor_rep, trivial_rep
+from .hopf import (HopfBundle, Rep, _memo, braiding, hom_space, tensor_rep,
+                   trivial_rep)
 from .coend import coadjoint_rep, qchar
 
 __all__ = [
@@ -58,31 +60,26 @@ def coend_mult(b: HopfBundle) -> ExactMatrix:
     one place.
     """
     b.require_r()
-    if "coend_mult" in b._cache:
-        return b._cache["coend_mult"]
-    d, one = b.dim, b.field.one()
-    coad = coadjoint_rep(b).rows
-    r_terms = b.r_sparse()
-    s_alpha_h = {alpha: [b.elem_mult(b.elem_antipode({alpha: one}), {h: one})
-                         for h in range(d)]
-                 for alpha in {alpha for alpha, _, _ in r_terms}}
-    out = _dense(b.field, [_sparse_sum(
-        (i * d + j, c_r * c_h * u * w) for alpha, beta, c_r in r_terms
-        for h1, h2, c_h in b.comult_table[h]
-        for i, u in s_alpha_h[alpha][h1].items()
-        for j, w in coad[beta][h2]).items() for h in range(d)], d * d)
-    b._cache["coend_mult"] = out
-    return out
+
+    def build():
+        d, one = b.dim, b.field.one()
+        coad = coadjoint_rep(b).rows
+        r_terms = b.r_sparse()
+        s_alpha_h = {alpha: [b.elem_mult(b.elem_antipode({alpha: one}),
+                                         {h: one}) for h in range(d)]
+                     for alpha in {alpha for alpha, _, _ in r_terms}}
+        return _dense(b.field, [_sparse_sum(
+            (i * d + j, c_r * c_h * u * w) for alpha, beta, c_r in r_terms
+            for h1, h2, c_h in b.comult_table[h]
+            for i, u in s_alpha_h[alpha][h1].items()
+            for j, w in coad[beta][h2]).items() for h in range(d)], d * d)
+    return _memo(b, ("coend_mult",), build)
 
 
 def _power_rep(b: HopfBundle, m: int) -> Rep:
     """L^{(x)m}, built as L^{(x)(m-1)} (x) L."""
-    key = ("coend_power", m)
-    if key not in b._cache:
-        coad = coadjoint_rep(b)
-        b._cache[key] = (coad if m == 1
-                         else tensor_rep(b, _power_rep(b, m - 1), coad))
-    return b._cache[key]
+    return _memo(b, ("coend_power", m), lambda: coadjoint_rep(b) if m == 1
+                 else tensor_rep(b, _power_rep(b, m - 1), coadjoint_rep(b)))
 
 
 def _power_mult(b: HopfBundle, m: int) -> dict:
@@ -95,20 +92,18 @@ def _power_mult(b: HopfBundle, m: int) -> dict:
     entries (b'*D + r', c) of column r*d + b of c_{L^{m-1}, L}, the sparse
     tensor products c * mu[(a, b')] (x) mu_{m-1}[(r', s)] (keys k1*D + k2).
     """
-    key = ("coend_power_mult", m)
-    if key in b._cache:
-        return b._cache[key]
-    d = b.dim
-    if m == 1:
-        cols = {divmod(c, d): v
-                for c, col in enumerate(zip(*coend_mult(b).data))
-                if (v := _sparse_sum(enumerate(col)))}
-    else:
+
+    def build():
+        d = b.dim
+        if m == 1:
+            return {divmod(c, d): v
+                    for c, col in enumerate(zip(*coend_mult(b).data))
+                    if (v := _sparse_sum(enumerate(col)))}
         mu, prev = _power_mult(b, 1), _power_mult(b, m - 1)
         swap = braiding(b, _power_rep(b, m - 1), coadjoint_rep(b))
         swap_cols = [_sparse_sum(enumerate(col)) for col in zip(*swap.data)]
         dm1, none = d ** (m - 1), {}
-        cols = {(a * dm1 + r, bb * dm1 + s): v
+        return {(a * dm1 + r, bb * dm1 + s): v
                 for a, r, bb, s in product(range(d), range(dm1), range(d),
                                            range(dm1))
                 if (v := _sparse_sum(
@@ -116,8 +111,7 @@ def _power_mult(b: HopfBundle, m: int) -> dict:
                     for t, c in swap_cols[r * d + bb].items()
                     for k1, c1 in mu.get((a, t // dm1), none).items()
                     for k2, c2 in prev.get((t % dm1, s), none).items()))}
-    b._cache[key] = cols
-    return cols
+    return _memo(b, ("coend_power_mult", m), build)
 
 
 def _apply_mu(cols: dict, x: dict, y: dict) -> dict:
@@ -345,14 +339,16 @@ def algebra_to_obj(alg: AlgebraPresentation) -> dict:
 
 
 def algebra_from_obj(obj: dict, field) -> AlgebraPresentation:
-    dim = int(obj["dim"])
+    dim = _parse_index(obj["dim"])
     structure = {(i, j): {} for i in range(dim) for j in range(dim)}
     for (i, j, k, c) in obj["structure_constants"]:
         c = CycNum.from_obj(c, field)
         if not c.is_zero():
-            structure[(int(i), int(j))][int(k)] = c
+            structure[(_parse_index(i, dim), _parse_index(j, dim))][
+                _parse_index(k, dim)] = c
     return AlgebraPresentation(
-        bundle_name=obj["bundle"], g=int(obj["g"]), n=int(obj["n"]),
+        bundle_name=obj["bundle"], g=_parse_index(obj["g"]),
+        n=_parse_index(obj["n"]),
         basis_vectors=[[CycNum.from_obj(c, field) for c in vec]
                        for vec in obj["basis_vectors"]],
         labels=obj["basis_labels"], structure=structure,

@@ -10,7 +10,7 @@ import pytest
 from modskein import cache
 from modskein.bundles import sweedler_bundle, z2_bundle, z4_bundle
 from modskein.hopf import bundle_to_obj, save_bundle
-from test_hopf import _perturbed
+from test_hopf import _index_as, _perturbed
 
 
 @pytest.fixture(scope="module")
@@ -272,6 +272,18 @@ MALFORMED = {
         lambda j: j["f"]["entries"][0].__setitem__(0, "a"))),
     "f zero denominator": ("red-to-blue", lambda: _bad_job(
         lambda j: j["f"]["entries"][0].__setitem__(2, "1/0"))),
+    "float mult index": ("validate", lambda: _bad_bundle(
+        _index_as("mult", 1, 1.7))),
+    "bool comult index": ("validate", lambda: _bad_bundle(
+        _index_as("comult", 1, True))),
+    "float module dim": ("validate", lambda: _bad_bundle(
+        lambda o: o["modules"]["reg"].__setitem__("dim", 4.0))),
+    "float f index": ("red-to-blue", lambda: _bad_job(
+        lambda j: _index_as("entries", 1, 1.5)(j["f"]))),
+    "float f cols": ("red-to-blue", lambda: _bad_job(
+        lambda j: j["f"].__setitem__("cols", 4.0))),
+    "float k": ("red-to-blue", lambda: _bad_job(
+        lambda j: j.__setitem__("k", 1.5))),
 }
 
 

@@ -12,8 +12,9 @@ from modskein.bundles import (sweedler_bundle, trivial_bundle, uqsl2_bundle,
                               z2_bundle, z4_bundle)
 from modskein.cyclo import ExactMatrix, _sparse_rows
 from modskein.errors import InadmissibleError, StructureError
-from modskein.hopf import (direct_sum_rep, dual_rep, hom_space, regular_rep,
-                           tensor_rep, trivial_rep, validate_rep)
+from modskein.hopf import (direct_sum_rep, dual_rep, hom_space,
+                           projective_section, regular_rep, tensor_rep,
+                           trivial_rep, validate_rep)
 
 
 # Fresh bundles by name, so that no cached coadjoint action is compared.
@@ -279,3 +280,15 @@ def test_recompose_rejects_empty_terms_and_negative_k(sweedler):
     terms = [(b.field.one(), ExactMatrix.zeros(b.field, 1, b.dim))]
     with pytest.raises(StructureError, match="k must be >= 0"):
         recompose(b, terms, -1, reg)
+
+
+def test_editing_a_projective_section_changes_no_later_lift():
+    b = sweedler_bundle()
+    p_rep, x_rep = b.module("proj_plus"), trivial_rep(b)
+    f = hom_space(b, p_rep, tensor_rep(b, coadjoint_rep(b), x_rep))[0]
+    section = projective_section(b, p_rep)
+    for row in section.data:
+        row[:] = [b.field.zero()] * len(row)
+    terms = red_to_blue(b, f, p_rep, 1, x_rep)
+    assert recompose(b, terms, 1, x_rep) == f
+    assert projective_section(b, p_rep) != section

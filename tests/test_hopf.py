@@ -1,13 +1,16 @@
 """Bundle validation and the ribbon category operations."""
 
+import ast
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import modskein
 from modskein.bundles import (sweedler_bundle, trivial_bundle, uqsl2_bundle,
                               z2_bundle, z4_bundle)
-from modskein.coend import (canonical_image_dim, coadjoint_rep, qchar,
+from modskein.coend import (canonical_image_dim, coadjoint_rep, dinat, qchar,
                             recompose, red_to_blue, slf_basis)
 from modskein.cyclo import ExactMatrix, LinearSystem
 from modskein.errors import CapabilityError, StructureError
@@ -325,6 +328,14 @@ def test_bundle_json_roundtrip(sweedler, z4):
         assert b2.antipode == b.antipode
 
 
+def _index_as(key, old, new):
+    """An edit writing every index `old` of the entries obj[key] as `new`."""
+    def edit(obj):
+        for entry in obj[key]:
+            entry[:-1] = [new if i == old else i for i in entry[:-1]]
+    return edit
+
+
 def test_structure_errors():
     b = sweedler_bundle()
     obj = bundle_to_obj(b)
@@ -353,6 +364,19 @@ def test_structure_errors():
         edit(obj4)
         with pytest.raises(StructureError):
             bundle_from_obj(obj4)
+    # int() would truncate a float or a bool: with e_1 written as 1.7 in
+    # every mult entry, sweedler would load as itself and validate
+    for edit in (_index_as("mult", 1, 1.7), _index_as("comult", 1, True),
+                 _index_as("R", 0, 0.0), _index_as("R_inv", 1, 1.0),
+                 lambda o: _index_as("action", 1, 2.5)(o["modules"]["reg"]),
+                 lambda o: _index_as("action", 0, False)(o["modules"]["reg"]),
+                 lambda o: o.__setitem__("dim", 4.0),
+                 lambda o: o.__setitem__("cyclotomic_order", True),
+                 lambda o: o["modules"]["reg"].__setitem__("dim", 4.0)):
+        obj5 = bundle_to_obj(b)
+        edit(obj5)
+        with pytest.raises(StructureError, match="not an int"):
+            bundle_from_obj(obj5)
 
 
 def test_degenerate_trivial_bundle(trivial):
@@ -464,6 +488,35 @@ def test_braiding_memo_returns_fresh_copies():
     assert braiding(b, m, n) == flip * _dense_sum(
         f, m.dim * n.dim, ((c, m.mats[i].kron(n.mats[j]))
                            for i, j, c in b.r_sparse()))
+
+
+def _cache_uses(path: Path) -> list[int]:
+    """The lines of `path` that name `_cache`, except in `hopf._memo` and in
+    the statement of `HopfBundle.__init__` that creates the empty cache."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    allowed = set()
+    for node in ast.walk(tree) if path.name == "hopf.py" else ():
+        if isinstance(node, ast.FunctionDef) and node.name == "_memo":
+            allowed.update(map(id, ast.walk(node)))
+        if isinstance(node, ast.ClassDef) and node.name == "HopfBundle":
+            init = next(f for f in node.body
+                        if getattr(f, "name", None) == "__init__")
+            allowed.update(id(n) for stmt in init.body
+                           if ast.unparse(stmt) in ("self._cache = {}",
+                                                    "self._cache: dict = {}")
+                           for n in ast.walk(stmt))
+    return sorted(node.lineno for node in ast.walk(tree)
+                  if id(node) not in allowed and (
+                      isinstance(node, ast.Attribute) and node.attr == "_cache"
+                      or isinstance(node, ast.Constant)
+                      and node.value == "_cache"))
+
+
+def test_only_the_memo_reads_or_writes_the_bundle_cache():
+    src = Path(modskein.__file__).parent
+    uses = {path.name: _cache_uses(path) for path in sorted(src.glob("*.py"))}
+    assert "hopf.py" in uses
+    assert {name: lines for name, lines in uses.items() if lines} == {}
 
 
 def test_equal_modules_share_a_braiding_memo_entry():
@@ -639,8 +692,9 @@ def test_generating_set(maker, size):
     lambda b, m: tensor_rep(b, m, trivial_rep(b)),
     lambda b, m: tensor_rep(b, trivial_rep(b), m),
     lambda b, m: dual_rep(b, m),
+    lambda b, m: dinat(b, m),
 ], ids=["validate_rep", "hom_space to", "hom_space from", "tensor_rep left",
-        "tensor_rep right", "dual_rep"])
+        "tensor_rep right", "dual_rep", "dinat"])
 @pytest.mark.parametrize("own, other", [(z2_bundle, sweedler_bundle),
                                         (sweedler_bundle, z2_bundle)],
                          ids=["z2 given sweedler", "sweedler given z2"])

@@ -3,7 +3,7 @@
 import pytest
 
 from modskein import hopf
-from modskein.bundles import sweedler_bundle
+from modskein.bundles import sweedler_bundle, z4_bundle
 from modskein.cyclo import ExactMatrix, LinearSystem
 from modskein.errors import InadmissibleError, StructureError, TypingError
 from modskein.hopf import hom_space, tensor_rep, twist
@@ -435,3 +435,17 @@ def test_a_coupon_index_picks_its_basis_element(sweedler):
                "slices": [[{"kind": "coupon", "dom": [["reg", "+"]],
                             "cod": [["reg", "+"]], "index": index}]]}
         assert evaluate(b, diagram_from_obj(b, obj)) == mat
+
+
+def test_a_dual_follows_the_module_a_name_points_to():
+    b, fresh = z4_bundle(), z4_bundle()
+    pt = ("chi1", "-")
+    twist_chi1 = Diagram([pt], [pt], [[gen("twist", pt)]])
+    before = evaluate(b, twist_chi1)
+    for bundle in (b, fresh):
+        bundle.modules["chi1"] = bundle.modules["chi2"]
+    after = evaluate(b, twist_chi1)
+    assert after == evaluate(fresh, twist_chi1) != before
+    # no memo key holds a module name
+    assert not [key for key in b._cache for part in key[1:]
+                if isinstance(part, str)]

@@ -2,8 +2,9 @@
 
 import pytest
 
+from modskein.bundles import z4_bundle
 from modskein.coend import coadjoint_rep, dinat, qchar
-from modskein.cyclo import CycField, ExactMatrix
+from modskein.cyclo import CycField, CycloError, ExactMatrix
 from modskein.errors import CapabilityError, StructureError
 from modskein.hopf import (braiding, dual_rep, hom_space, is_projective,
                            tensor_rep, trivial_rep)
@@ -298,3 +299,25 @@ def test_law_checks_on_the_matrix_algebra():
     assert alg.check_unit() and alg.check_associativity()
     assert alg.product_coords([zero, one, zero, zero],
                               [zero, zero, one, zero]) == [one, zero, zero, zero]
+
+
+def test_editing_the_coend_product_changes_no_later_result():
+    b, fresh = z4_bundle(), z4_bundle()
+    mu = coend_mult(b)
+    mu.data[0] = [b.field.one()] * mu.cols
+    assert algebra_to_obj(skalg(b, 0, 2)) == algebra_to_obj(skalg(fresh, 0, 2))
+    assert coend_mult(b) == coend_mult(fresh) != mu
+
+
+@pytest.mark.parametrize("edit", [
+    lambda o: o.__setitem__("dim", float(o["dim"])),
+    lambda o: o.__setitem__("g", True),
+    lambda o: o["structure_constants"][0].__setitem__(2, 0.5),
+    lambda o: o["structure_constants"][0].__setitem__(0, False),
+    lambda o: o["structure_constants"][0].__setitem__(1, -1),
+], ids=["float dim", "bool g", "float index", "bool index", "negative index"])
+def test_algebra_from_obj_refuses_an_index_that_is_not_an_int(sweedler, edit):
+    obj = algebra_to_obj(skalg(sweedler, 0, 2))
+    edit(obj)
+    with pytest.raises(CycloError, match="not an int"):
+        algebra_from_obj(obj, sweedler.field)
