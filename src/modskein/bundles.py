@@ -373,20 +373,29 @@ def uqsl2_bundle(p: int, with_r: bool = False) -> HopfBundle:
                                                   alpha, s)
             simples.append(modules_name)
 
-    labels = ["E%dF%dK%d" % m for m in monomials]
-    metadata = {"p": p, "q": "zeta_%d" % (2 * p),
-                "presentation": "E^a F^b K^c, a,b < p, c < 2p"}
-
-    bundle = HopfBundle(
-        name="uqsl2_p%d" % p, field=field, dim=d,
+    structure = dict(
+        name="uqsl2_p%d" % p, dim=d,
         unit=[one if m == (0, 0, 0) else zero for m in monomials],
         mult=mult, comult=comult, counit=counit, antipode=antipode,
         pivotal=pivotal, modules=modules, simples=simples,
-        basis_labels=labels, metadata=metadata)
-
+        basis_labels=["E%dF%dK%d" % m for m in monomials],
+        metadata={"p": p, "q": "zeta_%d" % (2 * p),
+                  "presentation": "E^a F^b K^c, a,b < p, c < 2p"})
     if with_r:
-        bundle = _attach_candidate_r(bundle, p)
-    return bundle
+        trial = _candidate_trial(p, structure)
+        # The axioms that need no R^-1 first, each up to its first failure;
+        # only a candidate passing them is worth the full validator.
+        ctx = AxiomContext(trial)
+        report = [failure for name, _, check in AXIOMS
+                  if name in R_INVERSE_FREE
+                  for failure in islice(check(ctx), 1)]
+        report = report or validate_bundle(trial)
+        if not report:
+            return trial
+        structure["metadata"]["r_candidate"] = {
+            "attempted": True, "attached": False,
+            "validator_failures": report}
+    return HopfBundle(field=field, **structure)
 
 
 def _uqsl2_simple(rw: _UqRewriter, field, monomials, alpha: int, s: int) -> Rep:
@@ -414,112 +423,60 @@ def _uqsl2_simple(rw: _UqRewriter, field, monomials, alpha: int, s: int) -> Rep:
     return Rep(s, mats)
 
 
-def _attach_candidate_r(bundle: HopfBundle, p: int) -> HopfBundle:
-    """Build the textbook candidate R over Q(zeta_4p), validate, and either
-    attach it (if valid) or record the named failures in metadata."""
+def _embedded(x, field: CycField):
+    """x with every CycNum in it embedded in `field`; x is a CycNum, an
+    ExactMatrix, a Rep, or a list, tuple or dict of them or of other values,
+    which are kept as they are."""
+    if isinstance(x, CycNum):
+        return x.embed(field.order)
+    if isinstance(x, (list, tuple)):
+        return type(x)(_embedded(y, field) for y in x)
+    if isinstance(x, dict):
+        return {k: _embedded(y, field) for k, y in x.items()}
+    if isinstance(x, ExactMatrix):
+        return ExactMatrix(field, _embedded(x.data, field))
+    if isinstance(x, Rep):
+        return Rep.from_rows(field, x.dim, _embedded(x.rows, field))
+    return x
+
+
+def _candidate_trial(p: int, structure: dict) -> HopfBundle:
+    """The pivotal structure embedded in Q(zeta_4p), with the textbook
+    candidate R = D Theta, R^-1 = (S (x) id)R and ribbon element
+    v = g^-1 u, u = sum S(R2) R1, all computed on monomials."""
     field4, rw, monomials, index = _uqsl2_core(p, 4 * p)
-    one = field4.one()
+    one, zero = field4.one(), field4.zero()
     zeta = field4.zeta()  # zeta_4p, a square root of q
 
     # Cartan factor D = (1/2p) sum_{i,j<2p} zeta^{-ij} K^i (x) K^j
     inv2p = field4.from_rational(Fraction(1, 2 * p))
-    D: dict = {}
-    for i in range(2 * p):
-        for j in range(2 * p):
-            key = ((0, 0, i), (0, 0, j))
-            D[key] = inv2p * zeta ** ((-i * j) % (4 * p))
+    D = {((0, 0, i), (0, 0, j)): inv2p * zeta ** ((-i * j) % (4 * p))
+         for i in range(2 * p) for j in range(2 * p)}
     # quasi-R-matrix Theta = sum_m c_m E^m (x) F^m
-    q = rw.q
-    qinv = rw.qinv
     Theta: dict = {((0, 0, 0), (0, 0, 0)): one}
     fact = one
     for m in range(1, p):
         fact = fact * rw.qint(m)
-        cm = ((q - qinv) ** m) * fact.inverse() * rw.qpow(m * (m - 1) // 2)
-        Theta[((m, 0, 0), (0, m, 0))] = cm
+        Theta[((m, 0, 0), (0, m, 0))] = ((rw.q - rw.qinv) ** m
+                                         * fact.inverse()
+                                         * rw.qpow(m * (m - 1) // 2))
     R = rw.t2_mul(D, Theta)
+    R_inv = _sparse_sum(((k, m2), c * s) for (m1, m2), c in R.items()
+                        for k, s in rw.antipode_monomial(m1).items())
+    u = _sparse_sum((k, c * w) for (m1, m2), c in R.items()
+                    for k, w in rw.rmul_monomial(rw.antipode_monomial(m2),
+                                                 m1).items())
+    # g = K^(p+1), so g^-1 = K^(p-1)
+    v = _sparse_sum((k, c * w) for m, c in u.items()
+                    for k, w in rw.rmul_monomial({(0, 0, p - 1): one},
+                                                 m).items())
 
-    unit2 = {((0, 0, 0), (0, 0, 0)): one}
-    # Probe the three quasitriangularity axioms that need no inverse, each up
-    # to its first failure; only a candidate passing all of them is worth
-    # inverting (then R^-1 = (S (x) id)R holds automatically and the full
-    # validator runs).
-    trial0 = _embed_uqsl2(bundle, p, field4, rw, monomials, index,
-                          R, unit2, skip_ribbon=True)
-    ctx = AxiomContext(trial0)
-    report = [failure for name, _, check in AXIOMS if name in R_INVERSE_FREE
-              for failure in islice(check(ctx), 1)]
-    if not report:
-        s_id_R = _sparse_sum(((k, j), c * cs) for (i, j), c in ctx.R.items()
-                             for k, cs in trial0.antipode_cols[i])
-        if trial0.tensor2_mult(ctx.R, s_id_R) != ctx.unit2:
-            report = ["candidate: (S (x) id)R is not inverse to R"]
-        else:
-            mono_of = {i: m for m, i in index.items()}
-            R_inv = {(mono_of[i], mono_of[j]): c for (i, j), c in s_id_R.items()}
-            trial = _embed_uqsl2(bundle, p, field4, rw, monomials, index,
-                                 R, R_inv)
-            report = validate_bundle(trial)
-            if not report:
-                return trial
-    meta = dict(bundle.metadata)
-    meta["r_candidate"] = {
-        "attempted": True,
-        "attached": False,
-        "validator_failures": report,
-    }
-    return HopfBundle(
-        name=bundle.name, field=bundle.field, dim=bundle.dim,
-        unit=bundle.unit, mult=bundle.mult, comult=bundle.comult,
-        counit=bundle.counit, antipode=bundle.antipode,
-        pivotal=bundle.pivotal, modules=bundle.modules,
-        simples=bundle.simples, basis_labels=bundle.basis_labels,
-        metadata=meta)
+    def pairs(x):
+        return [(index[m1], index[m2], c) for (m1, m2), c in sorted(x.items())]
 
-
-def _embed_uqsl2(bundle, p, field4, rw, monomials, index, R, R_inv,
-                 skip_ribbon: bool = False):
-    """Re-express the pivotal bundle over Q(zeta_4p) and attach candidate
-    R data plus the derived candidate ribbon element v = g^-1 u."""
-    big = field4.order
-
-    def emb(c: CycNum) -> CycNum:
-        return c.embed(big)
-
-    mult = [(i, j, k, emb(c)) for (i, j, k, c) in bundle.mult]
-    comult = [(i, j, k, emb(c)) for (i, j, k, c) in bundle.comult]
-    unit = [emb(c) for c in bundle.unit]
-    counit = [emb(c) for c in bundle.counit]
-    antipode = ExactMatrix(field4, [[emb(c) for c in row]
-                                    for row in bundle.antipode.data])
-    pivotal = [emb(c) for c in bundle.pivotal]
-    modules = {
-        name: Rep.from_rows(field4, rep.dim, [
-            tuple(tuple((c, emb(v)) for c, v in row) for row in rows)
-            for rows in rep.rows])
-        for name, rep in bundle.modules.items()}
-    Rlist = [(index[m1], index[m2], c) for (m1, m2), c in sorted(R.items())]
-    Rinvlist = [(index[m1], index[m2], c)
-                for (m1, m2), c in sorted(R_inv.items())]
-    trial = HopfBundle(
-        name=bundle.name, field=field4, dim=bundle.dim, unit=unit,
-        mult=mult, comult=comult, counit=counit, antipode=antipode,
-        pivotal=pivotal, R=Rlist, R_inv=Rinvlist, ribbon=None,
-        modules=modules, simples=bundle.simples,
-        basis_labels=bundle.basis_labels, metadata=bundle.metadata)
-    if skip_ribbon:
-        return trial
-    # candidate ribbon: v = g^-1 u  (so that g = u v^-1)
-    u = trial.drinfeld_u()
-    ginv = trial.elem_inverse(trial.pivotal_elem())
-    v = trial.elem_mult(ginv, u)
-    return HopfBundle(
-        name=bundle.name, field=field4, dim=bundle.dim, unit=unit,
-        mult=mult, comult=comult, counit=counit, antipode=antipode,
-        pivotal=pivotal, R=Rlist, R_inv=Rinvlist,
-        ribbon=trial.coords(v),
-        modules=modules, simples=bundle.simples,
-        basis_labels=bundle.basis_labels, metadata=bundle.metadata)
+    return HopfBundle(field=field4, R=pairs(R), R_inv=pairs(R_inv),
+                      ribbon=[v.get(m, zero) for m in monomials],
+                      **_embedded(structure, field4))
 
 
 BUILTIN_BUNDLES = {

@@ -286,7 +286,7 @@ def red_to_blue(b: HopfBundle, f: ExactMatrix, p_rep: Rep, k: int,
         return [(field.one(), f)]
 
     reg = regular_rep(b)
-    reg_dual = _memo(b, ("dual", reg), lambda: dual_rep(b, reg))
+    reg_dual = dual_rep(b, reg)
     lift_factors = [reg, reg_dual] * k + [x_rep]
     lift_dim = d ** (2 * k) * x_rep.dim
 

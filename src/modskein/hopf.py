@@ -59,8 +59,8 @@ from functools import cached_property, partial
 from itertools import chain, islice
 
 from .cyclo import (CycField, CycNum, ExactMatrix, LinearSystem, _dense,
-                    _parse_index, _sorted_row, _sparse_product, _sparse_rows,
-                    _sparse_sum, _transpose)
+                    _parse_index, _solve_in_basis, _sorted_row,
+                    _sparse_product, _sparse_rows, _sparse_sum, _transpose)
 from .errors import CapabilityError, StructureError
 
 __all__ = [
@@ -196,6 +196,11 @@ def _memo(b: HopfBundle, key: tuple, build):
     return value.copy() if isinstance(value, (ExactMatrix, list)) else value
 
 
+def _nonzero(entries: tuple) -> tuple:
+    """The entries (..., c) whose coefficient c is not zero."""
+    return tuple(e for e in entries if not e[-1].is_zero())
+
+
 class HopfBundle:
     """Structure constants of a pivotal (optionally ribbon) Hopf algebra.
 
@@ -203,6 +208,12 @@ class HopfBundle:
     on e_k; comult as (i, j, k, c) meaning Delta(e_i) has coefficient c on
     e_j (x) e_k; R and R_inv as (i, j, c) on e_i (x) e_j.  Absent R/ribbon
     mark a pivotal-only bundle: braiding and twist raise CapabilityError.
+
+    The structure is fixed once built, since every `_memo` entry derives from
+    it: the vectors and entry lists are tuples (the entry lists without zero
+    coefficients), `antipode` hands out a copy, and assigning an attribute
+    raises AttributeError.  `modules` stays a mutable name -> Rep map, since
+    the memo keys modules by content, never by name.
     """
 
     def __init__(self, name, field, dim, unit, mult, comult, counit, antipode,
@@ -211,23 +222,38 @@ class HopfBundle:
         self.name = name
         self.field = field
         self.dim = dim
-        self.unit = unit                      # list[CycNum], length dim
-        self.mult = mult                      # list[(i, j, k, CycNum)]
-        self.comult = comult                  # list[(i, j, k, CycNum)]
-        self.counit = counit                  # list[CycNum]
-        self.antipode = antipode              # ExactMatrix, column i = S(e_i)
-        self.pivotal = pivotal                # list[CycNum]
-        self.R = R                            # list[(i, j, CycNum)] | None
-        self.R_inv = R_inv
-        self.ribbon = ribbon                  # list[CycNum] | None
+        self.unit = tuple(unit)               # CycNum per basis element
+        self.mult = tuple(mult)               # (i, j, k, CycNum)
+        self.comult = tuple(comult)           # (i, j, k, CycNum)
+        self.counit = tuple(counit)
+        self._antipode = antipode.copy()      # column i = S(e_i)
+        self.pivotal = tuple(pivotal)
+        self.R = None if R is None else tuple(R)  # (i, j, CycNum)
+        self.R_inv = None if R_inv is None else tuple(R_inv)
+        self.ribbon = None if ribbon is None else tuple(ribbon)
         self.modules = dict(modules or {})
         self.simples = list(simples or [])
         self.basis_labels = list(basis_labels) if basis_labels else [
             "e%d" % k for k in range(dim)]
         self.metadata = dict(metadata or {})
         self._check_shapes()
+        self.mult, self.comult = _nonzero(self.mult), _nonzero(self.comult)
+        if self.R is not None:
+            self.R, self.R_inv = _nonzero(self.R), _nonzero(self.R_inv)
         self._build_tables()
         self._cache: dict = {}
+        self._built = True
+
+    def __setattr__(self, attr, value):
+        if getattr(self, "_built", False):
+            raise AttributeError("bundle %r is fixed once built; edit its "
+                                 "JSON and reload it instead" % self.name)
+        object.__setattr__(self, attr, value)
+
+    @property
+    def antipode(self) -> ExactMatrix:
+        """A copy of the antipode matrix; column i is S(e_i)."""
+        return self._antipode.copy()
 
     # -- structural checks (raise StructureError, not axiom failures) ---------
 
@@ -239,19 +265,14 @@ class HopfBundle:
                           (self.pivotal, "pivotal")):
             if len(vec) != d:
                 raise StructureError("%s vector must have length %d" % (what, d))
-        for (i, j, k, _) in self.mult:
-            if not (0 <= i < d and 0 <= j < d and 0 <= k < d):
-                raise StructureError("mult index out of range: %r" % ((i, j, k),))
-        for (i, j, k, _) in self.comult:
-            if not (0 <= i < d and 0 <= j < d and 0 <= k < d):
-                raise StructureError("comult index out of range: %r" % ((i, j, k),))
-        if self.antipode.rows != d or self.antipode.cols != d:
+        for what, entries in (("mult", self.mult), ("comult", self.comult),
+                              ("R", (self.R or ()) + (self.R_inv or ()))):
+            for entry in entries:
+                if not all(0 <= i < d for i in entry[:-1]):
+                    raise StructureError("%s index out of range: %r"
+                                         % (what, tuple(entry[:-1])))
+        if self._antipode.rows != d or self._antipode.cols != d:
             raise StructureError("antipode must be a %dx%d matrix" % (d, d))
-        for R in (self.R, self.R_inv):
-            if R is not None:
-                for (i, j, _) in R:
-                    if not (0 <= i < d and 0 <= j < d):
-                        raise StructureError("R index out of range: %r" % ((i, j),))
         if (self.R is None) != (self.R_inv is None):
             raise StructureError("R and R_inv must be given together")
         if self.ribbon is not None and len(self.ribbon) != d:
@@ -268,18 +289,15 @@ class HopfBundle:
 
     def _build_tables(self):
         d = self.dim
-        self.mult_table: list[list[list]] = [[[] for _ in range(d)] for _ in range(d)]
+        mult_table: list[list[list]] = [[[] for _ in range(d)] for _ in range(d)]
         for (i, j, k, c) in self.mult:
-            if not c.is_zero():
-                self.mult_table[i][j].append((k, c))
-        self.comult_table: list[list] = [[] for _ in range(d)]
+            mult_table[i][j].append((k, c))
+        comult_table: list[list] = [[] for _ in range(d)]
         for (i, j, k, c) in self.comult:
-            if not c.is_zero():
-                self.comult_table[i].append((j, k, c))
-        self.antipode_cols: list[list] = [
-            [(k, self.antipode.data[k][i])
-             for k in range(d) if not self.antipode.data[k][i].is_zero()]
-            for i in range(d)]
+            comult_table[i].append((j, k, c))
+        self.mult_table = tuple(tuple(map(tuple, row)) for row in mult_table)
+        self.comult_table = tuple(map(tuple, comult_table))
+        self.antipode_cols = tuple(_sparse_rows(self._antipode.transpose()))
 
     # -- capability ------------------------------------------------------------
 
@@ -334,25 +352,18 @@ class HopfBundle:
                            for j, k, w in self.comult_table[i])
 
     def elem_inverse(self, x: dict) -> dict | None:
-        """Two-sided inverse in H, or None (left inverse = right inverse here
-        since H is finite-dimensional)."""
-        lm = self.left_mult_matrix(x)
-        res = lm.solve(ExactMatrix.column(self.field, self.unit))
+        """Two-sided inverse in H, or None: y with x y = 1, solved over the
+        sparse columns x e_j, and checked to satisfy y x = 1."""
+        one = self.field.one()
+        res = _solve_in_basis(
+            self.field, [self.elem_mult(x, {j: one}) for j in range(self.dim)],
+            [self.elem_unit()])
         if not res.feasible:
             return None
-        inv = self.elem([res.particular.data[i][0] for i in range(self.dim)])
+        inv = self.elem(res.particular.col(0))
         if self.elem_mult(inv, x) != self.elem_unit():
             return None
         return inv
-
-    def left_mult_matrix(self, x: dict) -> ExactMatrix:
-        """The matrix of y -> x y on H, the action of x on `regular_rep`."""
-        out = ExactMatrix.zeros(self.field, self.dim, self.dim)
-        for j in range(self.dim):
-            for i, a in x.items():
-                for k, c in self.mult_table[i][j]:
-                    out.data[k][j] = out.data[k][j] + a * c
-        return out
 
     def tensor2_mult(self, x: dict, y: dict) -> dict:
         """Product of sparse elements of H (x) H, keys (i, j)."""
@@ -363,13 +374,13 @@ class HopfBundle:
                            for k1, c1 in table[i1][i2]
                            for k2, c2 in table[j1][j2])
 
-    def r_sparse(self) -> list:
+    def r_sparse(self) -> tuple:
         self.require_r()
-        return [(i, j, c) for (i, j, c) in self.R if not c.is_zero()]
+        return self.R
 
-    def r_inv_sparse(self) -> list:
+    def r_inv_sparse(self) -> tuple:
         self.require_r()
-        return [(i, j, c) for (i, j, c) in self.R_inv if not c.is_zero()]
+        return self.R_inv
 
     def drinfeld_u(self) -> dict:
         """u = sum S(R2) R1, satisfying S^2(x) = u x u^{-1}."""
@@ -850,11 +861,13 @@ def tensor_rep(b: HopfBundle, m: Rep, n: Rep) -> Rep:
 
 
 def dual_rep(b: HopfBundle, m: Rep) -> Rep:
-    """Left dual: rho*(e_i) = rho(S(e_i))^T, built on first read."""
+    """Left dual: rho*(e_i) = rho(S(e_i))^T, its rows built on first read,
+    once per module content."""
     _check_rep(b, m)
-    return Rep.deferred(b.field, m.dim, b.dim, lambda: [
-        _transpose(_action_rows(s_i, m.rows), m.dim)
-        for s_i in b.antipode_cols])
+    return Rep.deferred(b.field, m.dim, b.dim, lambda: _memo(
+        b, ("dual", m), lambda: tuple(
+            _transpose(_action_rows(s_i, m.rows), m.dim)
+            for s_i in b.antipode_cols)))
 
 
 def direct_sum_rep(b: HopfBundle, m: Rep, n: Rep) -> Rep:
@@ -1034,10 +1047,8 @@ def bundle_to_obj(b: HopfBundle) -> dict:
         "dim": b.dim,
         "basis_labels": b.basis_labels,
         "unit": [c.to_obj() for c in b.unit],
-        "mult": [[i, j, k, c.to_obj()] for (i, j, k, c) in b.mult
-                 if not c.is_zero()],
-        "comult": [[i, j, k, c.to_obj()] for (i, j, k, c) in b.comult
-                   if not c.is_zero()],
+        "mult": [[i, j, k, c.to_obj()] for (i, j, k, c) in b.mult],
+        "comult": [[i, j, k, c.to_obj()] for (i, j, k, c) in b.comult],
         "counit": [c.to_obj() for c in b.counit],
         "antipode": [[c.to_obj() for c in row] for row in b.antipode.data],
         "pivotal": [c.to_obj() for c in b.pivotal],
@@ -1053,9 +1064,8 @@ def bundle_to_obj(b: HopfBundle) -> dict:
         "simples": b.simples,
     }
     if b.has_r:
-        obj["R"] = [[i, j, c.to_obj()] for (i, j, c) in b.R if not c.is_zero()]
-        obj["R_inv"] = [[i, j, c.to_obj()] for (i, j, c) in b.R_inv
-                        if not c.is_zero()]
+        obj["R"] = [[i, j, c.to_obj()] for (i, j, c) in b.R]
+        obj["R_inv"] = [[i, j, c.to_obj()] for (i, j, c) in b.R_inv]
     if b.has_ribbon:
         obj["ribbon"] = [c.to_obj() for c in b.ribbon]
     if b.metadata:

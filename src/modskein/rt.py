@@ -28,7 +28,7 @@ import json
 from .cyclo import (CycNum, ExactMatrix, _dense, _solve_in_basis,
                     _sparse_product, _sparse_rows, _sparse_sum, _transpose)
 from .errors import InadmissibleError, StructureError, TypingError
-from .hopf import (HopfBundle, Rep, _action_rows, _memo, braiding,
+from .hopf import (HopfBundle, Rep, _action_rows, braiding,
                    braiding_inverse, dual_rep, hom_space, is_projective,
                    tensor_rep, trivial_rep, twist, twist_inverse)
 
@@ -70,7 +70,7 @@ class Point(tuple):
 def _realize(b: HopfBundle, pt: Point) -> Rep:
     rep = b.module(pt[0])
     if pt[1] == "-":
-        return _memo(b, ("dual", rep), lambda: dual_rep(b, rep))
+        return dual_rep(b, rep)
     return rep
 
 
@@ -395,9 +395,11 @@ def diagram_from_obj(b: HopfBundle, obj: dict) -> Diagram:
                                 % (index, len(basis)))
                         coeffs = [b.field.zero()] * len(basis)
                         coeffs[index] = b.field.one()
-                    else:
+                    elif isinstance(gobj["coeffs"], list):
                         coeffs = [CycNum.from_obj(c, b.field)
                                   for c in gobj["coeffs"]]
+                    else:
+                        raise StructureError("coupon coeffs must be a list")
                     if len(coeffs) != len(basis):
                         raise StructureError(
                             "coupon has %d coefficients for a %d-dim hom space"
@@ -414,7 +416,7 @@ def diagram_from_obj(b: HopfBundle, obj: dict) -> Diagram:
                        top=[Point(*p) for p in obj["top"]],
                        slices=slices,
                        admissible=bool(obj.get("admissible", False)))
-    except (KeyError, TypeError, IndexError) as exc:
+    except (LookupError, TypeError, ValueError, AttributeError) as exc:
         raise StructureError("malformed diagram object: %s" % exc) from exc
 
 

@@ -254,6 +254,13 @@ def _bad_job(edit):
     return job
 
 
+def _coupon_diagram(coeffs):
+    """A one-coupon diagram on sweedler's proj_plus with `coeffs`."""
+    pp = ["proj_plus", "+"]
+    return {"bottom": [pp], "top": [pp], "slices": [[
+        {"kind": "coupon", "dom": [pp], "cod": [pp], "coeffs": coeffs}]]}
+
+
 # Malformed inputs: (command, the file's content).  Each must end in a named
 # error with exit 2, not in a traceback or in a silent wrong read.
 MALFORMED = {
@@ -284,6 +291,10 @@ MALFORMED = {
         lambda j: j["f"].__setitem__("cols", 4.0))),
     "float k": ("red-to-blue", lambda: _bad_job(
         lambda j: j.__setitem__("k", 1.5))),
+    "float coupon coefficient": ("rt-eval",
+                                 lambda: _coupon_diagram([0.5, "1"])),
+    "coupon coefficients as a dict": ("rt-eval",
+                                      lambda: _coupon_diagram({"1": "1"})),
 }
 
 

@@ -8,17 +8,19 @@ from pathlib import Path
 import pytest
 
 import modskein
+from modskein import bundles
 from modskein.bundles import (sweedler_bundle, trivial_bundle, uqsl2_bundle,
                               z2_bundle, z4_bundle)
 from modskein.coend import (canonical_image_dim, coadjoint_rep, dinat, qchar,
                             recompose, red_to_blue, slf_basis)
-from modskein.cyclo import ExactMatrix, LinearSystem
+from modskein.cyclo import ExactMatrix, LinearSystem, _sparse_sum
 from modskein.errors import CapabilityError, StructureError
-from modskein.hopf import (AXIOMS, AxiomContext, Rep, _generators, braiding,
-                           braiding_inverse, bundle_from_obj, bundle_to_obj,
-                           direct_sum_rep, dual_rep, flip_matrix, hom_space,
-                           is_projective, regular_rep, tensor_rep, trivial_rep,
-                           twist, twist_inverse, validate_bundle, validate_rep)
+from modskein.hopf import (AXIOMS, AxiomContext, HopfBundle, Rep, _generators,
+                           braiding, braiding_inverse, bundle_from_obj,
+                           bundle_to_obj, direct_sum_rep, dual_rep, flip_matrix,
+                           hom_space, is_projective, regular_rep, tensor_rep,
+                           trivial_rep, twist, twist_inverse, validate_bundle,
+                           validate_rep)
 from modskein.rt import diagram_from_obj, evaluate
 from modskein.surface import char_map, skalg, skalg_dimension
 from test_acceptance import _perturb_once
@@ -299,13 +301,6 @@ def test_regular_rep_columns(sweedler):
             assert col == b.coords(prod)
 
 
-def test_left_mult_matrix_is_the_regular_action(z2, sweedler, z4, uqsl2_p2):
-    for b in (z2, sweedler, z4, uqsl2_p2):
-        x = {i: b.field.zeta(i) + b.field.from_rational(i)
-             for i in range(0, b.dim, 3)}
-        assert b.left_mult_matrix(x) == regular_rep(b).act(x, b.field), b.name
-
-
 def test_capability_errors_on_pivotal_only(uqsl2_p2):
     b = uqsl2_p2
     m = b.module("X+1")
@@ -396,6 +391,60 @@ def test_uqsl2_p2_shape(uqsl2_p2):
     assert not b.has_r
     dims = sorted(b.module(s).dim for s in b.simples)
     assert dims == [1, 1, 2, 2]
+
+
+def test_uqsl2_p3_records_the_candidate_r_verdict():
+    # p = 2 is pinned by the gen-uqsl2 golden hash.
+    b = uqsl2_bundle(3, with_r=True)
+    assert not b.has_r
+    assert b.metadata["r_candidate"] == {
+        "attempted": True, "attached": False, "validator_failures": [
+            "quasitriangular: Delta_op != R Delta R^-1 at e6",
+            "quasitriangular: (Delta (x) id)R != R13 R23",
+            "quasitriangular: (id (x) Delta)R != R13 R12"]}
+
+
+@pytest.mark.parametrize("p", [2, 3])
+def test_the_candidate_trial_derives_r_inverse_and_ribbon(monkeypatch, p):
+    # R^-1 = (S (x) id)R and v = g^-1 u are computed on monomials; the trial
+    # bundle computes both again from its own structure.  No shipped p
+    # attaches the candidate, so the trial is read where it is built.
+    trials, built = [], []
+    make_trial, init = bundles._candidate_trial, HopfBundle.__init__
+    monkeypatch.setattr(bundles, "_candidate_trial",
+                        lambda *args: trials.append(make_trial(*args))
+                        or trials[-1])
+    monkeypatch.setattr(HopfBundle, "__init__",
+                        lambda self, **kw: built.append(init(self, **kw)))
+    uqsl2_bundle(p, with_r=True)
+    assert len(trials) == 1 and len(built) == 2
+    trial = trials[0]
+    assert trial.field.order == 4 * p and trial.R
+    assert dict(((i, j), c) for i, j, c in trial.R_inv) == _sparse_sum(
+        ((k, j), c * s) for i, j, c in trial.R for k, s in trial.antipode_cols[i])
+    assert trial.elem(trial.ribbon) == trial.elem_mult(
+        trial.pivotal_inverse(), trial.drinfeld_u())
+
+
+def test_a_bundle_is_fixed_once_built():
+    b = z4_bundle()
+    m = b.module("chi1")
+    theta = twist(b, m)
+    with pytest.raises(TypeError):
+        b.ribbon[:] = [c * c for c in b.ribbon]
+    with pytest.raises(AttributeError):
+        b.ribbon = tuple(c * c for c in b.ribbon)
+    b.antipode.data[0][0] = b.field.zeta()
+    assert b.antipode == z4_bundle().antipode
+    assert twist(b, m) == theta
+    # Zero entries are dropped once, after every index was checked.
+    zero = b.field.zero()
+    fields = dict(name="z4", field=b.field, dim=4, unit=b.unit,
+                  comult=b.comult, counit=b.counit, antipode=b.antipode,
+                  pivotal=b.pivotal)
+    assert HopfBundle(mult=b.mult + ((0, 0, 1, zero),), **fields).mult == b.mult
+    with pytest.raises(StructureError, match="mult index"):
+        HopfBundle(mult=b.mult + ((0, 0, 4, zero),), **fields)
 
 
 def _dense_sum(field, dim, terms):
