@@ -861,11 +861,11 @@ def tensor_rep(b: HopfBundle, m: Rep, n: Rep) -> Rep:
 
 
 def dual_rep(b: HopfBundle, m: Rep) -> Rep:
-    """Left dual: rho*(e_i) = rho(S(e_i))^T, its rows built on first read,
-    once per module content."""
+    """Left dual: rho*(e_i) = rho(S(e_i))^T, one module per module content,
+    its rows built on first read."""
     _check_rep(b, m)
-    return Rep.deferred(b.field, m.dim, b.dim, lambda: _memo(
-        b, ("dual", m), lambda: tuple(
+    return _memo(b, ("dual", m), lambda: Rep.deferred(
+        b.field, m.dim, b.dim, lambda: tuple(
             _transpose(_action_rows(s_i, m.rows), m.dim)
             for s_i in b.antipode_cols)))
 

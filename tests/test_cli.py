@@ -292,7 +292,7 @@ MALFORMED = {
     "float k": ("red-to-blue", lambda: _bad_job(
         lambda j: j.__setitem__("k", 1.5))),
     "float coupon coefficient": ("rt-eval",
-                                 lambda: _coupon_diagram([0.5, "1"])),
+                                 lambda: _coupon_diagram([0.5])),
     "coupon coefficients as a dict": ("rt-eval",
                                       lambda: _coupon_diagram({"1": "1"})),
 }

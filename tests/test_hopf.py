@@ -803,11 +803,14 @@ def test_lazy_threefold_chains_equal_the_eager_ones(sweedler):
         _assert_same_module(lazy, eager, reads[t % len(reads)])
 
 
-def test_a_lazy_module_of_another_bundle_is_refused_unbuilt(z2, sweedler):
-    reg = sweedler.module("reg")
-    for lazy in (tensor_rep(sweedler, reg, reg), dual_rep(sweedler, reg),
-                 direct_sum_rep(sweedler, reg, reg)):
-        assert lazy.n_actions == sweedler.dim
+def test_a_lazy_module_of_another_bundle_is_refused_unbuilt(z2):
+    # A bundle of its own: the dual of a module is memoised per bundle, so on
+    # a shared bundle an earlier test may already have built it.
+    b = sweedler_bundle()
+    reg = b.module("reg")
+    for lazy in (tensor_rep(b, reg, reg), dual_rep(b, reg),
+                 direct_sum_rep(b, reg, reg)):
+        assert lazy.n_actions == b.dim
         for call in (lambda: tensor_rep(z2, lazy, z2.module("reg")),
                      lambda: tensor_rep(z2, z2.module("reg"), lazy),
                      lambda: dual_rep(z2, lazy),
