@@ -21,7 +21,7 @@ from itertools import islice
 
 from .cyclo import CycField, CycNum, ExactMatrix, _sparse_sum
 from .hopf import (AXIOMS, R_INVERSE_FREE, AxiomContext, HopfBundle, Rep,
-                   validate_bundle)
+                   _regular_module, validate_bundle)
 
 __all__ = ["trivial_bundle", "z2_bundle", "sweedler_bundle", "z4_bundle",
            "uqsl2_bundle", "builtin_bundle", "BUILTIN_BUNDLES"]
@@ -58,8 +58,7 @@ def z2_bundle() -> HopfBundle:
     comult = [(0, 0, 0, one), (1, 1, 1, one)]
     triv = Rep(1, [_mat(field, [[1]]), _mat(field, [[1]])])
     sgn = Rep(1, [_mat(field, [[1]]), _mat(field, [[-1]])])
-    reg = Rep(2, [ExactMatrix.identity(field, 2),
-                  _mat(field, [[0, 1], [1, 0]])])
+    reg = _regular_module(field, 2, mult)
     return HopfBundle(
         name="z2", field=field, dim=2,
         unit=[one, c(0)], mult=mult, comult=comult,
@@ -139,21 +138,19 @@ def sweedler_bundle(lam=Fraction(1)) -> HopfBundle:
     pm_x = _mat(field, [[0, 0], [1, 0]])
     proj_minus = Rep(2, [ExactMatrix.identity(field, 2), pm_g, pm_x, pm_g * pm_x])
 
-    bundle = HopfBundle(
+    return HopfBundle(
         name="sweedler", field=field, dim=4,
         unit=[one, field.zero(), field.zero(), field.zero()],
         mult=mult, comult=comult, counit=counit, antipode=antipode,
         pivotal=[field.zero(), one, field.zero(), field.zero()],
         R=R, R_inv=R_inv,
         ribbon=[one, field.zero(), field.zero(), field.zero()],
-        modules={"triv": triv, "sgn": sgn,
-                 "proj_plus": proj_plus, "proj_minus": proj_minus},
+        modules={"triv": triv, "sgn": sgn, "proj_plus": proj_plus,
+                 "proj_minus": proj_minus,
+                 "reg": _regular_module(field, 4, mult)},
         simples=["triv", "sgn"],
         basis_labels=["1", "g", "x", "gx"],
         metadata={"lambda": str(lam)})
-    from .hopf import regular_rep
-    bundle.modules["reg"] = regular_rep(bundle)
-    return bundle
 
 
 def z4_bundle() -> HopfBundle:
@@ -194,13 +191,7 @@ def z4_bundle() -> HopfBundle:
         mats = [ExactMatrix.from_rows(field, [[i_unit ** ((a * bchar) % 4)]])
                 for a in range(4)]
         modules["chi%d" % bchar] = Rep(1, mats)
-    reg_mats = []
-    for a in range(4):
-        mat = ExactMatrix.zeros(field, 4, 4)
-        for j in range(4):
-            mat.data[(a + j) % 4][j] = one
-        reg_mats.append(mat)
-    modules["reg"] = Rep(4, reg_mats)
+    modules["reg"] = _regular_module(field, 4, mult)
 
     return HopfBundle(
         name="z4", field=field, dim=4,

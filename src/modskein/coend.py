@@ -58,11 +58,11 @@ class SLFElem:
 
     __slots__ = ("coords",)
 
-    def __init__(self, b: HopfBundle, coords, check: bool = True):
+    def __init__(self, b: HopfBundle, coords):
         self.coords = list(coords)
         if len(self.coords) != b.dim:
             raise StructureError("SLF coordinate length != dim H")
-        if check and not is_symmetric_form(b, self.coords):
+        if not is_symmetric_form(b, self.coords):
             raise StructureError("form is not symmetric: f(xy) != f(yx)")
 
     def evaluate(self, b: HopfBundle, elem: dict) -> CycNum:
@@ -82,18 +82,21 @@ class SLFElem:
         return "SLFElem(%s)" % (self.coords,)
 
 
+def _commutators(b: HopfBundle) -> tuple:
+    """The nonzero coordinate rows of e_i e_j - e_j e_i for i < j, in that
+    order, each a tuple of (index, CycNum) pairs: a form is symmetric if and
+    only if it vanishes on every row.  Empty for a commutative bundle."""
+    table, d = b.mult_table, b.dim
+    return _memo(b, ("commutators",), lambda: tuple(
+        tuple(row.items()) for row in (
+            _sparse_sum(chain(table[i][j], ((k, -c) for k, c in table[j][i])))
+            for i in range(d) for j in range(i + 1, d)) if row))
+
+
 def is_symmetric_form(b: HopfBundle, coords) -> bool:
-    field = b.field
-    for i in range(b.dim):
-        for j in range(i + 1, b.dim):
-            s = field.zero()
-            for k, c in b.mult_table[i][j]:
-                s = s + c * coords[k]
-            for k, c in b.mult_table[j][i]:
-                s = s - c * coords[k]
-            if not s.is_zero():
-                return False
-    return True
+    zero = b.field.zero()
+    return all(sum((c * coords[k] for k, c in row), zero).is_zero()
+               for row in _commutators(b))
 
 
 def coadjoint_rep(b: HopfBundle) -> Rep:
@@ -134,12 +137,8 @@ def slf_basis(b: HopfBundle) -> list[SLFElem]:
     fails loudly here.
     """
     sys = LinearSystem(b.field, b.dim)
-    for i in range(b.dim):
-        for j in range(i + 1, b.dim):
-            row = _sparse_sum(chain(b.mult_table[i][j],
-                                    ((k, -c) for k, c in b.mult_table[j][i])))
-            if row:
-                sys.add_row(row)
+    for row in _commutators(b):
+        sys.add_row(dict(row))
     kern = sys.kernel()
     basis = [SLFElem(b, kern.col(j)) for j in range(kern.cols)]
     invs = hom_space(b, trivial_rep(b), coadjoint_rep(b))

@@ -818,12 +818,20 @@ def trivial_rep(b: HopfBundle) -> Rep:
 
 
 def regular_rep(b: HopfBundle) -> Rep:
-    """H acting on itself by left multiplication: column j of rho(e_i) is
-    e_i e_j, read from the multiplication table."""
-    table, d = b.mult_table, b.dim
-    return _memo(b, ("regular",), lambda: Rep.from_rows(b.field, d, [
-        _transpose([_sparse_sum(table[i][j]).items() for j in range(d)], d)
-        for i in range(d)]))
+    """H acting on itself by left multiplication."""
+    return _memo(b, ("regular",),
+                 lambda: _regular_module(b.field, b.dim, b.mult))
+
+
+def _regular_module(field: CycField, d: int, mult) -> Rep:
+    """The regular module of the d-dimensional algebra whose products are
+    the entries (i, j, k, c) of e_i e_j = sum c e_k: column j of rho(e_i)
+    is e_i e_j.  A bundle constructor builds its "reg" module with it."""
+    rows = [[[] for _ in range(d)] for _ in range(d)]
+    for (i, k, j), c in sorted(_sparse_sum(((i, k, j), c)
+                                           for i, j, k, c in mult).items()):
+        rows[i][k].append((j, c))
+    return Rep.from_rows(field, d, (tuple(map(tuple, r)) for r in rows))
 
 
 def _action_rows(terms, m_rows, n_rows=None) -> tuple:

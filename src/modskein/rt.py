@@ -8,7 +8,11 @@ pairs; a "-" point is realized by the left dual.  Evaluation is functorial
 a Kronecker product), which is the whole content of the strictified
 Reshetikhin-Turaev evaluation on disks.
 
-Duality conventions (fixed by the zig-zag identities):
+Every generator but the coupon is one row of a table: `_STRANDS` gives a
+kind's point count and its matrix on the realized points, and `_PAIRINGS`
+gives a duality pairing's two signs, whether it is a row (an evaluation) or
+a column, and the element it acts by.  Duality conventions (fixed by the
+zig-zag identities):
     Ev(M):      M* (x) M  -> 1      phi (x) m -> phi(m)
     Coev(M):    1 -> M (x) M*       1 -> sum e_a (x) e^a
     EvPiv(M):   M (x) M* -> 1       m (x) phi -> phi(g m)
@@ -46,9 +50,6 @@ __all__ = [
     "load_diagram",
 ]
 
-GENERATOR_KINDS = ("id", "ev", "coev", "ev_piv", "coev_piv", "braid",
-                   "braid_inv", "twist", "twist_inv", "coupon")
-
 
 class Point(tuple):
     """An oriented boundary point: (module name, '+' or '-')."""
@@ -74,12 +75,35 @@ def _realize(b: HopfBundle, pt: Point) -> Rep:
     return rep
 
 
+# The generators of the strict ribbon signature.  A strand maps its points
+# to the same points reversed: kind -> (point count, its matrix from the
+# bundle and the realized points).  A pairing takes one point, and is built
+# on the module that point names: kind -> (the signs of its two points,
+# written as a row, the element A it acts by or None for the identity), as
+# in the module docstring.  Entries call the `hopf` functions by their global names, so a
+# wrapper bound over such a name later is the one called.
+_STRANDS = {
+    "id": (1, lambda b, m: ExactMatrix.identity(b.field, m.dim)),
+    "twist": (1, lambda b, m: twist(b, m)),
+    "twist_inv": (1, lambda b, m: twist_inverse(b, m)),
+    "braid": (2, lambda b, m, n: braiding(b, m, n)),
+    "braid_inv": (2, lambda b, m, n: braiding_inverse(b, m, n)),
+}
+_PAIRINGS = {
+    "ev": ("-+", True, None),
+    "coev": ("+-", False, None),
+    "ev_piv": ("+-", True, HopfBundle.pivotal_elem),
+    "coev_piv": ("-+", False, HopfBundle.pivotal_inverse),
+}
+GENERATOR_KINDS = tuple(_STRANDS) + tuple(_PAIRINGS) + ("coupon",)
+
+
 class Generator:
     """One strand-level generator inside a slice.
 
-    kind: one of GENERATOR_KINDS; points: the oriented points it refers to
-    (one for id/ev/coev/ev_piv/coev_piv/twist/twist_inv, two for braids);
-    coupons carry explicit dom/cod point lists and an intertwiner matrix.
+    kind: one of GENERATOR_KINDS; points: the oriented points it refers to,
+    as many as its table row says; coupons carry explicit dom/cod point
+    lists and an intertwiner matrix.
     """
 
     __slots__ = ("kind", "points", "dom", "cod", "matrix")
@@ -95,52 +119,29 @@ class Generator:
             if not isinstance(matrix, ExactMatrix):
                 raise StructureError("coupon needs an ExactMatrix color")
             self.matrix = matrix
-        else:
-            self.dom, self.cod, self.matrix = None, None, None
+            return
+        want = _STRANDS[kind][0] if kind in _STRANDS else 1
+        if len(self.points) != want:
+            raise StructureError("generator %r takes %d point(s), got %d"
+                                 % (kind, want, len(self.points)))
+        self.dom, self.cod, self.matrix = None, None, None
 
     # -- typing ----------------------------------------------------------------
 
     def signature(self) -> tuple[tuple[Point, ...], tuple[Point, ...]]:
         """(domain points, codomain points)."""
-        k = self.kind
-        if k == "id":
-            (pt,) = self.points
-            return (pt,), (pt,)
-        if k in ("twist", "twist_inv"):
-            (pt,) = self.points
-            return (pt,), (pt,)
-        if k == "ev":
-            (pt,) = self.points
-            name = pt[0]
-            return (Point(name, "-"), Point(name, "+")), ()
-        if k == "ev_piv":
-            (pt,) = self.points
-            name = pt[0]
-            return (Point(name, "+"), Point(name, "-")), ()
-        if k == "coev":
-            (pt,) = self.points
-            name = pt[0]
-            return (), (Point(name, "+"), Point(name, "-"))
-        if k == "coev_piv":
-            (pt,) = self.points
-            name = pt[0]
-            return (), (Point(name, "-"), Point(name, "+"))
-        if k in ("braid", "braid_inv"):
-            p1, p2 = self.points
-            return (p1, p2), (p2, p1)
+        if self.kind in _STRANDS:
+            return self.points, self.points[::-1]
+        if self.kind in _PAIRINGS:
+            signs, as_row, _ = _PAIRINGS[self.kind]
+            pts = tuple(Point(self.points[0][0], s) for s in signs)
+            return (pts, ()) if as_row else ((), pts)
         return self.dom, self.cod
 
     def __repr__(self):
         if self.kind == "coupon":
             return "Coupon(%s -> %s)" % (list(self.dom), list(self.cod))
         return "%s%s" % (self.kind, list(self.points))
-
-
-# The duality pairings of the module docstring: kind -> (written as a row,
-# the bundle's element A acts by, or None for the identity).
-_PAIRINGS = {"ev": (True, None), "coev": (False, None),
-             "ev_piv": (True, HopfBundle.pivotal_elem),
-             "coev_piv": (False, HopfBundle.pivotal_inverse)}
 
 
 def _pairing(b: HopfBundle, m: Rep, as_row: bool, elem) -> ExactMatrix:
@@ -159,21 +160,11 @@ def _pairing(b: HopfBundle, m: Rep, as_row: bool, elem) -> ExactMatrix:
 
 
 def _generator_matrix(b: HopfBundle, gen: Generator) -> ExactMatrix:
-    k = gen.kind
-    if k == "id":
-        return ExactMatrix.identity(b.field, _realize(b, gen.points[0]).dim)
-    if k in _PAIRINGS:
-        return _pairing(b, _realize(b, Point(gen.points[0][0], "+")),
-                        *_PAIRINGS[k])
-    if k == "braid":
-        return braiding(b, _realize(b, gen.points[0]), _realize(b, gen.points[1]))
-    if k == "braid_inv":
-        return braiding_inverse(b, _realize(b, gen.points[0]),
-                                _realize(b, gen.points[1]))
-    if k == "twist":
-        return twist(b, _realize(b, gen.points[0]))
-    if k == "twist_inv":
-        return twist_inverse(b, _realize(b, gen.points[0]))
+    if gen.kind in _STRANDS:
+        return _STRANDS[gen.kind][1](b, *(_realize(b, p) for p in gen.points))
+    if gen.kind in _PAIRINGS:
+        _, as_row, elem = _PAIRINGS[gen.kind]
+        return _pairing(b, b.module(gen.points[0][0]), as_row, elem)
     return gen.matrix
 
 

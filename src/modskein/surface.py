@@ -283,12 +283,17 @@ def char_map(b: HopfBundle, alg: AlgebraPresentation) -> dict:
         raise StructureError("bundle has no simple module list")
     field = b.field
 
-    def sparse_qchar(rep):
-        return _sparse_sum(enumerate(qchar(b, rep).coords))
+    def sparse(form):
+        return _sparse_sum(enumerate(form.coords))
 
+    # one q-character per module, the simples' first; b.module names a
+    # simple missing from the module list
+    qchars = {name: qchar(b, b.module(name))
+              for name in dict.fromkeys(b.simples + list(b.modules))}
+    chars = {name: sparse(form) for name, form in qchars.items()}
     res = _solve_in_basis(
         field, [_sparse_sum(enumerate(v)) for v in alg.basis_vectors],
-        [sparse_qchar(b.module(name)) for name in b.simples])
+        [chars[name] for name in b.simples])
     if not res.feasible:
         raise StructureError(
             "q-characters do not lie in the invariant space "
@@ -298,17 +303,16 @@ def char_map(b: HopfBundle, alg: AlgebraPresentation) -> dict:
                                  ).rank()
 
     mu = _power_mult(b, 1)
-    chars = {name: sparse_qchar(rep) for name, rep in b.modules.items()}
     mult_report = {}
     for name_m in sorted(b.modules):
         for name_n in sorted(b.modules):
             lhs = _apply_mu(mu, chars[name_m], chars[name_n])
-            rhs = sparse_qchar(tensor_rep(b, b.module(name_m),
-                                          b.module(name_n)))
+            rhs = sparse(qchar(b, tensor_rep(b, b.module(name_m),
+                                             b.module(name_n))))
             mult_report[(name_m, name_n)] = (lhs == rhs)
     return {
         "images": images,
-        "qchars": {name: qchar(b, b.module(name)) for name in b.simples},
+        "qchars": {name: qchars[name] for name in b.simples},
         "rank": rank,
         "multiplicative": all(mult_report.values()),
         "multiplicativity_report": mult_report,

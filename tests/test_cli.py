@@ -261,6 +261,13 @@ def _coupon_diagram(coeffs):
         {"kind": "coupon", "dom": [pp], "cod": [pp], "coeffs": coeffs}]]}
 
 
+def _one_generator_diagram(kind, n):
+    """A one-slice diagram whose only generator is `kind` on n triv points."""
+    pts = [["triv", "+"]] * n
+    return {"bottom": pts, "top": pts,
+            "slices": [[{"kind": kind, "points": pts}]]}
+
+
 # Malformed inputs: (command, the file's content).  Each must end in a named
 # error with exit 2, not in a traceback or in a silent wrong read.
 MALFORMED = {
@@ -295,6 +302,10 @@ MALFORMED = {
                                  lambda: _coupon_diagram([0.5])),
     "coupon coefficients as a dict": ("rt-eval",
                                       lambda: _coupon_diagram({"1": "1"})),
+    "id with two points": ("rt-eval", lambda: _one_generator_diagram("id", 2)),
+    "braid with one point": ("rt-eval",
+                             lambda: _one_generator_diagram("braid", 1)),
+    "ev with no points": ("rt-eval", lambda: _one_generator_diagram("ev", 0)),
 }
 
 

@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from modskein.coend import (SLFElem, apply_factored_action,
+from modskein.coend import (SLFElem, _commutators, apply_factored_action,
                             canonical_image_dim, coadjoint_rep, dinat,
                             is_symmetric_form, iterated_comult, qchar,
                             recompose, red_to_blue, slf_basis)
@@ -150,6 +150,34 @@ def test_qchar_lands_in_slf(sweedler, z4, uqsl2_p2):
     for b in (sweedler, z4, uqsl2_p2):
         for name in sorted(b.modules):
             qchar(b, b.module(name))   # constructor checks membership
+
+
+def _symmetric_by_pairs(b, coords):
+    """f(e_i e_j) = f(e_j e_i) for every pair i, j, one pair at a time."""
+    def f(i, j):
+        return sum((c * coords[k] for k, c in b.mult_table[i][j]),
+                   b.field.zero())
+    return all(f(i, j) == f(j, i) for i in range(b.dim) for j in range(b.dim))
+
+
+@pytest.mark.parametrize("name,commutative", [
+    ("trivial", True), ("z2", True), ("sweedler", False), ("z4", True),
+    ("uqsl2_p2", False)])
+def test_is_symmetric_form_agrees_with_the_pairwise_definition(
+        request, name, commutative):
+    b = request.getfixturevalue(name)
+    assert (_commutators(b) == ()) == commutative
+    slfs = [f.coords for f in slf_basis(b)]
+    chars = [qchar(b, b.module(m)).coords for m in sorted(b.modules)]
+    # the first SLF basis vector, with one coordinate raised by 1; a
+    # non-symmetric one exists exactly when H is not commutative
+    perturbed = [slfs[0][:k] + [slfs[0][k] + b.field.one()] + slfs[0][k + 1:]
+                 for k in range(b.dim)]
+    bad = next((v for v in perturbed if not _symmetric_by_pairs(b, v)),
+               perturbed[0])
+    assert _symmetric_by_pairs(b, bad) == commutative
+    for coords in slfs + chars + [bad]:
+        assert is_symmetric_form(b, coords) == _symmetric_by_pairs(b, coords)
 
 
 def test_canonical_image_dim(z2, sweedler, z4):

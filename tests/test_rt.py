@@ -396,6 +396,24 @@ def test_evaluate_matches_the_dense_definition(request, bundle, a, x):
         assert evaluate(b, d) == _dense_evaluate(b, d), d
 
 
+# Points each non-coupon kind takes, as the strict ribbon signature has it.
+POINT_COUNTS = {"id": 1, "twist": 1, "twist_inv": 1, "braid": 2,
+                "braid_inv": 2, "ev": 1, "coev": 1, "ev_piv": 1,
+                "coev_piv": 1}
+
+
+@pytest.mark.parametrize("kind", sorted(set(GENERATOR_KINDS) - {"coupon"}))
+def test_a_wrong_point_count_is_refused(kind):
+    pt = ("triv", "+")
+    n = POINT_COUNTS[kind]
+    assert gen(kind, *[pt] * n).points == (pt,) * n
+    for wrong in (n - 1, n + 1):
+        with pytest.raises(StructureError,
+                           match=r"%r takes %d point\(s\), got %d"
+                           % (kind, n, wrong)):
+            gen(kind, *[pt] * wrong)
+
+
 def test_an_identity_diagram_never_builds_its_boundary_module(monkeypatch):
     b = sweedler_bundle()
     calls = []

@@ -2,7 +2,8 @@
 
 import pytest
 
-from modskein.bundles import z4_bundle
+from modskein import surface
+from modskein.bundles import sweedler_bundle, z4_bundle
 from modskein.coend import coadjoint_rep, dinat, qchar
 from modskein.cyclo import CycField, CycloError, ExactMatrix
 from modskein.errors import CapabilityError, StructureError
@@ -217,6 +218,32 @@ def test_char_map_sweedler(sweedler):
     assert cm["multiplicative"]
     for (pair, ok) in cm["multiplicativity_report"].items():
         assert ok, pair
+
+
+def test_char_map_takes_one_qchar_per_module(monkeypatch):
+    b = sweedler_bundle()
+    alg = skalg(b, 0, 2)
+    expected = char_map(b, alg)
+    calls = []
+
+    def counted(bundle, rep):
+        calls.append(rep)
+        return qchar(bundle, rep)
+
+    monkeypatch.setattr(surface, "qchar", counted)
+    assert char_map(b, alg) == expected
+    # each module once, then each tensor product M (x) N once
+    n = len(b.modules)
+    assert len(calls) == n + n * n
+    assert set(calls[:n]) == set(b.modules.values())
+
+
+def test_char_map_names_a_simple_missing_from_the_modules():
+    b = sweedler_bundle()
+    alg = skalg(b, 0, 2)
+    del b.modules["sgn"]
+    with pytest.raises(StructureError, match="no module named 'sgn'"):
+        char_map(b, alg)
 
 
 def test_char_map_needs_annulus(sweedler):
