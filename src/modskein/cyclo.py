@@ -759,7 +759,9 @@ class LinearSystem:
         inverses = self._pivot_inverses()
         zero = self.field.zero()
         part = ExactMatrix.zeros(self.field, self.ncols, self.nrhs)
-        for j in range(self.nrhs):
+        # a right-hand side that no pivot row contains solves to zero
+        for j in {c - self.ncols for row in self._pivots.values()
+                  for c in row if c >= self.ncols}:
             x = [zero] * self.ncols
             self._back_substitute(x, inverses, rcol=self.ncols + j)
             for i in range(self.ncols):

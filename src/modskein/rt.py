@@ -77,11 +77,12 @@ def _realize(b: HopfBundle, pt: Point) -> Rep:
 
 # The generators of the strict ribbon signature.  A strand maps its points
 # to the same points reversed: kind -> (point count, its matrix from the
-# bundle and the realized points).  A pairing takes one point, and is built
-# on the module that point names: kind -> (the signs of its two points,
-# written as a row, the element A it acts by or None for the identity), as
-# in the module docstring.  Entries call the `hopf` functions by their global names, so a
-# wrapper bound over such a name later is the one called.
+# bundle and the realized points).  A pairing takes one "+" point, and is
+# built on the module that point names: kind -> (the signs of its two
+# points, written as a row, the element A it acts by or None for the
+# identity), as in the module docstring.  Entries call the `hopf` functions
+# by their global names, so a wrapper bound over such a name later is the
+# one called.
 _STRANDS = {
     "id": (1, lambda b, m: ExactMatrix.identity(b.field, m.dim)),
     "twist": (1, lambda b, m: twist(b, m)),
@@ -124,6 +125,9 @@ class Generator:
         if len(self.points) != want:
             raise StructureError("generator %r takes %d point(s), got %d"
                                  % (kind, want, len(self.points)))
+        if kind in _PAIRINGS and self.points[0].sign != "+":
+            raise StructureError("pairing %r takes a '+' point naming its "
+                                 "module, got %r" % (kind, self.points[0]))
         self.dom, self.cod, self.matrix = None, None, None
 
     # -- typing ----------------------------------------------------------------

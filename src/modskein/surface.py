@@ -17,6 +17,14 @@ e_j of L^{(x)m}, `_power_mult(b, m)[(i, j)]` is e_i e_j as a {k: CycNum} dict,
 present only when nonzero.  Each column is summed straight from the
 definition above out of the columns of mu, of mu_{m-1} and of the braiding;
 no identity factor or dense product of the tensor powers is formed.
+
+Every step after the invariant basis walks nonzero entries only, so its cost
+is the number of products of nonzero constants, not a power of the
+dimension: `_power_mult` pairs each nonzero braiding entry with the nonzero
+columns of mu and mu_{m-1} it meets, `skalg` solves only for the nonzero
+products of invariants, and `check_associativity` multiplies each nonzero
+structure constant by the nonzero constants it meets, instead of visiting
+all d^3 triples of a d-dimensional algebra.
 """
 
 from __future__ import annotations
@@ -24,7 +32,7 @@ from __future__ import annotations
 from itertools import product
 
 from .cyclo import (CycNum, ExactMatrix, _dense, _parse_index, _solve_in_basis,
-                    _sparse_sum)
+                    _sparse_rows, _sparse_sum, _transpose)
 from .errors import StructureError
 from .hopf import (HopfBundle, Rep, _memo, braiding, hom_space, tensor_rep,
                    trivial_rep)
@@ -101,17 +109,33 @@ def _power_mult(b: HopfBundle, m: int) -> dict:
                     if (v := _sparse_sum(enumerate(col)))}
         mu, prev = _power_mult(b, 1), _power_mult(b, m - 1)
         swap = braiding(b, _power_rep(b, m - 1), coadjoint_rep(b))
-        swap_cols = [_sparse_sum(enumerate(col)) for col in zip(*swap.data)]
-        dm1, none = d ** (m - 1), {}
-        return {(a * dm1 + r, bb * dm1 + s): v
-                for a, r, bb, s in product(range(d), range(dm1), range(d),
-                                           range(dm1))
-                if (v := _sparse_sum(
-                    (k1 * dm1 + k2, c * c1 * c2)
-                    for t, c in swap_cols[r * d + bb].items()
-                    for k1, c1 in mu.get((a, t // dm1), none).items()
-                    for k2, c2 in prev.get((t % dm1, s), none).items()))}
+        swap_cols = _transpose(_sparse_rows(swap), swap.cols)
+        dm1 = d ** (m - 1)
+        mu_by_second, prev_by_first = _index_pairs(mu, 1), _index_pairs(prev, 0)
+        # one sum keyed (column, k); per column the terms come in the order
+        # (t, k1, k2) of the definition, and columns are then sorted
+        terms = _sparse_sum(
+            (((a * dm1 + r, bb * dm1 + s), k1 * dm1 + k2), c * c1 * c2)
+            for r, bb in product(range(dm1), range(d))
+            for t, c in swap_cols[r * d + bb]
+            for a, col1 in mu_by_second.get(t // dm1, ())
+            for s, col2 in prev_by_first.get(t % dm1, ())
+            for k1, c1 in col1.items() for k2, c2 in col2.items())
+        cols: dict = {}
+        for (key, k), v in terms.items():
+            cols.setdefault(key, {})[k] = v
+        return {key: cols[key] for key in sorted(cols)}
     return _memo(b, ("coend_power_mult", m), build)
+
+
+def _index_pairs(cols: dict, side: int) -> dict:
+    """Nonzero sparse columns {(i, j): col} indexed by one factor: for
+    side 0, i -> [(j, col), ...]; for side 1, j -> [(i, col), ...]."""
+    index: dict = {}
+    for pair, col in cols.items():
+        if col:
+            index.setdefault(pair[side], []).append((pair[1 - side], col))
+    return index
 
 
 def _apply_mu(cols: dict, x: dict, y: dict) -> dict:
@@ -168,20 +192,27 @@ class AlgebraPresentation:
 
     def check_associativity(self) -> bool:
         """(v_i v_j) v_k == v_i (v_j v_k) for every triple, expanded through
-        the structure constants."""
+        the structure constants.
+
+        Both sides of all triples are summed at once, keyed (i, j, k, s):
+        each nonzero v_i v_j = sum c v_t meets the nonzero v_t v_k, and each
+        nonzero v_j v_k = sum c v_t meets the nonzero v_i v_t.  A triple
+        whose two sides vanish contributes no key, so the cost is the number
+        of products of nonzero constants, not d^3.
+        """
         st = self.structure
-        for i in range(self.dim):
-            for j in range(self.dim):
-                for k in range(self.dim):
-                    left = _sparse_sum((s, c * c2)
-                                       for t, c in st[(i, j)].items()
-                                       for s, c2 in st[(t, k)].items())
-                    right = _sparse_sum((s, c * c2)
-                                        for t, c in st[(j, k)].items()
-                                        for s, c2 in st[(i, t)].items())
-                    if left != right:
-                        return False
-        return True
+        by_first, by_second = _index_pairs(st, 0), _index_pairs(st, 1)
+        left = _sparse_sum(((i, j, k, s), c * c2)
+                           for (i, j), col in st.items()
+                           for t, c in col.items()
+                           for k, col2 in by_first.get(t, ())
+                           for s, c2 in col2.items())
+        right = _sparse_sum(((i, j, k, s), c * c2)
+                            for (j, k), col in st.items()
+                            for t, c in col.items()
+                            for i, col2 in by_second.get(t, ())
+                            for s, c2 in col2.items())
+        return left == right
 
     def is_commutative(self) -> bool:
         st = self.structure
@@ -236,19 +267,23 @@ def skalg(b: HopfBundle, g: int, n: int, threads: int = 1) -> AlgebraPresentatio
     vecs = [_sparse_sum(enumerate(v)) for v in basis]
     mu_m = _power_mult(b, m)
 
-    # Express products (and the unit) back in the invariant basis: one shared
-    # solve with all right-hand sides stacked.
-    targets = [_apply_mu(mu_m, x, y) for x in vecs for y in vecs]
-    targets.append(_eps_power(b, m))
-    res = _solve_in_basis(field, vecs, targets)
+    # Express the nonzero products (and the unit) back in the invariant
+    # basis: one shared solve with their right-hand sides stacked, the unit
+    # last.  A zero product has zero coordinates.
+    dim = len(basis)
+    targets = {(i, j): xy for (i, x), (j, y) in product(enumerate(vecs),
+                                                        repeat=2)
+               if (xy := _apply_mu(mu_m, x, y))}
+    res = _solve_in_basis(field, vecs,
+                          list(targets.values()) + [_eps_power(b, m)])
     if not res.feasible:
         raise StructureError(
             "invariants are not closed under the braided product "
             "(convention drift); this should be impossible")
-    dim = len(basis)
-    structure = {(i, j): _sparse_sum(enumerate(res.particular.col(i * dim + j)))
-                 for i in range(dim) for j in range(dim)}
-    unit_coords = res.particular.col(dim * dim)
+    structure = {(i, j): {} for i in range(dim) for j in range(dim)}
+    for col, pair in enumerate(targets):
+        structure[pair] = _sparse_sum(enumerate(res.particular.col(col)))
+    unit_coords = res.particular.col(len(targets))
     labels = ["v%d" % t for t in range(dim)]
     alg = AlgebraPresentation(
         bundle_name=b.name, g=g, n=n, basis_vectors=basis, labels=labels,

@@ -306,6 +306,9 @@ MALFORMED = {
     "braid with one point": ("rt-eval",
                              lambda: _one_generator_diagram("braid", 1)),
     "ev with no points": ("rt-eval", lambda: _one_generator_diagram("ev", 0)),
+    "ev on a minus point": ("rt-eval", lambda: {
+        "bottom": [["proj_plus", "-"], ["proj_plus", "+"]], "top": [],
+        "slices": [[{"kind": "ev", "points": [["proj_plus", "-"]]}]]}),
 }
 
 

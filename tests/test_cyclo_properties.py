@@ -185,6 +185,50 @@ def test_pivots_are_deterministic(a):
     assert r1.kernel == r2.kernel and r1.particular == r2.particular
 
 
+def _solve_rows(field, rows, rhs_cols):
+    """Solve the rows of A against the right-hand sides `rhs_cols` (each a
+    column of entries, one per row) in one `LinearSystem`."""
+    system = LinearSystem(field, len(rows[0]), len(rhs_cols))
+    for r, row in enumerate(rows):
+        system.add_row({j: e for j, e in enumerate(row) if not e.is_zero()},
+                       {j: col[r] for j, col in enumerate(rhs_cols)
+                        if not col[r].is_zero()})
+    return system.solve()
+
+
+@settings(max_examples=60)
+@given(matrices(), st.booleans(), st.data())
+def test_solve_matches_each_right_hand_side_alone(a, infeasible, data):
+    # Rows of A plus the sum of its first and last rows, with the sum of
+    # their right-hand sides: for a consistent b that row reduces to zero,
+    # its right-hand side cancelling during elimination.  Zero right-hand sides sit between the
+    # others; `infeasible` adds one whose last entry is off by one.
+    field = a.field
+    rows = [list(r) for r in a.data]
+    rows.append([x + y for x, y in zip(rows[0], rows[-1])])
+    xs = [[data.draw(elems(field, small)) for _ in range(a.cols)]
+          for _ in range(2)]
+    zero = [field.zero()] * len(rows)
+    rhs = [zero, [sum((e * x for e, x in zip(row, xs[0])), field.zero())
+                  for row in rows], zero]
+    rhs.append([sum((e * x for e, x in zip(row, xs[1])), field.zero())
+                for row in rows])
+    if infeasible:
+        rhs.append(rhs[1][:-1] + [rhs[1][-1] + field.one()])
+    joint = _solve_rows(field, rows, rhs)
+    alone = [_solve_rows(field, rows, [col]) for col in rhs]
+    assert joint.feasible == (not infeasible)
+    assert joint.feasible == all(res.feasible for res in alone)
+    for res in alone:
+        assert res.kernel == joint.kernel
+    if joint.feasible:
+        assert isinstance(joint.particular, ExactMatrix)
+        for j, res in enumerate(alone):
+            assert joint.particular.col(j) == res.particular.col(0)
+        for j in (0, 2):
+            assert all(e.is_zero() for e in joint.particular.col(j))
+
+
 @given(fields, st.integers(-30, 30), st.integers(-30, 30))
 def test_zeta_powers(field, j, k):
     # every power of zeta reduces, including x^k with k >= 2 * degree - 1

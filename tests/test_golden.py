@@ -46,6 +46,12 @@ GOLDEN = {
         "98a217a872f2171ef1ba55960dc6f270ea849b056df2652eb4018b003fd7a97e",
     ("skalg", "z4", ("0", "3")):
         "cc90650659c96f58de7d68b12490d349743354afb2ea37e00b0bfc85ce5ffb22",
+    # The largest shipped algebras: dim 64 on L^(x)3 over Q(i), and dim 68
+    # on L^(x)4 (sweedler at g = 2, n = 1).
+    ("skalg", "z4", ("1", "2")):
+        "d434a7a7bc8d2feb78829007adabe6dfd2fb37baed0a3acb18288d8ddccdbb41",
+    ("skalg", "sweedler", ("2", "1")):
+        "9ff7139c2bcaf6cf2d1f1f38d01c5802d4d313187c2b8e0c2113c82d71786fa3",
 }
 
 # sha256 of the bundle file written by `gen-uqsl2 2`, without and with the

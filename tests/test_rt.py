@@ -414,6 +414,16 @@ def test_a_wrong_point_count_is_refused(kind):
             gen(kind, *[pt] * wrong)
 
 
+@pytest.mark.parametrize("kind", ["ev", "coev", "ev_piv", "coev_piv"])
+def test_a_pairing_on_a_minus_point_is_refused(kind):
+    # a pairing is built on the module its point names; a "-" point would
+    # read as the dual's pairing, which the table does not define
+    assert gen(kind, ("proj_plus", "+")).points == (("proj_plus", "+"),)
+    with pytest.raises(StructureError,
+                       match=r"pairing %r takes a '\+' point" % kind):
+        gen(kind, ("proj_plus", "-"))
+
+
 def test_an_identity_diagram_never_builds_its_boundary_module(monkeypatch):
     b = sweedler_bundle()
     calls = []

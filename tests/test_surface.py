@@ -1,11 +1,13 @@
 """Skein algebras of surfaces: the coend product and its invariant restriction."""
 
+from itertools import product
+
 import pytest
 
 from modskein import surface
 from modskein.bundles import sweedler_bundle, z4_bundle
 from modskein.coend import coadjoint_rep, dinat, qchar
-from modskein.cyclo import CycField, CycloError, ExactMatrix
+from modskein.cyclo import CycField, CycloError, ExactMatrix, _sparse_sum
 from modskein.errors import CapabilityError, StructureError
 from modskein.hopf import (braiding, dual_rep, hom_space, is_projective,
                            tensor_rep, trivial_rep)
@@ -135,6 +137,34 @@ def test_power_mult_columns_match_dense_definition(request, name, m):
     want = {(i, j): col for i in range(dm) for j in range(dm)
             if (col := sparse(dense.col(i * dm + j)))}
     assert _power_mult(b, m) == want
+
+
+def _column_loop_power_mult(b, m):
+    """mu_m for m > 1 by a loop over all d^(2m) columns (a*D + r, b'*D + s),
+    D = d^(m-1), each summed over the whole braiding column r*d + b'."""
+    d = b.dim
+    mu = _power_mult(b, 1)
+    prev = mu if m == 2 else _column_loop_power_mult(b, m - 1)
+    swap = braiding(b, _power_rep(b, m - 1), coadjoint_rep(b))
+    swap_cols = [_sparse_sum(enumerate(col)) for col in zip(*swap.data)]
+    dm1, none = d ** (m - 1), {}
+    return {(a * dm1 + r, bb * dm1 + s): v
+            for a, r, bb, s in product(range(d), range(dm1), range(d),
+                                       range(dm1))
+            if (v := _sparse_sum(
+                (k1 * dm1 + k2, c * c1 * c2)
+                for t, c in swap_cols[r * d + bb].items()
+                for k1, c1 in mu.get((a, t // dm1), none).items()
+                for k2, c2 in prev.get((t % dm1, s), none).items()))}
+
+
+@pytest.mark.parametrize("name", ["sweedler", "z4"])
+def test_power_mult_matches_the_column_loop_in_key_order(request, name):
+    b = request.getfixturevalue(name)
+    for m in (2, 3):
+        got, want = _power_mult(b, m), _column_loop_power_mult(b, m)
+        assert [(key, list(col.items())) for key, col in got.items()] == \
+            [(key, list(col.items())) for key, col in want.items()]
 
 
 def test_z2_coend_mult_is_convolution(z2):
@@ -310,22 +340,82 @@ def test_law_checks_reject_mutated_structure_constants(sweedler, z4):
     assert bad.check_associativity()
 
 
-def test_law_checks_on_the_matrix_algebra():
-    # Every skein algebra computed here is commutative; the 2x2 matrix
-    # algebra (matrix unit E_ab at index 2a + b, E_ab E_cd = [b = c] E_ad)
-    # is not, so it pins the order of the products in both checks.
+def _matrix_units():
+    """M_2(Q): matrix unit E_ab at index 2a + b, E_ab E_cd = [b = c] E_ad."""
     field = CycField(1)
     one, zero = field.one(), field.zero()
     structure = {(2 * a + b, 2 * c + d): {2 * a + d: one} if b == c else {}
                  for a in range(2) for b in range(2)
                  for c in range(2) for d in range(2)}
-    labels = ["E00", "E01", "E10", "E11"]
-    alg = AlgebraPresentation("m2", 0, 1, [[one]] * 4, labels, structure,
-                              [one, zero, zero, one], field=field)
+    return AlgebraPresentation("m2", 0, 1, [[one]] * 4,
+                               ["E00", "E01", "E10", "E11"], structure,
+                               [one, zero, zero, one], field=field)
+
+
+def test_law_checks_on_the_matrix_algebra():
+    # Every skein algebra computed here is commutative; the 2x2 matrix
+    # algebra is not, so it pins the order of the products in both checks.
+    alg = _matrix_units()
+    one, zero = alg.field.one(), alg.field.zero()
     assert not alg.is_commutative()
     assert alg.check_unit() and alg.check_associativity()
     assert alg.product_coords([zero, one, zero, zero],
                               [zero, zero, one, zero]) == [one, zero, zero, zero]
+
+
+def _associative_by_triples(alg):
+    """The per-triple check: (v_i v_j) v_k and v_i (v_j v_k), each summed on
+    its own, for every one of the d^3 triples."""
+    st = alg.structure
+    for i in range(alg.dim):
+        for j in range(alg.dim):
+            for k in range(alg.dim):
+                left = _sparse_sum((s, c * c2)
+                                   for t, c in st[(i, j)].items()
+                                   for s, c2 in st[(t, k)].items())
+                right = _sparse_sum((s, c * c2)
+                                    for t, c in st[(j, k)].items()
+                                    for s, c2 in st[(i, t)].items())
+                if left != right:
+                    return False
+    return True
+
+
+def _mutants(alg, count=6):
+    """Single-entry mutants: `count` perturbed nonzero constants (c -> c + 1)
+    and `count` added ones (0 -> 1), spread over the structure."""
+    one = alg.field.one()
+    present = [(pair, k) for pair, col in sorted(alg.structure.items())
+               for k in sorted(col)]
+    absent = [((i, j), k) for i in range(alg.dim) for j in range(alg.dim)
+              for k in range(alg.dim) if k not in alg.structure[(i, j)]]
+    for entries, bump in ((present, lambda c: c + one),
+                          (absent, lambda c: one)):
+        for pair, k in entries[::max(1, len(entries) // count)][:count]:
+            structure = {key: dict(col) for key, col in alg.structure.items()}
+            c = bump(structure[pair].get(k))
+            structure[pair][k] = c
+            if c.is_zero():
+                del structure[pair][k]
+            yield AlgebraPresentation(alg.bundle_name, alg.g, alg.n,
+                                      alg.basis_vectors, alg.labels,
+                                      structure, alg.unit_coords,
+                                      field=alg.field)
+
+
+def test_associativity_check_agrees_with_the_per_triple_loop(z2, sweedler,
+                                                             z4):
+    algebras = [_matrix_units(), skalg(sweedler, 1, 2)] + [
+        skalg(b, g, n) for b in (z2, sweedler, z4)
+        for g, n in ((0, 2), (1, 1), (0, 3))]
+    verdicts = []
+    for alg in algebras:
+        assert alg.check_associativity() and _associative_by_triples(alg)
+        for bad in _mutants(alg):
+            verdicts.append(bad.check_associativity())
+            assert verdicts[-1] == _associative_by_triples(bad), alg
+    # the mutants reach both verdicts
+    assert True in verdicts and False in verdicts
 
 
 def test_editing_the_coend_product_changes_no_later_result():
