@@ -33,8 +33,8 @@ from __future__ import annotations
 import math
 from itertools import chain
 
-from .cyclo import (CycNum, ExactMatrix, LinearSystem, _dense, _sorted_row,
-                    _sparse_rows, _sparse_sum, _transpose)
+from .cyclo import (CycNum, ExactMatrix, LinearSystem, _from_cols, _matrix,
+                    _sorted_row, _sparse_cols, _sparse_sum)
 from .errors import InadmissibleError, StructureError
 from .hopf import (HopfBundle, Rep, _check_rep, _memo, dual_rep, hom_space,
                    projective_section, regular_rep, trivial_rep)
@@ -121,9 +121,10 @@ def dinat(b: HopfBundle, m: Rep) -> ExactMatrix:
     Column (a * dim + b) is the matrix coefficient h -> rho_M(e_h)[b][a].
     """
     _check_rep(b, m)
-    return _dense(b.field, [[(a * m.dim + bb, v) for bb, row in enumerate(rows)
-                             for a, v in row] for rows in m.rows],
-                  m.dim * m.dim)
+    return _matrix(b.field, [sorted((a * m.dim + bb, v)
+                                    for bb, row in enumerate(rows)
+                                    for a, v in row) for rows in m.rows],
+                   m.dim * m.dim)
 
 
 def slf_basis(b: HopfBundle) -> list[SLFElem]:
@@ -194,14 +195,27 @@ def apply_factored_action(b: HopfBundle, factors: list[Rep], i: int,
     """Apply rho_{F1 (x) ... (x) Fm}(e_i) to a sparse vector {pos: CycNum}.
 
     Returns the image as a sparse vector; positions are row-major in the
-    factors, as in `ExactMatrix.kron`.
+    factors, as in `ExactMatrix.kron`.  A factor on which e_k acts by the
+    identity is skipped.
     """
     dims = [f.dim for f in factors]
+    blocks = [_action_blocks(b, f) for f in factors]
     return _sparse_sum(
         (pos, c * v) for idxs, c in iterated_comult(b, i, len(factors))
         for pos, v in _contract_blocks(
-            [f.cols[k] for f, k in zip(factors, idxs)], dims, dims,
+            [blk[k] for blk, k in zip(blocks, idxs)], dims, dims,
             vec).items())
+
+
+def _action_blocks(b: HopfBundle, f: Rep) -> tuple:
+    """Per basis element e_k, the sparse columns of rho_F(e_k), or None
+    where e_k acts by the identity (decided on the rows, once per module)."""
+    def build():
+        one = b.field.one()
+        ident = tuple(((r, one),) for r in range(f.dim))
+        return tuple(None if rows == ident else cols
+                     for rows, cols in zip(f.rows, f.cols))
+    return _memo(b, ("action_blocks", f), build)
 
 
 def _contract_blocks(block_cols, dims_in, dims_out, vec: dict) -> dict:
@@ -228,17 +242,6 @@ def _block_terms(vec: dict, cols, mid_in: int, mid_out: int, right: int):
         base = l * mid_out * right + r
         for rr, a in cols[s]:
             yield base + rr * right, a * v
-
-
-def _sparse_cols(mat: ExactMatrix) -> tuple:
-    """Per column of a dense matrix, its nonzero (row, entry) pairs."""
-    return _transpose(_sparse_rows(mat), mat.cols)
-
-
-def _from_cols(field, cols: list[dict], nrows: int) -> ExactMatrix:
-    """The dense nrows x len(cols) matrix with sparse columns `cols`."""
-    return _dense(field, _transpose([c.items() for c in cols], nrows),
-                  len(cols))
 
 
 # ---------------------------------------------------------------------------
@@ -305,7 +308,8 @@ def red_to_blue(b: HopfBundle, f: ExactMatrix, p_rep: Rep, k: int,
                     for pos, v in apply_factored_action(
                         b, lift_factors, s // md, w_cols[s % md]).items())
         for sec_col in _sparse_cols(section)]
-    return [(field.one(), _from_cols(field, fhat_cols, lift_dim))]
+    return [(field.one(), _from_cols(field, [c.items() for c in fhat_cols],
+                                     lift_dim))]
 
 
 def recompose(b: HopfBundle, terms: list[tuple[CycNum, ExactMatrix]], k: int,
@@ -325,4 +329,4 @@ def recompose(b: HopfBundle, terms: list[tuple[CycNum, ExactMatrix]], k: int,
                         for pos, v in _contract_blocks(
                             blocks, in_dims, out_dims, dict(fcols[j])).items())
             for j in range(terms[0][1].cols)]
-    return _from_cols(b.field, cols, d ** k * x_rep.dim)
+    return _from_cols(b.field, [c.items() for c in cols], d ** k * x_rep.dim)

@@ -1,4 +1,4 @@
-"""Exact arithmetic over cyclotomic fields Q(zeta_N) and exact dense linear algebra.
+"""Exact arithmetic over cyclotomic fields Q(zeta_N) and exact linear algebra.
 
 Numbers are written in the power basis of Q[x]/Phi_N(x), with Phi_N the N-th
 cyclotomic polynomial, so every element has a unique normal form and equality
@@ -9,16 +9,19 @@ renormalize.  `fractions.Fraction` appears only at the edges (`coeffs`,
 `repr`, JSON), floats are refused as input, and nothing in this module (or
 anything built on it) ever rounds.
 
-Matrices are eliminated fraction-free: rows are scaled to integer coefficient
-vectors in Z[zeta_N] and reduced by content-normalized cross-multiplication
-(Bareiss-style), so intermediate entries stay integral.  Pivoting is
-deterministic: leftmost nonzero column first, earliest row wins.
+A matrix holds its canonical sparse rows (nonzero entries sorted by column)
+and builds a dense table only when a caller reads `data`; from then on the
+table is the matrix.  Matrices are eliminated fraction-free: rows are scaled
+to integer coefficient vectors in Z[zeta_N] and reduced by content-normalized
+cross-multiplication (Bareiss-style), so intermediate entries stay integral.
+Pivoting is deterministic: leftmost nonzero column first, earliest row wins.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
+from itertools import chain
 from operator import add as _add, sub as _sub
 
 __all__ = [
@@ -450,51 +453,64 @@ class SolveResult:
 
 
 class ExactMatrix:
-    """Dense matrix of CycNum entries over a fixed cyclotomic field."""
+    """Matrix of CycNum entries over a fixed cyclotomic field.
 
-    __slots__ = ("field", "rows", "cols", "data")
+    A matrix holds one of two states.  Built by the engine (and by `zeros`,
+    `identity`, `from_rows` and every operation), it holds its canonical
+    sparse rows: per row, its nonzero entries as (column, CycNum) pairs
+    sorted by column, in tuples.  Built by `ExactMatrix(field, table)`, it
+    holds that dense table.  Reading `data` turns a row-held matrix into a
+    table-held one: the table is built once, the rows are dropped, and from
+    then on the table is the matrix, so writes through `data`, `[i, j]` and
+    row assignment are seen by everything that reads it later.  `rows` and
+    `cols` are the shape in both states.
+    """
+
+    __slots__ = ("field", "rows", "cols", "_sparse", "_data")
 
     def __init__(self, field: CycField, data):
         self.field = field
-        self.data = [list(row) for row in data]
-        self.rows = len(self.data)
-        self.cols = len(self.data[0]) if self.data else 0
-        for row in self.data:
-            if len(row) != self.cols:
-                raise CycloError("ragged matrix rows")
+        self._data = [list(row) for row in data]
+        self._sparse = None
+        self.rows = len(self._data)
+        self.cols = _width(self._data)
+
+    @property
+    def data(self) -> list:
+        """The dense table of entries, built from the rows on first read."""
+        if self._data is None:
+            zero = self.field.zero()
+            table = [[zero] * self.cols for _ in range(self.rows)]
+            for trow, row in zip(table, self._sparse):
+                for c, v in row:
+                    trow[c] = v
+            self._data, self._sparse = table, None
+        return self._data
 
     # -- constructors ----------------------------------------------------------
 
     @staticmethod
     def zeros(field: CycField, rows: int, cols: int) -> "ExactMatrix":
-        z = field.zero()
-        mat = ExactMatrix.__new__(ExactMatrix)
-        mat.field = field
-        mat.rows = rows
-        mat.cols = cols
-        mat.data = [[z] * cols for _ in range(rows)]
-        return mat
+        return _matrix(field, ((),) * rows, cols)
 
     @staticmethod
     def identity(field: CycField, n: int) -> "ExactMatrix":
-        mat = ExactMatrix.zeros(field, n, n)
         one = field.one()
-        for i in range(n):
-            mat.data[i][i] = one
-        return mat
+        return _matrix(field, tuple(((i, one),) for i in range(n)), n)
 
     @staticmethod
     def from_rows(field: CycField, rows) -> "ExactMatrix":
-        conv = [[e if isinstance(e, CycNum) else field.from_rational(e)
-                 for e in row] for row in rows]
-        return ExactMatrix(field, conv)
+        """The matrix with these dense rows of CycNums or exact rationals."""
+        table = [[e if isinstance(e, CycNum) else field.from_rational(e)
+                  for e in row] for row in rows]
+        return _matrix(field, _table_rows(table), _width(table))
 
     @staticmethod
     def column(field: CycField, entries) -> "ExactMatrix":
         return ExactMatrix.from_rows(field, [[e] for e in entries])
 
     def copy(self) -> "ExactMatrix":
-        return ExactMatrix(self.field, self.data)
+        return _matrix(self.field, _sparse_rows(self), self.cols)
 
     # -- structure ------------------------------------------------------------
 
@@ -507,49 +523,55 @@ class ExactMatrix:
         self.data[i][j] = value
 
     def col(self, j) -> list:
-        return [self.data[i][j] for i in range(self.rows)]
+        if self._sparse is None:
+            return [row[j] for row in self.data]
+        j, zero = range(self.cols)[j], self.field.zero()
+        return [dict(row).get(j, zero) for row in self._sparse]
 
     def transpose(self) -> "ExactMatrix":
-        return ExactMatrix(self.field,
-                           [[self.data[i][j] for i in range(self.rows)]
-                            for j in range(self.cols)])
+        return _matrix(self.field, _transpose(_sparse_rows(self), self.cols),
+                       self.rows)
 
     def is_zero(self) -> bool:
-        return all(e.is_zero() for row in self.data for e in row)
+        return not any(_sparse_rows(self))
 
     def __eq__(self, other):
         if not isinstance(other, ExactMatrix):
             return NotImplemented
-        return (self.field is other.field and self.rows == other.rows
-                and self.cols == other.cols and self.data == other.data)
+        if (self.field is not other.field or self.rows != other.rows
+                or self.cols != other.cols):
+            return False
+        if self._sparse is None and other._sparse is None:
+            return self.data == other.data
+        return _sparse_rows(self) == _sparse_rows(other)
 
     def __hash__(self):
-        return hash((self.field.order, self.rows, self.cols,
-                     tuple(tuple(row) for row in self.data)))
+        return hash((self.field.order, self.rows, self.cols, _sparse_rows(self)))
 
     # -- arithmetic ------------------------------------------------------------
 
     def __add__(self, other):
         if self.rows != other.rows or self.cols != other.cols:
-            raise CycloError("matrix shape mismatch in add")
-        return ExactMatrix(self.field,
-                           [[a + b for a, b in zip(r1, r2)]
-                            for r1, r2 in zip(self.data, other.data)])
+            raise CycloError("matrix shape mismatch in add or sub")
+        return _matrix(self.field, tuple(
+            _sorted_row(_sparse_sum(chain(r1, r2)))
+            for r1, r2 in zip(_sparse_rows(self), _sparse_rows(other))),
+            self.cols)
 
     def __sub__(self, other):
-        if self.rows != other.rows or self.cols != other.cols:
-            raise CycloError("matrix shape mismatch in sub")
-        return ExactMatrix(self.field,
-                           [[a - b for a, b in zip(r1, r2)]
-                            for r1, r2 in zip(self.data, other.data)])
+        return self + -other
 
     def __neg__(self):
-        return ExactMatrix(self.field, [[-a for a in row] for row in self.data])
+        return self.scale(-1)
 
     def scale(self, c) -> "ExactMatrix":
         if isinstance(c, (int, Fraction)):
             c = self.field.from_rational(c)
-        return ExactMatrix(self.field, [[c * a for a in row] for row in self.data])
+        if not any(c.num):
+            return ExactMatrix.zeros(self.field, self.rows, self.cols)
+        return _matrix(self.field, tuple(tuple([(j, c * a) for j, a in row])
+                                         for row in _sparse_rows(self)),
+                       self.cols)
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction, CycNum)):
@@ -557,53 +579,33 @@ class ExactMatrix:
         if self.cols != other.rows:
             raise CycloError("matrix shape mismatch in mul: %dx%d * %dx%d"
                              % (self.rows, self.cols, other.rows, other.cols))
-        out = ExactMatrix.zeros(self.field, self.rows, other.cols)
-        bdata = other.data
-        b_nonzero: dict[int, list] = {}  # row k of other, its nonzero entries
-        for arow, orow in zip(self.data, out.data):
-            for k, a in enumerate(arow):
-                if any(a.num):
-                    brow = b_nonzero.get(k)
-                    if brow is None:
-                        brow = b_nonzero[k] = _nonzero_entries(bdata[k])
-                    for j, b in brow:
-                        orow[j] = orow[j] + a * b
-        return out
+        return _matrix(self.field, _sparse_product(_sparse_rows(self),
+                                                   _sparse_rows(other)),
+                       other.cols)
 
     __rmul__ = scale
 
     def kron(self, other: "ExactMatrix") -> "ExactMatrix":
         """Kronecker product, row-major index convention (i1*r2+i2, j1*c2+j2)."""
-        out = ExactMatrix.zeros(self.field, self.rows * other.rows,
-                                self.cols * other.cols)
-        b_nonzero = _sparse_rows(other)
-        for i1, arow in enumerate(self.data):
-            orows = out.data[i1 * other.rows:(i1 + 1) * other.rows]
-            for j1, a in enumerate(arow):
-                if not any(a.num):
-                    continue
-                base = j1 * other.cols
-                for orow, brow in zip(orows, b_nonzero):
-                    for j2, b in brow:
-                        orow[base + j2] = a * b
-        return out
+        b_rows, c2 = _sparse_rows(other), other.cols
+        return _matrix(self.field, tuple(
+            tuple([(j1 * c2 + j2, a * b) for j1, a in arow for j2, b in brow])
+            for arow in _sparse_rows(self) for brow in b_rows),
+            self.cols * c2)
 
     def trace(self) -> CycNum:
         if self.rows != self.cols:
             raise CycloError("trace of a non-square matrix")
-        t = self.field.zero()
-        for i in range(self.rows):
-            t = t + self.data[i][i]
-        return t
+        return sum((v for i, row in enumerate(_sparse_rows(self))
+                    for c, v in row if c == i), self.field.zero())
 
     # -- elimination ------------------------------------------------------------
 
     def _system(self, rhs: "ExactMatrix | None" = None) -> "LinearSystem":
         sys = LinearSystem(self.field, self.cols, rhs.cols if rhs else 0)
-        for i in range(self.rows):
-            rvals = (None if rhs is None
-                     else dict(_nonzero_entries(rhs.data[i])))
-            sys.add_row(dict(_nonzero_entries(self.data[i])), rvals)
+        rhs_rows = _sparse_rows(rhs) if rhs else None
+        for i, row in enumerate(_sparse_rows(self)):
+            sys.add_row(dict(row), None if rhs is None else dict(rhs_rows[i]))
         return sys
 
     def rank(self) -> int:
@@ -658,13 +660,7 @@ class LinearSystem:
         items = list(coeffs.items())
         if rhs:
             items += [(self.ncols + j, e) for j, e in rhs.items()]
-        denom = math.lcm(*[e.den for _, e in items])
-        row = {}
-        for j, e in items:
-            if any(e.num):
-                scale = denom // e.den
-                row[j] = e.num if scale == 1 else tuple([c * scale for c in e.num])
-        return row
+        return dict(_cleared(items)[1])
 
     def add_row(self, coeffs: dict, rhs: dict | None = None) -> None:
         row = self._clear_row(coeffs, rhs or {})
@@ -741,16 +737,15 @@ class LinearSystem:
 
     def kernel(self) -> "ExactMatrix":
         inverses = self._pivot_inverses()
-        free_cols = [c for c in range(self.ncols) if c not in self._pivots]
         zero, one = self.field.zero(), self.field.one()
-        out = ExactMatrix.zeros(self.field, self.ncols, len(free_cols))
-        for j, fc in enumerate(free_cols):
-            x = [zero] * self.ncols
-            x[fc] = one
-            self._back_substitute(x, inverses, upto=fc)
-            for i in range(self.ncols):
-                out.data[i][j] = x[i]
-        return out
+        cols = []  # one sparse column per free column
+        for fc in range(self.ncols):
+            if fc not in self._pivots:
+                x = [zero] * self.ncols
+                x[fc] = one
+                self._back_substitute(x, inverses, upto=fc)
+                cols.append(_nonzero_entries(x))
+        return _from_cols(self.field, cols, self.ncols)
 
     def solve(self) -> SolveResult:
         kernel = self.kernel()
@@ -758,15 +753,14 @@ class LinearSystem:
             return SolveResult(None, kernel)
         inverses = self._pivot_inverses()
         zero = self.field.zero()
-        part = ExactMatrix.zeros(self.field, self.ncols, self.nrhs)
+        cols = [()] * self.nrhs
         # a right-hand side that no pivot row contains solves to zero
         for j in {c - self.ncols for row in self._pivots.values()
                   for c in row if c >= self.ncols}:
             x = [zero] * self.ncols
             self._back_substitute(x, inverses, rcol=self.ncols + j)
-            for i in range(self.ncols):
-                part.data[i][j] = x[i]
-        return SolveResult(part, kernel)
+            cols[j] = _nonzero_entries(x)
+        return SolveResult(_from_cols(self.field, cols, self.ncols), kernel)
 
 
 def _solve_in_basis(field: CycField, basis: list, targets: list) -> SolveResult:
@@ -788,15 +782,51 @@ def _solve_in_basis(field: CycField, basis: list, targets: list) -> SolveResult:
     return sys.solve()
 
 
-def _nonzero_entries(row: list) -> list[tuple[int, CycNum]]:
+def _nonzero_entries(row: list) -> tuple:
     """The nonzero entries of a dense row (or column) as (index, entry)."""
-    return [(j, e) for j, e in enumerate(row) if any(e.num)]
+    return tuple([(j, e) for j, e in enumerate(row) if any(e.num)])
+
+
+def _table_rows(table) -> tuple:
+    """The canonical sparse rows of a dense table."""
+    return tuple(map(_nonzero_entries, table))
+
+
+def _width(table) -> int:
+    """The column count of a dense table, whose rows must agree on it."""
+    cols = len(table[0]) if table else 0
+    if any(len(row) != cols for row in table):
+        raise CycloError("ragged matrix rows")
+    return cols
 
 
 def _sparse_rows(mat: ExactMatrix) -> tuple:
-    """The sparse rows of a dense matrix: per row, its nonzero entries as
-    (column, entry) pairs sorted by column."""
-    return tuple(tuple(_nonzero_entries(row)) for row in mat.data)
+    """The canonical sparse rows of a matrix: per row, its nonzero entries
+    as (column, entry) pairs sorted by column.  The rows a matrix holds are
+    returned as they are; a table is scanned."""
+    rows = mat._sparse
+    return _table_rows(mat.data) if rows is None else rows
+
+
+def _sparse_cols(mat: ExactMatrix) -> tuple:
+    """Per column of a matrix, its nonzero (row, entry) pairs sorted by row."""
+    return _transpose(_sparse_rows(mat), mat.cols)
+
+
+def _matrix(field: CycField, rows, ncols: int) -> ExactMatrix:
+    """The len(rows) x ncols matrix holding the canonical sparse rows `rows`
+    (each sorted by column, without zeros); rows that are tuples already are
+    held as they are, not copied."""
+    mat = _new(ExactMatrix)
+    mat.field, mat.rows, mat.cols = field, len(rows), ncols
+    mat._sparse, mat._data = tuple(map(tuple, rows)), None
+    return mat
+
+
+def _from_cols(field: CycField, cols, nrows: int) -> ExactMatrix:
+    """The nrows x len(cols) matrix whose columns hold the nonzero
+    (row, entry) pairs `cols`, each column in any order."""
+    return _matrix(field, _transpose(cols, nrows), len(cols))
 
 
 def _sorted_row(vec: dict) -> tuple:
@@ -815,20 +845,58 @@ def _transpose(rows, ncols: int) -> tuple:
     return tuple(map(tuple, cols))
 
 
+def _cleared(items) -> tuple[int, list]:
+    """The (key, CycNum) pairs `items` over one common denominator: that
+    denominator and the nonzero entries as (key, integer vector) pairs."""
+    denom = math.lcm(*[e.den for _, e in items])
+    return denom, [(j, e.num if e.den == denom
+                    else tuple([c * (denom // e.den) for c in e.num]))
+                   for j, e in items if any(e.num)]
+
+
 def _sparse_product(a_rows, b_rows) -> tuple:
-    """The sparse rows of the product A B, from the sparse rows of A and B."""
-    return tuple(_sorted_row(_sparse_sum((j, a * v) for k, a in row
-                                         for j, v in b_rows[k]))
-                 for row in a_rows)
+    """The sparse rows of the product A B, from the sparse rows of A and B.
 
-
-def _dense(field: CycField, rows, ncols: int) -> ExactMatrix:
-    """The dense matrix with sparse rows `rows` and `ncols` columns."""
-    out = ExactMatrix.zeros(field, len(rows), ncols)
-    for orow, row in zip(out.data, rows):
-        for c, v in row:
-            orow[c] = v
-    return out
+    A row of A with one entry (k, a) gives row k of B itself when a is 1 and
+    that row scaled by a otherwise: a field has no zero divisors, so nothing
+    cancels and the order stays sorted.  Any other row sums the integer
+    vectors of its entries times those of the rows of B they pick (each row
+    of B cleared once), over one common denominator, and normalises each
+    entry of the sum once.
+    """
+    out = []
+    cleared: dict = {}  # k -> row k of B, cleared
+    for row in a_rows:
+        if len(row) == 1:
+            (k, a), = row
+            if a.den == 1 and a.num == a.field._powers[0]:
+                out.append(b_rows[k])
+            else:
+                out.append(tuple([(j, a * v) for j, v in b_rows[k]]))
+            continue
+        if not row:
+            out.append(())
+            continue
+        field = row[0][1].field
+        deg, red = field.degree, field._red
+        parts = []  # (numerator of a, denominator of a * row k, row k)
+        for k, a in row:
+            if k not in cleared:
+                cleared[k] = _cleared(b_rows[k])
+            b_den, b_vecs = cleared[k]
+            parts.append((a.num, a.den * b_den, b_vecs))
+        den = math.lcm(*[d for _, d, _ in parts])
+        acc: dict = {}
+        get = acc.get
+        for avec, d, b_vecs in parts:
+            if d != den:
+                avec = tuple([c * (den // d) for c in avec])
+            for j, bvec in b_vecs:
+                v, s = _ivec_mul(avec, bvec, deg, red), get(j)
+                acc[j] = v if s is None else tuple(map(_add, s, v))
+        out.append(tuple([(j, _normal(field, v, den))
+                          for j, v in sorted(acc.items()) if any(v)]))
+    return tuple(out)
 
 
 def _sparse_sum(terms) -> dict:

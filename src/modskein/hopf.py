@@ -48,8 +48,8 @@ formed by `cyclo._sparse_sum`.  A module keeps its action as sparse rows
 (see `Rep`), and the action of an element of H on a module M, or of H (x) H
 on M (x) N, is written by the one builder `_action_rows`, which visits only
 the nonzero entries of the factors and returns sparse rows again.
-`Rep.act` and `braiding` make their dense matrices from those rows, and
-`validate_rep` compares the rows themselves.
+`Rep.act` and `braiding` wrap those rows as matrices, and `validate_rep`
+compares the rows themselves.
 """
 
 from __future__ import annotations
@@ -58,9 +58,10 @@ import json
 from functools import cached_property, partial
 from itertools import chain, islice
 
-from .cyclo import (CycField, CycNum, ExactMatrix, LinearSystem, _dense,
+from .cyclo import (CycField, CycNum, ExactMatrix, LinearSystem, _matrix,
                     _parse_index, _solve_in_basis, _sorted_row,
-                    _sparse_product, _sparse_rows, _sparse_sum, _transpose)
+                    _sparse_cols, _sparse_product, _sparse_rows, _sparse_sum,
+                    _transpose)
 from .errors import CapabilityError, StructureError
 
 __all__ = [
@@ -96,12 +97,12 @@ class Rep:
     `rows[i][r]` holds the nonzero entries of row r of the action matrix
     rho(e_i) as (column, CycNum) pairs sorted by column.  That form is
     canonical, so equality and the hash compare (dim, rows) and equal
-    modules are equal cache keys.  `Rep(dim, mats)` reads dense action
+    modules are equal cache keys.  `Rep(dim, mats)` reads the rows of action
     matrices and `Rep.from_rows` takes sparse rows as they are.  A derived
     module (`Rep.deferred`) knows its dim and action count at once and builds
-    its rows on first read.  The dense matrices `mats` and the sparse columns
-    `cols` are built from the rows on first access and kept; treat them as
-    read-only.  `mats` is a view for callers outside the engine, which
+    its rows on first read.  The matrices `mats`, which wrap the rows, and
+    the sparse columns `cols` are built on first access and kept; treat them
+    as read-only.  `mats` is a view for callers outside the engine, which
     itself reads only `rows` and `cols`.
     """
 
@@ -147,7 +148,7 @@ class Rep:
     @property
     def mats(self) -> list[ExactMatrix]:
         if self._mats is None:
-            self._mats = [_dense(self.field, rows, self.dim)
+            self._mats = [_matrix(self.field, rows, self.dim)
                           for rows in self.rows]
         return self._mats
 
@@ -160,7 +161,7 @@ class Rep:
 
     def act(self, elem: dict, field: CycField) -> ExactMatrix:
         """Matrix of a (sparse) algebra element on this module."""
-        return _dense(field, _action_rows(elem.items(), self.rows), self.dim)
+        return _matrix(field, _action_rows(elem.items(), self.rows), self.dim)
 
     def __eq__(self, other):
         if not isinstance(other, Rep):
@@ -297,7 +298,7 @@ class HopfBundle:
             comult_table[i].append((j, k, c))
         self.mult_table = tuple(tuple(map(tuple, row)) for row in mult_table)
         self.comult_table = tuple(map(tuple, comult_table))
-        self.antipode_cols = tuple(_sparse_rows(self._antipode.transpose()))
+        self.antipode_cols = _sparse_cols(self._antipode)
 
     # -- capability ------------------------------------------------------------
 
@@ -915,25 +916,21 @@ def hom_space(b: HopfBundle, m: Rep, n: Rep) -> list[ExactMatrix]:
     for n_rows, m_cols in zip(n.rows, m.cols):
         for row in _intertwiner_rows(n_rows, m_cols, m.dim):
             sys.add_row(row)
-    kern = sys.kernel()
     out = []
-    for j in range(kern.cols):
-        mat = ExactMatrix.zeros(b.field, n.dim, m.dim)
-        for r in range(n.dim):
-            for c in range(m.dim):
-                mat.data[r][c] = kern.data[r * m.dim + c][j]
-        out.append(mat)
+    for col in _sparse_cols(sys.kernel()):
+        rows = [[] for _ in range(n.dim)]
+        for k, v in col:
+            r, c = divmod(k, m.dim)
+            rows[r].append((c, v))
+        out.append(_matrix(b.field, rows, m.dim))
     return out
 
 
 def flip_matrix(field: CycField, m: int, n: int) -> ExactMatrix:
     """The tensor swap M (x) N -> N (x) M on coordinates (a*n+b -> b*m+a)."""
-    out = ExactMatrix.zeros(field, m * n, m * n)
     one = field.one()
-    for a in range(m):
-        for bb in range(n):
-            out.data[bb * m + a][a * n + bb] = one
-    return out
+    return _matrix(field, [((a * n + bb, one),) for bb in range(n)
+                           for a in range(m)], m * n)
 
 
 def braiding(b: HopfBundle, m: Rep, n: Rep) -> ExactMatrix:
@@ -947,7 +944,7 @@ def braiding(b: HopfBundle, m: Rep, n: Rep) -> ExactMatrix:
     def build():
         acc = _action_rows(b.r_sparse(), m.rows, n.rows)
         rows = [acc[a * n.dim + bb] for bb in range(n.dim) for a in range(m.dim)]
-        return _dense(b.field, rows, m.dim * n.dim)
+        return _matrix(b.field, rows, m.dim * n.dim)
     return _memo(b, ("braiding", m, n), build)
 
 
@@ -963,7 +960,7 @@ def braiding_inverse(b: HopfBundle, m: Rep, n: Rep) -> ExactMatrix:
         perm = [(k % m.dim) * n.dim + k // m.dim for k in range(m.dim * n.dim)]
         rows = [sorted((perm[k], v) for k, v in row)
                 for row in _action_rows(b.r_inv_sparse(), n.rows, m.rows)]
-        return _dense(b.field, rows, m.dim * n.dim)
+        return _matrix(b.field, rows, m.dim * n.dim)
     return _memo(b, ("braiding_inv", m, n), build)
 
 
@@ -1020,21 +1017,18 @@ def projective_section(b: HopfBundle, m: Rep) -> ExactMatrix | None:
         if m == regular_rep(b):
             unit_idx = [i for i, c in enumerate(b.unit) if not c.is_zero()]
             if len(unit_idx) == 1 and b.unit[unit_idx[0]] == field.one():
-                sec = ExactMatrix.zeros(field, b.dim * b.dim, b.dim)
-                for h in range(b.dim):
-                    sec.data[h * b.dim + unit_idx[0]][h] = field.one()
-                return sec
+                one = field.one()
+                return _matrix(field, [((h, one),) if r == unit_idx[0] else ()
+                                       for h in range(b.dim)
+                                       for r in range(b.dim)], b.dim)
         res = _free_cover_system(b, m).solve()
         if not res.feasible:
             return None
-        md = m.dim
-        sec = ExactMatrix.zeros(field, b.dim * md, md)
-        for h in range(b.dim):
-            for r in range(md):
-                for c in range(md):
-                    sec.data[h * md + r][c] = \
-                        res.particular.data[(h * md + r) * md + c][0]
-        return sec
+        # entry (h * md + r, c) of the section is unknown (h * md + r) * md + c
+        md, part = m.dim, _sparse_rows(res.particular)
+        return _matrix(field, [[(c, v) for c in range(md)
+                                for _, v in part[s * md + c]]
+                               for s in range(b.dim * md)], md)
     return _memo(b, ("proj_section", m), build)
 
 

@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import json
 
-from .cyclo import (CycNum, ExactMatrix, _dense, _solve_in_basis,
+from .cyclo import (CycNum, ExactMatrix, _matrix, _solve_in_basis,
                     _sparse_product, _sparse_rows, _sparse_sum, _transpose)
 from .errors import InadmissibleError, StructureError, TypingError
 from .hopf import (HopfBundle, Rep, _action_rows, braiding,
@@ -159,8 +159,8 @@ def _pairing(b: HopfBundle, m: Rep, as_row: bool, elem) -> ExactMatrix:
                for c, v in row]
     size = m.dim * m.dim
     if as_row:
-        return _dense(b.field, [entries], size)
-    return _dense(b.field, _transpose([entries], size), 1)
+        return _matrix(b.field, [sorted(entries)], size)
+    return _matrix(b.field, _transpose([entries], size), 1)
 
 
 def _generator_matrix(b: HopfBundle, gen: Generator) -> ExactMatrix:
@@ -261,7 +261,7 @@ def evaluate(b: HopfBundle, diagram: Diagram) -> ExactMatrix:
         total = rows if total is None else _sparse_product(rows, total)
     if total is None:
         return ExactMatrix.identity(field, dim)
-    return _dense(field, total, dim)
+    return _matrix(field, total, dim)
 
 
 class SkeinVector:
@@ -294,7 +294,7 @@ def _combination(field, terms, nrows: int, ncols: int) -> ExactMatrix:
                                  for r, row in enumerate(_sparse_rows(mat))
                                  for j, v in row).items():
         rows[r].append((j, v))
-    return _dense(field, rows, ncols)
+    return _matrix(field, [sorted(row) for row in rows], ncols)
 
 
 def skein_eq(b: HopfBundle, s1: SkeinVector, s2: SkeinVector) -> bool:
@@ -358,8 +358,8 @@ def diagram_to_obj(b: HopfBundle, diagram: Diagram) -> dict:
 def _coupon_coords(b, matrix, basis):
     """Coordinates of a coupon matrix in its hom-space basis, or None."""
     def entries(mat):
-        return {(r, c): v for r, row in enumerate(mat.data)
-                for c, v in enumerate(row) if not v.is_zero()}
+        return {(r, c): v for r, row in enumerate(_sparse_rows(mat))
+                for c, v in row}
 
     res = _solve_in_basis(b.field, [entries(m) for m in basis],
                           [entries(matrix)])

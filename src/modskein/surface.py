@@ -31,8 +31,8 @@ from __future__ import annotations
 
 from itertools import product
 
-from .cyclo import (CycNum, ExactMatrix, _dense, _parse_index, _solve_in_basis,
-                    _sparse_rows, _sparse_sum, _transpose)
+from .cyclo import (CycNum, ExactMatrix, _matrix, _parse_index,
+                    _solve_in_basis, _sorted_row, _sparse_cols, _sparse_sum)
 from .errors import StructureError
 from .hopf import (HopfBundle, Rep, _memo, braiding, hom_space, tensor_rep,
                    trivial_rep)
@@ -76,11 +76,11 @@ def coend_mult(b: HopfBundle) -> ExactMatrix:
         s_alpha_h = {alpha: [b.elem_mult(b.elem_antipode({alpha: one}),
                                          {h: one}) for h in range(d)]
                      for alpha in {alpha for alpha, _, _ in r_terms}}
-        return _dense(b.field, [_sparse_sum(
+        return _matrix(b.field, [_sorted_row(_sparse_sum(
             (i * d + j, c_r * c_h * u * w) for alpha, beta, c_r in r_terms
             for h1, h2, c_h in b.comult_table[h]
             for i, u in s_alpha_h[alpha][h1].items()
-            for j, w in coad[beta][h2]).items() for h in range(d)], d * d)
+            for j, w in coad[beta][h2])) for h in range(d)], d * d)
     return _memo(b, ("coend_mult",), build)
 
 
@@ -104,12 +104,11 @@ def _power_mult(b: HopfBundle, m: int) -> dict:
     def build():
         d = b.dim
         if m == 1:
-            return {divmod(c, d): v
-                    for c, col in enumerate(zip(*coend_mult(b).data))
-                    if (v := _sparse_sum(enumerate(col)))}
+            return {divmod(c, d): dict(col)
+                    for c, col in enumerate(_sparse_cols(coend_mult(b))) if col}
         mu, prev = _power_mult(b, 1), _power_mult(b, m - 1)
         swap = braiding(b, _power_rep(b, m - 1), coadjoint_rep(b))
-        swap_cols = _transpose(_sparse_rows(swap), swap.cols)
+        swap_cols = _sparse_cols(swap)
         dm1 = d ** (m - 1)
         mu_by_second, prev_by_first = _index_pairs(mu, 1), _index_pairs(prev, 0)
         # one sum keyed (column, k); per column the terms come in the order
@@ -263,7 +262,7 @@ def skalg(b: HopfBundle, g: int, n: int, threads: int = 1) -> AlgebraPresentatio
     field = b.field
     power = _power_rep(b, m)
     inv = hom_space(b, trivial_rep(b), power)
-    basis = [[mat.data[i][0] for i in range(power.dim)] for mat in inv]
+    basis = [mat.col(0) for mat in inv]
     vecs = [_sparse_sum(enumerate(v)) for v in basis]
     mu_m = _power_mult(b, m)
 
@@ -281,8 +280,9 @@ def skalg(b: HopfBundle, g: int, n: int, threads: int = 1) -> AlgebraPresentatio
             "invariants are not closed under the braided product "
             "(convention drift); this should be impossible")
     structure = {(i, j): {} for i in range(dim) for j in range(dim)}
+    coords = _sparse_cols(res.particular)
     for col, pair in enumerate(targets):
-        structure[pair] = _sparse_sum(enumerate(res.particular.col(col)))
+        structure[pair] = dict(coords[col])
     unit_coords = res.particular.col(len(targets))
     labels = ["v%d" % t for t in range(dim)]
     alg = AlgebraPresentation(

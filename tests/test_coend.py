@@ -4,15 +4,16 @@ import random
 
 import pytest
 
-from modskein.coend import (SLFElem, _commutators, apply_factored_action,
+from modskein.coend import (SLFElem, _action_blocks, _commutators,
+                            _contract_blocks, apply_factored_action,
                             canonical_image_dim, coadjoint_rep, dinat,
                             is_symmetric_form, iterated_comult, qchar,
                             recompose, red_to_blue, slf_basis)
 from modskein.bundles import (sweedler_bundle, trivial_bundle, uqsl2_bundle,
                               z2_bundle, z4_bundle)
-from modskein.cyclo import ExactMatrix, _sparse_rows
+from modskein.cyclo import ExactMatrix, _sparse_rows, _sparse_sum
 from modskein.errors import InadmissibleError, StructureError
-from modskein.hopf import (direct_sum_rep, dual_rep, hom_space,
+from modskein.hopf import (Rep, direct_sum_rep, dual_rep, hom_space,
                            projective_section, regular_rep, tensor_rep,
                            trivial_rep, validate_rep)
 
@@ -320,3 +321,46 @@ def test_editing_a_projective_section_changes_no_later_lift():
     terms = red_to_blue(b, f, p_rep, 1, x_rep)
     assert recompose(b, terms, 1, x_rep) == f
     assert projective_section(b, p_rep) != section
+
+
+def _unskipped_action(b, factors, i, vec):
+    """`apply_factored_action` with every factor's action applied, the
+    identities too."""
+    dims = [f.dim for f in factors]
+    return _sparse_sum(
+        (pos, c * v) for idxs, c in iterated_comult(b, i, len(factors))
+        for pos, v in _contract_blocks(
+            [f.cols[k] for f, k in zip(factors, idxs)], dims, dims,
+            vec).items())
+
+
+def test_skipping_identity_actions_changes_no_result():
+    rng = random.Random(16)
+    for b in (sweedler_bundle(), z4_bundle(), uqsl2_bundle(2)):
+        unit = next(k for k, c in enumerate(b.unit) if not c.is_zero())
+        for name, rep in sorted(b.modules.items()):
+            assert _action_blocks(b, rep)[unit] is None, (b.name, name)
+            for m in (1, 2, 3):
+                size = rep.dim ** m
+                vec = {pos: b.field.from_rational(rng.randint(1, 5))
+                       for pos in rng.sample(range(size), min(size, 3))}
+                for i in range(b.dim):
+                    assert apply_factored_action(b, [rep] * m, i, vec) == \
+                        _unskipped_action(b, [rep] * m, i, vec), \
+                        (b.name, name, m, i)
+
+
+def test_a_unit_that_does_not_act_by_the_identity_is_applied():
+    # Not a module: the unit of sweedler acts by the swap, and e1 by the
+    # identity, so e1's action is skipped and the unit's is not.
+    b = sweedler_bundle()
+    one = b.field.one()
+    swap, ident = (((1, one),), ((0, one),)), (((0, one),), ((1, one),))
+    rep = Rep.from_rows(b.field, 2, [swap, ident, ((), ()), ((), ())])
+    assert [blk is None for blk in _action_blocks(b, rep)] == \
+        [False, True, False, False]
+    vec = {0: one, 3: b.field.from_rational(2)}
+    for i in range(b.dim):
+        assert apply_factored_action(b, [rep, rep], i, vec) == \
+            _unskipped_action(b, [rep, rep], i, vec)
+    assert apply_factored_action(b, [rep], 0, {0: one}) == {1: one}

@@ -6,9 +6,12 @@ from fractions import Fraction
 
 import pytest
 
+from modskein.bundles import z2_bundle
 from modskein.cyclo import (CycField, CycNum, CycloError, ExactMatrix,
+                            _sorted_row, _sparse_product, _sparse_sum,
                             cyclotomic_poly, euler_phi, parse_rational,
                             rational_str)
+from modskein.hopf import _memo
 
 
 def rnd_elem(field, rng, span=4):
@@ -201,6 +204,89 @@ def test_matrix_kron_and_trace():
     assert ab.rows == 4 and ab[0, 1] == field.one() and ab[0, 3] == i
     assert a.trace() == field.from_rational(2)
     assert (a * a.inverse()) == ExactMatrix.identity(field, 2)
+
+
+def _shape(mat):
+    return mat.rows, mat.cols
+
+
+def test_empty_matrices_keep_their_shapes():
+    field = CycField(4)
+    eye = ExactMatrix.identity(field, 2)
+    for r, c in ((0, 3), (3, 0), (0, 0)):
+        # both states: held as rows, and held as a (possibly empty) table
+        held = [ExactMatrix.zeros(field, r, c)]
+        if r:
+            held.append(ExactMatrix(field, [[field.zero()] * c] * r))
+        for z in held:
+            assert _shape(z) == (r, c)
+            assert _shape(z.copy()) == (r, c)
+            assert _shape(z.transpose()) == (c, r)
+            assert _shape(z.kron(eye)) == (2 * r, 2 * c)
+            assert _shape(eye.kron(z)) == (2 * r, 2 * c)
+            assert _shape(z * ExactMatrix.zeros(field, c, 4)) == (r, 4)
+            assert _shape(ExactMatrix.zeros(field, 4, r) * z) == (4, c)
+            assert z.is_zero() and z == ExactMatrix.zeros(field, r, c)
+    # a product through an empty inner dimension is the zero matrix
+    prod = ExactMatrix.zeros(field, 3, 0) * ExactMatrix.zeros(field, 0, 2)
+    assert _shape(prod) == (3, 2) and prod.is_zero()
+    assert prod.data == [[field.zero()] * 2] * 3
+    # a stored 0 x k matrix is handed out by the memo with its shape
+    b = z2_bundle()
+    for _ in range(2):
+        assert _shape(_memo(b, ("test_empty",),
+                            lambda: ExactMatrix.zeros(b.field, 0, 3))) == (0, 3)
+
+
+def _oracle_product(a_rows, b_rows):
+    """The body of `_sparse_product` before its fast paths: sum every
+    product a * v into a dict and sort it."""
+    return tuple(_sorted_row(_sparse_sum((j, a * v) for k, a in row
+                                         for j, v in b_rows[k]))
+                 for row in a_rows)
+
+
+def test_sparse_product_matches_the_summing_oracle():
+    rng = random.Random(16)
+    for order in (1, 4, 5):  # degrees 1, 2 and 4
+        field = CycField(order)
+        one, z = field.one(), field.zeta()
+
+        def scalar():
+            # denominators 1, 2, 3 and 6, so rows mix their denominators
+            return field.from_coeffs([Fraction(rng.randint(-3, 3),
+                                               rng.choice((1, 2, 3, 6)))
+                                      for _ in range(field.degree)])
+
+        def row(ncols, density):
+            return _sorted_row(_sparse_sum((j, scalar()) for j in range(ncols)
+                                           if rng.random() < density))
+
+        half = field.from_rational(Fraction(1, 2))
+        third = field.from_rational(Fraction(-1, 3))
+        b_rows = (((0, one), (2, half)), ((0, -one), (1, third), (2, z)),
+                  (), ((1, third * z),), ((0, -one), (2, -half)))
+        a_rows = (
+            ((0, one),),             # a unit entry: row 0 of B itself
+            ((1, z),), ((3, half),),  # scaled single entries
+            ((2, one),),             # a unit entry picking an empty row
+            (),                      # an empty row
+            ((0, one), (1, one)),    # (1, 1/2) + (-1, -1/3, z): 0 cancels
+            ((0, half), (1, third), (3, z * half)),  # denominators 2, 3, 6
+            ((0, z), (1, z)), ((1, one), (3, -one)),
+            ((0, z), (4, z)))        # rows 0 and 4 of B cancel entirely
+        got = _sparse_product(a_rows, b_rows)
+        assert got == _oracle_product(a_rows, b_rows)
+        assert got[0] is b_rows[0]
+        assert got[5][0][0] == 1  # column 0 cancelled and is absent
+        assert got[-1] == ()
+        for _ in range(30):
+            inner, ncols = rng.randint(1, 5), rng.randint(1, 5)
+            b_rows = tuple(row(ncols, 0.6) for _ in range(inner))
+            a_rows = tuple(row(inner, rng.choice((0.2, 0.5, 0.9)))
+                           for _ in range(rng.randint(1, 5)))
+            assert _sparse_product(a_rows, b_rows) == \
+                _oracle_product(a_rows, b_rows)
 
 
 def test_floats_are_refused():

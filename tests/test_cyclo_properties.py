@@ -10,7 +10,8 @@ pytest.importorskip("hypothesis")
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from modskein.cyclo import CycField, CycNum, ExactMatrix, LinearSystem
+from modskein.cyclo import (CycField, CycNum, ExactMatrix, LinearSystem,
+                            _sparse_rows)
 
 ORDERS = (1, 2, 3, 4, 5, 6, 8, 12)
 # each order and some of its proper multiples, the targets of `embed`
@@ -245,3 +246,126 @@ def test_multiplying_by_one_keeps_the_normal_form(x_one):
     for y in (x * one, one * x):
         assert y == x and (y.num, y.den) == (x.num, x.den)
         assert type(y.num) is tuple and type(y.den) is int
+
+
+# -- the two states of ExactMatrix -----------------------------------------------
+
+
+def _tables(draw, field, shapes):
+    entry = st.one_of(st.just(field.zero()), st.just(field.zero()),
+                      elems(field, small))
+    return [[[draw(entry) for _ in range(c)] for _ in range(r)]
+            for r, c in shapes]
+
+
+@st.composite
+def twin_tables(draw):
+    """A field of order 1, 4 or 5, then dense tables A (r x k), B (k x c),
+    C (r x k) and D (any shape), each of which may be empty."""
+    field = draw(st.sampled_from((1, 4, 5)).map(CycField))
+    r, k, c = (draw(st.integers(0, 4)) for _ in range(3))
+    shapes = [(r, k), (k, c), (r, k),
+              (draw(st.integers(0, 3)), draw(st.integers(0, 3)))]
+    return field, shapes, _tables(draw, field, shapes)
+
+
+def _twins(field, shape, table):
+    """The matrix held as rows, and its twin held as the table."""
+    if not table:  # no rows, so no table to carry the width
+        rows = ExactMatrix.zeros(field, *shape)
+        return rows, rows.copy()
+    rows, twin = ExactMatrix.from_rows(field, table), ExactMatrix(field, table)
+    assert rows._data is None and twin._sparse is None
+    assert (rows.rows, rows.cols) == (twin.rows, twin.cols) == shape
+    return rows, twin
+
+
+def _assert_canonical(mat):
+    rows = _sparse_rows(mat)
+    assert type(rows) is tuple and len(rows) == mat.rows
+    for row in rows:
+        assert type(row) is tuple
+        assert all(0 <= j < mat.cols and not v.is_zero() for j, v in row)
+        assert [j for j, _ in row] == sorted({j for j, _ in row})
+
+
+def _table_matrix(field, table, shape):
+    return ExactMatrix(field, table) if table else ExactMatrix.zeros(
+        field, *shape)
+
+
+@settings(max_examples=80)
+@given(twin_tables(), st.integers(-3, 3))
+def test_rows_and_table_twins_agree(drawn, s):
+    field, shapes, tables = drawn
+    (a, ta), (b, tb), (c, tc), (d, td) = (
+        _twins(field, shape, t) for shape, t in zip(shapes, tables))
+    zero = field.zero()
+    ad, bd, cd, dd = tables
+    (r, k), (_, cc) = shapes[0], shapes[1]
+
+    def matmul(x, y, n):
+        return [[sum((x[i][t] * y[t][j] for t in range(n)), zero)
+                 for j in range(len(y[0]) if y else cc)] for i in range(len(x))]
+
+    dr, dc = shapes[3]
+    oracles = {
+        "mul": (lambda x, y, z, w: x * y,
+                _table_matrix(field, matmul(ad, bd, k), (r, cc))),
+        "add": (lambda x, y, z, w: x + z,
+                _table_matrix(field, [[u + v for u, v in zip(p, q)]
+                               for p, q in zip(ad, cd)], (r, k))),
+        "sub": (lambda x, y, z, w: x - z,
+                _table_matrix(field, [[u - v for u, v in zip(p, q)]
+                               for p, q in zip(ad, cd)], (r, k))),
+        "neg": (lambda x, y, z, w: -x,
+                _table_matrix(field, [[-u for u in p] for p in ad], (r, k))),
+        "scale": (lambda x, y, z, w: x.scale(s),
+                  _table_matrix(field, [[u * s for u in p] for p in ad], (r, k))),
+        "transpose": (lambda x, y, z, w: x.transpose(),
+                      _table_matrix(field, [list(col) for col in zip(*ad)]
+                             if r else [], (k, r))),
+        "kron": (lambda x, y, z, w: x.kron(w), _table_matrix(field, [
+            [ad[i1][j1] * dd[i2][j2] for j1 in range(k) for j2 in range(dc)]
+            for i1 in range(r) for i2 in range(dr)], (r * dr, k * dc))),
+        "copy": (lambda x, y, z, w: x.copy(), _table_matrix(field, ad, (r, k))),
+    }
+    for name, (op, oracle) in oracles.items():
+        got = op(a, b, c, d)
+        twin = op(ta, tb, tc, td)
+        _assert_canonical(got)
+        assert got == oracle == twin, name
+        assert hash(got) == hash(oracle) == hash(twin), name
+        assert got.data == oracle.data, name
+    assert a == ta and hash(a) == hash(ta) and a.is_zero() == ta.is_zero()
+    assert a.rank() == ta.rank()
+    assert a.kernel_basis() == ta.kernel_basis()
+    ra, rt = a.solve(a * b), ta.solve(ta * tb)
+    assert ra.feasible and rt.feasible
+    assert ra.particular == rt.particular and ra.kernel == rt.kernel
+
+
+@settings(max_examples=60)
+@given(matrices(), st.data())
+def test_a_mutated_table_is_the_matrix(a, data):
+    field = a.field
+    held = ExactMatrix.from_rows(field, a.data)
+    before = held.copy()
+    i = data.draw(st.integers(0, a.rows - 1))
+    j = data.draw(st.integers(0, a.cols - 1))
+    new = data.draw(elems(field, small).filter(lambda x: x != a[i, j]))
+    held.data[i][j] = new       # read the table, then write into it
+    twin = [list(row) for row in a.data]
+    twin[i][j] = new
+    assert _sparse_rows(held) == _sparse_rows(ExactMatrix(field, twin))
+    assert held == ExactMatrix(field, twin) == ExactMatrix.from_rows(field, twin)
+    assert hash(held) == hash(ExactMatrix.from_rows(field, twin))
+    assert held != before and held[i, j] == new
+    # row assignment and item assignment are the matrix too
+    held.data[i] = [field.one()] * a.cols
+    held[i, j] = field.zero()
+    twin[i] = [field.one()] * a.cols
+    twin[i][j] = field.zero()
+    assert held == ExactMatrix.from_rows(field, twin)
+    assert hash(held) == hash(ExactMatrix.from_rows(field, twin))
+    assert held.copy() == held and held.transpose().transpose() == held

@@ -18,10 +18,10 @@ from modskein.errors import CapabilityError, StructureError
 from modskein.hopf import (AXIOMS, AxiomContext, HopfBundle, Rep, _generators,
                            braiding, braiding_inverse, bundle_from_obj,
                            bundle_to_obj, direct_sum_rep, dual_rep, flip_matrix,
-                           hom_space, is_projective, regular_rep, tensor_rep,
-                           trivial_rep, twist, twist_inverse, validate_bundle,
-                           validate_rep)
-from modskein.rt import diagram_from_obj, evaluate
+                           hom_space, is_projective, projective_section,
+                           regular_rep, tensor_rep, trivial_rep, twist,
+                           twist_inverse, validate_bundle, validate_rep)
+from modskein.rt import Diagram, Generator, diagram_from_obj, evaluate
 from modskein.surface import char_map, skalg, skalg_dimension
 from test_acceptance import _perturb_once
 
@@ -849,3 +849,43 @@ def test_the_engine_reads_no_dense_action_matrix(monkeypatch):
     assert uqsl2_bundle(2, with_r=True).dim == 16
     obj = bundle_to_obj(b)
     assert bundle_to_obj(bundle_from_obj(obj)) == obj
+
+
+def test_hot_paths_build_no_dense_table(monkeypatch):
+    # Every matrix the engine makes holds sparse rows, and these paths read
+    # only rows: they run with the dense table `ExactMatrix.data` refused.
+    sw, z4 = sweedler_bundle(), z4_bundle()
+    reg, proj = sw.module("reg"), sw.module("proj_plus")
+    coad, triv = coadjoint_rep(sw), trivial_rep(sw)
+    target = tensor_rep(sw, tensor_rep(sw, coad, coad), triv)
+    f_unrefused = hom_space(sw, reg, target)[0]
+
+    def refuse(self):
+        raise AssertionError("the engine read ExactMatrix.data")
+
+    monkeypatch.setattr(ExactMatrix, "data", property(refuse))
+    a, bb, c = (("reg", "+"), ("sgn", "+"), ("proj_plus", "+"))
+
+    def gen(kind, *points):
+        return Generator(kind, points=points)
+
+    lhs = Diagram([a, bb, c], [c, bb, a], [
+        [gen("braid", a, bb), gen("id", c)],
+        [gen("id", bb), gen("braid", a, c)],
+        [gen("braid", bb, c), gen("id", a)]])
+    rhs = Diagram([a, bb, c], [c, bb, a], [
+        [gen("id", a), gen("braid", bb, c)],
+        [gen("braid", a, c), gen("id", bb)],
+        [gen("id", c), gen("braid", a, bb)]])
+    assert evaluate(sw, lhs) == evaluate(sw, rhs)
+    assert not braiding(sw, reg, proj).is_zero()
+    assert len(hom_space(sw, proj, tensor_rep(
+        sw, tensor_rep(sw, coad, coad), proj))) > 0
+    f = hom_space(sw, reg, target)[0]
+    assert f == f_unrefused
+    terms = red_to_blue(sw, f, reg, 2, triv)
+    assert recompose(sw, terms, 2, triv) == f
+    assert projective_section(sw, proj) is not None
+    alg = skalg(z4, 1, 1)
+    assert alg.dim == 16
+    assert char_map(z4, skalg(z4, 0, 2))["rank"] == 4
