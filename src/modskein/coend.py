@@ -121,9 +121,8 @@ def dinat(b: HopfBundle, m: Rep) -> ExactMatrix:
     Column (a * dim + b) is the matrix coefficient h -> rho_M(e_h)[b][a].
     """
     _check_rep(b, m)
-    return _matrix(b.field, [sorted((a * m.dim + bb, v)
-                                    for bb, row in enumerate(rows)
-                                    for a, v in row) for rows in m.rows],
+    return _matrix(b.field, [{a * m.dim + bb: v for bb, row in enumerate(rows)
+                              for a, v in row} for rows in m.rows],
                    m.dim * m.dim)
 
 

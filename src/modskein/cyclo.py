@@ -523,10 +523,8 @@ class ExactMatrix:
         self.data[i][j] = value
 
     def col(self, j) -> list:
-        if self._sparse is None:
-            return [row[j] for row in self.data]
         j, zero = range(self.cols)[j], self.field.zero()
-        return [dict(row).get(j, zero) for row in self._sparse]
+        return [dict(row).get(j, zero) for row in _sparse_rows(self)]
 
     def transpose(self) -> "ExactMatrix":
         return _matrix(self.field, _transpose(_sparse_rows(self), self.cols),
@@ -541,8 +539,6 @@ class ExactMatrix:
         if (self.field is not other.field or self.rows != other.rows
                 or self.cols != other.cols):
             return False
-        if self._sparse is None and other._sparse is None:
-            return self.data == other.data
         return _sparse_rows(self) == _sparse_rows(other)
 
     def __hash__(self):
@@ -553,9 +549,9 @@ class ExactMatrix:
     def __add__(self, other):
         if self.rows != other.rows or self.cols != other.cols:
             raise CycloError("matrix shape mismatch in add or sub")
-        return _matrix(self.field, tuple(
-            _sorted_row(_sparse_sum(chain(r1, r2)))
-            for r1, r2 in zip(_sparse_rows(self), _sparse_rows(other))),
+        return _matrix(self.field, [
+            _sparse_sum(chain(r1, r2))
+            for r1, r2 in zip(_sparse_rows(self), _sparse_rows(other))],
             self.cols)
 
     def __sub__(self, other):
@@ -660,7 +656,13 @@ class LinearSystem:
         items = list(coeffs.items())
         if rhs:
             items += [(self.ncols + j, e) for j, e in rhs.items()]
-        return dict(_cleared(items)[1])
+        denom = math.lcm(*[e.den for _, e in items])
+        row = {}
+        for j, e in items:
+            if any(e.num):
+                scale = denom // e.den
+                row[j] = e.num if scale == 1 else tuple([c * scale for c in e.num])
+        return row
 
     def add_row(self, coeffs: dict, rhs: dict | None = None) -> None:
         row = self._clear_row(coeffs, rhs or {})
@@ -814,12 +816,19 @@ def _sparse_cols(mat: ExactMatrix) -> tuple:
 
 
 def _matrix(field: CycField, rows, ncols: int) -> ExactMatrix:
-    """The len(rows) x ncols matrix holding the canonical sparse rows `rows`
-    (each sorted by column, without zeros); rows that are tuples already are
-    held as they are, not copied."""
+    """The len(rows) x ncols matrix with the sparse rows `rows`.
+
+    This is the one way a matrix is made from rows.  A row built out of
+    column order is given as a {column: entry} dict without zero entries,
+    and is sorted here.  Any other row must be canonical already: a sequence
+    of (column, entry) pairs sorted by column, without zeros.  A tuple row is
+    held as it is, not copied.
+    """
     mat = _new(ExactMatrix)
     mat.field, mat.rows, mat.cols = field, len(rows), ncols
-    mat._sparse, mat._data = tuple(map(tuple, rows)), None
+    mat._sparse = tuple([_sorted_row(row) if row.__class__ is dict
+                         else tuple(row) for row in rows])
+    mat._data = None
     return mat
 
 
@@ -845,27 +854,14 @@ def _transpose(rows, ncols: int) -> tuple:
     return tuple(map(tuple, cols))
 
 
-def _cleared(items) -> tuple[int, list]:
-    """The (key, CycNum) pairs `items` over one common denominator: that
-    denominator and the nonzero entries as (key, integer vector) pairs."""
-    denom = math.lcm(*[e.den for _, e in items])
-    return denom, [(j, e.num if e.den == denom
-                    else tuple([c * (denom // e.den) for c in e.num]))
-                   for j, e in items if any(e.num)]
-
-
 def _sparse_product(a_rows, b_rows) -> tuple:
     """The sparse rows of the product A B, from the sparse rows of A and B.
 
     A row of A with one entry (k, a) gives row k of B itself when a is 1 and
     that row scaled by a otherwise: a field has no zero divisors, so nothing
-    cancels and the order stays sorted.  Any other row sums the integer
-    vectors of its entries times those of the rows of B they pick (each row
-    of B cleared once), over one common denominator, and normalises each
-    entry of the sum once.
+    cancels and the order stays sorted.  Any other row is summed.
     """
     out = []
-    cleared: dict = {}  # k -> row k of B, cleared
     for row in a_rows:
         if len(row) == 1:
             (k, a), = row
@@ -873,29 +869,9 @@ def _sparse_product(a_rows, b_rows) -> tuple:
                 out.append(b_rows[k])
             else:
                 out.append(tuple([(j, a * v) for j, v in b_rows[k]]))
-            continue
-        if not row:
-            out.append(())
-            continue
-        field = row[0][1].field
-        deg, red = field.degree, field._red
-        parts = []  # (numerator of a, denominator of a * row k, row k)
-        for k, a in row:
-            if k not in cleared:
-                cleared[k] = _cleared(b_rows[k])
-            b_den, b_vecs = cleared[k]
-            parts.append((a.num, a.den * b_den, b_vecs))
-        den = math.lcm(*[d for _, d, _ in parts])
-        acc: dict = {}
-        get = acc.get
-        for avec, d, b_vecs in parts:
-            if d != den:
-                avec = tuple([c * (den // d) for c in avec])
-            for j, bvec in b_vecs:
-                v, s = _ivec_mul(avec, bvec, deg, red), get(j)
-                acc[j] = v if s is None else tuple(map(_add, s, v))
-        out.append(tuple([(j, _normal(field, v, den))
-                          for j, v in sorted(acc.items()) if any(v)]))
+        else:
+            out.append(_sorted_row(_sparse_sum((j, a * v) for k, a in row
+                                               for j, v in b_rows[k])))
     return tuple(out)
 
 

@@ -958,7 +958,7 @@ def braiding_inverse(b: HopfBundle, m: Rep, n: Rep) -> ExactMatrix:
 
     def build():
         perm = [(k % m.dim) * n.dim + k // m.dim for k in range(m.dim * n.dim)]
-        rows = [sorted((perm[k], v) for k, v in row)
+        rows = [{perm[k]: v for k, v in row}
                 for row in _action_rows(b.r_inv_sparse(), n.rows, m.rows)]
         return _matrix(b.field, rows, m.dim * n.dim)
     return _memo(b, ("braiding_inv", m, n), build)

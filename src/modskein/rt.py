@@ -159,7 +159,7 @@ def _pairing(b: HopfBundle, m: Rep, as_row: bool, elem) -> ExactMatrix:
                for c, v in row]
     size = m.dim * m.dim
     if as_row:
-        return _matrix(b.field, [sorted(entries)], size)
+        return _matrix(b.field, [dict(entries)], size)
     return _matrix(b.field, _transpose([entries], size), 1)
 
 
@@ -289,12 +289,12 @@ class SkeinVector:
 
 def _combination(field, terms, nrows: int, ncols: int) -> ExactMatrix:
     """The nrows x ncols matrix sum c * M over the (c, M) pairs `terms`."""
-    rows = [[] for _ in range(nrows)]
+    rows = [{} for _ in range(nrows)]
     for (r, j), v in _sparse_sum(((r, j), c * v) for c, mat in terms
                                  for r, row in enumerate(_sparse_rows(mat))
                                  for j, v in row).items():
-        rows[r].append((j, v))
-    return _matrix(field, [sorted(row) for row in rows], ncols)
+        rows[r][j] = v
+    return _matrix(field, rows, ncols)
 
 
 def skein_eq(b: HopfBundle, s1: SkeinVector, s2: SkeinVector) -> bool:

@@ -32,7 +32,7 @@ from __future__ import annotations
 from itertools import product
 
 from .cyclo import (CycNum, ExactMatrix, _matrix, _parse_index,
-                    _solve_in_basis, _sorted_row, _sparse_cols, _sparse_sum)
+                    _solve_in_basis, _sparse_cols, _sparse_sum)
 from .errors import StructureError
 from .hopf import (HopfBundle, Rep, _memo, braiding, hom_space, tensor_rep,
                    trivial_rep)
@@ -76,11 +76,11 @@ def coend_mult(b: HopfBundle) -> ExactMatrix:
         s_alpha_h = {alpha: [b.elem_mult(b.elem_antipode({alpha: one}),
                                          {h: one}) for h in range(d)]
                      for alpha in {alpha for alpha, _, _ in r_terms}}
-        return _matrix(b.field, [_sorted_row(_sparse_sum(
+        return _matrix(b.field, [_sparse_sum(
             (i * d + j, c_r * c_h * u * w) for alpha, beta, c_r in r_terms
             for h1, h2, c_h in b.comult_table[h]
             for i, u in s_alpha_h[alpha][h1].items()
-            for j, w in coad[beta][h2])) for h in range(d)], d * d)
+            for j, w in coad[beta][h2]) for h in range(d)], d * d)
     return _memo(b, ("coend_mult",), build)
 
 

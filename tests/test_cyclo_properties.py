@@ -10,8 +10,16 @@ pytest.importorskip("hypothesis")
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from modskein.bundles import sweedler_bundle, z4_bundle
+from modskein.coend import (coadjoint_rep, dinat, recompose, red_to_blue,
+                            regular_rep, trivial_rep)
 from modskein.cyclo import (CycField, CycNum, ExactMatrix, LinearSystem,
                             _sparse_rows)
+from modskein.hopf import (braiding, braiding_inverse, flip_matrix, hom_space,
+                           projective_section, tensor_rep, twist, twist_inverse)
+from modskein.rt import (_PAIRINGS, Diagram, Generator, SkeinVector, _pairing,
+                         evaluate)
+from modskein.surface import coend_mult
 
 ORDERS = (1, 2, 3, 4, 5, 6, 8, 12)
 # each order and some of its proper multiples, the targets of `embed`
@@ -369,3 +377,42 @@ def test_a_mutated_table_is_the_matrix(a, data):
     assert held == ExactMatrix.from_rows(field, twin)
     assert hash(held) == hash(ExactMatrix.from_rows(field, twin))
     assert held.copy() == held and held.transpose().transpose() == held
+
+
+def test_engine_builders_give_canonical_rows():
+    # every matrix the engine builds from rows holds them canonically, so
+    # `==` and `hash` agree with a table-held twin of the same entries
+    def check(mat):
+        _assert_canonical(mat)
+        twin = ExactMatrix(mat.field, [list(row) for row in mat.data]) \
+            if mat.rows else mat.copy()
+        assert mat == twin and hash(mat) == hash(twin)
+
+    for b in (sweedler_bundle(), z4_bundle()):
+        field, names = b.field, sorted(b.modules)
+        reg, coad, triv = regular_rep(b), coadjoint_rep(b), trivial_rep(b)
+        reps = [b.module(name) for name in names] + [coad]
+        out = [coend_mult(b), flip_matrix(field, 2, 3)]
+        for m in reps:
+            out += [dinat(b, m), twist(b, m), twist_inverse(b, m),
+                    m.act({h: field.zeta(h) for h in range(b.dim)}, field)]
+            out += m.mats
+            out += [_pairing(b, m, as_row, elem)
+                    for _, as_row, elem in _PAIRINGS.values()]
+            out += [braiding(b, m, n) for n in reps]
+            out += [braiding_inverse(b, m, n) for n in reps]
+            out += hom_space(b, m, tensor_rep(b, coad, m))
+            section = projective_section(b, m)
+            out += [section] if section is not None else []
+        f = hom_space(b, reg, tensor_rep(b, tensor_rep(b, coad, coad), triv))[0]
+        terms = red_to_blue(b, f, reg, 2, triv)
+        out += [fhat for _, fhat in terms] + [recompose(b, terms, 2, triv)]
+        x, y = (names[0], "+"), (names[-1], "+")
+        diagram = Diagram([x, y], [x, y], [
+            [Generator("braid", points=(x, y))],
+            [Generator("braid_inv", points=(y, x))],
+            [Generator("twist", points=(x,)), Generator("id", points=(y,))]])
+        out += [evaluate(b, diagram), SkeinVector(
+            [(field.zeta(1), diagram), (field.one(), diagram)]).evaluate(b)]
+        for mat in out:
+            check(mat)
