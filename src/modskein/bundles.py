@@ -19,7 +19,8 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import islice
 
-from .cyclo import CycField, CycNum, ExactMatrix, _sparse_sum
+from .cyclo import (CycField, CycNum, ExactMatrix, _from_cols, _matrix,
+                    _sparse_rows, _sparse_sum)
 from .hopf import (AXIOMS, R_INVERSE_FREE, AxiomContext, HopfBundle, Rep,
                    _regular_module, validate_bundle)
 
@@ -170,9 +171,7 @@ def z4_bundle() -> HopfBundle:
             mult.append((a, bb, (a + bb) % 4, one))
     comult = [(a, a, a, one) for a in range(4)]
     counit = [one] * 4
-    antipode = ExactMatrix.zeros(field, 4, 4)
-    for a in range(4):
-        antipode.data[(-a) % 4][a] = one
+    antipode = _matrix(field, [(((-a) % 4, one),) for a in range(4)], 4)
 
     R = []
     R_inv = []
@@ -347,10 +346,9 @@ def uqsl2_bundle(p: int, with_r: bool = False) -> HopfBundle:
 
     counit = [one if (m[0] == 0 and m[1] == 0) else zero for m in monomials]
 
-    antipode = ExactMatrix.zeros(field, d, d)
-    for i, mono in enumerate(monomials):
-        for m2, c in rw.antipode_monomial(mono).items():
-            antipode.data[index[m2]][i] = c
+    antipode = _from_cols(field, [
+        [(index[m2], c) for m2, c in rw.antipode_monomial(mono).items()]
+        for mono in monomials], d)
 
     pivotal = [zero] * d
     pivotal[index[(0, 0, (p + 1) % (2 * p))]] = one
@@ -392,15 +390,13 @@ def uqsl2_bundle(p: int, with_r: bool = False) -> HopfBundle:
 def _uqsl2_simple(rw: _UqRewriter, field, monomials, alpha: int, s: int) -> Rep:
     """The simple X^alpha_s: dim s, highest K-weight alpha q^{s-1}."""
     aq = field.from_rational(alpha)
-    matE = ExactMatrix.zeros(field, s, s)
-    matF = ExactMatrix.zeros(field, s, s)
-    matK = ExactMatrix.zeros(field, s, s)
-    for j in range(s):
-        matK.data[j][j] = aq * rw.qpow(s - 1 - 2 * j)
-        if j + 1 < s:
-            matF.data[j + 1][j] = field.one()
-        if j >= 1:
-            matE.data[j - 1][j] = aq * rw.qint(j) * rw.qint(s - j)
+    # E e_j = aq [j][s-j] e_(j-1) and F e_j = e_(j+1); [j] != 0 for 0 < j < p
+    matE = _matrix(field, [((j + 1, aq * rw.qint(j + 1) * rw.qint(s - j - 1)),)
+                           for j in range(s - 1)] + [()], s)
+    matF = _matrix(field, [()] + [((j, field.one()),)
+                                  for j in range(s - 1)], s)
+    matK = _matrix(field, [((j, aq * rw.qpow(s - 1 - 2 * j)),)
+                           for j in range(s)], s)
     mats = []
     for (a, b, c) in monomials:
         m = ExactMatrix.identity(field, s)
@@ -425,7 +421,7 @@ def _embedded(x, field: CycField):
     if isinstance(x, dict):
         return {k: _embedded(y, field) for k, y in x.items()}
     if isinstance(x, ExactMatrix):
-        return ExactMatrix(field, _embedded(x.data, field))
+        return _matrix(field, _embedded(_sparse_rows(x), field), x.cols)
     if isinstance(x, Rep):
         return Rep.from_rows(field, x.dim, _embedded(x.rows, field))
     return x

@@ -21,7 +21,7 @@ import sys
 from . import __version__, cache
 from .bundles import uqsl2_bundle
 from .coend import qchar, red_to_blue, slf_basis
-from .cyclo import CycNum, ExactMatrix, _parse_index
+from .cyclo import CycNum, ExactMatrix, _matrix, _parse_index, _sparse_rows
 from .errors import (CapabilityError, InadmissibleError, ModskeinError,
                      StructureError, TypingError)
 from .hopf import (HopfBundle, bundle_from_obj, regular_rep, save_bundle,
@@ -40,20 +40,13 @@ def _canonical_payload(obj) -> bytes:
 
 
 def _matrix_obj(mat: ExactMatrix, with_float: bool = False) -> dict:
-    entries = []
-    for r in range(mat.rows):
-        for c in range(mat.cols):
-            v = mat.data[r][c]
-            if not v.is_zero():
-                rec = [r, c, v.to_obj()]
-                entries.append(rec)
-    obj = {"rows": mat.rows, "cols": mat.cols, "entries": entries,
+    entries = [(r, c, v) for r, row in enumerate(_sparse_rows(mat))
+               for c, v in row]
+    obj = {"rows": mat.rows, "cols": mat.cols,
+           "entries": [[r, c, v.to_obj()] for r, c, v in entries],
            "order": mat.field.order}
     if with_float:
-        obj["float_approx"] = [
-            [r, c, _float_str(mat.data[r][c])]
-            for r in range(mat.rows) for c in range(mat.cols)
-            if not mat.data[r][c].is_zero()]
+        obj["float_approx"] = [[r, c, _float_str(v)] for r, c, v in entries]
         obj["float_note"] = "decimal rendering is non-authoritative"
     return obj
 
@@ -66,12 +59,15 @@ def _float_str(v: CycNum) -> str:
 
 
 def _matrix_from_obj(obj: dict, field) -> ExactMatrix:
-    mat = ExactMatrix.zeros(field, _parse_index(obj["rows"]),
-                            _parse_index(obj["cols"]))
+    """The matrix of a job's {rows, cols, entries} record; a repeated (r, c)
+    keeps its last value."""
+    nrows, ncols = _parse_index(obj["rows"]), _parse_index(obj["cols"])
+    rows: list[dict] = [{} for _ in range(nrows)]
     for (r, c, v) in obj["entries"]:
-        mat.data[_parse_index(r, mat.rows)][_parse_index(c, mat.cols)] = \
+        rows[_parse_index(r, nrows)][_parse_index(c, ncols)] = \
             CycNum.from_obj(v, field)
-    return mat
+    return _matrix(field, [{c: v for c, v in row.items() if not v.is_zero()}
+                           for row in rows], ncols)
 
 
 def _read_bytes(path: str) -> bytes:

@@ -9,10 +9,10 @@ renormalize.  `fractions.Fraction` appears only at the edges (`coeffs`,
 `repr`, JSON), floats are refused as input, and nothing in this module (or
 anything built on it) ever rounds.
 
-A matrix holds its canonical sparse rows (nonzero entries sorted by column)
-and builds a dense table only when a caller reads `data`; from then on the
-table is the matrix.  Matrices are eliminated fraction-free: rows are scaled
-to integer coefficient vectors in Z[zeta_N] and reduced by content-normalized
+A matrix is immutable, and its canonical sparse rows (nonzero entries sorted
+by column) are its only state; `data` is a read-only dense view of them.
+Matrices are eliminated fraction-free: rows are scaled to integer
+coefficient vectors in Z[zeta_N] and reduced by content-normalized
 cross-multiplication (Bareiss-style), so intermediate entries stay integral.
 Pivoting is deterministic: leftmost nonzero column first, earliest row wins.
 """
@@ -438,14 +438,21 @@ class SolveResult:
     """Affine solution set of A X = B: a particular solution plus the kernel.
 
     `particular` is None when the system is infeasible (a distinguished
-    outcome, not an error).  `kernel` columns span {X : A X = 0}.
+    outcome, not an error).  `kernel` columns span {X : A X = 0}; they are
+    built by `build_kernel()` on the first read of `kernel`, and kept.
     """
 
-    __slots__ = ("particular", "kernel")
+    __slots__ = ("particular", "_kernel", "_build_kernel")
 
-    def __init__(self, particular, kernel):
+    def __init__(self, particular, build_kernel):
         self.particular = particular
-        self.kernel = kernel
+        self._kernel, self._build_kernel = None, build_kernel
+
+    @property
+    def kernel(self) -> "ExactMatrix":
+        if self._kernel is None:
+            self._kernel, self._build_kernel = self._build_kernel(), None
+        return self._kernel
 
     @property
     def feasible(self) -> bool:
@@ -453,38 +460,35 @@ class SolveResult:
 
 
 class ExactMatrix:
-    """Matrix of CycNum entries over a fixed cyclotomic field.
+    """Immutable matrix of CycNum entries over a fixed cyclotomic field.
 
-    A matrix holds one of two states.  Built by the engine (and by `zeros`,
-    `identity`, `from_rows` and every operation), it holds its canonical
-    sparse rows: per row, its nonzero entries as (column, CycNum) pairs
-    sorted by column, in tuples.  Built by `ExactMatrix(field, table)`, it
-    holds that dense table.  Reading `data` turns a row-held matrix into a
-    table-held one: the table is built once, the rows are dropped, and from
-    then on the table is the matrix, so writes through `data`, `[i, j]` and
-    row assignment are seen by everything that reads it later.  `rows` and
-    `cols` are the shape in both states.
+    Its one state is its canonical sparse rows: per row, its nonzero entries
+    as (column, CycNum) pairs sorted by column, in tuples.  `rows` and `cols`
+    are its shape.  `data` is a read-only view of the rows as a dense tuple
+    of row tuples, built on first read and kept; since the rows never
+    change, it cannot go stale.  `ExactMatrix(field, table)` and `from_rows`
+    build a matrix from a dense table.
     """
 
     __slots__ = ("field", "rows", "cols", "_sparse", "_data")
 
-    def __init__(self, field: CycField, data):
-        self.field = field
-        self._data = [list(row) for row in data]
-        self._sparse = None
-        self.rows = len(self._data)
-        self.cols = _width(self._data)
+    def __init__(self, field: CycField, table):
+        """The matrix with this dense table of entries: CycNums of `field`,
+        ints, Fractions or rational strings; anything else is refused."""
+        table = [[_entry(field, e) for e in row] for row in table]
+        self.field, self.rows, self.cols = field, len(table), _width(table)
+        self._sparse, self._data = _table_rows(table), None
 
     @property
-    def data(self) -> list:
-        """The dense table of entries, built from the rows on first read."""
+    def data(self) -> tuple:
+        """The entries as a dense tuple of row tuples, built on first read."""
         if self._data is None:
             zero = self.field.zero()
             table = [[zero] * self.cols for _ in range(self.rows)]
             for trow, row in zip(table, self._sparse):
                 for c, v in row:
                     trow[c] = v
-            self._data, self._sparse = table, None
+            self._data = tuple(map(tuple, table))
         return self._data
 
     # -- constructors ----------------------------------------------------------
@@ -500,10 +504,8 @@ class ExactMatrix:
 
     @staticmethod
     def from_rows(field: CycField, rows) -> "ExactMatrix":
-        """The matrix with these dense rows of CycNums or exact rationals."""
-        table = [[e if isinstance(e, CycNum) else field.from_rational(e)
-                  for e in row] for row in rows]
-        return _matrix(field, _table_rows(table), _width(table))
+        """The matrix with these dense rows, as `ExactMatrix(field, rows)`."""
+        return ExactMatrix(field, rows)
 
     @staticmethod
     def column(field: CycField, entries) -> "ExactMatrix":
@@ -517,10 +519,6 @@ class ExactMatrix:
     def __getitem__(self, idx):
         i, j = idx
         return self.data[i][j]
-
-    def __setitem__(self, idx, value):
-        i, j = idx
-        self.data[i][j] = value
 
     def col(self, j) -> list:
         j, zero = range(self.cols)[j], self.field.zero()
@@ -750,7 +748,14 @@ class LinearSystem:
         return _from_cols(self.field, cols, self.ncols)
 
     def solve(self) -> SolveResult:
-        kernel = self.kernel()
+        rank = self.rank()
+
+        def kernel():
+            # rows only ever add pivots: the same rank means the same kernel
+            if self.rank() != rank:
+                raise CycloError("rows were added after this solve; solve again")
+            return self.kernel()
+
         if self._infeasible_row:
             return SolveResult(None, kernel)
         inverses = self._pivot_inverses()
@@ -794,6 +799,14 @@ def _table_rows(table) -> tuple:
     return tuple(map(_nonzero_entries, table))
 
 
+def _entry(field: CycField, e) -> CycNum:
+    """A dense-table entry as a CycNum of `field`; a CycNum of another field
+    or an inexact number is refused, as in CycNum arithmetic."""
+    if isinstance(e, CycNum):
+        return field.zero()._coerce(e)
+    return field.from_rational(e)
+
+
 def _width(table) -> int:
     """The column count of a dense table, whose rows must agree on it."""
     cols = len(table[0]) if table else 0
@@ -804,10 +817,8 @@ def _width(table) -> int:
 
 def _sparse_rows(mat: ExactMatrix) -> tuple:
     """The canonical sparse rows of a matrix: per row, its nonzero entries
-    as (column, entry) pairs sorted by column.  The rows a matrix holds are
-    returned as they are; a table is scanned."""
-    rows = mat._sparse
-    return _table_rows(mat.data) if rows is None else rows
+    as (column, entry) pairs sorted by column."""
+    return mat._sparse
 
 
 def _sparse_cols(mat: ExactMatrix) -> tuple:

@@ -101,8 +101,8 @@ class Rep:
     matrices and `Rep.from_rows` takes sparse rows as they are.  A derived
     module (`Rep.deferred`) knows its dim and action count at once and builds
     its rows on first read.  The matrices `mats`, which wrap the rows, and
-    the sparse columns `cols` are built on first access and kept; treat them
-    as read-only.  `mats` is a view for callers outside the engine, which
+    the sparse columns `cols` are built on first access and kept; both are
+    immutable.  `mats` is a view for callers outside the engine, which
     itself reads only `rows` and `cols`.
     """
 
@@ -146,10 +146,10 @@ class Rep:
         return self._rows
 
     @property
-    def mats(self) -> list[ExactMatrix]:
+    def mats(self) -> tuple[ExactMatrix, ...]:
         if self._mats is None:
-            self._mats = [_matrix(self.field, rows, self.dim)
-                          for rows in self.rows]
+            self._mats = tuple([_matrix(self.field, rows, self.dim)
+                                for rows in self.rows])
         return self._mats
 
     @property
@@ -184,9 +184,10 @@ def _memo(b: HopfBundle, key: tuple, build):
     Everything the engine derives from a bundle and keeps is kept here, in
     `b._cache`, and nowhere else.  A key names content: a tag, then ints and
     modules (a `Rep` hashes and compares by its rows), never a module name
-    or an id().  A stored ExactMatrix, list or dict is handed out as a copy,
-    the dicts inside a stored dict too, so nothing a caller does to a result
-    can change what a later call returns.
+    or an id().  A stored list or dict is handed out as a copy, the dicts
+    inside a stored dict too, and everything else it stores (matrices,
+    modules, tuples) is immutable, so nothing a caller does to a result can
+    change what a later call returns.
     """
     if key not in b._cache:
         b._cache[key] = build()
@@ -194,7 +195,7 @@ def _memo(b: HopfBundle, key: tuple, build):
     if isinstance(value, dict):
         return {k: v.copy() if isinstance(v, dict) else v
                 for k, v in value.items()}
-    return value.copy() if isinstance(value, (ExactMatrix, list)) else value
+    return value.copy() if isinstance(value, list) else value
 
 
 def _nonzero(entries: tuple) -> tuple:
@@ -212,9 +213,9 @@ class HopfBundle:
 
     The structure is fixed once built, since every `_memo` entry derives from
     it: the vectors and entry lists are tuples (the entry lists without zero
-    coefficients), `antipode` hands out a copy, and assigning an attribute
-    raises AttributeError.  `modules` stays a mutable name -> Rep map, since
-    the memo keys modules by content, never by name.
+    coefficients), the antipode is an immutable matrix, and assigning an
+    attribute raises AttributeError.  `modules` stays a mutable name -> Rep
+    map, since the memo keys modules by content, never by name.
     """
 
     def __init__(self, name, field, dim, unit, mult, comult, counit, antipode,
@@ -227,7 +228,7 @@ class HopfBundle:
         self.mult = tuple(mult)               # (i, j, k, CycNum)
         self.comult = tuple(comult)           # (i, j, k, CycNum)
         self.counit = tuple(counit)
-        self._antipode = antipode.copy()      # column i = S(e_i)
+        self.antipode = antipode              # column i = S(e_i)
         self.pivotal = tuple(pivotal)
         self.R = None if R is None else tuple(R)  # (i, j, CycNum)
         self.R_inv = None if R_inv is None else tuple(R_inv)
@@ -251,11 +252,6 @@ class HopfBundle:
                                  "JSON and reload it instead" % self.name)
         object.__setattr__(self, attr, value)
 
-    @property
-    def antipode(self) -> ExactMatrix:
-        """A copy of the antipode matrix; column i is S(e_i)."""
-        return self._antipode.copy()
-
     # -- structural checks (raise StructureError, not axiom failures) ---------
 
     def _check_shapes(self):
@@ -272,7 +268,7 @@ class HopfBundle:
                 if not all(0 <= i < d for i in entry[:-1]):
                     raise StructureError("%s index out of range: %r"
                                          % (what, tuple(entry[:-1])))
-        if self._antipode.rows != d or self._antipode.cols != d:
+        if self.antipode.rows != d or self.antipode.cols != d:
             raise StructureError("antipode must be a %dx%d matrix" % (d, d))
         if (self.R is None) != (self.R_inv is None):
             raise StructureError("R and R_inv must be given together")
@@ -298,7 +294,7 @@ class HopfBundle:
             comult_table[i].append((j, k, c))
         self.mult_table = tuple(tuple(map(tuple, row)) for row in mult_table)
         self.comult_table = tuple(map(tuple, comult_table))
-        self.antipode_cols = _sparse_cols(self._antipode)
+        self.antipode_cols = _sparse_cols(self.antipode)
 
     # -- capability ------------------------------------------------------------
 

@@ -281,8 +281,9 @@ def test_criterion_5_red_to_blue_roundtrips(uq2):
             red_to_blue(uq2, zero, m, 1, trivial_rep(uq2))
         # non-intertwiners are rejected before any lift
         reg = regular_rep(b)
-        bad = ExactMatrix.zeros(b.field, b.dim, b.dim)
-        bad.data[0][1] = b.field.one()
+        table = [[b.field.zero()] * b.dim for _ in range(b.dim)]
+        table[0][1] = b.field.one()
+        bad = ExactMatrix.from_rows(b.field, table)
         with pytest.raises(StructureError):
             red_to_blue(b, bad, reg, 1, trivial_rep(b))
         print("\n  red-to-blue inputs per bundle:", total, flush=True)

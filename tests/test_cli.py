@@ -215,6 +215,28 @@ def test_red_to_blue_cli(work):
     assert "projectivity" in r.stderr
 
 
+def test_red_to_blue_job_drops_zeros_and_keeps_the_last_repeat(work):
+    # an explicit "0" entry is no entry, and a repeated (r, c) keeps the
+    # value listed last: the payload is byte-identical to the clean job's
+    clean = _intertwiner_job(False)
+    entries = clean["f"]["entries"]
+    r, c, v = entries[0]
+    held = {(e[0], e[1]) for e in entries}
+    zero_at = next((i, j) for i in range(4) for j in range(4)
+                   if (i, j) not in held)
+    dirty = json.loads(json.dumps(clean))
+    dirty["f"]["entries"] = ([[zero_at[0], zero_at[1], "0"], [r, c, "5"]]
+                             + entries + [[r, c, "0"], [r, c, v]])
+    outs = []
+    for name, job in (("clean", clean), ("dirty", dirty)):
+        path = work["root"] / ("job_%s.json" % name)
+        path.write_text(json.dumps(job))
+        res = run_cli(work, "red-to-blue", work["sweedler"], str(path))
+        assert res.returncode == 0, res.stderr
+        outs.append(res.stdout.encode("utf-8"))
+    assert outs[0] == outs[1]
+
+
 def test_red_to_blue_cli_negative_k_is_a_usage_error(work):
     job = {"P": "regular", "k": -1, "X": "trivial",
            "f": {"rows": 4, "cols": 4, "entries": []}}

@@ -38,14 +38,14 @@ def _dense_coadjoint(b):
     one = field.one()
     mats = []
     for i in range(d):
-        mat = ExactMatrix.zeros(field, d, d)
+        table = [[field.zero()] * d for _ in range(d)]
         for (j, k, c) in b.comult_table[i]:
             sk = b.elem_antipode({k: one})
             for x in range(d):
                 t = b.elem_mult(sk, b.elem_mult({x: one}, {j: one}))
                 for bidx, coeff in t.items():
-                    mat.data[x][bidx] = mat.data[x][bidx] + c * coeff
-        mats.append(mat)
+                    table[x][bidx] = table[x][bidx] + c * coeff
+        mats.append(ExactMatrix.from_rows(field, table))
     return mats
 
 
@@ -248,9 +248,10 @@ def test_red_to_blue_rejects_nonprojective(sweedler, uqsl2_p2):
 def test_red_to_blue_rejects_non_intertwiner(sweedler):
     b = sweedler
     reg = regular_rep(b)
-    bad = ExactMatrix.zeros(b.field, b.dim, b.dim)
-    bad.data[0][0] = b.field.one()
-    bad.data[1][2] = b.field.one()
+    table = [[b.field.zero()] * b.dim for _ in range(b.dim)]
+    table[0][0] = b.field.one()
+    table[1][2] = b.field.one()
+    bad = ExactMatrix.from_rows(b.field, table)
     with pytest.raises(StructureError):
         red_to_blue(b, bad, reg, 1, trivial_rep(b))
 
@@ -317,10 +318,13 @@ def test_editing_a_projective_section_changes_no_later_lift():
     f = hom_space(b, p_rep, tensor_rep(b, coadjoint_rep(b), x_rep))[0]
     section = projective_section(b, p_rep)
     for row in section.data:
-        row[:] = [b.field.zero()] * len(row)
+        with pytest.raises(TypeError):
+            row[:] = [b.field.zero()] * len(row)
     terms = red_to_blue(b, f, p_rep, 1, x_rep)
     assert recompose(b, terms, 1, x_rep) == f
-    assert projective_section(b, p_rep) != section
+    fresh = sweedler_bundle()
+    assert projective_section(b, p_rep) == section == projective_section(
+        fresh, fresh.module("proj_plus"))
 
 
 def _unskipped_action(b, factors, i, vec):

@@ -6,12 +6,13 @@ from fractions import Fraction
 
 import pytest
 
-from modskein.bundles import z2_bundle
+from modskein.bundles import sweedler_bundle, z2_bundle
 from modskein.cyclo import (CycField, CycNum, CycloError, ExactMatrix,
-                            _sorted_row, _sparse_product, _sparse_sum,
+                            LinearSystem, _solve_in_basis, _sorted_row,
+                            _sparse_product, _sparse_sum,
                             cyclotomic_poly, euler_phi, parse_rational,
                             rational_str)
-from modskein.hopf import _memo
+from modskein.hopf import _memo, projective_section
 
 
 def rnd_elem(field, rng, span=4):
@@ -214,7 +215,7 @@ def test_empty_matrices_keep_their_shapes():
     field = CycField(4)
     eye = ExactMatrix.identity(field, 2)
     for r, c in ((0, 3), (3, 0), (0, 0)):
-        # both states: held as rows, and held as a (possibly empty) table
+        # built from rows, and from a (possibly empty) table
         held = [ExactMatrix.zeros(field, r, c)]
         if r:
             held.append(ExactMatrix(field, [[field.zero()] * c] * r))
@@ -230,7 +231,7 @@ def test_empty_matrices_keep_their_shapes():
     # a product through an empty inner dimension is the zero matrix
     prod = ExactMatrix.zeros(field, 3, 0) * ExactMatrix.zeros(field, 0, 2)
     assert _shape(prod) == (3, 2) and prod.is_zero()
-    assert prod.data == [[field.zero()] * 2] * 3
+    assert prod.data == ((field.zero(),) * 2,) * 3
     # a stored 0 x k matrix is handed out by the memo with its shape
     b = z2_bundle()
     for _ in range(2):
@@ -301,6 +302,64 @@ def test_floats_are_refused():
         ExactMatrix.from_rows(field, [[1, 0.5]])
     assert field.from_rational("-7/3") == field.from_rational(Fraction(-7, 3))
     assert field.from_coeffs(["1/2", 3]) == 3 * field.zeta() + Fraction(1, 2)
+
+
+def test_a_table_is_coerced_to_its_field_or_refused():
+    # ints, Fractions and rational strings become entries of the field; a
+    # float or a CycNum of another field is refused, as CycNum arithmetic
+    # refuses it, instead of building a matrix that equals nothing
+    q, qi = CycField(1), CycField(4)
+    eye = ExactMatrix.identity(q, 2)
+    for build in (ExactMatrix, ExactMatrix.from_rows):
+        assert build(q, [[1, 0], [0, 1]]) == eye
+        assert build(q, [[Fraction(2, 2), "0"], ["0/3", q.one()]]) == eye
+        assert hash(build(q, [[1, 0], [0, 1]])) == hash(eye)
+        assert build(qi, [["1/2", 0]])[0, 0] == qi.from_rational("1/2")
+        for bad in ([[0.5]], [[1.0, 0]], [[q.one()]],
+                    [[0, CycField(8).zeta()]]):
+            with pytest.raises(CycloError):
+                build(qi, bad)
+        with pytest.raises(CycloError, match="ragged"):
+            build(q, [[1, 0], [1]])
+
+
+def test_solve_builds_the_kernel_only_when_read(monkeypatch):
+    field = CycField(4)
+    one = field.one()
+    built = []
+    kernel = LinearSystem.kernel
+    monkeypatch.setattr(LinearSystem, "kernel",
+                        lambda self: built.append(self) or kernel(self))
+    system = LinearSystem(field, 3, 1)
+    system.add_row({0: one, 1: one}, {0: field.zeta()})
+    res, later = system.solve(), system.solve()
+    assert built == [] and res.particular == ExactMatrix.column(
+        field, [field.zeta(), 0, 0])
+    want = ExactMatrix.from_rows(field, [[-1, 0], [1, 0], [0, 1]])
+    assert res.kernel == want and res.kernel is res.kernel and len(built) == 1
+    # a row that adds no pivot leaves an unread kernel readable; one that
+    # adds a pivot makes it a named error instead of another system's kernel
+    system.add_row({0: 2 * one, 1: 2 * one}, {0: 2 * field.zeta()})
+    assert later.kernel == want and len(built) == 2
+    stale = system.solve()
+    system.add_row({1: one})
+    with pytest.raises(CycloError, match="solve again"):
+        stale.kernel
+    assert res.kernel == want and len(built) == 2
+    assert system.solve().kernel == ExactMatrix.column(field, [0, 0, 1])
+    # an infeasible system builds its kernel on read too
+    system.add_row({0: one}, {0: one})
+    infeasible = system.solve()
+    assert not infeasible.feasible and len(built) == 3
+    assert infeasible.kernel == ExactMatrix.column(field, [0, 0, 1])
+    # coordinates in a basis and a projective section never read the kernel
+    res = _solve_in_basis(field, [{"a": one}, {"a": one, "b": one}],
+                          [{"b": field.zeta()}])
+    assert res.particular == ExactMatrix.column(field, [-field.zeta(),
+                                                        field.zeta()])
+    b = sweedler_bundle()
+    assert projective_section(b, b.module("proj_plus")) is not None
+    assert len(built) == 4
 
 
 def test_scalar_interface_the_benchmark_tracer_uses(monkeypatch):

@@ -278,12 +278,14 @@ def twin_tables(draw):
 
 
 def _twins(field, shape, table):
-    """The matrix held as rows, and its twin held as the table."""
+    """The matrix built by `from_rows`, and its twin built by
+    `ExactMatrix(field, table)`: both hold the same canonical rows."""
     if not table:  # no rows, so no table to carry the width
         rows = ExactMatrix.zeros(field, *shape)
         return rows, rows.copy()
     rows, twin = ExactMatrix.from_rows(field, table), ExactMatrix(field, table)
-    assert rows._data is None and twin._sparse is None
+    assert _sparse_rows(rows) == _sparse_rows(twin)
+    assert rows._data is None and twin._data is None
     assert (rows.rows, rows.cols) == (twin.rows, twin.cols) == shape
     return rows, twin
 
@@ -357,25 +359,27 @@ def test_rows_and_table_twins_agree(drawn, s):
 @given(matrices(), st.data())
 def test_a_mutated_table_is_the_matrix(a, data):
     field = a.field
+    # the table is a read-only view: every write into it is refused, the
+    # matrix stays what it was, and an edited copy of the table is a new one
     held = ExactMatrix.from_rows(field, a.data)
     before = held.copy()
     i = data.draw(st.integers(0, a.rows - 1))
     j = data.draw(st.integers(0, a.cols - 1))
     new = data.draw(elems(field, small).filter(lambda x: x != a[i, j]))
-    held.data[i][j] = new       # read the table, then write into it
+    with pytest.raises(TypeError):
+        held.data[i][j] = new
+    with pytest.raises(TypeError):
+        held.data[i] = [field.one()] * a.cols
+    with pytest.raises(TypeError):
+        held[i, j] = field.zero()
     twin = [list(row) for row in a.data]
-    twin[i][j] = new
     assert _sparse_rows(held) == _sparse_rows(ExactMatrix(field, twin))
-    assert held == ExactMatrix(field, twin) == ExactMatrix.from_rows(field, twin)
-    assert hash(held) == hash(ExactMatrix.from_rows(field, twin))
-    assert held != before and held[i, j] == new
-    # row assignment and item assignment are the matrix too
-    held.data[i] = [field.one()] * a.cols
-    held[i, j] = field.zero()
-    twin[i] = [field.one()] * a.cols
-    twin[i][j] = field.zero()
-    assert held == ExactMatrix.from_rows(field, twin)
-    assert hash(held) == hash(ExactMatrix.from_rows(field, twin))
+    assert held == before == ExactMatrix(field, twin)
+    assert hash(held) == hash(before) and held[i, j] == a[i, j] != new
+    twin[i][j] = new
+    edited = ExactMatrix.from_rows(field, twin)
+    assert edited == ExactMatrix(field, twin) and edited[i, j] == new
+    assert hash(edited) == hash(ExactMatrix(field, twin)) and edited != held
     assert held.copy() == held and held.transpose().transpose() == held
 
 

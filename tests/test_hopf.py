@@ -13,7 +13,7 @@ from modskein.bundles import (sweedler_bundle, trivial_bundle, uqsl2_bundle,
                               z2_bundle, z4_bundle)
 from modskein.coend import (canonical_image_dim, coadjoint_rep, dinat, qchar,
                             recompose, red_to_blue, slf_basis)
-from modskein.cyclo import ExactMatrix, LinearSystem, _sparse_sum
+from modskein.cyclo import CycField, ExactMatrix, LinearSystem, _sparse_sum
 from modskein.errors import CapabilityError, StructureError
 from modskein.hopf import (AXIOMS, AxiomContext, HopfBundle, Rep, _generators,
                            braiding, braiding_inverse, bundle_from_obj,
@@ -434,7 +434,8 @@ def test_a_bundle_is_fixed_once_built():
         b.ribbon[:] = [c * c for c in b.ribbon]
     with pytest.raises(AttributeError):
         b.ribbon = tuple(c * c for c in b.ribbon)
-    b.antipode.data[0][0] = b.field.zeta()
+    with pytest.raises(TypeError):
+        b.antipode.data[0][0] = b.field.zeta()
     assert b.antipode == z4_bundle().antipode
     assert twist(b, m) == theta
     # Zero entries are dropped once, after every index was checked.
@@ -510,30 +511,32 @@ def test_direct_sum_matches_the_block_definition(sweedler, z4):
             for n in mods:
                 s = direct_sum_rep(b, m, n)
                 for i in range(b.dim):
-                    dense = ExactMatrix.zeros(b.field, s.dim, s.dim)
+                    table = [[b.field.zero()] * s.dim for _ in range(s.dim)]
                     for r in range(m.dim):
                         for c in range(m.dim):
-                            dense.data[r][c] = m.mats[i].data[r][c]
+                            table[r][c] = m.mats[i].data[r][c]
                     for r in range(n.dim):
                         for c in range(n.dim):
-                            dense.data[m.dim + r][m.dim + c] = \
-                                n.mats[i].data[r][c]
-                    assert s.mats[i] == dense
+                            table[m.dim + r][m.dim + c] = n.mats[i].data[r][c]
+                    assert s.mats[i] == ExactMatrix.from_rows(b.field, table)
 
 
 def test_braiding_memo_returns_fresh_copies():
-    b = sweedler_bundle()
+    b, fresh = sweedler_bundle(), sweedler_bundle()
     m, n = b.module("proj_plus"), b.module("reg")
     f = b.field
     flip = flip_matrix(f, m.dim, n.dim)
     for fn in (braiding, braiding_inverse):
         first = fn(b, m, n)
         expected = first.copy()
-        first.data[0][0] = first.data[0][0] + f.one()
-        first.data[1] = [f.one()] * first.cols
+        with pytest.raises(TypeError):
+            first.data[0][0] = first.data[0][0] + f.one()
+        with pytest.raises(TypeError):
+            first.data[1] = [f.one()] * first.cols
         again = fn(b, m, n)
-        assert again == expected and again != first
-        assert again is not fn(b, m, n)
+        assert again == expected == first
+        assert again == fn(fresh, fresh.module("proj_plus"),
+                           fresh.module("reg"))
     assert braiding(b, m, n) == flip * _dense_sum(
         f, m.dim * n.dim, ((c, m.mats[i].kron(n.mats[j]))
                            for i, j, c in b.r_sparse()))
@@ -889,3 +892,54 @@ def test_hot_paths_build_no_dense_table(monkeypatch):
     alg = skalg(z4, 1, 1)
     assert alg.dim == 16
     assert char_map(z4, skalg(z4, 0, 2))["rank"] == 4
+
+
+def test_bundle_builders_and_job_matrices_build_no_dense_table(monkeypatch):
+    # The edge builds rows too: the shipped bundles, a bundle read back from
+    # its JSON object, and a job matrix read and written by the CLI all run
+    # with the dense table `ExactMatrix.data` refused.
+    from modskein import cli
+    obj = bundle_to_obj(sweedler_bundle())
+    job = {"rows": 3, "cols": 2,
+           "entries": [[0, 1, "1/2"], [2, 0, {"order": 4,
+                                              "coeffs": ["0", "-1"]}]]}
+    field = CycField(4)
+    want = ExactMatrix.from_rows(field, [[0, "1/2"], [0, 0],
+                                         [-field.zeta(), 0]])
+    payload = cli._matrix_obj(want, with_float=True)
+
+    def refuse(self):
+        raise AssertionError("an edge builder read ExactMatrix.data")
+
+    monkeypatch.setattr(ExactMatrix, "data", property(refuse))
+    z4 = z4_bundle()
+    assert z4.antipode * z4.antipode == ExactMatrix.identity(z4.field, 4)
+    assert sweedler_bundle().dim == 4
+    uq = uqsl2_bundle(2, with_r=True)
+    assert not uq.has_r and uq.module("X+2").dim == 2
+    assert bundle_from_obj(obj).antipode == sweedler_bundle().antipode
+    mat = cli._matrix_from_obj(job, field)
+    assert mat == want and cli._matrix_obj(mat, with_float=True) == payload
+
+
+def test_engine_matrices_refuse_writes():
+    # every matrix is immutable: a write through the table view, a row of
+    # it or an index raises TypeError, and later calls still agree with a
+    # fresh bundle
+    from modskein.surface import coend_mult
+
+    def results(b):
+        m = b.module("proj_plus")
+        return [m.mats[2], b.antipode, braiding(b, m, b.module("reg")),
+                coend_mult(b), projective_section(b, m)]
+
+    b = sweedler_bundle()
+    two = b.field.from_rational(2)
+    for mat in results(b):
+        with pytest.raises(TypeError):
+            mat.data[0][0] = two
+        with pytest.raises(TypeError):
+            mat.data[0] = [two] * mat.cols
+        with pytest.raises(TypeError):
+            mat[0, 0] = two
+    assert results(b) == results(sweedler_bundle())

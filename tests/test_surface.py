@@ -69,7 +69,7 @@ def test_coend_mult_dinatural_characterization(z2, sweedler, z4):
                 mid = ExactMatrix.identity(field, m.dim).kron(
                     braiding(b, ms, nns))
                 size = m.dim * n.dim * n.dim * m.dim
-                perm = ExactMatrix.zeros(field, size, size)
+                perm = [[field.zero()] * size for _ in range(size)]
                 mn_dim = m.dim * n.dim
                 for xm in range(m.dim):
                     for xn in range(n.dim):
@@ -79,8 +79,8 @@ def test_coend_mult_dinatural_characterization(z2, sweedler, z4):
                                     * m.dim + ai
                                 dst = (xm * n.dim + xn) * mn_dim \
                                     + (ai * n.dim + bi)
-                                perm.data[dst][src] = one
-                rhs = dinat(b, mn) * perm * mid
+                                perm[dst][src] = one
+                rhs = dinat(b, mn) * ExactMatrix.from_rows(field, perm) * mid
                 assert lhs == rhs, (b.name, n1, n2)
 
 
@@ -90,10 +90,10 @@ def _dense_coend_mult(b):
     that product from the coadjoint rows."""
     field, d = b.field, b.dim
     one = field.one()
-    out = ExactMatrix.zeros(field, d, d * d)
+    out = [[field.zero()] * (d * d) for _ in range(d)]
     s_table = [b.elem_antipode({a: one}) for a in range(d)]
     for h in range(d):
-        row = out.data[h]
+        row = out[h]
         for (alpha, beta, c_r) in b.r_sparse():
             for (b1, b2, c_b) in b.comult_table[beta]:
                 for (h1, h2, c_h) in b.comult_table[h]:
@@ -105,7 +105,7 @@ def _dense_coend_mult(b):
                         for jw, cw in w.items():
                             col = iu * d + jw
                             row[col] = row[col] + coeff * cu * cw
-    return out
+    return ExactMatrix.from_rows(field, out)
 
 
 @pytest.mark.parametrize("name", ["z2", "sweedler_0", "sweedler_1",
@@ -170,11 +170,11 @@ def test_power_mult_matches_the_column_loop_in_key_order(request, name):
 def test_z2_coend_mult_is_convolution(z2):
     b = z2
     mu = coend_mult(b)
-    conv = ExactMatrix.zeros(b.field, 2, 4)
+    conv = [[b.field.zero()] * 4 for _ in range(2)]
     for h in range(2):
         for (h1, h2, c) in b.comult_table[h]:
-            conv.data[h][h1 * 2 + h2] = conv.data[h][h1 * 2 + h2] + c
-    assert mu == conv
+            conv[h][h1 * 2 + h2] = conv[h][h1 * 2 + h2] + c
+    assert mu == ExactMatrix.from_rows(b.field, conv)
 
 
 def test_skalg_z2_annulus_is_character_ring(z2):
@@ -421,9 +421,10 @@ def test_associativity_check_agrees_with_the_per_triple_loop(z2, sweedler,
 def test_editing_the_coend_product_changes_no_later_result():
     b, fresh = z4_bundle(), z4_bundle()
     mu = coend_mult(b)
-    mu.data[0] = [b.field.one()] * mu.cols
+    with pytest.raises(TypeError):
+        mu.data[0] = [b.field.one()] * mu.cols
     assert algebra_to_obj(skalg(b, 0, 2)) == algebra_to_obj(skalg(fresh, 0, 2))
-    assert coend_mult(b) == coend_mult(fresh) != mu
+    assert coend_mult(b) == coend_mult(fresh) == mu
 
 
 @pytest.mark.parametrize("edit", [
