@@ -21,8 +21,8 @@ from itertools import islice
 
 from .cyclo import (CycField, CycNum, ExactMatrix, _from_cols, _matrix,
                     _sparse_rows, _sparse_sum)
-from .hopf import (AXIOMS, R_INVERSE_FREE, AxiomContext, HopfBundle, Rep,
-                   _regular_module, validate_bundle)
+from .hopf import (AXIOMS, R_INVERSE_FREE, HopfBundle, Rep, _regular_module,
+                   validate_bundle)
 
 __all__ = ["trivial_bundle", "z2_bundle", "sweedler_bundle", "z4_bundle",
            "uqsl2_bundle", "builtin_bundle", "BUILTIN_BUNDLES"]
@@ -374,10 +374,9 @@ def uqsl2_bundle(p: int, with_r: bool = False) -> HopfBundle:
         trial = _candidate_trial(p, structure)
         # The axioms that need no R^-1 first, each up to its first failure;
         # only a candidate passing them is worth the full validator.
-        ctx = AxiomContext(trial)
         report = [failure for name, _, check in AXIOMS
                   if name in R_INVERSE_FREE
-                  for failure in islice(check(ctx), 1)]
+                  for failure in islice(check(trial), 1)]
         report = report or validate_bundle(trial)
         if not report:
             return trial

@@ -82,7 +82,7 @@ def _bundle_from_bytes(data: bytes) -> HopfBundle:
         raise StructureError("malformed bundle JSON: %s" % exc)
 
 
-def _emit(args, payload_obj, payload_bytes: bytes) -> None:
+def _emit(args, payload_bytes: bytes) -> None:
     if args.out:
         with open(args.out, "wb") as fh:
             fh.write(payload_bytes)
@@ -152,11 +152,7 @@ def _cached_payload(args, op: str, params: dict):
 
 
 def cmd_validate(args) -> int:
-    try:
-        bundle = _bundle_from_bytes(_read_bytes(args.bundle))
-    except (OSError, StructureError) as exc:
-        print("error: %s" % exc, file=sys.stderr)
-        return EXIT_USAGE
+    bundle = _bundle_from_bytes(_read_bytes(args.bundle))
     failures = validate_bundle(bundle)
     if args.format == "text":
         if failures:
@@ -192,19 +188,25 @@ def cmd_gen_uqsl2(args) -> int:
 
 
 def _load_checked(args):
-    """Read, parse and validate args.bundle: (bundle, file bytes).
-
-    Every command that computes on a bundle loads it here, so none computes
-    on, or serves a cached result for, a bundle that fails an axiom; the
-    failures are named in the error (exit 1).
-    """
+    """Read, parse and validate args.bundle: (bundle, file bytes)."""
     data = _read_bytes(args.bundle)
+    return _checked_bundle(data), data
+
+
+def _checked_bundle(data: bytes) -> HopfBundle:
+    """Parse and validate bundle file bytes.
+
+    Every command that computes on a bundle, and `cache verify` when it
+    recomputes a stored entry, parses it here, so none computes on, or
+    serves a cached result for, a bundle that fails an axiom; the failures
+    are named in the error (exit 1).
+    """
     bundle = _bundle_from_bytes(data)
     failures = validate_bundle(bundle)
     if failures:
         raise ModskeinError("bundle %r is not valid:\n%s" % (
             bundle.name, "\n".join("FAIL %s" % f for f in failures)))
-    return bundle, data
+    return bundle
 
 
 def _resolve_module(bundle: HopfBundle, name: str):
@@ -220,7 +222,7 @@ def cmd_slf(args) -> int:
     obj = json.loads(payload)
     if args.float_col:
         obj = _add_float_columns(bundle, obj)
-    _emit(args, obj, _canonical_payload(obj) if args.float_col else payload)
+    _emit(args, _canonical_payload(obj) if args.float_col else payload)
     if args.format == "text":
         print("slf dim %d (cache %s)" % (obj["dim"], "hit" if hit else "miss"),
               file=sys.stderr)
@@ -251,8 +253,7 @@ def cmd_qchar(args) -> int:
            "values": form.to_obj(bundle)}
     if args.float_col:
         obj = _add_float_columns(bundle, obj)
-    payload = _canonical_payload(obj)
-    _emit(args, obj, payload)
+    _emit(args, _canonical_payload(obj))
     return EXIT_OK
 
 
@@ -267,7 +268,7 @@ def cmd_skalg(args) -> int:
             with open(args.out, "wb") as fh:
                 fh.write(payload)
     else:
-        _emit(args, obj, payload)
+        _emit(args, payload)
     if args.format == "text":
         print("skalg dim %d (cache %s)" % (obj["dim"],
                                            "hit" if hit else "miss"),
@@ -285,21 +286,16 @@ def cmd_char_map(args) -> int:
             with open(args.out, "wb") as fh:
                 fh.write(payload)
     else:
-        _emit(args, obj, payload)
+        _emit(args, payload)
     return EXIT_OK
 
 
 def cmd_rt_eval(args) -> int:
-    try:
-        bundle, _ = _load_checked(args)
-        diagram = load_diagram(bundle, args.diagram)
-    except (OSError, StructureError) as exc:
-        print("error: %s" % exc, file=sys.stderr)
-        return EXIT_USAGE
+    bundle, _ = _load_checked(args)
+    diagram = load_diagram(bundle, args.diagram)
     mat = evaluate(bundle, diagram)
     obj = _matrix_obj(mat, with_float=args.float_col)
-    payload = _canonical_payload(obj)
-    _emit(args, obj, payload)
+    _emit(args, _canonical_payload(obj))
     return EXIT_OK
 
 
@@ -322,8 +318,7 @@ def cmd_red_to_blue(args) -> int:
            "terms": [{"coefficient": c.to_obj(),
                       "matrix": _matrix_obj(m, with_float=args.float_col)}
                      for (c, m) in terms]}
-    payload = _canonical_payload(obj)
-    _emit(args, obj, payload)
+    _emit(args, _canonical_payload(obj))
     return EXIT_OK
 
 
@@ -331,7 +326,7 @@ def cmd_cache_verify(args) -> int:
     def recompute(op, params, input_bytes):
         if op not in CACHED_OPS:
             raise ModskeinError("unknown cached operation %r" % op)
-        return CACHED_OPS[op](_bundle_from_bytes(input_bytes), params)
+        return CACHED_OPS[op](_checked_bundle(input_bytes), params)
 
     report = cache.verify_all(args.cache_dir, recompute)
     bad = sum(r["status"] == "MISMATCH" for r in report)

@@ -511,9 +511,6 @@ class ExactMatrix:
     def column(field: CycField, entries) -> "ExactMatrix":
         return ExactMatrix.from_rows(field, [[e] for e in entries])
 
-    def copy(self) -> "ExactMatrix":
-        return _matrix(self.field, _sparse_rows(self), self.cols)
-
     # -- structure ------------------------------------------------------------
 
     def __getitem__(self, idx):

@@ -55,7 +55,7 @@ compares the rows themselves.
 from __future__ import annotations
 
 import json
-from functools import cached_property, partial
+from functools import partial
 from itertools import chain, islice
 
 from .cyclo import (CycField, CycNum, ExactMatrix, LinearSystem, _matrix,
@@ -70,7 +70,6 @@ __all__ = [
     "validate_bundle",
     "validate_rep",
     "AXIOMS",
-    "AxiomContext",
     "tensor_rep",
     "dual_rep",
     "hom_space",
@@ -83,7 +82,6 @@ __all__ = [
     "regular_rep",
     "trivial_rep",
     "direct_sum_rep",
-    "flip_matrix",
     "bundle_to_obj",
     "bundle_from_obj",
     "load_bundle",
@@ -427,10 +425,6 @@ class HopfBundle:
 # ---------------------------------------------------------------------------
 
 
-def _basis_elem(field, i):
-    return {i: field.one()}
-
-
 def _check_rep(b: HopfBundle, rep: Rep, what: str = "module") -> None:
     """Refuse a module without one action matrix per basis element of b,
     such as a module of another bundle, with a StructureError."""
@@ -479,46 +473,7 @@ def validate_rep(b: HopfBundle, rep: Rep) -> list[str]:
     return failures
 
 
-class AxiomContext:
-    """Products shared by the axiom checks, each computed at most once."""
-
-    def __init__(self, b: HopfBundle):
-        self.b = b
-        self.basis = [_basis_elem(b.field, i) for i in range(b.dim)]
-        self.unit = b.elem_unit()
-        self._prods = [[None] * b.dim for _ in range(b.dim)]
-
-    @cached_property
-    def delta(self) -> list[dict]:
-        """Delta(e_i) for every basis element."""
-        return [self.b.elem_comult(e) for e in self.basis]
-
-    def prod(self, i: int, j: int) -> dict:
-        """e_i e_j, computed on first use and kept."""
-        row = self._prods[i]
-        if row[j] is None:
-            row[j] = self.b.elem_mult(self.basis[i], self.basis[j])
-        return row[j]
-
-    @cached_property
-    def generators(self) -> list[int] | None:
-        return _generators(self.b, self)
-
-    @cached_property
-    def unit2(self) -> dict:
-        return _outer(self.unit, self.unit)
-
-    @cached_property
-    def R(self) -> dict:
-        return {(i, j): c for (i, j, c) in self.b.r_sparse()}
-
-    @cached_property
-    def ginv(self) -> dict | None:
-        return self.b._inverse("pivotal", check=False)
-
-
-def _generators(b: HopfBundle,
-                ctx: AxiomContext | None = None) -> list[int] | None:
+def _generators(b: HopfBundle) -> list[int] | None:
     """The generating set S the checks are decided on, or None.
 
     S is greedy in basis order: e_i joins S when it is not in the span W of
@@ -526,16 +481,16 @@ def _generators(b: HopfBundle,
     left multiplication by S, so at the end the nested products span H.
     Membership is a rank test in one `LinearSystem`.  S is returned only if 1
     is a two-sided unit and (x s) z = x (s z) holds for every s in S and all
-    basis x, z, so that H is associative by lemma (i); otherwise None.
+    basis x, z, so that H is associative by lemma (i); otherwise None.  It is
+    kept by `_memo`, so every check of one bundle reads the same S.
     """
-    return _memo(b, ("generators",),
-                 lambda: _find_generators(ctx or AxiomContext(b)))
+    return _memo(b, ("generators",), lambda: _find_generators(b))
 
 
-def _find_generators(ctx: AxiomContext) -> list[int] | None:
-    b = ctx.b
-    if next(_unit(ctx), None) is not None:
+def _find_generators(b: HopfBundle) -> list[int] | None:
+    if next(_unit(b), None) is not None:
         return None
+    one, unit = b.field.one(), b.elem_unit()
     span = LinearSystem(b.field, b.dim)
 
     def grows(x):
@@ -546,24 +501,24 @@ def _find_generators(ctx: AxiomContext) -> list[int] | None:
     gens: list[int] = []
     # A basis of W made of nested products, and per product the number of
     # elements of S (a prefix, since S only grows) it was multiplied by.
-    words, done = [ctx.unit], [0]
-    grows(ctx.unit)
+    words, done = [unit], [0]
+    grows(unit)
     for i in range(b.dim):
         if span.rank() == b.dim:
             break
-        if not grows(ctx.basis[i]):
+        if not grows({i: one}):
             continue
         gens.append(i)
-        words.append(ctx.basis[i])
+        words.append({i: one})
         done.append(0)
         for w, word in enumerate(words):
             for s in gens[done[w]:]:
-                x = b.elem_mult(ctx.basis[s], word)
+                x = b.elem_mult({s: one}, word)
                 if grows(x):
                     words.append(x)
                     done.append(0)
             done[w] = len(gens)
-    if next(_associativity_at(ctx, gens), None) is not None:
+    if next(_associativity_at(b, gens), None) is not None:
         return None
     return gens
 
@@ -574,38 +529,41 @@ def _outer(x: dict, y: dict) -> dict:
                        for j, c in y.items())
 
 
-def _associativity(ctx):
+def _associativity(b):
     """Lemma (i): the generating-set search has checked A_s on S already."""
-    if ctx.generators is None:
-        yield from _associativity_at(ctx, range(ctx.b.dim))
+    if _generators(b) is None:
+        yield from _associativity_at(b, range(b.dim))
 
 
-def _associativity_at(ctx, middles):
-    """(e_i e_j) e_l = e_i (e_j e_l) for all i, l and every j in `middles`."""
-    table, prod = ctx.b.mult_table, ctx.prod
-    d = ctx.b.dim
+def _associativity_at(b, middles):
+    """(e_i e_j) e_l = e_i (e_j e_l) for all i, l and every j in `middles`.
+
+    Both sides are summed from `mult_table` entries; the sum is linear in
+    them, so an entry given as several entries with the same indices counts
+    as their sum."""
+    table, d = b.mult_table, b.dim
     for i in range(d):
         for j in middles:
-            left_ij = prod(i, j).items()
             for l in range(d):
-                left = _sparse_sum((t, c * c2) for k, c in left_ij
+                left = _sparse_sum((t, c * c2) for k, c in table[i][j]
                                    for t, c2 in table[k][l])
-                right = _sparse_sum((t, c * c2) for k, c in prod(j, l).items()
+                right = _sparse_sum((t, c * c2) for k, c in table[j][l]
                                     for t, c2 in table[i][k])
                 if left != right:
                     yield ("associativity: (e%d e%d) e%d != e%d (e%d e%d)"
                            % (i, j, l, i, j, l))
 
 
-def _unit(ctx):
-    b, unit = ctx.b, ctx.unit
-    for i, e in enumerate(ctx.basis):
+def _unit(b):
+    one, unit = b.field.one(), b.elem_unit()
+    for i in range(b.dim):
+        e = {i: one}
         if b.elem_mult(unit, e) != e or b.elem_mult(e, unit) != e:
             yield "unit: 1 * e%d or e%d * 1 != e%d" % (i, i, i)
 
 
-def _coassociativity(ctx):
-    table = ctx.b.comult_table
+def _coassociativity(b):
+    table = b.comult_table
     for i, delta in enumerate(table):
         left = _sparse_sum(((a, bb, k), c * c2) for (j, k, c) in delta
                            for (a, bb, c2) in table[j])
@@ -615,96 +573,99 @@ def _coassociativity(ctx):
             yield "coassociativity: at e%d" % i
 
 
-def _counit(ctx):
-    b = ctx.b
+def _counit(b):
+    one = b.field.one()
     for i, delta in enumerate(b.comult_table):
         lc = _sparse_sum((k, c * b.counit[j]) for (j, k, c) in delta)
         rc = _sparse_sum((j, c * b.counit[k]) for (j, k, c) in delta)
-        if lc != ctx.basis[i] or rc != ctx.basis[i]:
+        if lc != {i: one} or rc != {i: one}:
             yield "counit: at e%d" % i
 
 
-def _bialgebra(ctx):
+def _bialgebra(b):
     """Lemma (ii): decided on the left factor in S when H is associative,
     Delta(1) = 1 (x) 1 and counit(1) = 1."""
-    b, prod, delta = ctx.b, ctx.prod, ctx.delta
-    gens = ctx.generators
-    if b.elem_comult(ctx.unit) != ctx.unit2:
+    one, unit, gens = b.field.one(), b.elem_unit(), _generators(b)
+    if b.elem_comult(unit) != _outer(unit, unit):
         gens = None
         yield "bialgebra: Delta(1) != 1 (x) 1"
-    if b.elem_counit(ctx.unit) != b.field.one():
+    if b.elem_counit(unit) != one:
         gens = None
         yield "bialgebra: counit(1) != 1"
+    delta = [b.elem_comult({i: one}) for i in range(b.dim)]
 
     def multiplicative(lefts):
         for i in lefts:
             for j in range(b.dim):
-                if b.elem_comult(prod(i, j)) != b.tensor2_mult(delta[i],
-                                                               delta[j]):
+                prod = b.elem_mult({i: one}, {j: one})
+                if b.elem_comult(prod) != b.tensor2_mult(delta[i], delta[j]):
                     yield ("bialgebra: Delta not multiplicative at (e%d, e%d)"
                            % (i, j))
-                if b.elem_counit(prod(i, j)) != b.counit[i] * b.counit[j]:
+                if b.elem_counit(prod) != b.counit[i] * b.counit[j]:
                     yield ("bialgebra: counit not multiplicative at (e%d, e%d)"
                            % (i, j))
 
     yield from _decided_on(gens, b.dim, multiplicative)
 
 
-def _antipode(ctx):
-    b, basis = ctx.b, ctx.basis
-    s_basis = [b.elem_antipode(e) for e in basis]
+def _antipode(b):
+    one, unit = b.field.one(), b.elem_unit()
+    s_basis = [b.elem_antipode({i: one}) for i in range(b.dim)]
     for i, delta in enumerate(b.comult_table):
         left_s = _sparse_sum(
             (t, c * v) for (j, k, c) in delta
-            for t, v in b.elem_mult(s_basis[j], basis[k]).items())
+            for t, v in b.elem_mult(s_basis[j], {k: one}).items())
         right_s = _sparse_sum(
             (t, c * v) for (j, k, c) in delta
-            for t, v in b.elem_mult(basis[j], s_basis[k]).items())
-        target = _sparse_sum((t, b.counit[i] * v) for t, v in ctx.unit.items())
+            for t, v in b.elem_mult({j: one}, s_basis[k]).items())
+        target = _sparse_sum((t, b.counit[i] * v) for t, v in unit.items())
         if left_s != target or right_s != target:
             yield "antipode: at e%d" % i
 
 
-def _r_inverse(ctx):
-    b, R = ctx.b, ctx.R
-    Rinv = {(i, j): c for (i, j, c) in b.r_inv_sparse()}
-    if b.tensor2_mult(R, Rinv) != ctx.unit2 or \
-       b.tensor2_mult(Rinv, R) != ctx.unit2:
+def _r_inverse(b):
+    unit = b.elem_unit()
+    unit2 = _outer(unit, unit)
+    R = {(i, j): c for i, j, c in b.r_sparse()}
+    Rinv = {(i, j): c for i, j, c in b.r_inv_sparse()}
+    if b.tensor2_mult(R, Rinv) != unit2 or b.tensor2_mult(Rinv, R) != unit2:
         yield "quasitriangular: R * R_inv != 1 (x) 1"
 
 
-def _r_intertwines_delta(ctx):
-    b, R = ctx.b, ctx.R
-    for i, delta in enumerate(ctx.delta):
+def _r_intertwines_delta(b):
+    one = b.field.one()
+    R = {(i, j): c for i, j, c in b.r_sparse()}
+    for i in range(b.dim):
+        delta = b.elem_comult({i: one})
         delta_op = {(k, j): c for (j, k), c in delta.items()}
         if b.tensor2_mult(delta_op, R) != b.tensor2_mult(R, delta):
             yield "quasitriangular: Delta_op != R Delta R^-1 at e%d" % i
 
 
-def _r_delta_left(ctx):
-    b, R = ctx.b, ctx.R.items()
-    r13_r23 = _sparse_sum(((i, k, kk), c * c2 * cm) for (i, j), c in R
-                          for (k, l), c2 in R for kk, cm in b.mult_table[j][l])
-    delta_r = _sparse_sum(((a, bb, j), c * c2) for (i, j), c in R
+def _r_delta_left(b):
+    R = b.r_sparse()
+    r13_r23 = _sparse_sum(((i, k, kk), c * c2 * cm) for i, j, c in R
+                          for k, l, c2 in R for kk, cm in b.mult_table[j][l])
+    delta_r = _sparse_sum(((a, bb, j), c * c2) for i, j, c in R
                           for (a, bb, c2) in b.comult_table[i])
     if delta_r != r13_r23:
         yield "quasitriangular: (Delta (x) id)R != R13 R23"
 
 
-def _r_delta_right(ctx):
-    b, R = ctx.b, ctx.R.items()
-    r13_r12 = _sparse_sum(((kk, l, j), c * c2 * cm) for (i, j), c in R
-                          for (k, l), c2 in R for kk, cm in b.mult_table[i][k])
-    delta_r = _sparse_sum(((i, a, bb), c * c2) for (i, j), c in R
+def _r_delta_right(b):
+    R = b.r_sparse()
+    r13_r12 = _sparse_sum(((kk, l, j), c * c2 * cm) for i, j, c in R
+                          for k, l, c2 in R for kk, cm in b.mult_table[i][k])
+    delta_r = _sparse_sum(((i, a, bb), c * c2) for i, j, c in R
                           for (a, bb, c2) in b.comult_table[j])
     if delta_r != r13_r12:
         yield "quasitriangular: (id (x) Delta)R != R13 R12"
 
 
-def _ribbon(ctx):
-    b = ctx.b
-    v = b.ribbon_elem()
-    for i, e in enumerate(ctx.basis):
+def _ribbon(b):
+    one, v = b.field.one(), b.ribbon_elem()
+    for i in range(b.dim):
+        e = {i: one}
         if b.elem_mult(v, e) != b.elem_mult(e, v):
             yield "ribbon: v not central (fails at e%d)" % i
     u = b.drinfeld_u()
@@ -712,34 +673,34 @@ def _ribbon(ctx):
         yield "ribbon: v^2 != u S(u)"
     if b.elem_antipode(v) != v:
         yield "ribbon: S(v) != v"
-    if b.elem_counit(v) != b.field.one():
+    if b.elem_counit(v) != one:
         yield "ribbon: counit(v) != 1"
-    R21 = {(j, i): c for (i, j), c in ctx.R.items()}
-    monodromy = b.tensor2_mult(R21, ctx.R)
+    R = {(i, j): c for i, j, c in b.r_sparse()}
+    R21 = {(j, i): c for (i, j), c in R.items()}
+    monodromy = b.tensor2_mult(R21, R)
     # Delta(v) = (R21 R)^-1 (v (x) v), checked multiplied through.
     if b.tensor2_mult(monodromy, b.elem_comult(v)) != _outer(v, v):
         yield "ribbon: Delta(v) != (R21 R)^-1 (v (x) v)"
 
 
-def _pivotal(ctx):
-    b = ctx.b
-    g = b.pivotal_elem()
+def _pivotal(b):
+    one, g = b.field.one(), b.pivotal_elem()
     if b.elem_comult(g) != _outer(g, g):
         yield "pivotal: g not group-like"
-    if b.elem_counit(g) != b.field.one():
+    if b.elem_counit(g) != one:
         yield "pivotal: counit(g) != 1"
-    if ctx.ginv is None:
+    if b._inverse("pivotal", check=False) is None:
         yield "pivotal: g not invertible"
         return
-    for i, e in enumerate(ctx.basis):
+    for i in range(b.dim):
+        e = {i: one}
         s2 = b.elem_antipode(b.elem_antipode(e))
         if b.elem_mult(s2, g) != b.elem_mult(g, e):
             yield "pivotal: S^2 != g(.)g^-1 (fails at e%d)" % i
 
 
-def _pivotal_ribbon(ctx):
-    b = ctx.b
-    if ctx.ginv is None:
+def _pivotal_ribbon(b):
+    if b._inverse("pivotal", check=False) is None:
         return
     vinv = b._inverse("ribbon", check=False)
     if vinv is None:
@@ -748,16 +709,17 @@ def _pivotal_ribbon(ctx):
         yield "pivotal: g != u v^-1"
 
 
-def _modules(ctx):
-    b = ctx.b
+def _modules(b):
     for name in sorted(b.modules):
         for msg in validate_rep(b, b.modules[name]):
             yield "module:%s: %s" % (name, msg)
 
 
 # The axioms in checking order: (name, structure the check needs, check).
-# A check is a generator of named failures, so a caller that wants only the
-# first failure of an axiom stops its work there.
+# A check takes the bundle and reads its tables, and what it shares with
+# other checks (S, the inverse of g) through `_memo`.  It is a generator of
+# named failures, so a caller that wants only the first failure of an axiom
+# stops its work there.
 AXIOMS = (
     ("associativity", None, _associativity),
     ("unit", None, _unit),
@@ -783,23 +745,22 @@ R_INVERSE_FREE = ("R Delta = Delta_op R", "(Delta (x) id)R = R13 R23",
 def validate_bundle(b: HopfBundle, threads: int = 1) -> list[str]:
     """Decide every Hopf/quasitriangular/ribbon/pivotal axiom.
 
-    Runs every check of AXIOMS whose structure the bundle carries and
-    returns the sorted list of named failures; empty means the bundle is a
-    valid input for everything downstream.  Associativity, the bialgebra
-    laws and the module laws are decided on the generating set S by lemmas
-    (i)-(iii) of the module docstring, whose hypotheses are the two-sided
-    unit, (x s) z = x (s z) for s in S, Delta(1) = 1 (x) 1, counit(1) = 1
-    and rho(1) = id.  When a hypothesis fails, or the check on S finds a
-    failure, that check runs over every basis element, so the list is the
-    one an exhaustive check returns.  Malformed shapes raise StructureError
-    at construction instead of appearing here.  `threads` is accepted and
-    ignored.
+    Runs `check(b)` for every check of AXIOMS whose structure the bundle
+    carries and returns the sorted list of named failures; empty means the
+    bundle is a valid input for everything downstream.  Associativity, the
+    bialgebra laws and the module laws are decided on the generating set S
+    by lemmas (i)-(iii) of the module docstring, whose hypotheses are the
+    two-sided unit, (x s) z = x (s z) for s in S, Delta(1) = 1 (x) 1,
+    counit(1) = 1 and rho(1) = id.  When a hypothesis fails, or the check on
+    S finds a failure, that check runs over every basis element, so the list
+    is the one an exhaustive check returns.  Malformed shapes raise
+    StructureError at construction instead of appearing here.  `threads` is
+    accepted and ignored.
     """
-    ctx = AxiomContext(b)
     failures: set[str] = set()
     for _, needs, check in AXIOMS:
         if needs is None or getattr(b, needs):
-            failures.update(check(ctx))
+            failures.update(check(b))
     return sorted(failures)
 
 
@@ -920,13 +881,6 @@ def hom_space(b: HopfBundle, m: Rep, n: Rep) -> list[ExactMatrix]:
             rows[r].append((c, v))
         out.append(_matrix(b.field, rows, m.dim))
     return out
-
-
-def flip_matrix(field: CycField, m: int, n: int) -> ExactMatrix:
-    """The tensor swap M (x) N -> N (x) M on coordinates (a*n+b -> b*m+a)."""
-    one = field.one()
-    return _matrix(field, [((a * n + bb, one),) for bb in range(n)
-                           for a in range(m)], m * n)
 
 
 def braiding(b: HopfBundle, m: Rep, n: Rep) -> ExactMatrix:

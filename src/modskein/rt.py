@@ -378,8 +378,9 @@ def diagram_from_obj(b: HopfBundle, obj: dict) -> Diagram:
                 if kind == "coupon":
                     dom = [Point(*p) for p in gobj["dom"]]
                     cod = [Point(*p) for p in gobj["cod"]]
-                    basis = hom_space(b, boundary_rep(b, dom),
-                                      boundary_rep(b, cod))
+                    dom_rep = boundary_rep(b, dom)
+                    cod_rep = boundary_rep(b, cod)
+                    basis = hom_space(b, dom_rep, cod_rep)
                     if "index" in gobj:
                         index = gobj["index"]
                         if (not isinstance(index, int)
@@ -400,8 +401,7 @@ def diagram_from_obj(b: HopfBundle, obj: dict) -> Diagram:
                             "coupon has %d coefficients for a %d-dim hom space"
                             % (len(coeffs), len(basis)))
                     mat = _combination(b.field, zip(coeffs, basis),
-                                       basis[0].rows if basis else 1,
-                                       basis[0].cols if basis else 1)
+                                       cod_rep.dim, dom_rep.dim)
                     row.append(Generator("coupon", dom=dom, cod=cod, matrix=mat))
                 else:
                     row.append(Generator(kind, points=[Point(*p)

@@ -446,3 +446,32 @@ def test_cache_verify_reports_damaged_entries_and_fails(work, tmp_path):
     assert report["corrupt"] == 3 and report["mismatches"] == 0
     assert sorted(r["status"] for r in report["entries"]) == [
         "corrupt", "corrupt", "corrupt", "ok"]
+
+
+def test_cache_verify_refuses_a_stored_input_that_fails_an_axiom(work,
+                                                                 tmp_path):
+    # A stored input is recomputed through the commands' checked load, so
+    # an entry whose input no command would accept is corrupt, not ok.
+    env = {"MODSKEIN_CACHE_DIR": str(tmp_path)}
+    assert run_cli(work, "slf", work["z2"], env_extra=env,
+                   use_flag=False).returncode == 0
+    (stored,) = tmp_path.glob("*/*/input")
+    obj = bundle_to_obj(z2_bundle())
+    obj["pivotal"] = ["2", "0"]
+    bad = tmp_path / "bad_pivotal.json"
+    bad.write_text(json.dumps(obj))
+    r = run_cli(work, "validate", str(bad))
+    assert r.returncode == 1
+    failures = json.loads(r.stdout)["failures"]
+    assert len(failures) == 3 and all(f.startswith("pivotal") for f in failures)
+    assert run_cli(work, "slf", str(bad), env_extra=env,
+                   use_flag=False).returncode == 1
+    stored.write_bytes(bad.read_bytes())
+    out = run_cli(work, "cache", "verify", env_extra=env, use_flag=False)
+    assert out.returncode == 1 and "Traceback" not in out.stderr
+    report = json.loads(out.stdout)
+    assert report["corrupt"] == 1 and report["mismatches"] == 0
+    (entry,) = report["entries"]
+    assert entry["status"] == "corrupt" and "is not valid" in entry["reason"]
+    assert ["FAIL %s" % f for f in failures] == \
+        entry["reason"].splitlines()[1:]

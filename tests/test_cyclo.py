@@ -221,7 +221,6 @@ def test_empty_matrices_keep_their_shapes():
             held.append(ExactMatrix(field, [[field.zero()] * c] * r))
         for z in held:
             assert _shape(z) == (r, c)
-            assert _shape(z.copy()) == (r, c)
             assert _shape(z.transpose()) == (c, r)
             assert _shape(z.kron(eye)) == (2 * r, 2 * c)
             assert _shape(eye.kron(z)) == (2 * r, 2 * c)

@@ -1,6 +1,8 @@
 """Bundle validation and the ribbon category operations."""
 
 import ast
+import importlib
+import json
 import random
 from fractions import Fraction
 from pathlib import Path
@@ -15,12 +17,12 @@ from modskein.coend import (canonical_image_dim, coadjoint_rep, dinat, qchar,
                             recompose, red_to_blue, slf_basis)
 from modskein.cyclo import CycField, ExactMatrix, LinearSystem, _sparse_sum
 from modskein.errors import CapabilityError, StructureError
-from modskein.hopf import (AXIOMS, AxiomContext, HopfBundle, Rep, _generators,
-                           braiding, braiding_inverse, bundle_from_obj,
-                           bundle_to_obj, direct_sum_rep, dual_rep, flip_matrix,
-                           hom_space, is_projective, projective_section,
-                           regular_rep, tensor_rep, trivial_rep, twist,
-                           twist_inverse, validate_bundle, validate_rep)
+from modskein.hopf import (AXIOMS, HopfBundle, Rep, _generators, braiding,
+                           braiding_inverse, bundle_from_obj, bundle_to_obj,
+                           direct_sum_rep, dual_rep, hom_space, is_projective,
+                           projective_section, regular_rep, tensor_rep,
+                           trivial_rep, twist, twist_inverse, validate_bundle,
+                           validate_rep)
 from modskein.rt import Diagram, Generator, diagram_from_obj, evaluate
 from modskein.surface import char_map, skalg, skalg_dimension
 from test_acceptance import _perturb_once
@@ -271,7 +273,7 @@ def test_projective_verdicts_on_fresh_copies():
     for k in range(300):
         name = names[k % len(names)]
         m = b.module(name)
-        wrong += is_projective(b, Rep(m.dim, [a.copy() for a in m.mats])) \
+        wrong += is_projective(b, Rep(m.dim, list(m.mats))) \
             != expected[name]
     assert wrong == 0
 
@@ -448,6 +450,16 @@ def test_a_bundle_is_fixed_once_built():
         HopfBundle(mult=b.mult + ((0, 0, 4, zero),), **fields)
 
 
+def _flip(field, m, n):
+    """The tensor swap M (x) N -> N (x) M on coordinates (a*n+b -> b*m+a),
+    as a dense permutation matrix."""
+    table = [[field.zero()] * (m * n) for _ in range(m * n)]
+    for a in range(m):
+        for bb in range(n):
+            table[bb * m + a][a * n + bb] = field.one()
+    return ExactMatrix.from_rows(field, table)
+
+
 def _dense_sum(field, dim, terms):
     """sum c * mat over the pairs (c, mat), by whole-matrix operations."""
     acc = ExactMatrix.zeros(field, dim, dim)
@@ -480,7 +492,7 @@ def test_action_matrices_match_the_dense_definition(z2, sweedler, z4):
                     assert prod.mats[i] == _dense_sum(
                         f, dim, ((c, m.mats[j].kron(n.mats[k]))
                                  for j, k, c in delta))
-                flip = flip_matrix(f, m.dim, n.dim)
+                flip = _flip(f, m.dim, n.dim)
                 assert braiding(b, m, n) == flip * _dense_sum(
                     f, dim, ((c, m.mats[i].kron(n.mats[j]))
                              for i, j, c in b.r_sparse()))
@@ -498,7 +510,7 @@ def test_rep_from_rows_equals_rep_from_mats(z2, sweedler, z4):
         built += [tensor_rep(b, m, n) for m in mods for n in mods[:2]]
         built += [direct_sum_rep(b, mods[0], mods[-1])]
         for rep in mods + built:
-            dense = Rep(rep.dim, [mat.copy() for mat in rep.mats])
+            dense = Rep(rep.dim, list(rep.mats))
             assert dense is not rep and dense == rep and rep == dense
             assert hash(dense) == hash(rep)
             assert Rep.from_rows(b.field, rep.dim, dense.rows) == rep
@@ -525,16 +537,15 @@ def test_braiding_memo_returns_fresh_copies():
     b, fresh = sweedler_bundle(), sweedler_bundle()
     m, n = b.module("proj_plus"), b.module("reg")
     f = b.field
-    flip = flip_matrix(f, m.dim, n.dim)
+    flip = _flip(f, m.dim, n.dim)
     for fn in (braiding, braiding_inverse):
         first = fn(b, m, n)
-        expected = first.copy()
         with pytest.raises(TypeError):
             first.data[0][0] = first.data[0][0] + f.one()
         with pytest.raises(TypeError):
             first.data[1] = [f.one()] * first.cols
         again = fn(b, m, n)
-        assert again == expected == first
+        assert again == first
         assert again == fn(fresh, fresh.module("proj_plus"),
                            fresh.module("reg"))
     assert braiding(b, m, n) == flip * _dense_sum(
@@ -571,10 +582,26 @@ def test_only_the_memo_reads_or_writes_the_bundle_cache():
     assert {name: lines for name, lines in uses.items() if lines} == {}
 
 
+def test_every_exported_name_exists():
+    # A deleted function or class cannot linger in an `__all__`.
+    src = Path(modskein.__file__).parent
+    stale = {}
+    for path in sorted(src.glob("*.py")):
+        name = "modskein" if path.stem == "__init__" else \
+            "modskein." + path.stem
+        module = importlib.import_module(name)
+        missing = [n for n in getattr(module, "__all__", ())
+                   if not hasattr(module, n)]
+        if missing:
+            stale[name] = missing
+    assert "AXIOMS" in modskein.hopf.__all__
+    assert stale == {}
+
+
 def test_equal_modules_share_a_braiding_memo_entry():
     b = sweedler_bundle()
     m, n = b.module("proj_plus"), b.module("proj_minus")
-    twin = Rep(m.dim, [mat.copy() for mat in m.mats])
+    twin = Rep(m.dim, list(m.mats))
     assert twin is not m and twin == m
     for fn, tag in ((braiding, "braiding"), (braiding_inverse, "braiding_inv")):
         fn(b, m, n)
@@ -651,12 +678,11 @@ _ORACLES = {
 def _oracle_validate(b):
     """validate_bundle with the three reduced checks replaced by the
     exhaustive d^3 / d^2 definitions."""
-    ctx = AxiomContext(b)
     failures = set()
     for name, needs, check in AXIOMS:
         if needs is None or getattr(b, needs):
             failures.update(_ORACLES[name](b) if name in _ORACLES
-                            else check(ctx))
+                            else check(b))
     return sorted(failures)
 
 
@@ -695,6 +721,38 @@ def _oracle_cases():
     for maker in (z2_bundle, sweedler_bundle, z4_bundle):
         for label, obj in _entry_mutants(maker):
             yield label, bundle_from_obj(obj)
+
+
+def _split_entries(obj):
+    """The bundle object with each mult and comult entry given as two
+    entries with the same indices, c + 1 and -1."""
+    for tensor in ("mult", "comult"):
+        obj[tensor] = [part for entry in obj[tensor]
+                       for part in (entry[:-1] + [_perturbed(entry[-1])],
+                                    entry[:-1] + ["-1"])]
+    return obj
+
+
+def _split_cases():
+    yield pytest.param(bundle_to_obj(sweedler_bundle()), False, id="sweedler")
+    yield pytest.param(bundle_to_obj(z4_bundle()), False, id="z4")
+    rng = random.Random(2)       # a mult and a comult criterion-7 mutant
+    for maker in (sweedler_bundle, z2_bundle):
+        obj = bundle_to_obj(maker())
+        which = _perturb_once(obj, rng)
+        yield pytest.param(obj, True, id="%s-%s" % (maker.__name__, which))
+
+
+@pytest.mark.parametrize("obj, fails", _split_cases())
+def test_split_structure_constants_read_as_their_sum(obj, fails):
+    # The checks read structure constants linearly: an entry given as two
+    # entries with the same indices counts as their sum.
+    split = _split_entries(json.loads(json.dumps(obj)))
+    assert len(split["mult"]) == 2 * len(obj["mult"])
+    assert len(split["comult"]) == 2 * len(obj["comult"])
+    expected = validate_bundle(bundle_from_obj(obj))
+    assert validate_bundle(bundle_from_obj(split)) == expected
+    assert bool(expected) == fails
 
 
 def test_reduced_checks_return_the_exhaustive_lists():

@@ -465,6 +465,20 @@ def test_a_coupon_index_picks_its_basis_element(sweedler):
         assert evaluate(b, diagram_from_obj(b, obj)) == mat
 
 
+def test_a_coupon_on_an_empty_hom_space_is_the_zero_map(sweedler):
+    # Hom(proj_plus, sgn) is 0, so "coeffs": [] names its one element: the
+    # zero map, shaped by the coupon's boundaries, not by a basis element.
+    b = sweedler
+    dom, cod = [["proj_plus", "+"]], [["sgn", "+"]]
+    assert hom_space(b, b.module("proj_plus"), b.module("sgn")) == []
+    obj = {"bottom": dom, "top": cod,
+           "slices": [[{"kind": "coupon", "dom": dom, "cod": cod,
+                        "coeffs": []}]]}
+    d = diagram_from_obj(b, obj)
+    assert evaluate(b, d) == ExactMatrix.zeros(b.field, 1, 2)
+    assert diagram_to_obj(b, d)["slices"][0][0]["coeffs"] == []
+
+
 def test_a_dual_follows_the_module_a_name_points_to():
     b, fresh = z4_bundle(), z4_bundle()
     pt = ("chi1", "-")
