@@ -53,7 +53,7 @@ for bundle in (b, z4_bundle()):
         ])
         val = evaluate(bundle, loop).data[0][0]
         gv = bundle.elem_mult(bundle.pivotal_elem(), bundle.ribbon_inverse())
-        oracle = bundle.module(name).act(gv, bundle.field).trace()
+        oracle = bundle.module(name).act(gv).trace()
         print(" %-8s loop on %-10s = %-14s (oracle tr(rho(g v^-1)) agrees: %s)"
               % (bundle.name, name, val, val == oracle))
 

@@ -12,6 +12,10 @@
 * uqsl2      -- the restricted quantum group of sl2 at a primitive 2p-th root
                 of unity (dim 2p^3), generated from the E, F, K presentation;
                 pivotal-only unless the candidate R-matrix survives validation.
+
+trivial, z2 and z4 are cyclic group algebras and come from one builder,
+`_cyclic_bundle`, which gives each of them its characters and its regular
+module "reg" (for trivial, "reg" equals "triv").
 """
 
 from __future__ import annotations
@@ -21,54 +25,49 @@ from itertools import islice
 
 from .cyclo import (CycField, CycNum, ExactMatrix, _from_cols, _matrix,
                     _sparse_rows, _sparse_sum)
-from .hopf import (AXIOMS, R_INVERSE_FREE, HopfBundle, Rep, _regular_module,
-                   validate_bundle)
+from .hopf import (AXIOMS, R_INVERSE_FREE, HopfBundle, Rep, _character,
+                   _regular_module, validate_bundle)
 
 __all__ = ["trivial_bundle", "z2_bundle", "sweedler_bundle", "z4_bundle",
-           "uqsl2_bundle", "builtin_bundle", "BUILTIN_BUNDLES"]
+           "uqsl2_bundle"]
 
 
-def _mat(field, rows):
-    return ExactMatrix.from_rows(field, rows)
+def _cyclic_bundle(name, field, root, chars, R=None, R_inv=None,
+                   ribbon=None) -> HopfBundle:
+    """The group algebra of Z/n = <g> over `field`, n = len(chars).
+
+    The basis is g^a, labelled 1, g, g2, ..., with Delta(g^a) = g^a (x) g^a,
+    S(g^a) = g^-a and pivot 1; R = R_inv = 1 (x) 1 and the ribbon element 1
+    unless given.  The simples are the characters g^a -> root^(ab), named
+    chars[b], and the regular module is "reg".
+    """
+    n = len(chars)
+    one = field.one()
+    unit = [one] + [field.zero()] * (n - 1)
+    mult = [(a, c, (a + c) % n, one) for a in range(n) for c in range(n)]
+    modules = {chars[bb]: _character(field, [root ** ((a * bb) % n)
+                                             for a in range(n)])
+               for bb in range(n)}
+    modules["reg"] = _regular_module(field, n, mult)
+    return HopfBundle(
+        name=name, field=field, dim=n,
+        unit=unit, mult=mult, comult=[(a, a, a, one) for a in range(n)],
+        counit=[one] * n,
+        antipode=_matrix(field, [(((-a) % n, one),) for a in range(n)], n),
+        pivotal=unit, R=R or [(0, 0, one)], R_inv=R_inv or [(0, 0, one)],
+        ribbon=ribbon or unit, modules=modules, simples=list(chars),
+        basis_labels=["1", "g", *("g%d" % a for a in range(2, n))][:n])
 
 
 def trivial_bundle() -> HopfBundle:
     field = CycField(1)
-    one = field.one()
-    triv = Rep(1, [_mat(field, [[1]])])
-    return HopfBundle(
-        name="trivial", field=field, dim=1,
-        unit=[one], mult=[(0, 0, 0, one)], comult=[(0, 0, 0, one)],
-        counit=[one], antipode=ExactMatrix.identity(field, 1),
-        pivotal=[one], R=[(0, 0, one)], R_inv=[(0, 0, one)], ribbon=[one],
-        modules={"triv": triv}, simples=["triv"],
-        basis_labels=["1"])
+    return _cyclic_bundle("trivial", field, field.one(), ["triv"])
 
 
 def z2_bundle() -> HopfBundle:
     field = CycField(1)
-    one = field.one()
-
-    def c(r):
-        return field.from_rational(r)
-
-    mult = []
-    for i in range(2):
-        for j in range(2):
-            mult.append((i, j, (i + j) % 2, one))
-    comult = [(0, 0, 0, one), (1, 1, 1, one)]
-    triv = Rep(1, [_mat(field, [[1]]), _mat(field, [[1]])])
-    sgn = Rep(1, [_mat(field, [[1]]), _mat(field, [[-1]])])
-    reg = _regular_module(field, 2, mult)
-    return HopfBundle(
-        name="z2", field=field, dim=2,
-        unit=[one, c(0)], mult=mult, comult=comult,
-        counit=[one, one], antipode=ExactMatrix.identity(field, 2),
-        pivotal=[one, c(0)],
-        R=[(0, 0, one)], R_inv=[(0, 0, one)], ribbon=[one, c(0)],
-        modules={"triv": triv, "sgn": sgn, "reg": reg},
-        simples=["triv", "sgn"],
-        basis_labels=["1", "g"])
+    return _cyclic_bundle("z2", field, field.from_rational(-1),
+                          ["triv", "sgn"])
 
 
 def sweedler_bundle(lam=Fraction(1)) -> HopfBundle:
@@ -103,7 +102,7 @@ def sweedler_bundle(lam=Fraction(1)) -> HopfBundle:
     ]
     counit = [one, one, field.zero(), field.zero()]
     # S: 1 -> 1, g -> g, x -> -gx, gx -> x  (columns are images)
-    antipode = _mat(field, [
+    antipode = ExactMatrix(field, [
         [1, 0, 0, 0],
         [0, 1, 0, 0],
         [0, 0, 0, 1],
@@ -126,17 +125,16 @@ def sweedler_bundle(lam=Fraction(1)) -> HopfBundle:
     # The family is triangular: R^-1 = R_21 (the validator re-checks this).
     R_inv = [(j, i, c) for (i, j, c) in R]
 
-    triv = Rep(1, [_mat(field, [[1]]), _mat(field, [[1]]),
-                   _mat(field, [[0]]), _mat(field, [[0]])])
-    sgn = Rep(1, [_mat(field, [[1]]), _mat(field, [[-1]]),
-                  _mat(field, [[0]]), _mat(field, [[0]])])
+    zero = field.zero()
+    triv = _character(field, [one, one, zero, zero])
+    sgn = _character(field, [one, -one, zero, zero])
     # projective cover of triv: basis e+, x e+ with e+ = (1+g)/2
-    pp_g = _mat(field, [[1, 0], [0, -1]])
-    pp_x = _mat(field, [[0, 0], [1, 0]])
+    pp_g = ExactMatrix(field, [[1, 0], [0, -1]])
+    pp_x = ExactMatrix(field, [[0, 0], [1, 0]])
     proj_plus = Rep(2, [ExactMatrix.identity(field, 2), pp_g, pp_x, pp_g * pp_x])
     # projective cover of sgn: basis e-, x e-
-    pm_g = _mat(field, [[-1, 0], [0, 1]])
-    pm_x = _mat(field, [[0, 0], [1, 0]])
+    pm_g = ExactMatrix(field, [[-1, 0], [0, 1]])
+    pm_x = ExactMatrix(field, [[0, 0], [1, 0]])
     proj_minus = Rep(2, [ExactMatrix.identity(field, 2), pm_g, pm_x, pm_g * pm_x])
 
     return HopfBundle(
@@ -165,14 +163,6 @@ def z4_bundle() -> HopfBundle:
     i_unit = field.zeta()
     quarter = field.from_rational(Fraction(1, 4))
 
-    mult = []
-    for a in range(4):
-        for bb in range(4):
-            mult.append((a, bb, (a + bb) % 4, one))
-    comult = [(a, a, a, one) for a in range(4)]
-    counit = [one] * 4
-    antipode = _matrix(field, [(((-a) % 4, one),) for a in range(4)], 4)
-
     R = []
     R_inv = []
     for c in range(4):
@@ -184,23 +174,9 @@ def z4_bundle() -> HopfBundle:
     half = field.from_rational(Fraction(1, 2))
     ribbon = [half * (one - i_unit), field.zero(),
               half * (one + i_unit), field.zero()]
-
-    modules = {}
-    for bchar in range(4):
-        mats = [ExactMatrix.from_rows(field, [[i_unit ** ((a * bchar) % 4)]])
-                for a in range(4)]
-        modules["chi%d" % bchar] = Rep(1, mats)
-    modules["reg"] = _regular_module(field, 4, mult)
-
-    return HopfBundle(
-        name="z4", field=field, dim=4,
-        unit=[one, field.zero(), field.zero(), field.zero()],
-        mult=mult, comult=comult, counit=counit, antipode=antipode,
-        pivotal=[one, field.zero(), field.zero(), field.zero()],
-        R=R, R_inv=R_inv, ribbon=ribbon,
-        modules=modules,
-        simples=["chi0", "chi1", "chi2", "chi3"],
-        basis_labels=["1", "g", "g2", "g3"])
+    return _cyclic_bundle("z4", field, i_unit,
+                          ["chi0", "chi1", "chi2", "chi3"],
+                          R=R, R_inv=R_inv, ribbon=ribbon)
 
 
 # ---------------------------------------------------------------------------
@@ -464,18 +440,3 @@ def _candidate_trial(p: int, structure: dict) -> HopfBundle:
                       ribbon=[v.get(m, zero) for m in monomials],
                       **_embedded(structure, field4))
 
-
-BUILTIN_BUNDLES = {
-    "trivial": trivial_bundle,
-    "z2": z2_bundle,
-    "sweedler": sweedler_bundle,
-    "z4": z4_bundle,
-}
-
-
-def builtin_bundle(name: str) -> HopfBundle:
-    if name.startswith("uqsl2_p"):
-        return uqsl2_bundle(int(name[len("uqsl2_p"):]))
-    if name not in BUILTIN_BUNDLES:
-        raise KeyError("unknown builtin bundle %r" % name)
-    return BUILTIN_BUNDLES[name]()

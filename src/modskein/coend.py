@@ -65,12 +65,6 @@ class SLFElem:
         if not is_symmetric_form(b, self.coords):
             raise StructureError("form is not symmetric: f(xy) != f(yx)")
 
-    def evaluate(self, b: HopfBundle, elem: dict) -> CycNum:
-        t = b.field.zero()
-        for i, c in elem.items():
-            t = t + c * self.coords[i]
-        return t
-
     def to_obj(self, b: HopfBundle):
         return [[b.basis_labels[i] + "*", self.coords[i].to_obj()]
                 for i in range(b.dim)]

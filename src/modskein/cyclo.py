@@ -22,7 +22,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from itertools import chain
-from operator import add as _add, sub as _sub
+from operator import add as _add, attrgetter, sub as _sub
 
 __all__ = [
     "CycloError",
@@ -464,20 +464,25 @@ class ExactMatrix:
 
     Its one state is its canonical sparse rows: per row, its nonzero entries
     as (column, CycNum) pairs sorted by column, in tuples.  `rows` and `cols`
-    are its shape.  `data` is a read-only view of the rows as a dense tuple
-    of row tuples, built on first read and kept; since the rows never
-    change, it cannot go stale.  `ExactMatrix(field, table)` and `from_rows`
-    build a matrix from a dense table.
+    are its shape; they and `field` are read-only.  `data` is a read-only
+    view of the rows as a dense tuple of row tuples, built on first read and
+    kept; since the rows never change, it cannot go stale.
+    `ExactMatrix(field, table)` and `from_rows` build a matrix from a dense
+    table.
     """
 
-    __slots__ = ("field", "rows", "cols", "_sparse", "_data")
+    __slots__ = ("_field", "_rows", "_cols", "_sparse", "_data")
 
     def __init__(self, field: CycField, table):
         """The matrix with this dense table of entries: CycNums of `field`,
         ints, Fractions or rational strings; anything else is refused."""
         table = [[_entry(field, e) for e in row] for row in table]
-        self.field, self.rows, self.cols = field, len(table), _width(table)
+        self._field, self._rows, self._cols = field, len(table), _width(table)
         self._sparse, self._data = _table_rows(table), None
+
+    field = property(attrgetter("_field"))
+    rows = property(attrgetter("_rows"))
+    cols = property(attrgetter("_cols"))
 
     @property
     def data(self) -> tuple:
@@ -833,7 +838,7 @@ def _matrix(field: CycField, rows, ncols: int) -> ExactMatrix:
     held as it is, not copied.
     """
     mat = _new(ExactMatrix)
-    mat.field, mat.rows, mat.cols = field, len(rows), ncols
+    mat._field, mat._rows, mat._cols = field, len(rows), ncols
     mat._sparse = tuple([_sorted_row(row) if row.__class__ is dict
                          else tuple(row) for row in rows])
     mat._data = None

@@ -57,6 +57,7 @@ from __future__ import annotations
 import json
 from functools import partial
 from itertools import chain, islice
+from operator import attrgetter
 
 from .cyclo import (CycField, CycNum, ExactMatrix, LinearSystem, _matrix,
                     _parse_index, _solve_in_basis, _sorted_row,
@@ -84,7 +85,6 @@ __all__ = [
     "direct_sum_rep",
     "bundle_to_obj",
     "bundle_from_obj",
-    "load_bundle",
     "save_bundle",
 ]
 
@@ -101,10 +101,11 @@ class Rep:
     its rows on first read.  The matrices `mats`, which wrap the rows, and
     the sparse columns `cols` are built on first access and kept; both are
     immutable.  `mats` is a view for callers outside the engine, which
-    itself reads only `rows` and `cols`.
+    itself reads only `rows` and `cols`.  `dim`, `n_actions` and `field` are
+    read-only.
     """
 
-    __slots__ = ("dim", "n_actions", "field", "_build", "_rows", "_mats",
+    __slots__ = ("_dim", "_n_actions", "_field", "_build", "_rows", "_mats",
                  "_cols", "_hash")
 
     def __init__(self, dim: int, mats: list[ExactMatrix]):
@@ -133,9 +134,13 @@ class Rep:
         return rep
 
     def _set(self, field, dim, n_actions, build):
-        self.field, self.dim, self.n_actions = field, dim, n_actions
+        self._field, self._dim, self._n_actions = field, dim, n_actions
         self._build = build
         self._rows = self._mats = self._cols = self._hash = None
+
+    dim = property(attrgetter("_dim"))
+    n_actions = property(attrgetter("_n_actions"))
+    field = property(attrgetter("_field"))
 
     @property
     def rows(self) -> tuple:
@@ -157,9 +162,10 @@ class Rep:
             self._cols = tuple(_transpose(rows, self.dim) for rows in self.rows)
         return self._cols
 
-    def act(self, elem: dict, field: CycField) -> ExactMatrix:
+    def act(self, elem: dict) -> ExactMatrix:
         """Matrix of a (sparse) algebra element on this module."""
-        return _matrix(field, _action_rows(elem.items(), self.rows), self.dim)
+        return _matrix(self.field, _action_rows(elem.items(), self.rows),
+                       self.dim)
 
     def __eq__(self, other):
         if not isinstance(other, Rep):
@@ -318,10 +324,6 @@ class HopfBundle:
 
     def elem(self, coords) -> dict:
         return {i: c for i, c in enumerate(coords) if not c.is_zero()}
-
-    def coords(self, elem: dict) -> list:
-        z = self.field.zero()
-        return [elem.get(i, z) for i in range(self.dim)]
 
     def elem_mult(self, x: dict, y: dict) -> dict:
         table = self.mult_table
@@ -771,8 +773,13 @@ def validate_bundle(b: HopfBundle, threads: int = 1) -> list[str]:
 
 def trivial_rep(b: HopfBundle) -> Rep:
     """The tensor unit: H acts through the counit."""
-    return Rep.from_rows(b.field, 1, [(() if c.is_zero() else ((0, c),),)
-                                      for c in b.counit])
+    return _character(b.field, b.counit)
+
+
+def _character(field: CycField, values) -> Rep:
+    """The 1-dimensional module on which e_i acts by the CycNum values[i]."""
+    return Rep.from_rows(field, 1, [(() if c.is_zero() else ((0, c),),)
+                                    for c in values])
 
 
 def regular_rep(b: HopfBundle) -> Rep:
@@ -921,12 +928,12 @@ def twist(b: HopfBundle, m: Rep) -> ExactMatrix:
     what satisfies theta_{M(x)N} = (theta_M (x) theta_N) o c_{N,M} o c_{M,N}.
     """
     b.require_ribbon()
-    return m.act(b.ribbon_inverse(), b.field)
+    return m.act(b.ribbon_inverse())
 
 
 def twist_inverse(b: HopfBundle, m: Rep) -> ExactMatrix:
     b.require_ribbon()
-    return m.act(b.ribbon_elem(), b.field)
+    return m.act(b.ribbon_elem())
 
 
 def _free_cover_system(b: HopfBundle, m: Rep):
@@ -1073,12 +1080,3 @@ def save_bundle(b: HopfBundle, path) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(bundle_to_obj(b), fh, indent=1)
         fh.write("\n")
-
-
-def load_bundle(path) -> HopfBundle:
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            obj = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
-        raise StructureError("cannot read bundle file %s: %s" % (path, exc))
-    return bundle_from_obj(obj)

@@ -30,7 +30,7 @@ from __future__ import annotations
 import json
 
 from .cyclo import (CycNum, ExactMatrix, _matrix, _solve_in_basis,
-                    _sparse_product, _sparse_rows, _sparse_sum, _transpose)
+                    _sparse_product, _sparse_rows, _transpose)
 from .errors import InadmissibleError, StructureError, TypingError
 from .hopf import (HopfBundle, Rep, _action_rows, braiding,
                    braiding_inverse, dual_rep, hom_space, is_projective,
@@ -58,10 +58,6 @@ class Point(tuple):
         if sign not in ("+", "-"):
             raise StructureError("orientation must be '+' or '-', got %r" % sign)
         return super().__new__(cls, (name, sign))
-
-    @property
-    def module_name(self):
-        return self[0]
 
     @property
     def sign(self):
@@ -283,18 +279,8 @@ class SkeinVector:
     def evaluate(self, b: HopfBundle) -> ExactMatrix:
         if not self.terms:
             raise StructureError("empty skein vector has no boundary")
-        terms = [(c, evaluate(b, d)) for c, d in self.terms]
-        return _combination(b.field, terms, terms[0][1].rows, terms[0][1].cols)
-
-
-def _combination(field, terms, nrows: int, ncols: int) -> ExactMatrix:
-    """The nrows x ncols matrix sum c * M over the (c, M) pairs `terms`."""
-    rows = [{} for _ in range(nrows)]
-    for (r, j), v in _sparse_sum(((r, j), c * v) for c, mat in terms
-                                 for r, row in enumerate(_sparse_rows(mat))
-                                 for j, v in row).items():
-        rows[r][j] = v
-    return _matrix(field, rows, ncols)
+        first, *rest = (evaluate(b, d).scale(c) for c, d in self.terms)
+        return sum(rest, first)
 
 
 def skein_eq(b: HopfBundle, s1: SkeinVector, s2: SkeinVector) -> bool:
@@ -400,8 +386,9 @@ def diagram_from_obj(b: HopfBundle, obj: dict) -> Diagram:
                         raise StructureError(
                             "coupon has %d coefficients for a %d-dim hom space"
                             % (len(coeffs), len(basis)))
-                    mat = _combination(b.field, zip(coeffs, basis),
-                                       cod_rep.dim, dom_rep.dim)
+                    mat = ExactMatrix.zeros(b.field, cod_rep.dim, dom_rep.dim)
+                    for c, basis_mat in zip(coeffs, basis):
+                        mat = mat + basis_mat.scale(c)
                     row.append(Generator("coupon", dom=dom, cod=cod, matrix=mat))
                 else:
                     row.append(Generator(kind, points=[Point(*p)

@@ -218,11 +218,6 @@ class AlgebraPresentation:
         return all(st[(i, j)] == st[(j, i)]
                    for i in range(self.dim) for j in range(self.dim))
 
-    def csv_row(self, image_rank=None) -> str:
-        rank = "" if image_rank is None else str(image_rank)
-        return "%s,%d,%d,%d,%s" % (self.bundle_name, self.g, self.n,
-                                   self.dim, rank)
-
     def __repr__(self):
         return "AlgebraPresentation(%s, g=%d, n=%d, dim=%d)" % (
             self.bundle_name, self.g, self.n, self.dim)

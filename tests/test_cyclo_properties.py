@@ -398,7 +398,7 @@ def test_engine_builders_give_canonical_rows():
         out = [coend_mult(b)]
         for m in reps:
             out += [dinat(b, m), twist(b, m), twist_inverse(b, m),
-                    m.act({h: field.zeta(h) for h in range(b.dim)}, field)]
+                    m.act({h: field.zeta(h) for h in range(b.dim)})]
             out += m.mats
             out += [_pairing(b, m, as_row, elem)
                     for _, as_row, elem in _PAIRINGS.values()]

@@ -93,7 +93,7 @@ def test_double_dual_via_pivot(sweedler):
         m = b.module(name)
         ddm = dual_rep(b, dual_rep(b, m))
         basis = hom_space(b, m, ddm)
-        g_mat = m.act(b.pivotal_elem(), b.field)
+        g_mat = m.act(b.pivotal_elem())
         # rho(g) is an invertible intertwiner M -> M**
         found = False
         for mat in basis:
@@ -300,7 +300,7 @@ def test_regular_rep_columns(sweedler):
         for j in range(b.dim):
             col = [reg.mats[i].data[k][j] for k in range(b.dim)]
             prod = b.elem_mult({i: one}, {j: one})
-            assert col == b.coords(prod)
+            assert col == [prod.get(k, b.field.zero()) for k in range(b.dim)]
 
 
 def test_capability_errors_on_pivotal_only(uqsl2_p2):
@@ -384,6 +384,23 @@ def test_degenerate_trivial_bundle(trivial):
     assert braiding(b, triv, triv) == ExactMatrix.identity(b.field, 1)
     assert twist(b, triv) == ExactMatrix.identity(b.field, 1)
     assert len(hom_space(b, triv, triv)) == 1
+
+
+@pytest.mark.parametrize("maker, root", [
+    (trivial_bundle, lambda f: f.one()),
+    (z2_bundle, lambda f: f.from_rational(-1)),
+    (z4_bundle, lambda f: f.zeta())], ids=["trivial", "z2", "z4"])
+def test_cyclic_bundles_from_one_builder(maker, root):
+    # Z/n = <g> with basis g^a: simple b acts on g^a by root^(ab).
+    b = maker()
+    zeta = root(b.field)
+    for bb, name in enumerate(b.simples):
+        m = b.module(name)
+        assert m.dim == 1
+        assert [m.mats[a].data[0][0] for a in range(b.dim)] == [
+            zeta ** (a * bb) for a in range(b.dim)]
+    assert b.module("reg") == regular_rep(b)
+    assert trivial_rep(b) == b.module(b.simples[0])
 
 
 def test_uqsl2_p2_shape(uqsl2_p2):
@@ -479,7 +496,7 @@ def test_action_matrices_match_the_dense_definition(z2, sweedler, z4):
                  b.drinfeld_u()]
         for _, m in mods:
             for x in elems:
-                assert m.act(x, f) == _dense_sum(
+                assert m.act(x) == _dense_sum(
                     f, m.dim, ((c, m.mats[i]) for i, c in x.items()))
             dual = dual_rep(b, m)
             for i, s_i in enumerate(b.antipode_cols):
@@ -553,6 +570,24 @@ def test_braiding_memo_returns_fresh_copies():
                            for i, j, c in b.r_sparse()))
 
 
+def test_shape_and_field_of_memo_results_are_read_only():
+    b = sweedler_bundle()
+    m, n = b.module("proj_plus"), b.module("sgn")
+    other = CycField(4)
+    edits = [(lambda: braiding(b, m, n), "rows", 99),
+             (lambda: braiding(b, m, n), "cols", 99),
+             (lambda: braiding(b, m, n), "field", other),
+             (lambda: dual_rep(b, m), "dim", 5),
+             (lambda: regular_rep(b), "n_actions", 1),
+             (lambda: dual_rep(b, m), "field", other)]
+    for call, attr, value in edits:
+        before = call()
+        kept = getattr(before, attr)
+        with pytest.raises(AttributeError):
+            setattr(before, attr, value)
+        assert getattr(call(), attr) == kept and call() == before
+
+
 def _cache_uses(path: Path) -> list[int]:
     """The lines of `path` that name `_cache`, except in `hopf._memo` and in
     the statement of `HopfBundle.__init__` that creates the empty cache."""
@@ -596,6 +631,33 @@ def test_every_exported_name_exists():
             stale[name] = missing
     assert "AXIOMS" in modskein.hopf.__all__
     assert stale == {}
+
+
+def _unused_imports(path: Path) -> list[str]:
+    """The names `path` imports and never uses, except `from __future__`
+    imports and names its `__all__` re-exports."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    imported, used, exported = set(), set(), set()
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Import, ast.ImportFrom)) and \
+                getattr(node, "module", None) != "__future__":
+            imported.update(alias.asname or alias.name.split(".")[0]
+                            for alias in node.names)
+        elif isinstance(node, ast.Name):
+            used.add(node.id)
+        elif isinstance(node, ast.Assign) and any(
+                getattr(t, "id", None) == "__all__" for t in node.targets):
+            exported.update(ast.literal_eval(node.value))
+    return sorted(imported - used - exported)
+
+
+def test_every_import_is_used():
+    # A deletion cannot leave behind an import that only the deleted code read.
+    src = Path(modskein.__file__).parent
+    unused = {path.name: _unused_imports(path)
+              for path in sorted(src.glob("*.py"))}
+    assert len(unused) >= 9
+    assert {name: names for name, names in unused.items() if names} == {}
 
 
 def test_equal_modules_share_a_braiding_memo_entry():

@@ -295,7 +295,7 @@ def test_twisted_loop_trace_oracle(sweedler, z4):
             ])
             val = evaluate(b, loop)
             gv = b.elem_mult(b.pivotal_elem(), b.ribbon_inverse())
-            oracle = b.module(name).act(gv, b.field).trace()
+            oracle = b.module(name).act(gv).trace()
             assert val.data[0][0] == oracle, (b.name, name)
 
 
@@ -309,7 +309,7 @@ def test_untwisted_loop_is_quantum_dimension(sweedler):
             [gen("ev_piv", m)],
         ])
         val = evaluate(b, loop)
-        oracle = b.module(name).act(b.pivotal_elem(), b.field).trace()
+        oracle = b.module(name).act(b.pivotal_elem()).trace()
         assert val.data[0][0] == oracle
 
 

@@ -303,8 +303,6 @@ def test_algebra_serialization_roundtrip(sweedler):
     assert alg2.structure == alg.structure
     assert alg2.unit_coords == alg.unit_coords
     assert alg2.check_unit() and alg2.check_associativity()
-    row = alg.csv_row(image_rank=2)
-    assert row == "sweedler,0,2,2,2"
 
 
 def test_coend_mult_requires_r(uqsl2_p2):
