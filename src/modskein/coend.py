@@ -34,10 +34,11 @@ import math
 from itertools import chain
 
 from .cyclo import (CycNum, ExactMatrix, LinearSystem, _from_cols, _matrix,
-                    _sorted_row, _sparse_cols, _sparse_sum)
+                    _sorted_row, _sparse_cols, _sparse_sum, _transpose)
 from .errors import InadmissibleError, StructureError
-from .hopf import (HopfBundle, Rep, _check_rep, _memo, dual_rep, hom_space,
-                   projective_section, regular_rep, trivial_rep)
+from .hopf import (HopfBundle, Rep, _check_rep, _constrained, _decided_on,
+                   _generators, _memo, dual_rep, hom_space, projective_section,
+                   regular_rep, trivial_rep)
 
 __all__ = [
     "SLFElem",
@@ -77,17 +78,25 @@ class SLFElem:
 
 
 def _commutators(b: HopfBundle) -> tuple:
-    """The nonzero coordinate rows of e_i e_j - e_j e_i for i < j, in that
-    order, each a tuple of (index, CycNum) pairs: a form is symmetric if and
-    only if it vanishes on every row.  Empty for a commutative bundle."""
+    """The nonzero coordinate rows of e_i e_j - e_j e_i for i in S and every
+    j, in that order, each a tuple of (index, CycNum) pairs; a pair of
+    elements of S is taken once, with i < j.  With no S, i runs over every
+    basis element and j over those after it.  By lemma (iv) of `hopf`, a form
+    is symmetric if and only if it vanishes on every row.  Empty for a
+    commutative bundle."""
     table, d = b.mult_table, b.dim
-    return _memo(b, ("commutators",), lambda: tuple(
-        tuple(row.items()) for row in (
+
+    def build():
+        lefts = _constrained(b)
+        return tuple(tuple(row.items()) for row in (
             _sparse_sum(chain(table[i][j], ((k, -c) for k, c in table[j][i])))
-            for i in range(d) for j in range(i + 1, d)) if row))
+            for i in lefts for j in range(d) if j > i or j not in lefts)
+            if row)
+    return _memo(b, ("commutators",), build)
 
 
 def is_symmetric_form(b: HopfBundle, coords) -> bool:
+    """f(xy) = f(yx) for all x, y, decided on the rows of `_commutators`."""
     zero = b.field.zero()
     return all(sum((c * coords[k] for k, c in row), zero).is_zero()
                for row in _commutators(b))
@@ -99,14 +108,19 @@ def coadjoint_rep(b: HopfBundle) -> Rep:
     On dual coordinates, entry (x, t) of rho(e_i) is (e_i . e^t)(e_x), the
     coefficient of e_t in sum c S(e_k) e_x e_j over the terms c e_j (x) e_k
     of Delta(e_i); row x is that one sum, read from the comultiplication,
-    antipode and multiplication tables.
+    antipode and multiplication tables.  The rows of e_i are built when they
+    are first read.
     """
-    table, d = b.mult_table, b.dim
-    return _memo(b, ("coadjoint",), lambda: Rep.from_rows(b.field, d, [
-        tuple(_sorted_row(_sparse_sum(
-            (t, c * c1 * a * c2) for j, k, c in delta for y, c1 in table[x][j]
-            for s, a in b.antipode_cols[k] for t, c2 in table[s][y]))
-            for x in range(d)) for delta in b.comult_table]))
+    table, antipode, comult, d = (b.mult_table, b.antipode_cols,
+                                  b.comult_table, b.dim)
+
+    def action(i):
+        return tuple(_sorted_row(_sparse_sum(
+            (t, c * c1 * a * c2) for j, k, c in comult[i]
+            for y, c1 in table[x][j] for s, a in antipode[k]
+            for t, c2 in table[s][y])) for x in range(d))
+    return _memo(b, ("coadjoint",),
+                 lambda: Rep.deferred(b.field, d, d, action))
 
 
 def dinat(b: HopfBundle, m: Rep) -> ExactMatrix:
@@ -164,7 +178,7 @@ def canonical_image_dim(b: HopfBundle) -> int:
     if not b.simples:
         raise StructureError("bundle has no simple module list")
     rows = [qchar(b, b.module(name)).coords for name in b.simples]
-    return ExactMatrix.from_rows(b.field, rows).rank()
+    return ExactMatrix(b.field, rows).rank()
 
 
 # ---------------------------------------------------------------------------
@@ -249,7 +263,10 @@ def red_to_blue(b: HopfBundle, f: ExactMatrix, p_rep: Rep, k: int,
     Returns [(1, fhat)] with fhat: P -> (H (x) H*)^{(x)k} (x) X an H-linear
     lift; composing every resolved slot with the dinatural map of the regular
     representation recomposes to f exactly.  A single term suffices because
-    the regular representation's dinatural map is onto.
+    the regular representation's dinatural map is onto.  P and X must be
+    modules of b, as `hopf.validate_rep` decides: that f is an intertwiner
+    is checked on the generating set S (lemma (iv) of `hopf`), and when it
+    fails there the error names the first failing basis element of all.
     """
     if k < 0:
         raise StructureError("k must be >= 0")
@@ -265,13 +282,20 @@ def red_to_blue(b: HopfBundle, f: ExactMatrix, p_rep: Rep, k: int,
 
     # intertwiner check, column by column: factored on the codomain side,
     # f rho_P(e_i) from the sparse columns of rho_P(e_i) on the domain side
-    for i in range(d):
-        for j, p_col in enumerate(p_rep.cols[i]):
-            rhs = _sparse_sum((r, a * c) for s, c in p_col
-                              for r, a in f_cols[s].items())
-            if apply_factored_action(b, cod_factors, i, f_cols[j]) != rhs:
-                raise StructureError(
-                    "morphism is not an intertwiner (fails at e%d)" % i)
+    def failures(indices):
+        for i in indices:
+            p_cols = _transpose(p_rep.rows_of(i), p_rep.dim)
+            for j, p_col in enumerate(p_cols):
+                rhs = _sparse_sum((r, a * c) for s, c in p_col
+                                  for r, a in f_cols[s].items())
+                if apply_factored_action(b, cod_factors, i, f_cols[j]) != rhs:
+                    yield i
+                    break
+
+    failing = next(_decided_on(_generators(b), d, failures), None)
+    if failing is not None:
+        raise StructureError(
+            "morphism is not an intertwiner (fails at e%d)" % failing)
 
     section = projective_section(b, p_rep)
     if section is None:

@@ -467,8 +467,8 @@ class ExactMatrix:
     are its shape; they and `field` are read-only.  `data` is a read-only
     view of the rows as a dense tuple of row tuples, built on first read and
     kept; since the rows never change, it cannot go stale.
-    `ExactMatrix(field, table)` and `from_rows` build a matrix from a dense
-    table.
+    `ExactMatrix(field, table)` builds a matrix from a dense table and
+    `_matrix` from sparse rows.
     """
 
     __slots__ = ("_field", "_rows", "_cols", "_sparse", "_data")
@@ -506,15 +506,6 @@ class ExactMatrix:
     def identity(field: CycField, n: int) -> "ExactMatrix":
         one = field.one()
         return _matrix(field, tuple(((i, one),) for i in range(n)), n)
-
-    @staticmethod
-    def from_rows(field: CycField, rows) -> "ExactMatrix":
-        """The matrix with these dense rows, as `ExactMatrix(field, rows)`."""
-        return ExactMatrix(field, rows)
-
-    @staticmethod
-    def column(field: CycField, entries) -> "ExactMatrix":
-        return ExactMatrix.from_rows(field, [[e] for e in entries])
 
     # -- structure ------------------------------------------------------------
 

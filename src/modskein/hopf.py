@@ -31,6 +31,14 @@ so it holds on H once it holds on N, and on N it follows by induction on k:
 (iii) Let H be associative and rho(1) = id, and suppose
     rho(s) rho(y) = rho(s y) for every s in S and all y.  Then rho is a
     representation, by the same induction.
+(iv) Let H be associative and unital, and M, N modules of H.  For a linear
+    map F: M -> N the set {h : rho_N(h) F = F rho_M(h)} is a unital
+    subalgebra: it is a subspace, holds 1, and for h, h' in it
+    rho_N(h h') F = rho_N(h) F rho_M(h') = F rho_M(h h').  For a linear form
+    f on H the set {x : f(x y) = f(y x) for all y} is one too: for x, x' in
+    it, f(x x' y) = f(x' y x) = f(y x x').  A subalgebra that holds S holds
+    every nested product, so it is H: F is H-linear, and f symmetric, once
+    the condition holds on S.
 
 Each of these checks is one loop whose index over S runs either over S or
 over every basis element.  When a lemma's hypothesis fails (the unit,
@@ -40,6 +48,16 @@ over every basis element, so the named failures are those of the exhaustive
 check, in its order.  When the loop over S passes, the lemma says the
 exhaustive loop would find nothing either.  The other checks are linear in
 d and run over every basis element.
+
+Every intertwiner-type condition is imposed on S by lemma (iv), and on every
+basis element when there is no S (`_constrained`): the constraints of
+`hom_space` and of `projective_section`, the intertwiner checks of `rt`
+coupons and of `coend.red_to_blue` (through `_decided_on`, so a failure
+names the first failing basis element of all of them) and the commutator
+rows of `coend._commutators`.  A kernel basis depends only on the solution
+space and the column order, so each result is the one the exhaustive system
+gives.  The lemma needs modules: the arguments of these functions must be
+modules of the bundle, as `validate_rep` decides.
 
 One sparse convention holds throughout: an element of H is a
 {basis index: CycNum} dict and an element of H (x) H an {(i, j): CycNum}
@@ -97,16 +115,23 @@ class Rep:
     canonical, so equality and the hash compare (dim, rows) and equal
     modules are equal cache keys.  `Rep(dim, mats)` reads the rows of action
     matrices and `Rep.from_rows` takes sparse rows as they are.  A derived
-    module (`Rep.deferred`) knows its dim and action count at once and builds
-    its rows on first read.  The matrices `mats`, which wrap the rows, and
-    the sparse columns `cols` are built on first access and kept; both are
-    immutable.  `mats` is a view for callers outside the engine, which
-    itself reads only `rows` and `cols`.  `dim`, `n_actions` and `field` are
-    read-only.
+    module (`Rep.deferred`) knows its dim and action count at once and
+    builds the rows of one basis element e_i when `rows_of(i)` first reads
+    them, keeping them; a whole-module read (`rows`, `cols`, `mats`, the
+    hash, ==) builds the rest and drops the builder.  The matrices `mats`,
+    which wrap the rows, and the sparse columns `cols` are built on first
+    access and kept; both are immutable.  `mats` is a view for callers
+    outside the engine, which itself reads only `rows`, `rows_of` and
+    `cols`.  `dim`, `n_actions` and `field` are read-only.
+
+    Every function that takes modules of a bundle b expects modules of b, as
+    `validate_rep` decides: an intertwiner-type condition is imposed on the
+    generating set S only (lemma (iv) of the module docstring), which is
+    sound for modules alone.
     """
 
-    __slots__ = ("_dim", "_n_actions", "_field", "_build", "_rows", "_mats",
-                 "_cols", "_hash")
+    __slots__ = ("_dim", "_n_actions", "_field", "_build", "_built", "_rows",
+                 "_mats", "_cols", "_hash")
 
     def __init__(self, dim: int, mats: list[ExactMatrix]):
         for m in mats:
@@ -114,7 +139,7 @@ class Rep:
                 raise StructureError("action matrix shape != module dimension")
         rows = tuple(_sparse_rows(m) for m in mats)
         self._set(mats[0].field if mats else None, dim, len(rows),
-                  lambda: rows)
+                  rows.__getitem__)
 
     @classmethod
     def from_rows(cls, field: CycField, dim: int, rows) -> "Rep":
@@ -122,30 +147,40 @@ class Rep:
         per basis element, a tuple of rows, each a tuple of (column, CycNum)
         pairs sorted by column, without zeros."""
         rows = tuple(rows)
-        return cls.deferred(field, dim, len(rows), lambda: rows)
+        return cls.deferred(field, dim, len(rows), rows.__getitem__)
 
     @classmethod
     def deferred(cls, field: CycField, dim: int, n_actions: int,
                  build) -> "Rep":
-        """The module with `n_actions` action matrices whose sparse rows
-        `build()` returns on the first read of `rows`."""
+        """The module with `n_actions` action matrices, the sparse rows of
+        rho(e_i) being `build(i)`, called on the first read of e_i."""
         rep = cls.__new__(cls)
         rep._set(field, dim, n_actions, build)
         return rep
 
     def _set(self, field, dim, n_actions, build):
         self._field, self._dim, self._n_actions = field, dim, n_actions
-        self._build = build
+        self._build, self._built = build, {}
         self._rows = self._mats = self._cols = self._hash = None
 
     dim = property(attrgetter("_dim"))
     n_actions = property(attrgetter("_n_actions"))
     field = property(attrgetter("_field"))
 
+    def rows_of(self, i: int) -> tuple:
+        """The sparse rows of rho(e_i), built on their first read."""
+        if self._rows is not None:
+            return self._rows[i]
+        rows = self._built.get(i)
+        if rows is None:
+            rows = self._built[i] = self._build(i)
+        return rows
+
     @property
     def rows(self) -> tuple:
         if self._rows is None:
-            self._rows, self._build = tuple(self._build()), None
+            self._rows = tuple(map(self.rows_of, range(self.n_actions)))
+            self._build = self._built = None
         return self._rows
 
     @property
@@ -164,8 +199,7 @@ class Rep:
 
     def act(self, elem: dict) -> ExactMatrix:
         """Matrix of a (sparse) algebra element on this module."""
-        return _matrix(self.field, _action_rows(elem.items(), self.rows),
-                       self.dim)
+        return _matrix(self.field, _action_rows(elem.items(), self), self.dim)
 
     def __eq__(self, other):
         if not isinstance(other, Rep):
@@ -460,14 +494,14 @@ def validate_rep(b: HopfBundle, rep: Rep) -> list[str]:
     failures = []
     rows, one, d = rep.rows, b.field.one(), b.dim
     ident = tuple(((r, one),) for r in range(rep.dim))
-    if _action_rows(b.elem_unit().items(), rows) != ident:
+    if _action_rows(b.elem_unit().items(), rep) != ident:
         failures.append("unit does not act as identity")
 
     def multiplicative(lefts):
         for i in lefts:
             for j in range(d):
                 if _sparse_product(rows[i], rows[j]) != \
-                        _action_rows(b.mult_table[i][j], rows):
+                        _action_rows(b.mult_table[i][j], rep):
                     yield "action not multiplicative at (%d, %d)" % (i, j)
 
     gens = None if failures else _generators(b)
@@ -799,26 +833,27 @@ def _regular_module(field: CycField, d: int, mult) -> Rep:
     return Rep.from_rows(field, d, (tuple(map(tuple, r)) for r in rows))
 
 
-def _action_rows(terms, m_rows, n_rows=None) -> tuple:
+def _action_rows(terms, m: Rep, n: Rep | None = None) -> tuple:
     """The sparse rows of a linear combination of action matrices.
 
-    Without `n_rows`, `terms` are pairs (i, c) and the result is
+    Without `n`, `terms` are pairs (i, c) and the result is
     sum c * rho_M(e_i); with it, `terms` are triples (i, j, c) and the result
     is sum c * rho_M(e_i) (x) rho_N(e_j) on M (x) N, in the row-major
-    convention of `ExactMatrix.kron`.  `m_rows` and `n_rows` are the `rows`
-    of M and N.  Only nonzero entries of the factors are visited, and each
-    product c * a is formed once per row of M.
+    convention of `ExactMatrix.kron`.  Only the factors' rows of the basis
+    elements in `terms` are read (`Rep.rows_of`), only their nonzero entries
+    are visited, and each product c * a is formed once per row of M.
     """
-    m_dim = len(m_rows[0])
-    if n_rows is None:
+    if n is None:
+        acts = [(c, m.rows_of(i)) for i, c in terms]
         return tuple(_sorted_row(_sparse_sum(
-            (s, c * a) for i, c in terms for s, a in m_rows[i][r]))
-            for r in range(m_dim))
-    n_dim = len(n_rows[0])
+            (s, c * a) for c, rows in acts for s, a in rows[r]))
+            for r in range(m.dim))
+    n_dim = n.dim
+    acts = [(c, m.rows_of(i), n.rows_of(j)) for i, j, c in terms]
     out = []
-    for r1 in range(m_dim):
-        left = [(c * a, s1 * n_dim, n_rows[j]) for i, j, c in terms
-                for s1, a in m_rows[i][r1]]
+    for r1 in range(m.dim):
+        left = [(c * a, s1 * n_dim, n_rows) for c, m_rows, n_rows in acts
+                for s1, a in m_rows[r1]]
         out.extend(_sorted_row(_sparse_sum(
             (base + s2, ca * bb) for ca, base, nr in left for s2, bb in nr[r2]))
             for r2 in range(n_dim))
@@ -826,31 +861,33 @@ def _action_rows(terms, m_rows, n_rows=None) -> tuple:
 
 
 def tensor_rep(b: HopfBundle, m: Rep, n: Rep) -> Rep:
-    """Action on M (x) N through the comultiplication, built on first read."""
+    """Action on M (x) N through the comultiplication, the rows of each
+    basis element built on their first read."""
     _check_rep(b, m)
     _check_rep(b, n)
-    return Rep.deferred(b.field, m.dim * n.dim, b.dim, lambda: [
-        _action_rows(delta, m.rows, n.rows) for delta in b.comult_table])
+    comult = b.comult_table
+    return Rep.deferred(b.field, m.dim * n.dim, b.dim,
+                        lambda i: _action_rows(comult[i], m, n))
 
 
 def dual_rep(b: HopfBundle, m: Rep) -> Rep:
     """Left dual: rho*(e_i) = rho(S(e_i))^T, one module per module content,
-    its rows built on first read."""
+    the rows of each basis element built on their first read."""
     _check_rep(b, m)
+    antipode = b.antipode_cols
     return _memo(b, ("dual", m), lambda: Rep.deferred(
-        b.field, m.dim, b.dim, lambda: tuple(
-            _transpose(_action_rows(s_i, m.rows), m.dim)
-            for s_i in b.antipode_cols)))
+        b.field, m.dim, b.dim,
+        lambda i: _transpose(_action_rows(antipode[i], m), m.dim)))
 
 
 def direct_sum_rep(b: HopfBundle, m: Rep, n: Rep) -> Rep:
-    """M (+) N, with the coordinates of N after those of M, built on first
-    read."""
+    """M (+) N, with the coordinates of N after those of M, the rows of each
+    basis element built on their first read."""
     _check_rep(b, m)
     _check_rep(b, n)
-    return Rep.deferred(b.field, m.dim + n.dim, b.dim, lambda: [
-        m_rows + tuple(tuple((c + m.dim, v) for c, v in row) for row in n_rows)
-        for m_rows, n_rows in zip(m.rows, n.rows)])
+    return Rep.deferred(b.field, m.dim + n.dim, b.dim, lambda i: m.rows_of(i)
+                        + tuple(tuple((c + m.dim, v) for c, v in row)
+                                for row in n.rows_of(i)))
 
 
 def _intertwiner_rows(n_rows: list, m_cols: list, m_dim: int):
@@ -868,17 +905,30 @@ def _intertwiner_rows(n_rows: list, m_cols: list, m_dim: int):
                 yield row
 
 
+def _constrained(b: HopfBundle):
+    """The basis elements an intertwiner-type condition is imposed on: the
+    generating set S, by lemma (iv) of the module docstring, or every basis
+    element when there is no S."""
+    gens = _generators(b)
+    return range(b.dim) if gens is None else gens
+
+
 def hom_space(b: HopfBundle, m: Rep, n: Rep) -> list[ExactMatrix]:
     """Exact basis of the intertwiner space {F : rho_N(e_i) F = F rho_M(e_i)}.
 
-    Matrices are dim(N) x dim(M); the basis is the deterministic kernel basis
-    of the stacked commutation constraints.
+    M and N must be modules of b, as `validate_rep` decides.  The
+    constraints are stacked for i in the generating set S only (every basis
+    element when there is no S), so only those rows of M and N are read; by
+    lemma (iv) of the module docstring they cut out the same space.  Matrices
+    are dim(N) x dim(M); the basis is the deterministic kernel basis of the
+    constraints, which depends only on that space and the column order.
     """
     _check_rep(b, m)
     _check_rep(b, n)
     sys = LinearSystem(b.field, n.dim * m.dim)
-    for n_rows, m_cols in zip(n.rows, m.cols):
-        for row in _intertwiner_rows(n_rows, m_cols, m.dim):
+    for i in _constrained(b):
+        for row in _intertwiner_rows(n.rows_of(i),
+                                     _transpose(m.rows_of(i), m.dim), m.dim):
             sys.add_row(row)
     out = []
     for col in _sparse_cols(sys.kernel()):
@@ -899,7 +949,7 @@ def braiding(b: HopfBundle, m: Rep, n: Rep) -> ExactMatrix:
     b.require_r()
 
     def build():
-        acc = _action_rows(b.r_sparse(), m.rows, n.rows)
+        acc = _action_rows(b.r_sparse(), m, n)
         rows = [acc[a * n.dim + bb] for bb in range(n.dim) for a in range(m.dim)]
         return _matrix(b.field, rows, m.dim * n.dim)
     return _memo(b, ("braiding", m, n), build)
@@ -916,7 +966,7 @@ def braiding_inverse(b: HopfBundle, m: Rep, n: Rep) -> ExactMatrix:
     def build():
         perm = [(k % m.dim) * n.dim + k // m.dim for k in range(m.dim * n.dim)]
         rows = [{perm[k]: v for k, v in row}
-                for row in _action_rows(b.r_inv_sparse(), n.rows, m.rows)]
+                for row in _action_rows(b.r_inv_sparse(), n, m)]
         return _matrix(b.field, rows, m.dim * n.dim)
     return _memo(b, ("braiding_inv", m, n), build)
 
@@ -941,15 +991,18 @@ def _free_cover_system(b: HopfBundle, m: Rep):
 
     Unknowns sigma[(h, r), c] with vec index (h * dim + r) * dim + c; the free
     module action L_i (x) I is left multiplication on the H factor only,
-    given to the intertwiner constraints as sparse rows.
+    given to the intertwiner constraints as sparse rows, for i in S only
+    (every basis element when there is no S), by lemma (iv).
     """
     field = b.field
-    d, md = b.dim, m.dim
+    d, md, reg = b.dim, m.dim, regular_rep(b)
     sys = LinearSystem(field, d * md * md, 1)
-    for lrows, m_cols in zip(regular_rep(b).rows, m.cols):
+    for i in _constrained(b):
+        lrows = reg.rows_of(i)
         free_rows = [[(h * md + rp, a) for h, a in lrows[hp]]
                      for hp in range(d) for rp in range(md)]
-        for row in _intertwiner_rows(free_rows, m_cols, md):
+        for row in _intertwiner_rows(free_rows, _transpose(m.rows_of(i), md),
+                                     md):
             sys.add_row(row)
     # pi o sigma = id, with pi(e_h (x) delta_r) = rho(e_h) column r
     one = field.one()
@@ -965,7 +1018,9 @@ def projective_section(b: HopfBundle, m: Rep) -> ExactMatrix | None:
     """H-linear splitting sigma: M -> H (x) M_vec of the free cover, or None.
 
     The free cover pi(h (x) w) = rho(h) w always surjects; M is projective
-    exactly when pi splits H-linearly, decided by exact solve.  The regular
+    exactly when pi splits H-linearly, decided by exact solve.  M must be a
+    module of b, as `validate_rep` decides: H-linearity is imposed on the
+    generating set S only (lemma (iv) of the module docstring).  The regular
     representation splits by h -> h (x) delta_1 and is special-cased.
     """
 

@@ -32,7 +32,7 @@ import json
 from .cyclo import (CycNum, ExactMatrix, _matrix, _solve_in_basis,
                     _sparse_product, _sparse_rows, _transpose)
 from .errors import InadmissibleError, StructureError, TypingError
-from .hopf import (HopfBundle, Rep, _action_rows, braiding,
+from .hopf import (HopfBundle, Rep, _action_rows, _constrained, braiding,
                    braiding_inverse, dual_rep, hom_space, is_projective,
                    tensor_rep, trivial_rep, twist, twist_inverse)
 
@@ -150,7 +150,7 @@ def _pairing(b: HopfBundle, m: Rep, as_row: bool, elem) -> ExactMatrix:
     if elem is None:
         a_rows = [((a, b.field.one()),) for a in range(m.dim)]
     else:
-        a_rows = _action_rows(elem(b).items(), m.rows)
+        a_rows = _action_rows(elem(b).items(), m)
     entries = [(c * m.dim + a, v) for a, row in enumerate(a_rows)
                for c, v in row]
     size = m.dim * m.dim
@@ -212,10 +212,11 @@ class Diagram:
         if mat.rows != cod_rep.dim or mat.cols != dom_rep.dim:
             raise TypingError(idx, "coupon matrix is %dx%d, expected %dx%d"
                               % (mat.rows, mat.cols, cod_rep.dim, dom_rep.dim))
+        # on the generating set S, by lemma (iv) of `hopf`
         mat_rows = _sparse_rows(mat)
-        for cod_rows, dom_rows in zip(cod_rep.rows, dom_rep.rows):
-            if _sparse_product(cod_rows, mat_rows) != \
-                    _sparse_product(mat_rows, dom_rows):
+        for i in _constrained(b):
+            if _sparse_product(cod_rep.rows_of(i), mat_rows) != \
+                    _sparse_product(mat_rows, dom_rep.rows_of(i)):
                 raise TypingError(idx, "coupon color is not an intertwiner")
 
     def __repr__(self):

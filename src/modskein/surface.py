@@ -71,7 +71,7 @@ def coend_mult(b: HopfBundle) -> ExactMatrix:
 
     def build():
         d, one = b.dim, b.field.one()
-        coad = coadjoint_rep(b).rows
+        coad = coadjoint_rep(b)
         r_terms = b.r_sparse()
         s_alpha_h = {alpha: [b.elem_mult(b.elem_antipode({alpha: one}),
                                          {h: one}) for h in range(d)]
@@ -80,7 +80,7 @@ def coend_mult(b: HopfBundle) -> ExactMatrix:
             (i * d + j, c_r * c_h * u * w) for alpha, beta, c_r in r_terms
             for h1, h2, c_h in b.comult_table[h]
             for i, u in s_alpha_h[alpha][h1].items()
-            for j, w in coad[beta][h2]) for h in range(d)], d * d)
+            for j, w in coad.rows_of(beta)[h2]) for h in range(d)], d * d)
     return _memo(b, ("coend_mult",), build)
 
 
@@ -305,22 +305,23 @@ def char_map(b: HopfBundle, alg: AlgebraPresentation) -> dict:
     annulus algebra, reports the rank of the image, and verifies
     multiplicativity qchar(M) * qchar(N) = qchar(M (x) N) exactly for every
     pair in the bundle's module list (the executable statement that the map
-    is an algebra homomorphism).
+    is an algebra homomorphism).  The modules must be modules of b, as
+    `hopf.validate_rep` decides.  qchar(M (x) N) is read from the
+    comultiplication, chi_{M(x)N}(e_i) = sum c chi_M(e_j) chi_N(e_k) over the
+    terms c e_j (x) e_k of Delta(e_i), since the trace of a Kronecker product
+    is the product of the traces; no product module is built.
     """
     if alg.g != 0 or alg.n != 2:
         raise StructureError("char_map needs the annulus algebra (g=0, n=2)")
     if not b.simples:
         raise StructureError("bundle has no simple module list")
     field = b.field
-
-    def sparse(form):
-        return _sparse_sum(enumerate(form.coords))
-
     # one q-character per module, the simples' first; b.module names a
     # simple missing from the module list
     qchars = {name: qchar(b, b.module(name))
               for name in dict.fromkeys(b.simples + list(b.modules))}
-    chars = {name: sparse(form) for name, form in qchars.items()}
+    chars = {name: _sparse_sum(enumerate(form.coords))
+             for name, form in qchars.items()}
     res = _solve_in_basis(
         field, [_sparse_sum(enumerate(v)) for v in alg.basis_vectors],
         [chars[name] for name in b.simples])
@@ -329,16 +330,17 @@ def char_map(b: HopfBundle, alg: AlgebraPresentation) -> dict:
             "q-characters do not lie in the invariant space "
             "(internal consistency error: convention mismatch)")
     images = {name: res.particular.col(s) for s, name in enumerate(b.simples)}
-    rank = ExactMatrix.from_rows(field, [images[name] for name in b.simples]
-                                 ).rank()
+    rank = ExactMatrix(field, [images[name] for name in b.simples]).rank()
 
     mu = _power_mult(b, 1)
     mult_report = {}
     for name_m in sorted(b.modules):
         for name_n in sorted(b.modules):
             lhs = _apply_mu(mu, chars[name_m], chars[name_n])
-            rhs = sparse(qchar(b, tensor_rep(b, b.module(name_m),
-                                             b.module(name_n))))
+            chi_m, chi_n = qchars[name_m].coords, qchars[name_n].coords
+            rhs = _sparse_sum((i, c * chi_m[j] * chi_n[k])
+                              for i, delta in enumerate(b.comult_table)
+                              for j, k, c in delta)
             mult_report[(name_m, name_n)] = (lhs == rhs)
     return {
         "images": images,

@@ -283,7 +283,7 @@ def test_criterion_5_red_to_blue_roundtrips(uq2):
         reg = regular_rep(b)
         table = [[b.field.zero()] * b.dim for _ in range(b.dim)]
         table[0][1] = b.field.one()
-        bad = ExactMatrix.from_rows(b.field, table)
+        bad = ExactMatrix(b.field, table)
         with pytest.raises(StructureError):
             red_to_blue(b, bad, reg, 1, trivial_rep(b))
         print("\n  red-to-blue inputs per bundle:", total, flush=True)

@@ -45,7 +45,7 @@ def _dense_coadjoint(b):
                 t = b.elem_mult(sk, b.elem_mult({x: one}, {j: one}))
                 for bidx, coeff in t.items():
                     table[x][bidx] = table[x][bidx] + c * coeff
-        mats.append(ExactMatrix.from_rows(field, table))
+        mats.append(ExactMatrix(field, table))
     return mats
 
 
@@ -251,7 +251,7 @@ def test_red_to_blue_rejects_non_intertwiner(sweedler):
     table = [[b.field.zero()] * b.dim for _ in range(b.dim)]
     table[0][0] = b.field.one()
     table[1][2] = b.field.one()
-    bad = ExactMatrix.from_rows(b.field, table)
+    bad = ExactMatrix(b.field, table)
     with pytest.raises(StructureError):
         red_to_blue(b, bad, reg, 1, trivial_rep(b))
 
@@ -263,8 +263,8 @@ def _kron_action(b, factors, i, vec):
     total = 1
     for f in factors:
         total *= f.dim
-    column = ExactMatrix.column(b.field, [vec.get(p, b.field.zero())
-                                          for p in range(total)])
+    column = ExactMatrix(b.field, [[vec.get(p, b.field.zero())]
+                                   for p in range(total)])
     acc = ExactMatrix.zeros(b.field, total, 1)
     for idxs, c in iterated_comult(b, i, len(factors)):
         mat = ExactMatrix.identity(b.field, 1)

@@ -107,11 +107,11 @@ def test_serialization_roundtrip():
 def test_solve_identity_and_zero():
     field = CycField(1)
     ident = ExactMatrix.identity(field, 5)
-    rhs = ExactMatrix.from_rows(field, [[i + 1] for i in range(5)])
+    rhs = ExactMatrix(field, [[i + 1] for i in range(5)])
     res = ident.solve(rhs)
     assert res.feasible and res.particular == rhs and res.kernel.cols == 0
     zero = ExactMatrix.zeros(field, 3, 2)
-    bad = ExactMatrix.from_rows(field, [[1], [0], [0]])
+    bad = ExactMatrix(field, [[1], [0], [0]])
     assert not zero.solve(bad).feasible
 
 
@@ -119,13 +119,12 @@ def test_solve_random_invertible_20x20():
     field = CycField(1)
     rng = random.Random(11)
     while True:
-        a = ExactMatrix.from_rows(field, [[rng.randint(-5, 5)
-                                           for _ in range(20)]
-                                          for _ in range(20)])
+        a = ExactMatrix(field, [[rng.randint(-5, 5) for _ in range(20)]
+                                for _ in range(20)])
         if a.rank() == 20:
             break
-    rhs = ExactMatrix.from_rows(field, [[rng.randint(-9, 9), rng.randint(0, 3)]
-                                        for _ in range(20)])
+    rhs = ExactMatrix(field, [[rng.randint(-9, 9), rng.randint(0, 3)]
+                              for _ in range(20)])
     res = a.solve(rhs)
     assert res.feasible and res.kernel.cols == 0
     assert a * res.particular == rhs
@@ -144,7 +143,7 @@ def test_kernel_rank_nullity_randomized():
     i = field.zeta()
     for _ in range(20):
         rows, cols = rng.randint(2, 7), rng.randint(2, 7)
-        a = ExactMatrix.from_rows(
+        a = ExactMatrix(
             field, [[rng.choice([0, 0, 1, -1, 2]) * (i if rng.random() < 0.3
                                                      else field.one())
                      for _ in range(cols)] for _ in range(rows)])
@@ -181,26 +180,26 @@ def test_elimination_matches_naive_gaussian():
         rows = rng.randint(1, 6)
         cols = rng.randint(1, 6)
         data = [[rng.randint(-4, 4) for _ in range(cols)] for _ in range(rows)]
-        a = ExactMatrix.from_rows(field, data)
+        a = ExactMatrix(field, data)
         assert a.rank() == naive_rank(data)
 
 
 def test_solve_consistency_on_rank_deficient():
     field = CycField(1)
-    a = ExactMatrix.from_rows(field, [[1, 1], [2, 2]])
-    ok = a.solve(ExactMatrix.from_rows(field, [[1], [2]]))
+    a = ExactMatrix(field, [[1, 1], [2, 2]])
+    ok = a.solve(ExactMatrix(field, [[1], [2]]))
     assert ok.feasible and ok.kernel.cols == 1
     x = ok.particular
-    assert a * x == ExactMatrix.from_rows(field, [[1], [2]])
-    bad = a.solve(ExactMatrix.from_rows(field, [[1], [3]]))
+    assert a * x == ExactMatrix(field, [[1], [2]])
+    bad = a.solve(ExactMatrix(field, [[1], [3]]))
     assert not bad.feasible
 
 
 def test_matrix_kron_and_trace():
     field = CycField(4)
     i = field.zeta()
-    a = ExactMatrix.from_rows(field, [[1, i], [0, 1]])
-    b = ExactMatrix.from_rows(field, [[0, 1], [1, 0]])
+    a = ExactMatrix(field, [[1, i], [0, 1]])
+    b = ExactMatrix(field, [[0, 1], [1, 0]])
     ab = a.kron(b)
     assert ab.rows == 4 and ab[0, 1] == field.one() and ab[0, 3] == i
     assert a.trace() == field.from_rational(2)
@@ -298,7 +297,7 @@ def test_floats_are_refused():
         with pytest.raises(CycloError):
             field.from_coeffs([1, bad])
     with pytest.raises(CycloError):
-        ExactMatrix.from_rows(field, [[1, 0.5]])
+        ExactMatrix(field, [[1, 0.5]])
     assert field.from_rational("-7/3") == field.from_rational(Fraction(-7, 3))
     assert field.from_coeffs(["1/2", 3]) == 3 * field.zeta() + Fraction(1, 2)
 
@@ -309,17 +308,15 @@ def test_a_table_is_coerced_to_its_field_or_refused():
     # refuses it, instead of building a matrix that equals nothing
     q, qi = CycField(1), CycField(4)
     eye = ExactMatrix.identity(q, 2)
-    for build in (ExactMatrix, ExactMatrix.from_rows):
-        assert build(q, [[1, 0], [0, 1]]) == eye
-        assert build(q, [[Fraction(2, 2), "0"], ["0/3", q.one()]]) == eye
-        assert hash(build(q, [[1, 0], [0, 1]])) == hash(eye)
-        assert build(qi, [["1/2", 0]])[0, 0] == qi.from_rational("1/2")
-        for bad in ([[0.5]], [[1.0, 0]], [[q.one()]],
-                    [[0, CycField(8).zeta()]]):
-            with pytest.raises(CycloError):
-                build(qi, bad)
-        with pytest.raises(CycloError, match="ragged"):
-            build(q, [[1, 0], [1]])
+    assert ExactMatrix(q, [[1, 0], [0, 1]]) == eye
+    assert ExactMatrix(q, [[Fraction(2, 2), "0"], ["0/3", q.one()]]) == eye
+    assert hash(ExactMatrix(q, [[1, 0], [0, 1]])) == hash(eye)
+    assert ExactMatrix(qi, [["1/2", 0]])[0, 0] == qi.from_rational("1/2")
+    for bad in ([[0.5]], [[1.0, 0]], [[q.one()]], [[0, CycField(8).zeta()]]):
+        with pytest.raises(CycloError):
+            ExactMatrix(qi, bad)
+    with pytest.raises(CycloError, match="ragged"):
+        ExactMatrix(q, [[1, 0], [1]])
 
 
 def test_solve_builds_the_kernel_only_when_read(monkeypatch):
@@ -332,9 +329,9 @@ def test_solve_builds_the_kernel_only_when_read(monkeypatch):
     system = LinearSystem(field, 3, 1)
     system.add_row({0: one, 1: one}, {0: field.zeta()})
     res, later = system.solve(), system.solve()
-    assert built == [] and res.particular == ExactMatrix.column(
-        field, [field.zeta(), 0, 0])
-    want = ExactMatrix.from_rows(field, [[-1, 0], [1, 0], [0, 1]])
+    assert built == [] and res.particular == ExactMatrix(
+        field, [[field.zeta()], [0], [0]])
+    want = ExactMatrix(field, [[-1, 0], [1, 0], [0, 1]])
     assert res.kernel == want and res.kernel is res.kernel and len(built) == 1
     # a row that adds no pivot leaves an unread kernel readable; one that
     # adds a pivot makes it a named error instead of another system's kernel
@@ -345,17 +342,17 @@ def test_solve_builds_the_kernel_only_when_read(monkeypatch):
     with pytest.raises(CycloError, match="solve again"):
         stale.kernel
     assert res.kernel == want and len(built) == 2
-    assert system.solve().kernel == ExactMatrix.column(field, [0, 0, 1])
+    assert system.solve().kernel == ExactMatrix(field, [[0], [0], [1]])
     # an infeasible system builds its kernel on read too
     system.add_row({0: one}, {0: one})
     infeasible = system.solve()
     assert not infeasible.feasible and len(built) == 3
-    assert infeasible.kernel == ExactMatrix.column(field, [0, 0, 1])
+    assert infeasible.kernel == ExactMatrix(field, [[0], [0], [1]])
     # coordinates in a basis and a projective section never read the kernel
     res = _solve_in_basis(field, [{"a": one}, {"a": one, "b": one}],
                           [{"b": field.zeta()}])
-    assert res.particular == ExactMatrix.column(field, [-field.zeta(),
-                                                        field.zeta()])
+    assert res.particular == ExactMatrix(field, [[-field.zeta()],
+                                                 [field.zeta()]])
     b = sweedler_bundle()
     assert projective_section(b, b.module("proj_plus")) is not None
     assert len(built) == 4

@@ -278,12 +278,12 @@ def twin_tables(draw):
 
 
 def _twins(field, shape, table):
-    """The matrix built by `from_rows`, and its twin built by
-    `ExactMatrix(field, table)`: both hold the same canonical rows."""
+    """Two matrices built by `ExactMatrix(field, table)` from one table:
+    both hold the same canonical rows."""
     if not table:  # no rows, so no table to carry the width
         rows = ExactMatrix.zeros(field, *shape)
         return rows, rows
-    rows, twin = ExactMatrix.from_rows(field, table), ExactMatrix(field, table)
+    rows, twin = ExactMatrix(field, table), ExactMatrix(field, table)
     assert _sparse_rows(rows) == _sparse_rows(twin)
     assert rows._data is None and twin._data is None
     assert (rows.rows, rows.cols) == (twin.rows, twin.cols) == shape
@@ -360,7 +360,7 @@ def test_a_mutated_table_is_the_matrix(a, data):
     field = a.field
     # the table is a read-only view: every write into it is refused, the
     # matrix stays what it was, and an edited copy of the table is a new one
-    held = ExactMatrix.from_rows(field, a.data)
+    held = ExactMatrix(field, a.data)
     before = held
     i = data.draw(st.integers(0, a.rows - 1))
     j = data.draw(st.integers(0, a.cols - 1))
@@ -376,7 +376,7 @@ def test_a_mutated_table_is_the_matrix(a, data):
     assert held == before == ExactMatrix(field, twin)
     assert hash(held) == hash(before) and held[i, j] == a[i, j] != new
     twin[i][j] = new
-    edited = ExactMatrix.from_rows(field, twin)
+    edited = ExactMatrix(field, twin)
     assert edited == ExactMatrix(field, twin) and edited[i, j] == new
     assert hash(edited) == hash(ExactMatrix(field, twin)) and edited != held
     assert held.transpose().transpose() == held

@@ -1,9 +1,11 @@
 """Bundle validation and the ribbon category operations."""
 
 import ast
+import gc
 import importlib
 import json
 import random
+import weakref
 from fractions import Fraction
 from pathlib import Path
 
@@ -26,6 +28,7 @@ from modskein.hopf import (AXIOMS, HopfBundle, Rep, _generators, braiding,
 from modskein.rt import Diagram, Generator, diagram_from_obj, evaluate
 from modskein.surface import char_map, skalg, skalg_dimension
 from test_acceptance import _perturb_once
+from test_coend import _dense_coadjoint
 
 
 def test_validators_pass(z2, sweedler, z4, trivial, uqsl2_p2):
@@ -474,7 +477,7 @@ def _flip(field, m, n):
     for a in range(m):
         for bb in range(n):
             table[bb * m + a][a * n + bb] = field.one()
-    return ExactMatrix.from_rows(field, table)
+    return ExactMatrix(field, table)
 
 
 def _dense_sum(field, dim, terms):
@@ -547,7 +550,7 @@ def test_direct_sum_matches_the_block_definition(sweedler, z4):
                     for r in range(n.dim):
                         for c in range(n.dim):
                             table[m.dim + r][m.dim + c] = n.mats[i].data[r][c]
-                    assert s.mats[i] == ExactMatrix.from_rows(b.field, table)
+                    assert s.mats[i] == ExactMatrix(b.field, table)
 
 
 def test_braiding_memo_returns_fresh_copies():
@@ -943,6 +946,63 @@ def test_a_lazy_module_of_another_bundle_is_refused_unbuilt(z2):
         assert lazy._rows is None
 
 
+def _derived_modules(b):
+    """Unbuilt modules of every derived kind, each with its eager twin."""
+    mods = [m for _, m in sorted(b.modules.items())]
+    m, n = mods[-1], mods[0]
+    return [
+        (tensor_rep(b, m, n), _eager_tensor(b, m, n)),
+        (dual_rep(b, m), Rep(m.dim, [
+            m.act(b.elem_antipode({i: b.field.one()})).transpose()
+            for i in range(b.dim)])),
+        (direct_sum_rep(b, m, n), Rep(m.dim + n.dim, [
+            _block_diag(b.field, x, y) for x, y in zip(m.mats, n.mats)])),
+        (coadjoint_rep(b), Rep(b.dim, _dense_coadjoint(b))),
+    ]
+
+
+def _block_diag(field, x, y):
+    zero = field.zero()
+    return ExactMatrix(field, [list(row) + [zero] * y.cols for row in x.data]
+                       + [[zero] * x.cols + list(row) for row in y.data])
+
+
+@pytest.mark.parametrize("first", sorted(_FIRST_READS))
+def test_a_derived_module_builds_only_the_elements_read(first):
+    for maker in (sweedler_bundle, z4_bundle, lambda: uqsl2_bundle(2)):
+        b = maker()
+        for lazy, eager in _derived_modules(b):
+            read = range(0, b.dim, 3)
+            for i in read:
+                assert lazy.rows_of(i) == eager.rows[i]
+                assert lazy.rows_of(i) is lazy.rows_of(i)
+            assert lazy._rows is None and sorted(lazy._built) == list(read)
+            _assert_same_module(lazy, eager, first)
+            assert lazy._built is None
+            assert all(lazy.rows_of(i) == eager.rows[i]
+                       for i in range(b.dim))
+
+
+def test_a_bundle_with_partly_built_modules_is_freed_by_del():
+    # No module builder holds the bundle, so the memo's partly built modules
+    # make no reference cycle through it: `del` frees it without the cyclic
+    # collector.
+    gc.disable()
+    try:
+        b = sweedler_bundle()
+        assert skalg_dimension(b, 0, 3) == 5
+        assert len(slf_basis(b)) == 2
+        reg = b.module("reg")
+        kept = [dual_rep(b, reg), tensor_rep(b, coadjoint_rep(b), reg)]
+        assert hom_space(b, reg, kept[1]) and kept[0].rows_of(1)
+        assert coadjoint_rep(b)._rows is None and kept[0]._rows is None
+        ref = weakref.ref(b)
+        del b, reg
+        assert ref() is None
+    finally:
+        gc.enable()
+
+
 def test_the_engine_reads_no_dense_action_matrix(monkeypatch):
     # `Rep.mats` is a view for callers outside the engine: every engine path
     # below reads sparse rows, so it runs with the dense view refused.
@@ -1024,8 +1084,7 @@ def test_bundle_builders_and_job_matrices_build_no_dense_table(monkeypatch):
            "entries": [[0, 1, "1/2"], [2, 0, {"order": 4,
                                               "coeffs": ["0", "-1"]}]]}
     field = CycField(4)
-    want = ExactMatrix.from_rows(field, [[0, "1/2"], [0, 0],
-                                         [-field.zeta(), 0]])
+    want = ExactMatrix(field, [[0, "1/2"], [0, 0], [-field.zeta(), 0]])
     payload = cli._matrix_obj(want, with_float=True)
 
     def refuse(self):

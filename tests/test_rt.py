@@ -341,7 +341,7 @@ def test_coupon_outside_an_empty_hom_space_is_refused(sweedler):
     # Hom(triv, sgn) = 0, so no combination of the (empty) basis gives [[1]].
     b = sweedler
     assert hom_space(b, b.module("triv"), b.module("sgn")) == []
-    one = ExactMatrix.from_rows(b.field, [[b.field.one()]])
+    one = ExactMatrix(b.field, [[b.field.one()]])
     d = Diagram([("triv", "+")], [("sgn", "+")], [
         [Generator("coupon", dom=[("triv", "+")], cod=[("sgn", "+")],
                    matrix=one)],

@@ -5,7 +5,7 @@ from itertools import product
 import pytest
 
 from modskein import surface
-from modskein.bundles import sweedler_bundle, z4_bundle
+from modskein.bundles import sweedler_bundle, uqsl2_bundle, z4_bundle
 from modskein.coend import coadjoint_rep, dinat, qchar
 from modskein.cyclo import CycField, CycloError, ExactMatrix, _sparse_sum
 from modskein.errors import CapabilityError, StructureError
@@ -80,7 +80,7 @@ def test_coend_mult_dinatural_characterization(z2, sweedler, z4):
                                 dst = (xm * n.dim + xn) * mn_dim \
                                     + (ai * n.dim + bi)
                                 perm[dst][src] = one
-                rhs = dinat(b, mn) * ExactMatrix.from_rows(field, perm) * mid
+                rhs = dinat(b, mn) * ExactMatrix(field, perm) * mid
                 assert lhs == rhs, (b.name, n1, n2)
 
 
@@ -105,7 +105,7 @@ def _dense_coend_mult(b):
                         for jw, cw in w.items():
                             col = iu * d + jw
                             row[col] = row[col] + coeff * cu * cw
-    return ExactMatrix.from_rows(field, out)
+    return ExactMatrix(field, out)
 
 
 @pytest.mark.parametrize("name", ["z2", "sweedler_0", "sweedler_1",
@@ -174,7 +174,7 @@ def test_z2_coend_mult_is_convolution(z2):
     for h in range(2):
         for (h1, h2, c) in b.comult_table[h]:
             conv[h][h1 * 2 + h2] = conv[h][h1 * 2 + h2] + c
-    assert mu == ExactMatrix.from_rows(b.field, conv)
+    assert mu == ExactMatrix(b.field, conv)
 
 
 def test_skalg_z2_annulus_is_character_ring(z2):
@@ -262,10 +262,10 @@ def test_char_map_takes_one_qchar_per_module(monkeypatch):
 
     monkeypatch.setattr(surface, "qchar", counted)
     assert char_map(b, alg) == expected
-    # each module once, then each tensor product M (x) N once
+    # each module once; the q-character of M (x) N is read from Delta
     n = len(b.modules)
-    assert len(calls) == n + n * n
-    assert set(calls[:n]) == set(b.modules.values())
+    assert len(calls) == n
+    assert set(calls) == set(b.modules.values())
 
 
 def test_char_map_names_a_simple_missing_from_the_modules():
@@ -303,6 +303,13 @@ def test_algebra_serialization_roundtrip(sweedler):
     assert alg2.structure == alg.structure
     assert alg2.unit_coords == alg.unit_coords
     assert alg2.check_unit() and alg2.check_associativity()
+
+
+@pytest.mark.parametrize("p, dim", [(2, 38), (3, 132)])
+def test_the_invariants_of_l_tensor_l_for_restricted_uqsl2(p, dim):
+    # dim Hom(1, L (x) L): the surfaces (0, 3) and (1, 1) both take L^(x)2
+    b = uqsl2_bundle(p)
+    assert skalg_dimension(b, 0, 3) == skalg_dimension(b, 1, 1) == dim
 
 
 def test_coend_mult_requires_r(uqsl2_p2):
