@@ -24,7 +24,8 @@ from fractions import Fraction
 from itertools import islice
 
 from .cyclo import (CycField, CycNum, ExactMatrix, _from_cols, _matrix,
-                    _sparse_rows, _sparse_sum)
+                    _sparse_rows, _sparse_sum, parse_rational)
+from .errors import StructureError
 from .hopf import (AXIOMS, R_INVERSE_FREE, HopfBundle, Rep, _character,
                    _regular_module, validate_bundle)
 
@@ -74,11 +75,12 @@ def sweedler_bundle(lam=Fraction(1)) -> HopfBundle:
     """Sweedler's H4 with the quasitriangular structure R_lambda.
 
     Basis 1, g, x, gx with g^2 = 1, x^2 = 0, xg = -gx.  The family R_lambda
-    is triangular, so v = 1 is a ribbon element and the pivot is g.
+    is triangular, so v = 1 is a ribbon element and the pivot is g.  lambda
+    is read by `cyclo.parse_rational`, so a float is refused.
     """
     field = CycField(1)
     one = field.one()
-    lam = Fraction(lam)
+    lam = parse_rational(lam)
 
     # basis index <-> (k, s) with element g^k x^s
     idx = {(0, 0): 0, (1, 0): 1, (0, 1): 2, (1, 1): 3}
@@ -291,7 +293,7 @@ def uqsl2_bundle(p: int, with_r: bool = False) -> HopfBundle:
     pivotal-only.
     """
     if p < 2:
-        raise ValueError("p must be >= 2")
+        raise StructureError("p must be >= 2")
     field, rw, monomials, index = _uqsl2_core(p, 2 * p)
     d = len(monomials)
     zero, one = field.zero(), field.one()

@@ -82,11 +82,16 @@ def _bundle_from_bytes(data: bytes) -> HopfBundle:
         raise StructureError("malformed bundle JSON: %s" % exc)
 
 
-def _emit(args, payload_bytes: bytes) -> None:
+def _emit(args, payload_bytes: bytes, csv_row: str | None = None) -> None:
+    """Write the payload to --out, and print it, or under --format csv the
+    CSV header and `csv_row` when the command has one."""
     if args.out:
         with open(args.out, "wb") as fh:
             fh.write(payload_bytes)
-    if args.format == "json" or args.out is None:
+    if args.format == "csv" and csv_row is not None:
+        print("bundle,g,n,dim,image_rank")
+        print(csv_row)
+    elif args.format == "json" or args.out is None:
         sys.stdout.write(payload_bytes.decode("utf-8"))
 
 
@@ -260,15 +265,8 @@ def cmd_qchar(args) -> int:
 def cmd_skalg(args) -> int:
     _, payload, hit = _cached_payload(args, "skalg", {"g": args.g, "n": args.n})
     obj = json.loads(payload)
-    if args.format == "csv":
-        row = "%s,%d,%d,%d," % (obj["bundle"], obj["g"], obj["n"], obj["dim"])
-        print("bundle,g,n,dim,image_rank")
-        print(row)
-        if args.out:
-            with open(args.out, "wb") as fh:
-                fh.write(payload)
-    else:
-        _emit(args, payload)
+    _emit(args, payload, "%s,%d,%d,%d," % (obj["bundle"], obj["g"], obj["n"],
+                                           obj["dim"]))
     if args.format == "text":
         print("skalg dim %d (cache %s)" % (obj["dim"],
                                            "hit" if hit else "miss"),
@@ -279,14 +277,8 @@ def cmd_skalg(args) -> int:
 def cmd_char_map(args) -> int:
     _, payload, _ = _cached_payload(args, "char-map", {})
     obj = json.loads(payload)
-    if args.format == "csv":
-        print("bundle,g,n,dim,image_rank")
-        print("%s,0,2,%d,%d" % (obj["bundle"], obj["dim"], obj["image_rank"]))
-        if args.out:
-            with open(args.out, "wb") as fh:
-                fh.write(payload)
-    else:
-        _emit(args, payload)
+    _emit(args, payload, "%s,0,2,%d,%d" % (obj["bundle"], obj["dim"],
+                                           obj["image_rank"]))
     return EXIT_OK
 
 

@@ -31,14 +31,14 @@ returns the input exactly.
 from __future__ import annotations
 
 import math
-from itertools import chain
+from functools import partial, reduce
 
 from .cyclo import (CycNum, ExactMatrix, LinearSystem, _from_cols, _matrix,
-                    _sorted_row, _sparse_cols, _sparse_sum, _transpose)
+                    _sorted_row, _sparse_cols, _sparse_sum)
 from .errors import InadmissibleError, StructureError
-from .hopf import (HopfBundle, Rep, _check_rep, _constrained, _decided_on,
-                   _generators, _memo, dual_rep, hom_space, projective_section,
-                   regular_rep, trivial_rep)
+from .hopf import (HopfBundle, Rep, _check_rep, _commutators,
+                   _intertwiner_failure, _memo, dual_rep, hom_space,
+                   projective_section, regular_rep, tensor_rep, trivial_rep)
 
 __all__ = [
     "SLFElem",
@@ -51,6 +51,7 @@ __all__ = [
     "red_to_blue",
     "iterated_comult",
     "apply_factored_action",
+    "recompose",
 ]
 
 
@@ -75,24 +76,6 @@ class SLFElem:
 
     def __repr__(self):
         return "SLFElem(%s)" % (self.coords,)
-
-
-def _commutators(b: HopfBundle) -> tuple:
-    """The nonzero coordinate rows of e_i e_j - e_j e_i for i in S and every
-    j, in that order, each a tuple of (index, CycNum) pairs; a pair of
-    elements of S is taken once, with i < j.  With no S, i runs over every
-    basis element and j over those after it.  By lemma (iv) of `hopf`, a form
-    is symmetric if and only if it vanishes on every row.  Empty for a
-    commutative bundle."""
-    table, d = b.mult_table, b.dim
-
-    def build():
-        lefts = _constrained(b)
-        return tuple(tuple(row.items()) for row in (
-            _sparse_sum(chain(table[i][j], ((k, -c) for k, c in table[j][i])))
-            for i in lefts for j in range(d) if j > i or j not in lefts)
-            if row)
-    return _memo(b, ("commutators",), build)
 
 
 def is_symmetric_form(b: HopfBundle, coords) -> bool:
@@ -264,35 +247,19 @@ def red_to_blue(b: HopfBundle, f: ExactMatrix, p_rep: Rep, k: int,
     lift; composing every resolved slot with the dinatural map of the regular
     representation recomposes to f exactly.  A single term suffices because
     the regular representation's dinatural map is onto.  P and X must be
-    modules of b, as `hopf.validate_rep` decides: that f is an intertwiner
-    is checked on the generating set S (lemma (iv) of `hopf`), and when it
-    fails there the error names the first failing basis element of all.
+    modules of b, as `hopf.validate_rep` decides: f is checked against the
+    product L (x) ... (x) L (x) X, nested to the left, by
+    `hopf._intertwiner_failure`, which reads only the rows of S when f
+    passes and otherwise names the first failing basis element of all.
     """
     if k < 0:
         raise StructureError("k must be >= 0")
-    field = b.field
-    d = b.dim
-    coad = coadjoint_rep(b)
-    cod_factors = [coad] * k + [x_rep]
-    cod_dim = d ** k * x_rep.dim
-    if f.rows != cod_dim or f.cols != p_rep.dim:
+    field, d = b.field, b.dim
+    cod = reduce(partial(tensor_rep, b), [coadjoint_rep(b)] * k + [x_rep])
+    if f.rows != cod.dim or f.cols != p_rep.dim:
         raise StructureError("morphism must be %dx%d, got %dx%d"
-                             % (cod_dim, p_rep.dim, f.rows, f.cols))
-    f_cols = [dict(col) for col in _sparse_cols(f)]
-
-    # intertwiner check, column by column: factored on the codomain side,
-    # f rho_P(e_i) from the sparse columns of rho_P(e_i) on the domain side
-    def failures(indices):
-        for i in indices:
-            p_cols = _transpose(p_rep.rows_of(i), p_rep.dim)
-            for j, p_col in enumerate(p_cols):
-                rhs = _sparse_sum((r, a * c) for s, c in p_col
-                                  for r, a in f_cols[s].items())
-                if apply_factored_action(b, cod_factors, i, f_cols[j]) != rhs:
-                    yield i
-                    break
-
-    failing = next(_decided_on(_generators(b), d, failures), None)
+                             % (cod.dim, p_rep.dim, f.rows, f.cols))
+    failing = _intertwiner_failure(b, f, p_rep, cod)
     if failing is not None:
         raise StructureError(
             "morphism is not an intertwiner (fails at e%d)" % failing)
@@ -309,6 +276,7 @@ def red_to_blue(b: HopfBundle, f: ExactMatrix, p_rep: Rep, k: int,
     lift_factors = [reg, reg_dual] * k + [x_rep]
     lift_dim = d ** (2 * k) * x_rep.dim
 
+    f_cols = [dict(col) for col in _sparse_cols(f)]
     # linear (non-H-linear) section of the dinatural map: phi -> 1 (x) phi,
     # as sparse columns: column bb is sum_h unit_h e_(h * d + bb)
     unit = b.elem_unit().items()

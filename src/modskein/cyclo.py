@@ -29,6 +29,7 @@ __all__ = [
     "CycField",
     "CycNum",
     "ExactMatrix",
+    "LinearSystem",
     "SolveResult",
     "cyclotomic_poly",
     "euler_phi",

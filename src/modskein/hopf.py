@@ -50,14 +50,15 @@ exhaustive loop would find nothing either.  The other checks are linear in
 d and run over every basis element.
 
 Every intertwiner-type condition is imposed on S by lemma (iv), and on every
-basis element when there is no S (`_constrained`): the constraints of
-`hom_space` and of `projective_section`, the intertwiner checks of `rt`
-coupons and of `coend.red_to_blue` (through `_decided_on`, so a failure
-names the first failing basis element of all of them) and the commutator
-rows of `coend._commutators`.  A kernel basis depends only on the solution
-space and the column order, so each result is the one the exhaustive system
-gives.  The lemma needs modules: the arguments of these functions must be
-modules of the bundle, as `validate_rep` decides.
+basis element when there is no S (`_constrained`).  Outside the axiom checks
+only three functions read S: `_intertwiner_system` stacks the constraints
+that `hom_space` and `projective_section` solve, `_intertwiner_failure`
+decides whether a map intertwines (for `rt` coupons and
+`coend.red_to_blue`), naming the first failing basis element of all, and
+`_commutators` gives the rows a symmetric form vanishes on.  A kernel basis
+depends only on the solution space and the column order, so each result is
+the one the exhaustive system gives.  The lemma needs modules: the arguments
+of these functions must be modules of the bundle, as `validate_rep` decides.
 
 One sparse convention holds throughout: an element of H is a
 {basis index: CycNum} dict and an element of H (x) H an {(i, j): CycNum}
@@ -890,27 +891,63 @@ def direct_sum_rep(b: HopfBundle, m: Rep, n: Rep) -> Rep:
                                 for row in n.rows_of(i)))
 
 
-def _intertwiner_rows(n_rows: list, m_cols: list, m_dim: int):
-    """Rows of rho_N(e_i) F - F rho_M(e_i) = 0, one per entry (r, c).
-
-    The unknown F[s][t] is column s * m_dim + t; `n_rows` are the sparse rows
-    of rho_N(e_i) and `m_cols` the sparse columns of rho_M(e_i), as lists of
-    (index, coefficient).  Rows that vanish identically are skipped.
-    """
-    for r, n_row in enumerate(n_rows):
-        for c, m_col in enumerate(m_cols):
-            row = _sparse_sum(chain(((s * m_dim + c, a) for s, a in n_row),
-                                    ((r * m_dim + t, -a) for t, a in m_col)))
-            if row:
-                yield row
-
-
 def _constrained(b: HopfBundle):
     """The basis elements an intertwiner-type condition is imposed on: the
     generating set S, by lemma (iv) of the module docstring, or every basis
     element when there is no S."""
     gens = _generators(b)
     return range(b.dim) if gens is None else gens
+
+
+def _intertwiner_system(b: HopfBundle, m: Rep, n: Rep,
+                        nrhs: int = 0) -> LinearSystem:
+    """The rows of rho_N(e_i) F - F rho_M(e_i) = 0 on F: M -> N for i in
+    `_constrained(b)`, one per entry (r, c) that does not vanish identically,
+    with F[s][t] as column s * dim M + t."""
+    _check_rep(b, m)
+    _check_rep(b, n)
+    md = m.dim
+    sys = LinearSystem(b.field, n.dim * md, nrhs)
+    for i in _constrained(b):
+        m_cols = _transpose(m.rows_of(i), md)
+        for r, n_row in enumerate(n.rows_of(i)):
+            for c, m_col in enumerate(m_cols):
+                row = _sparse_sum(chain(((s * md + c, a) for s, a in n_row),
+                                        ((r * md + t, -a) for t, a in m_col)))
+                if row:
+                    sys.add_row(row)
+    return sys
+
+
+def _intertwiner_failure(b: HopfBundle, f: ExactMatrix, m: Rep,
+                         n: Rep) -> int | None:
+    """The first i of all with rho_N(e_i) f != f rho_M(e_i), or None,
+    decided on S through `_decided_on`."""
+    rows = _sparse_rows(f)
+
+    def failures(indices):
+        for i in indices:
+            if _sparse_product(n.rows_of(i), rows) != \
+                    _sparse_product(rows, m.rows_of(i)):
+                yield i
+    return next(_decided_on(_generators(b), b.dim, failures), None)
+
+
+def _commutators(b: HopfBundle) -> tuple:
+    """The nonzero coordinate rows of e_i e_j - e_j e_i for i in
+    `_constrained(b)` and every j, in that order, each a tuple of
+    (index, CycNum) pairs; a pair inside S is taken once, with i < j, and
+    with no S, j runs over the elements after i.  By lemma (iv), a form is
+    symmetric if and only if it vanishes on every row."""
+    table, d = b.mult_table, b.dim
+
+    def build():
+        lefts = _constrained(b)
+        return tuple(tuple(row.items()) for row in (
+            _sparse_sum(chain(table[i][j], ((k, -c) for k, c in table[j][i])))
+            for i in lefts for j in range(d) if j > i or j not in lefts)
+            if row)
+    return _memo(b, ("commutators",), build)
 
 
 def hom_space(b: HopfBundle, m: Rep, n: Rep) -> list[ExactMatrix]:
@@ -923,15 +960,8 @@ def hom_space(b: HopfBundle, m: Rep, n: Rep) -> list[ExactMatrix]:
     are dim(N) x dim(M); the basis is the deterministic kernel basis of the
     constraints, which depends only on that space and the column order.
     """
-    _check_rep(b, m)
-    _check_rep(b, n)
-    sys = LinearSystem(b.field, n.dim * m.dim)
-    for i in _constrained(b):
-        for row in _intertwiner_rows(n.rows_of(i),
-                                     _transpose(m.rows_of(i), m.dim), m.dim):
-            sys.add_row(row)
     out = []
-    for col in _sparse_cols(sys.kernel()):
+    for col in _sparse_cols(_intertwiner_system(b, m, n).kernel()):
         rows = [[] for _ in range(n.dim)]
         for k, v in col:
             r, c = divmod(k, m.dim)
@@ -987,29 +1017,24 @@ def twist_inverse(b: HopfBundle, m: Rep) -> ExactMatrix:
 
 
 def _free_cover_system(b: HopfBundle, m: Rep):
-    """Equations for an H-linear section of H (x) M_vec ->> M.
+    """Equations for an H-linear section sigma of H (x) M_vec ->> M.
 
-    Unknowns sigma[(h, r), c] with vec index (h * dim + r) * dim + c; the free
-    module action L_i (x) I is left multiplication on the H factor only,
-    given to the intertwiner constraints as sparse rows, for i in S only
-    (every basis element when there is no S), by lemma (iv).
+    The free cover is a module whose coordinate h * dim M + r is
+    e_h (x) delta_r and on which e_i acts on the H factor, so the unknown
+    sigma[(h, r), c] is column (h * dim M + r) * dim M + c of
+    `_intertwiner_system`; the rows pi o sigma = id follow.
     """
-    field = b.field
-    d, md, reg = b.dim, m.dim, regular_rep(b)
-    sys = LinearSystem(field, d * md * md, 1)
-    for i in _constrained(b):
-        lrows = reg.rows_of(i)
-        free_rows = [[(h * md + rp, a) for h, a in lrows[hp]]
-                     for hp in range(d) for rp in range(md)]
-        for row in _intertwiner_rows(free_rows, _transpose(m.rows_of(i), md),
-                                     md):
-            sys.add_row(row)
+    field, md, reg = b.field, m.dim, regular_rep(b)
+    free = Rep.deferred(field, reg.dim * md, reg.n_actions, lambda i: tuple(
+        tuple((h * md + r, a) for h, a in row)
+        for row in reg.rows_of(i) for r in range(md)))
+    sys = _intertwiner_system(b, m, free, 1)
     # pi o sigma = id, with pi(e_h (x) delta_r) = rho(e_h) column r
     one = field.one()
     for cp in range(md):
         for c in range(md):
             row = _sparse_sum(((h * md + r) * md + c, a)
-                              for h in range(d) for r, a in m.rows[h][cp])
+                              for h in range(b.dim) for r, a in m.rows[h][cp])
             sys.add_row(row, {0: one} if cp == c else None)
     return sys
 

@@ -32,9 +32,9 @@ import json
 from .cyclo import (CycNum, ExactMatrix, _matrix, _solve_in_basis,
                     _sparse_product, _sparse_rows, _transpose)
 from .errors import InadmissibleError, StructureError, TypingError
-from .hopf import (HopfBundle, Rep, _action_rows, _constrained, braiding,
-                   braiding_inverse, dual_rep, hom_space, is_projective,
-                   tensor_rep, trivial_rep, twist, twist_inverse)
+from .hopf import (HopfBundle, Rep, _action_rows, _intertwiner_failure,
+                   braiding, braiding_inverse, dual_rep, hom_space,
+                   is_projective, tensor_rep, trivial_rep, twist, twist_inverse)
 
 __all__ = [
     "Point",
@@ -212,12 +212,8 @@ class Diagram:
         if mat.rows != cod_rep.dim or mat.cols != dom_rep.dim:
             raise TypingError(idx, "coupon matrix is %dx%d, expected %dx%d"
                               % (mat.rows, mat.cols, cod_rep.dim, dom_rep.dim))
-        # on the generating set S, by lemma (iv) of `hopf`
-        mat_rows = _sparse_rows(mat)
-        for i in _constrained(b):
-            if _sparse_product(cod_rep.rows_of(i), mat_rows) != \
-                    _sparse_product(mat_rows, dom_rep.rows_of(i)):
-                raise TypingError(idx, "coupon color is not an intertwiner")
+        if _intertwiner_failure(b, mat, dom_rep, cod_rep) is not None:
+            raise TypingError(idx, "coupon color is not an intertwiner")
 
     def __repr__(self):
         return "Diagram(%s -> %s, %d slices)" % (

@@ -89,6 +89,14 @@ def test_gen_uqsl2(work):
     assert any("quasitriangular" in f for f in cand["validator_failures"])
 
 
+def test_gen_uqsl2_below_p_2_is_a_named_usage_error(work):
+    out = work["root"] / "uq1.json"
+    r = run_cli(work, "gen-uqsl2", "1", str(out))
+    assert r.returncode == 2
+    assert r.stderr == "error: p must be >= 2\n" and r.stdout == ""
+    assert not out.exists()
+
+
 def test_skalg_cache_and_verify(work):
     r1 = run_cli(work, "skalg", work["sweedler"], "0", "2")
     assert r1.returncode == 0
@@ -111,6 +119,19 @@ def test_char_map_csv(work):
     r = run_cli(work, "--format", "csv", "char-map", work["z2"])
     lines = r.stdout.strip().splitlines()
     assert lines[1] == "z2,0,2,2,2"
+
+
+@pytest.mark.parametrize("argv, row", [
+    (("skalg", "z2", "0", "2"), "z2,0,2,2,"), (("char-map", "z2"), "z2,0,2,2,2")])
+def test_csv_with_out_prints_the_row_and_writes_the_payload(work, argv, row):
+    out = work["root"] / ("%s.out.json" % argv[0])
+    r = run_cli(work, "--format", "csv", argv[0], work[argv[1]], *argv[2:],
+                "--out", str(out))
+    assert r.returncode == 0
+    assert r.stdout == "bundle,g,n,dim,image_rank\n%s\n" % row
+    payload = run_cli(work, argv[0], work[argv[1]], *argv[2:]).stdout
+    assert out.read_text(encoding="utf-8") == payload
+    assert json.loads(payload)["bundle"] == "z2"
 
 
 def test_slf_and_qchar(work):

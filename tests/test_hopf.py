@@ -17,7 +17,8 @@ from modskein.bundles import (sweedler_bundle, trivial_bundle, uqsl2_bundle,
                               z2_bundle, z4_bundle)
 from modskein.coend import (canonical_image_dim, coadjoint_rep, dinat, qchar,
                             recompose, red_to_blue, slf_basis)
-from modskein.cyclo import CycField, ExactMatrix, LinearSystem, _sparse_sum
+from modskein.cyclo import (CycField, CycloError, ExactMatrix, LinearSystem,
+                            _sparse_sum)
 from modskein.errors import CapabilityError, StructureError
 from modskein.hopf import (AXIOMS, HopfBundle, Rep, _generators, braiding,
                            braiding_inverse, bundle_from_obj, bundle_to_obj,
@@ -621,9 +622,10 @@ def test_only_the_memo_reads_or_writes_the_bundle_cache():
 
 
 def test_every_exported_name_exists():
-    # A deleted function or class cannot linger in an `__all__`.
+    # A deleted function or class cannot linger in an `__all__`, and a
+    # public top-level function or class of a module with one is listed.
     src = Path(modskein.__file__).parent
-    stale = {}
+    stale, unlisted = {}, {}
     for path in sorted(src.glob("*.py")):
         name = "modskein" if path.stem == "__init__" else \
             "modskein." + path.stem
@@ -632,8 +634,16 @@ def test_every_exported_name_exists():
                    if not hasattr(module, n)]
         if missing:
             stale[name] = missing
+        if hasattr(module, "__all__"):
+            tree = ast.parse(path.read_text(encoding="utf-8"))
+            public = [node.name for node in tree.body if isinstance(
+                node, (ast.FunctionDef, ast.ClassDef))
+                and not node.name.startswith("_")
+                and node.name not in module.__all__]
+            if public:
+                unlisted[name] = public
     assert "AXIOMS" in modskein.hopf.__all__
-    assert stale == {}
+    assert stale == {} and unlisted == {}
 
 
 def _unused_imports(path: Path) -> list[str]:
@@ -1122,3 +1132,16 @@ def test_engine_matrices_refuse_writes():
         with pytest.raises(TypeError):
             mat[0, 0] = two
     assert results(b) == results(sweedler_bundle())
+
+
+@pytest.mark.parametrize("p", [0, 1])
+def test_uqsl2_below_p_2_is_a_structure_error(p):
+    with pytest.raises(StructureError, match=r"^p must be >= 2$"):
+        uqsl2_bundle(p)
+
+
+def test_sweedler_lambda_is_read_exactly():
+    with pytest.raises(CycloError, match="cannot parse an exact rational"):
+        sweedler_bundle(0.1)
+    assert bundle_to_obj(sweedler_bundle("1/2")) == \
+        bundle_to_obj(sweedler_bundle(Fraction(1, 2)))

@@ -7,11 +7,14 @@ with its definition over every basis element, written out on the dense
 action matrices.
 """
 
+import ast
 import json
 import random
+from pathlib import Path
 
 import pytest
 
+import modskein
 from modskein.bundles import (sweedler_bundle, uqsl2_bundle, z2_bundle,
                               z4_bundle)
 from modskein.coend import (coadjoint_rep, is_symmetric_form, qchar,
@@ -19,8 +22,9 @@ from modskein.coend import (coadjoint_rep, is_symmetric_form, qchar,
 from modskein.cyclo import ExactMatrix, LinearSystem
 from modskein.errors import StructureError, TypingError
 from modskein.hopf import (_generators, bundle_from_obj, bundle_to_obj,
-                           dual_rep, hom_space, projective_section,
-                           regular_rep, tensor_rep, trivial_rep)
+                           dual_rep, hom_space, is_projective,
+                           projective_section, regular_rep, tensor_rep,
+                           trivial_rep)
 from modskein.rt import Diagram, Generator, boundary_rep, evaluate
 from test_acceptance import _perturb_once
 
@@ -244,3 +248,34 @@ def test_a_coupon_colored_by_a_non_intertwiner_is_refused():
         with pytest.raises(TypingError,
                            match="coupon color is not an intertwiner"):
             evaluate(b, coupon(f))
+
+
+def test_only_hopf_names_the_generating_set():
+    # Every other module reaches S through `hopf`'s intertwiner builder,
+    # intertwiner check or commutator rows.
+    src = Path(modskein.__file__).parent
+    private = {"_generators", "_constrained", "_decided_on"}
+    uses = {}
+    for path in sorted(src.glob("*.py")):
+        names = set()
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Name):
+                names.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                names.add(node.attr)
+            elif isinstance(node, ast.alias):
+                names.add(node.name)
+        uses[path.name] = sorted(names & private)
+    assert uses.pop("hopf.py") == sorted(private)
+    assert {name: names for name, names in uses.items() if names} == {}
+
+
+def test_red_to_blue_builds_only_the_rows_of_l_it_reads():
+    b = uqsl2_bundle(2)
+    p_rep = next(b.module(name) for name in b.simples
+                 if is_projective(b, b.module(name)))
+    coad = coadjoint_rep(b)
+    f = hom_space(b, p_rep, tensor_rep(b, coad, p_rep))[0]
+    red_to_blue(b, f, p_rep, 1, p_rep)
+    assert coad._rows is None
+    assert set(coad._built) < set(range(b.dim))
