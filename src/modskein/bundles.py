@@ -12,6 +12,10 @@
 * uqsl2      -- the restricted quantum group of sl2 at a primitive 2p-th root
                 of unity (dim 2p^3), generated from the E, F, K presentation;
                 pivotal-only unless the candidate R-matrix survives validation.
+                Its product, coproduct and simple modules each come from one
+                walk over the PBW monomials, and its structure is built
+                directly over Q(zeta_2p), or over Q(zeta_4p) for the trial
+                bundle that carries the candidate R.
 
 trivial, z2 and z4 are cyclic group algebras and come from one builder,
 `_cyclic_bundle`, which gives each of them its characters and its regular
@@ -21,10 +25,10 @@ module "reg" (for trivial, "reg" equals "triv").
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import islice
+from itertools import accumulate, islice
 
 from .cyclo import (CycField, CycNum, ExactMatrix, _from_cols, _matrix,
-                    _sparse_rows, _sparse_sum, parse_rational)
+                    _sparse_sum, parse_rational)
 from .errors import StructureError
 from .hopf import (AXIOMS, R_INVERSE_FREE, HopfBundle, Rep, _character,
                    _regular_module, validate_bundle)
@@ -267,89 +271,89 @@ class _UqRewriter:
             for k2, c2 in self.rmul_monomial({m2: one}, n2).items())
 
 
-def _uqsl2_core(p: int, order: int):
-    """Structure constants of the restricted quantum group over Q(zeta_order).
+def _powers(x, times, n: int):
+    """x, times(x), ..., times^(n-1)(x), each formed from the one before."""
+    return accumulate(range(n - 1), lambda y, _: times(y), initial=x)
 
-    order must be a multiple of 2p; q is taken to be zeta_order^(order/2p).
-    Returns (field, rewriter, monomials, index map).
+
+def _pbw_walk(x, p: int, times_E, times_F, times_K):
+    """x E^a F^b K^c for every PBW monomial, in basis order (a, b < p,
+    c < 2p), where times_G(y) is y G; each prefix x E^a F^b is formed once."""
+    return [z for xa in _powers(x, times_E, p)
+            for xb in _powers(xa, times_F, p)
+            for z in _powers(xb, times_K, 2 * p)]
+
+
+def _uqsl2_structure(p: int, order: int):
+    """The pivotal restricted quantum group over Q(zeta_order), with q =
+    zeta_order^(order/2p); order must be a multiple of 2p.
+
+    Returns (rewriter, index map of the monomials, HopfBundle arguments).
     """
     field = CycField(order)
-    q = field.zeta(order // (2 * p))
-    rw = _UqRewriter(p, field, q)
+    rw = _UqRewriter(p, field, field.zeta(order // (2 * p)))
+    zero, one = field.zero(), field.one()
     monomials = [(a, b, c)
                  for a in range(p) for b in range(p) for c in range(2 * p)]
     index = {m: i for i, m in enumerate(monomials)}
-    return field, rw, monomials, index
-
-
-def uqsl2_bundle(p: int, with_r: bool = False) -> HopfBundle:
-    """Restricted quantum sl2 at a primitive 2p-th root of unity; dim 2p^3.
-
-    The bundle carries the PBW basis E^a F^b K^c, the standard Hopf structure,
-    the pivot K^{p+1}, and the 2p simple modules X^{+/-}_s.  With `with_r` a
-    candidate R-matrix (Cartan Gauss sum x quasi-R-matrix, over Q(zeta_4p)) is
-    built and validated; it is attached only if every axiom passes, otherwise
-    the validator outcome is recorded in metadata and the bundle stays
-    pivotal-only.
-    """
-    if p < 2:
-        raise StructureError("p must be >= 2")
-    field, rw, monomials, index = _uqsl2_core(p, 2 * p)
     d = len(monomials)
-    zero, one = field.zero(), field.one()
 
-    mult = []
-    for i, mi in enumerate(monomials):
-        for j, mj in enumerate(monomials):
-            prod = rw.rmul_monomial({mi: one}, mj)
-            for mono, c in prod.items():
-                mult.append((i, j, index[mono], c))
+    mult = [(i, j, index[mono], c)
+            for i, mi in enumerate(monomials)
+            for j, prod in enumerate(_pbw_walk({mi: one}, p, rw.rmul_E,
+                                               rw.rmul_F, rw.rmul_K))
+            for mono, c in prod.items()]
 
     # Delta on generators; extended multiplicatively in H (x) H.
     dE = {((1, 0, 0), (0, 0, 1)): one, ((0, 0, 0), (1, 0, 0)): one}
     dF = {((0, 1, 0), (0, 0, 0)): one,
           ((0, 0, 2 * p - 1), (0, 1, 0)): one}
     dK = {((0, 0, 1), (0, 0, 1)): one}
-    comult = []
-    for i, (a, b, c) in enumerate(monomials):
-        acc = {((0, 0, 0), (0, 0, 0)): one}
-        for _ in range(a):
-            acc = rw.t2_mul(acc, dE)
-        for _ in range(b):
-            acc = rw.t2_mul(acc, dF)
-        for _ in range(c):
-            acc = rw.t2_mul(acc, dK)
-        for (m1, m2), v in acc.items():
-            comult.append((i, index[m1], index[m2], v))
-
-    counit = [one if (m[0] == 0 and m[1] == 0) else zero for m in monomials]
-
-    antipode = _from_cols(field, [
-        [(index[m2], c) for m2, c in rw.antipode_monomial(mono).items()]
-        for mono in monomials], d)
+    comult = [(i, index[m1], index[m2], v)
+              for i, delta in enumerate(_pbw_walk(
+                  {((0, 0, 0), (0, 0, 0)): one}, p,
+                  lambda t: rw.t2_mul(t, dE), lambda t: rw.t2_mul(t, dF),
+                  lambda t: rw.t2_mul(t, dK)))
+              for (m1, m2), v in delta.items()]
 
     pivotal = [zero] * d
     pivotal[index[(0, 0, (p + 1) % (2 * p))]] = one
-
-    modules = {}
-    simples = []
-    for alpha in (1, -1):
-        for s in range(1, p + 1):
-            modules_name = "X%s%d" % ("+" if alpha == 1 else "-", s)
-            modules[modules_name] = _uqsl2_simple(rw, field, monomials,
-                                                  alpha, s)
-            simples.append(modules_name)
-
-    structure = dict(
-        name="uqsl2_p%d" % p, dim=d,
+    modules = {"X%s%d" % ("+" if alpha == 1 else "-", s):
+               _uqsl2_simple(rw, alpha, s)
+               for alpha in (1, -1) for s in range(1, p + 1)}
+    return rw, index, dict(
+        name="uqsl2_p%d" % p, field=field, dim=d,
         unit=[one if m == (0, 0, 0) else zero for m in monomials],
-        mult=mult, comult=comult, counit=counit, antipode=antipode,
-        pivotal=pivotal, modules=modules, simples=simples,
+        mult=mult, comult=comult,
+        counit=[one if (m[0] == 0 and m[1] == 0) else zero for m in monomials],
+        antipode=_from_cols(field, [
+            [(index[m2], c) for m2, c in rw.antipode_monomial(mono).items()]
+            for mono in monomials], d),
+        pivotal=pivotal, modules=modules, simples=list(modules),
         basis_labels=["E%dF%dK%d" % m for m in monomials],
         metadata={"p": p, "q": "zeta_%d" % (2 * p),
                   "presentation": "E^a F^b K^c, a,b < p, c < 2p"})
+
+
+def uqsl2_bundle(p: int, with_r: bool = False) -> HopfBundle:
+    """Restricted quantum sl2 at a primitive 2p-th root of unity; dim 2p^3.
+
+    The bundle carries the PBW basis E^a F^b K^c, the standard Hopf structure,
+    the pivot K^{p+1}, and the 2p simple modules X^{+/-}_s.  Its product,
+    coproduct and simple modules each come from one PBW walk, and it is
+    built over Q(zeta_2p).  With `with_r` a candidate R-matrix (Cartan Gauss
+    sum x quasi-R-matrix) is built with the structure directly over
+    Q(zeta_4p) and validated; it is attached only if every axiom passes,
+    otherwise the validator outcome is recorded in metadata and the bundle
+    stays pivotal-only.
+    """
+    if not isinstance(p, int) or isinstance(p, bool):
+        raise StructureError("p must be an int, not %r" % (p,))
+    if p < 2:
+        raise StructureError("p must be >= 2")
+    _, _, structure = _uqsl2_structure(p, 2 * p)
     if with_r:
-        trial = _candidate_trial(p, structure)
+        trial = _candidate_trial(p)
         # The axioms that need no R^-1 first, each up to its first failure;
         # only a candidate passing them is worth the full validator.
         report = [failure for name, _, check in AXIOMS
@@ -361,11 +365,12 @@ def uqsl2_bundle(p: int, with_r: bool = False) -> HopfBundle:
         structure["metadata"]["r_candidate"] = {
             "attempted": True, "attached": False,
             "validator_failures": report}
-    return HopfBundle(field=field, **structure)
+    return HopfBundle(**structure)
 
 
-def _uqsl2_simple(rw: _UqRewriter, field, monomials, alpha: int, s: int) -> Rep:
+def _uqsl2_simple(rw: _UqRewriter, alpha: int, s: int) -> Rep:
     """The simple X^alpha_s: dim s, highest K-weight alpha q^{s-1}."""
+    field = rw.field
     aq = field.from_rational(alpha)
     # E e_j = aq [j][s-j] e_(j-1) and F e_j = e_(j+1); [j] != 0 for 0 < j < p
     matE = _matrix(field, [((j + 1, aq * rw.qint(j + 1) * rw.qint(s - j - 1)),)
@@ -374,41 +379,17 @@ def _uqsl2_simple(rw: _UqRewriter, field, monomials, alpha: int, s: int) -> Rep:
                                   for j in range(s - 1)], s)
     matK = _matrix(field, [((j, aq * rw.qpow(s - 1 - 2 * j)),)
                            for j in range(s)], s)
-    mats = []
-    for (a, b, c) in monomials:
-        m = ExactMatrix.identity(field, s)
-        for _ in range(a):
-            m = m * matE
-        for _ in range(b):
-            m = m * matF
-        for _ in range(c):
-            m = m * matK
-        mats.append(m)
-    return Rep(s, mats)
+    return Rep(s, _pbw_walk(ExactMatrix.identity(field, s), rw.p,
+                            lambda m: m * matE, lambda m: m * matF,
+                            lambda m: m * matK))
 
 
-def _embedded(x, field: CycField):
-    """x with every CycNum in it embedded in `field`; x is a CycNum, an
-    ExactMatrix, a Rep, or a list, tuple or dict of them or of other values,
-    which are kept as they are."""
-    if isinstance(x, CycNum):
-        return x.embed(field.order)
-    if isinstance(x, (list, tuple)):
-        return type(x)(_embedded(y, field) for y in x)
-    if isinstance(x, dict):
-        return {k: _embedded(y, field) for k, y in x.items()}
-    if isinstance(x, ExactMatrix):
-        return _matrix(field, _embedded(_sparse_rows(x), field), x.cols)
-    if isinstance(x, Rep):
-        return Rep.from_rows(field, x.dim, _embedded(x.rows, field))
-    return x
-
-
-def _candidate_trial(p: int, structure: dict) -> HopfBundle:
-    """The pivotal structure embedded in Q(zeta_4p), with the textbook
+def _candidate_trial(p: int) -> HopfBundle:
+    """The pivotal structure built over Q(zeta_4p), with the textbook
     candidate R = D Theta, R^-1 = (S (x) id)R and ribbon element
     v = g^-1 u, u = sum S(R2) R1, all computed on monomials."""
-    field4, rw, monomials, index = _uqsl2_core(p, 4 * p)
+    rw, index, structure = _uqsl2_structure(p, 4 * p)
+    field4 = rw.field
     one, zero = field4.one(), field4.zero()
     zeta = field4.zeta()  # zeta_4p, a square root of q
 
@@ -438,7 +419,6 @@ def _candidate_trial(p: int, structure: dict) -> HopfBundle:
     def pairs(x):
         return [(index[m1], index[m2], c) for (m1, m2), c in sorted(x.items())]
 
-    return HopfBundle(field=field4, R=pairs(R), R_inv=pairs(R_inv),
-                      ribbon=[v.get(m, zero) for m in monomials],
-                      **_embedded(structure, field4))
+    return HopfBundle(R=pairs(R), R_inv=pairs(R_inv),
+                      ribbon=[v.get(m, zero) for m in index], **structure)
 

@@ -54,14 +54,19 @@ GOLDEN = {
         "9ff7139c2bcaf6cf2d1f1f38d01c5802d4d313187c2b8e0c2113c82d71786fa3",
 }
 
-# sha256 of the bundle file written by `gen-uqsl2 2`, without and with the
-# candidate R.  The order of its mult and comult entries is the order in
-# which the normal-ordering rewriter's sparse sums first meet each key.
+# sha256 of the bundle file written by `gen-uqsl2 p`, keyed by (p, flags),
+# without and with the candidate R.  The order of its mult and comult
+# entries is the order in which the normal-ordering rewriter's sparse sums
+# first meet each key.
 GEN_UQSL2_GOLDEN = {
-    ():
+    (2, ()):
         "67ec6b5098f747ba8dc65bcdeefdc84dc00a2ef4ef8bd9434db2d46cbc596b9f",
-    ("--with-r",):
+    (2, ("--with-r",)):
         "6c0330d7d73ac3b2ba389892a8e50b20bf8d20c9306e0c6762ef77c774d92953",
+    (3, ()):
+        "af78d3ac4291cfbf7cd9e34d21afa85b0e9697e76ae3926eebafe826475bbf1f",
+    (3, ("--with-r",)):
+        "7408461511e0ce1c943d8c55feaadaf5b77eac7f2bee1e574ecd4ce64b32c9e1",
 }
 
 
@@ -100,13 +105,16 @@ def test_golden_payload(bundle_files, tmp_path, op, bundle, args):
     assert got == GOLDEN[(op, bundle, args)]
 
 
-@pytest.mark.parametrize("flags", sorted(GEN_UQSL2_GOLDEN))
-def test_golden_gen_uqsl2_bundle(tmp_path, flags):
-    out = tmp_path / "uq2.json"
+# Ids are positional ("flags2"), so an added case never renames an older one.
+@pytest.mark.parametrize("p,flags", list(GEN_UQSL2_GOLDEN),
+                         ids=["flags%d" % i
+                              for i in range(len(GEN_UQSL2_GOLDEN))])
+def test_golden_gen_uqsl2_bundle(tmp_path, p, flags):
+    out = tmp_path / "uq.json"
     assert main(["--format", "text", "--cache-dir", str(tmp_path / "cache"),
-                 "gen-uqsl2", "2", str(out)] + list(flags)) == 0
+                 "gen-uqsl2", str(p), str(out)] + list(flags)) == 0
     got = hashlib.sha256(out.read_bytes()).hexdigest()
-    assert got == GEN_UQSL2_GOLDEN[flags]
+    assert got == GEN_UQSL2_GOLDEN[(p, flags)]
 
 
 # The disk layer: `rt-eval` and `red-to-blue` payloads on job files that
