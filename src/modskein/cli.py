@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 
 from . import __version__, cache
@@ -413,7 +412,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    os.environ.setdefault(cache.ENV_VAR, args.cache_dir)
     try:
         return args.fn(args)
     except TypingError as exc:

@@ -150,9 +150,8 @@ def qchar(b: HopfBundle, m: Rep) -> SLFElem:
     element enters the loop's evaluation twice with cancelling exponents,
     so no twist survives.  Membership in the SLF space is checked.
     """
-    zero = b.field.zero()
-    return SLFElem(b, [sum((v for r, row in enumerate(rows) for c, v in row
-                            if c == r), zero) for rows in m.rows])
+    return SLFElem(b, [_matrix(b.field, rows, m.dim).trace()
+                       for rows in m.rows])
 
 
 def canonical_image_dim(b: HopfBundle) -> int:

@@ -709,37 +709,35 @@ class LinearSystem:
         return [(pc, self._to_cyc(self._pivots[pc][pc]).inverse())
                 for pc in sorted(self._pivots, reverse=True) if pc < self.ncols]
 
-    def _back_substitute(self, x: list, inverses: list,
-                         rcol: int | None = None,
-                         upto: int | None = None) -> None:
-        """Solve the pivot rows for their pivot entries of x, last pivot first.
+    def _back_substitute(self, x: dict, inverses: list,
+                         rcol: int | None = None) -> tuple:
+        """Solve the pivot rows for their pivot entries of x, last pivot first,
+        and return the nonzero entries of x as (column, entry) pairs.
 
-        The right-hand side is column `rcol` of the rows (zero when None);
-        the free entries of x are given.  Pivots right of `upto` are skipped:
-        with x zero beyond `upto` their entries stay zero.
+        x is a sparse {column: CycNum} dict without zeros, given on the free
+        columns.  The right-hand side is column `rcol` of the rows (zero when
+        None); with no right-hand side, the entries of pivots right of every
+        entry of x stay zero, so those pivots are skipped.
         """
-        zero, ncols = self.field.zero(), self.ncols
+        zero = self.field.zero()
+        last = self.ncols if rcol is not None else max(x)
         for pc, inverse in inverses:
-            if upto is not None and pc > upto:
+            if pc > last:
                 continue
             row = self._pivots[pc]
             s = self._to_cyc(row[rcol]) if rcol in row else zero
             for c, vec in row.items():
-                if pc < c < ncols and any(x[c].num):
+                if c in x:
                     s = s - self._to_cyc(vec) * x[c]
-            x[pc] = s * inverse
+            if any(s.num):
+                x[pc] = s * inverse
+        return tuple(x.items())
 
     def kernel(self) -> "ExactMatrix":
-        inverses = self._pivot_inverses()
-        zero, one = self.field.zero(), self.field.one()
-        cols = []  # one sparse column per free column
-        for fc in range(self.ncols):
-            if fc not in self._pivots:
-                x = [zero] * self.ncols
-                x[fc] = one
-                self._back_substitute(x, inverses, upto=fc)
-                cols.append(_nonzero_entries(x))
-        return _from_cols(self.field, cols, self.ncols)
+        inverses, one = self._pivot_inverses(), self.field.one()
+        return _from_cols(self.field, [
+            self._back_substitute({fc: one}, inverses)
+            for fc in range(self.ncols) if fc not in self._pivots], self.ncols)
 
     def solve(self) -> SolveResult:
         rank = self.rank()
@@ -753,14 +751,11 @@ class LinearSystem:
         if self._infeasible_row:
             return SolveResult(None, kernel)
         inverses = self._pivot_inverses()
-        zero = self.field.zero()
         cols = [()] * self.nrhs
         # a right-hand side that no pivot row contains solves to zero
         for j in {c - self.ncols for row in self._pivots.values()
                   for c in row if c >= self.ncols}:
-            x = [zero] * self.ncols
-            self._back_substitute(x, inverses, rcol=self.ncols + j)
-            cols[j] = _nonzero_entries(x)
+            cols[j] = self._back_substitute({}, inverses, rcol=self.ncols + j)
         return SolveResult(_from_cols(self.field, cols, self.ncols), kernel)
 
 

@@ -74,7 +74,6 @@ compares the rows themselves.
 from __future__ import annotations
 
 import json
-from functools import partial
 from itertools import chain, islice
 from operator import attrgetter
 
@@ -296,7 +295,7 @@ class HopfBundle:
     def _check_shapes(self):
         d = self.dim
         if d < 1:
-            raise StructureError("dimension must be >= 1")
+            raise StructureError("dimension must be >= 1, got %d" % d)
         for vec, what in ((self.unit, "unit"), (self.counit, "counit"),
                           (self.pivotal, "pivotal")):
             if len(vec) != d:
@@ -392,7 +391,7 @@ class HopfBundle:
             [self.elem_unit()])
         if not res.feasible:
             return None
-        inv = self.elem(res.particular.col(0))
+        inv = dict(_sparse_cols(res.particular)[0])
         if self.elem_mult(inv, x) != self.elem_unit():
             return None
         return inv
@@ -1113,10 +1112,16 @@ def bundle_to_obj(b: HopfBundle) -> dict:
 
 
 def bundle_from_obj(obj: dict) -> HopfBundle:
+    """The bundle of a JSON object.  Its indices are read as ints here, and
+    `HopfBundle` decides the shape rules, such as whether an index of
+    `mult`, `comult`, `R` or `R_inv` is in range; the module actions are
+    bounds-checked here, since they are read into lists."""
     try:
         field = CycField(_parse_index(obj["cyclotomic_order"]))
         dim = _parse_index(obj["dim"])
-        ix = partial(_parse_index, bound=dim)
+        if dim < 1:
+            raise StructureError("dimension must be >= 1, got %d" % dim)
+        ix = _parse_index
         unit = [CycNum.from_obj(c, field) for c in obj["unit"]]
         mult = [(ix(i), ix(j), ix(k), CycNum.from_obj(c, field))
                 for (i, j, k, c) in obj["mult"]]
@@ -1126,12 +1131,9 @@ def bundle_from_obj(obj: dict) -> HopfBundle:
         antipode = ExactMatrix(field, [[CycNum.from_obj(c, field) for c in row]
                                        for row in obj["antipode"]])
         pivotal = [CycNum.from_obj(c, field) for c in obj["pivotal"]]
-        R = R_inv = None
-        if "R" in obj:
-            R = [(ix(i), ix(j), CycNum.from_obj(c, field))
-                 for (i, j, c) in obj["R"]]
-            R_inv = [(ix(i), ix(j), CycNum.from_obj(c, field))
-                     for (i, j, c) in obj["R_inv"]]
+        R, R_inv = ([(ix(i), ix(j), CycNum.from_obj(c, field))
+                     for (i, j, c) in obj[key]] if key in obj else None
+                    for key in ("R", "R_inv"))
         ribbon = None
         if "ribbon" in obj:
             ribbon = [CycNum.from_obj(c, field) for c in obj["ribbon"]]
@@ -1140,18 +1142,21 @@ def bundle_from_obj(obj: dict) -> HopfBundle:
             mdim = _parse_index(mobj["dim"])
             rows = [[{} for _ in range(mdim)] for _ in range(dim)]
             for (i, r, c, coeff) in mobj["action"]:
-                rows[ix(i)][_parse_index(r, mdim)][_parse_index(c, mdim)] = \
+                rows[ix(i, dim)][ix(r, mdim)][ix(c, mdim)] = \
                     CycNum.from_obj(coeff, field)
             modules[name] = Rep.from_rows(field, mdim, [
                 tuple(_sorted_row(_sparse_sum(row.items())) for row in mat)
                 for mat in rows])
+        labels = {key: obj.get(key) for key in ("simples", "basis_labels")}
+        for key, value in labels.items():
+            if value is not None and not (isinstance(value, list) and all(
+                    isinstance(s, str) for s in value)):
+                raise StructureError("%s must be a list of strings" % key)
         return HopfBundle(
             name=obj.get("name", "bundle"), field=field, dim=dim, unit=unit,
             mult=mult, comult=comult, counit=counit, antipode=antipode,
             pivotal=pivotal, R=R, R_inv=R_inv, ribbon=ribbon, modules=modules,
-            simples=obj.get("simples", []),
-            basis_labels=obj.get("basis_labels"),
-            metadata=obj.get("metadata"))
+            metadata=obj.get("metadata"), **labels)
     except (LookupError, TypeError, ValueError, AttributeError) as exc:
         raise StructureError("malformed bundle object: %s" % exc) from exc
 

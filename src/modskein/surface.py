@@ -258,7 +258,7 @@ def skalg(b: HopfBundle, g: int, n: int, threads: int = 1) -> AlgebraPresentatio
     power = _power_rep(b, m)
     inv = hom_space(b, trivial_rep(b), power)
     basis = [mat.col(0) for mat in inv]
-    vecs = [_sparse_sum(enumerate(v)) for v in basis]
+    vecs = [dict(_sparse_cols(mat)[0]) for mat in inv]
     mu_m = _power_mult(b, m)
 
     # Express the nonzero products (and the unit) back in the invariant

@@ -9,6 +9,7 @@ import pytest
 
 from modskein import cache
 from modskein.bundles import sweedler_bundle, z2_bundle, z4_bundle
+from modskein.cli import build_parser, main
 from modskein.hopf import bundle_to_obj, save_bundle
 from test_hopf import _index_as, _perturbed
 
@@ -496,3 +497,127 @@ def test_cache_verify_refuses_a_stored_input_that_fails_an_axiom(work,
     assert entry["status"] == "corrupt" and "is not valid" in entry["reason"]
     assert ["FAIL %s" % f for f in failures] == \
         entry["reason"].splitlines()[1:]
+
+
+# -- in-process runs of `main` ----------------------------------------------------
+
+def run_main(capsys, *argv):
+    """(exit code, stdout, stderr) of `main(argv)` in this process."""
+    code = main(list(argv))
+    out, err = capsys.readouterr()
+    return code, out, err
+
+
+def test_main_leaves_the_environment_unchanged(work, tmp_path, monkeypatch,
+                                               capsys):
+    monkeypatch.delenv(cache.ENV_VAR, raising=False)
+    before = dict(os.environ)
+    code, _, _ = run_main(capsys, "--cache-dir", str(tmp_path), "slf",
+                          work["z2"])
+    assert code == 0
+    assert dict(os.environ) == before
+    assert build_parser().parse_args(["slf", "x"]).cache_dir != str(tmp_path)
+
+
+def _without(*keys):
+    def edit(obj):
+        for key in keys:
+            del obj[key]
+    return edit
+
+
+# Shape errors of a sweedler bundle file: (edit, the message it must name).
+SHAPE_ERRORS = {
+    "dim 0": (lambda o: o.__setitem__("dim", 0),
+              "dimension must be >= 1, got 0"),
+    "short unit": (lambda o: o["unit"].pop(),
+                   "unit vector must have length 4"),
+    "short counit": (lambda o: o["counit"].pop(),
+                     "counit vector must have length 4"),
+    "short pivotal": (lambda o: o["pivotal"].pop(),
+                      "pivotal vector must have length 4"),
+    "mult index 4": (lambda o: o["mult"].append([0, 0, 4, "1"]),
+                     "mult index out of range: (0, 0, 4)"),
+    "comult index 4": (lambda o: o["comult"].append([4, 0, 0, "1"]),
+                       "comult index out of range: (4, 0, 0)"),
+    "R index 4": (lambda o: o["R"].append([0, 4, "1"]),
+                  "R index out of range: (0, 4)"),
+    "R_inv index 4": (lambda o: o["R_inv"].append([4, 0, "1"]),
+                      "R index out of range: (4, 0)"),
+    "3x4 antipode": (lambda o: o["antipode"].pop(),
+                     "antipode must be a 4x4 matrix"),
+    "R without R_inv": (_without("R_inv"),
+                        "R and R_inv must be given together"),
+    "R_inv without R": (_without("R"), "R and R_inv must be given together"),
+    "short ribbon": (lambda o: o["ribbon"].pop(),
+                     "ribbon vector must have length 4"),
+    "ribbon without R": (_without("R", "R_inv"),
+                         "ribbon element requires R"),
+    "three basis labels": (lambda o: o["basis_labels"].pop(),
+                           "need 4 basis labels"),
+    "basis labels as a string": (
+        lambda o: o.__setitem__("basis_labels", "abcd"),
+        "basis_labels must be a list of strings"),
+    "simples as a string": (lambda o: o.__setitem__("simples", "triv"),
+                            "simples must be a list of strings"),
+    "simple that is not a string": (lambda o: o["simples"].append(0),
+                                  "simples must be a list of strings"),
+    "unknown simple": (lambda o: o["simples"].append("nope"),
+                       "simple 'nope' not in module list"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(SHAPE_ERRORS))
+def test_a_shape_error_is_a_named_usage_error(tmp_path, capsys, case):
+    edit, message = SHAPE_ERRORS[case]
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(_bad_bundle(edit)))
+    code, out, err = run_main(capsys, "--cache-dir", str(tmp_path / "cache"),
+                              "validate", str(path))
+    assert code == 2 and out == ""
+    assert err == "error: %s\n" % message
+
+
+def test_validate_text_format(work, tmp_path, capsys):
+    code, out, _ = run_main(capsys, "--format", "text", "validate",
+                            work["sweedler"])
+    assert code == 0 and out == "VALID sweedler (dim 4)\n"
+    obj = bundle_to_obj(sweedler_bundle())
+    obj["pivotal"] = ["1", "0", "0", "0"]
+    path = tmp_path / "bad_pivotal.json"
+    path.write_text(json.dumps(obj))
+    code, out, _ = run_main(capsys, "validate", str(path))
+    failures = json.loads(out)["failures"]
+    assert code == 1 and failures
+    code, out, _ = run_main(capsys, "--format", "text", "validate", str(path))
+    assert code == 1
+    assert out.splitlines() == ["FAIL %s" % f for f in failures]
+
+
+def test_slf_float_column_renders_every_basis_entry(work, tmp_path, capsys):
+    flags = ("--cache-dir", str(tmp_path))
+    _, exact, _ = run_main(capsys, *flags, "slf", work["sweedler"])
+    code, out, _ = run_main(capsys, *flags, "--float", "slf",
+                            work["sweedler"])
+    assert code == 0
+    exact, obj = json.loads(exact), json.loads(out)
+    assert obj.pop("float_note") == "decimal rendering is non-authoritative"
+    rendered = obj.pop("float_approx")
+    assert obj == exact
+    assert rendered == [[["1*", "1"], ["g*", "0"], ["x*", "0"], ["gx*", "0"]],
+                        [["1*", "0"], ["g*", "1"], ["x*", "0"], ["gx*", "0"]]]
+
+
+def test_verify_refuses_a_tampered_cache_payload(work, tmp_path, capsys):
+    flags = ("--cache-dir", str(tmp_path))
+    code, out, _ = run_main(capsys, *flags, "slf", work["z2"])
+    assert code == 0
+    (payload,) = tmp_path.glob("*/*/payload")
+    obj = json.loads(payload.read_bytes())
+    obj["dim"] += 1
+    payload.write_bytes(json.dumps(obj).encode())
+    code, served, _ = run_main(capsys, *flags, "slf", work["z2"])
+    assert code == 0 and json.loads(served)["dim"] == obj["dim"]
+    code, out, err = run_main(capsys, *flags, "slf", work["z2"], "--verify")
+    assert code == 1 and out == ""
+    assert err.startswith("error: cache verification FAILED for slf (key ")

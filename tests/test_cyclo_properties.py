@@ -14,9 +14,10 @@ from modskein.bundles import sweedler_bundle, z4_bundle
 from modskein.coend import (coadjoint_rep, dinat, recompose, red_to_blue,
                             regular_rep, trivial_rep)
 from modskein.cyclo import (CycField, CycNum, ExactMatrix, LinearSystem,
-                            _sparse_rows)
-from modskein.hopf import (braiding, braiding_inverse, hom_space,
-                           projective_section, tensor_rep, twist, twist_inverse)
+                            _from_cols, _nonzero_entries, _sparse_rows)
+from modskein.hopf import (_free_cover_system, _intertwiner_system, braiding,
+                           braiding_inverse, hom_space, projective_section,
+                           tensor_rep, twist, twist_inverse)
 from modskein.rt import (_PAIRINGS, Diagram, Generator, SkeinVector, _pairing,
                          evaluate)
 from modskein.surface import coend_mult
@@ -237,6 +238,92 @@ def test_solve_matches_each_right_hand_side_alone(a, infeasible, data):
         for j in (0, 2):
             assert all(e.is_zero() for e in joint.particular.col(j))
 
+
+
+# -- back-substitution against the dense loop it replaced ---------------------
+
+def _dense_back_substitute(system, x, inverses, rcol=None, upto=None):
+    """The dense back-substitution `LinearSystem` used to run: x is a list
+    of ncols entries, and pivots right of `upto` are skipped."""
+    zero, ncols = system.field.zero(), system.ncols
+    for pc, inverse in inverses:
+        if upto is not None and pc > upto:
+            continue
+        row = system._pivots[pc]
+        s = system._to_cyc(row[rcol]) if rcol in row else zero
+        for c, vec in row.items():
+            if pc < c < ncols and any(x[c].num):
+                s = s - system._to_cyc(vec) * x[c]
+        x[pc] = s * inverse
+
+
+def _dense_kernel(system):
+    inverses = system._pivot_inverses()
+    zero, one = system.field.zero(), system.field.one()
+    cols = []
+    for fc in range(system.ncols):
+        if fc not in system._pivots:
+            x = [zero] * system.ncols
+            x[fc] = one
+            _dense_back_substitute(system, x, inverses, upto=fc)
+            cols.append(_nonzero_entries(x))
+    return _from_cols(system.field, cols, system.ncols)
+
+
+def _dense_particular(system):
+    if system._infeasible_row:
+        return None
+    inverses = system._pivot_inverses()
+    zero = system.field.zero()
+    cols = [()] * system.nrhs
+    for j in {c - system.ncols for row in system._pivots.values()
+              for c in row if c >= system.ncols}:
+        x = [zero] * system.ncols
+        _dense_back_substitute(system, x, inverses, rcol=system.ncols + j)
+        cols[j] = _nonzero_entries(x)
+    return _from_cols(system.field, cols, system.ncols)
+
+
+def _assert_matches_dense(system):
+    kernel, particular = system.kernel(), system.solve().particular
+    assert _sparse_rows(kernel) == _sparse_rows(_dense_kernel(system))
+    dense = _dense_particular(system)
+    assert (particular is None) == (dense is None)
+    if dense is not None:
+        assert (particular.rows, particular.cols) == (dense.rows, dense.cols)
+        assert _sparse_rows(particular) == _sparse_rows(dense)
+
+
+@st.composite
+def systems(draw):
+    """A LinearSystem over Q or Q(zeta_4) with 0 to 2 right-hand sides."""
+    field = draw(st.sampled_from((1, 4)).map(CycField))
+    ncols, nrhs = draw(st.integers(1, 6)), draw(st.integers(0, 2))
+    entry = st.one_of(st.just(field.zero()), elems(field, small))
+    system = LinearSystem(field, ncols, nrhs)
+    for _ in range(draw(st.integers(1, 6))):
+        row = [draw(entry) for _ in range(ncols + nrhs)]
+        system.add_row({j: e for j, e in enumerate(row[:ncols]) if any(e.num)},
+                       {j: e for j, e in enumerate(row[ncols:]) if any(e.num)})
+    return system
+
+
+@settings(max_examples=80)
+@given(systems())
+def test_back_substitution_matches_the_dense_loop(system):
+    _assert_matches_dense(system)
+
+
+def test_back_substitution_matches_the_dense_loop_on_uqsl2(uqsl2_p2):
+    b = uqsl2_p2
+    coad = coadjoint_rep(b)
+    invariants = _intertwiner_system(b, trivial_rep(b),
+                                     tensor_rep(b, coad, coad))
+    assert invariants.ncols - invariants.rank() == 38
+    section = _free_cover_system(b, b.module("X+2"))
+    assert section.solve().feasible
+    for system in (invariants, section):
+        _assert_matches_dense(system)
 
 @given(fields, st.integers(-30, 30), st.integers(-30, 30))
 def test_zeta_powers(field, j, k):

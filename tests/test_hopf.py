@@ -469,6 +469,10 @@ def test_a_bundle_is_fixed_once_built():
     assert HopfBundle(mult=b.mult + ((0, 0, 1, zero),), **fields).mult == b.mult
     with pytest.raises(StructureError, match="mult index"):
         HopfBundle(mult=b.mult + ((0, 0, 4, zero),), **fields)
+    with pytest.raises(StructureError, match=r"^dimension must be >= 1, got 0$"):
+        HopfBundle(name="empty", field=b.field, dim=0, unit=(), mult=(),
+                   comult=(), counit=(), pivotal=(),
+                   antipode=ExactMatrix.zeros(b.field, 0, 0))
 
 
 def _flip(field, m, n):
