@@ -1,14 +1,12 @@
-"""Command-line surface: bundle generation, validation, evaluation, caching.
+"""Command-line surface: bundle generation, validation and evaluation.
 
 All numeric output is exact ("p/q" strings and cyclotomic coefficient
 records); `--float` adds a decimal rendering column that is clearly marked
 non-authoritative.  Every command is bit-reproducible for identical inputs
 and engine version: there is no randomness anywhere and all pivot orders are
-fixed.  Expensive commands (slf, skalg, char-map) cache their canonical JSON
-payload content-addressed by (input bytes, operation, parameters, version);
-`--verify` recomputes on a cache hit and insists on byte equality.  Every
-command that computes on a bundle validates it first, before any cache
-lookup, and exits 1 with the named failures when it is not valid.
+fixed.  Every command computes its payload afresh and writes nothing but
+stdout and `--out`.  Every command that computes on a bundle validates it
+first, and exits 1 with the named failures when it is not valid.
 """
 
 from __future__ import annotations
@@ -17,7 +15,7 @@ import argparse
 import json
 import sys
 
-from . import __version__, cache
+from . import __version__
 from .bundles import uqsl2_bundle
 from .coend import qchar, red_to_blue, slf_basis
 from .cyclo import CycNum, ExactMatrix, _matrix, _parse_index, _sparse_rows
@@ -29,7 +27,7 @@ from .rt import evaluate, load_diagram
 from .surface import algebra_to_obj, char_map, skalg
 
 EXIT_OK = 0
-EXIT_FAIL = 1       # axiom failures, typing errors, cache mismatches
+EXIT_FAIL = 1       # axiom failures, typing and admissibility errors
 EXIT_USAGE = 2      # unreadable/malformed inputs
 
 
@@ -94,25 +92,20 @@ def _emit(args, payload_bytes: bytes, csv_row: str | None = None) -> None:
         sys.stdout.write(payload_bytes.decode("utf-8"))
 
 
-def _slf_payload(bundle: HopfBundle, params: dict) -> bytes:
+def _slf_payload(bundle: HopfBundle, args) -> dict:
     basis = slf_basis(bundle)
-    return _canonical_payload({"bundle": bundle.name, "dim": len(basis),
-                               "basis": [f.to_obj(bundle) for f in basis]})
+    return {"bundle": bundle.name, "dim": len(basis),
+            "basis": [f.to_obj(bundle) for f in basis]}
 
 
-def _skalg_payload(bundle: HopfBundle, params: dict) -> bytes:
-    try:
-        g, n = int(params["g"]), int(params["n"])
-    except (KeyError, TypeError, ValueError) as exc:
-        raise StructureError("bad skalg params %r: %r" % (params, exc))
-    alg = skalg(bundle, g, n)
-    return _canonical_payload(algebra_to_obj(alg))
+def _skalg_payload(bundle: HopfBundle, args) -> dict:
+    return algebra_to_obj(skalg(bundle, args.g, args.n))
 
 
-def _char_map_payload(bundle: HopfBundle, params: dict) -> bytes:
+def _char_map_payload(bundle: HopfBundle, args) -> dict:
     alg = skalg(bundle, 0, 2)
     cm = char_map(bundle, alg)
-    return _canonical_payload({
+    return {
         "bundle": bundle.name, "g": 0, "n": 2, "dim": alg.dim,
         "image_rank": cm["rank"],
         "multiplicative": cm["multiplicative"],
@@ -120,34 +113,22 @@ def _char_map_payload(bundle: HopfBundle, params: dict) -> bytes:
                    for name, coords in sorted(cm["images"].items())},
         "qchars": {name: form.to_obj(bundle)
                    for name, form in sorted(cm["qchars"].items())},
-    })
+    }
 
 
-# The cached operations: name -> (bundle, params) -> canonical payload bytes.
-# The commands and `cache verify` compute through this one table.
-CACHED_OPS = {
+# The payload builders: command -> (checked bundle, args) -> payload object.
+# `slf`, `skalg` and `char-map` compute through this one table.
+PAYLOADS = {
     "slf": _slf_payload,
     "skalg": _skalg_payload,
     "char-map": _char_map_payload,
 }
 
 
-def _cached_payload(args, op: str, params: dict):
-    """Run a cached operation on args.bundle, with --verify recomputation.
-
-    Returns (bundle, payload, cache hit)."""
-    bundle, data = _load_checked(args)
-    key = cache.cache_key(data, op, params)
-    cached = cache.lookup(args.cache_dir, key)
-    if cached is not None:
-        if getattr(args, "verify", False):
-            if CACHED_OPS[op](bundle, params) != cached:
-                raise ModskeinError(
-                    "cache verification FAILED for %s (key %s)" % (op, key))
-        return bundle, cached, True
-    payload = CACHED_OPS[op](bundle, params)
-    cache.store(args.cache_dir, key, payload, op, params, data)
-    return bundle, payload, False
+def _payload(args):
+    """(bundle, payload object) of args.command on the checked args.bundle."""
+    bundle = _load_checked(args)
+    return bundle, PAYLOADS[args.command](bundle, args)
 
 
 # ---------------------------------------------------------------------------
@@ -191,21 +172,14 @@ def cmd_gen_uqsl2(args) -> int:
     return EXIT_OK if not failures else EXIT_FAIL
 
 
-def _load_checked(args):
-    """Read, parse and validate args.bundle: (bundle, file bytes)."""
-    data = _read_bytes(args.bundle)
-    return _checked_bundle(data), data
+def _load_checked(args) -> HopfBundle:
+    """Read, parse and validate args.bundle.
 
-
-def _checked_bundle(data: bytes) -> HopfBundle:
-    """Parse and validate bundle file bytes.
-
-    Every command that computes on a bundle, and `cache verify` when it
-    recomputes a stored entry, parses it here, so none computes on, or
-    serves a cached result for, a bundle that fails an axiom; the failures
-    are named in the error (exit 1).
+    Every command that computes on a bundle loads it here, so none computes
+    on a bundle that fails an axiom; the failures are named in the error
+    (exit 1).
     """
-    bundle = _bundle_from_bytes(data)
+    bundle = _bundle_from_bytes(_read_bytes(args.bundle))
     failures = validate_bundle(bundle)
     if failures:
         raise ModskeinError("bundle %r is not valid:\n%s" % (
@@ -222,14 +196,12 @@ def _resolve_module(bundle: HopfBundle, name: str):
 
 
 def cmd_slf(args) -> int:
-    bundle, payload, hit = _cached_payload(args, "slf", {})
-    obj = json.loads(payload)
+    bundle, obj = _payload(args)
     if args.float_col:
         obj = _add_float_columns(bundle, obj)
-    _emit(args, _canonical_payload(obj) if args.float_col else payload)
+    _emit(args, _canonical_payload(obj))
     if args.format == "text":
-        print("slf dim %d (cache %s)" % (obj["dim"], "hit" if hit else "miss"),
-              file=sys.stderr)
+        print("slf dim %d" % obj["dim"], file=sys.stderr)
     return EXIT_OK
 
 
@@ -250,7 +222,7 @@ def _add_float_columns(bundle, obj):
 
 
 def cmd_qchar(args) -> int:
-    bundle, data = _load_checked(args)
+    bundle = _load_checked(args)
     rep = _resolve_module(bundle, args.module)
     form = qchar(bundle, rep)
     obj = {"bundle": bundle.name, "module": args.module,
@@ -262,27 +234,23 @@ def cmd_qchar(args) -> int:
 
 
 def cmd_skalg(args) -> int:
-    _, payload, hit = _cached_payload(args, "skalg", {"g": args.g, "n": args.n})
-    obj = json.loads(payload)
-    _emit(args, payload, "%s,%d,%d,%d," % (obj["bundle"], obj["g"], obj["n"],
-                                           obj["dim"]))
+    _, obj = _payload(args)
+    _emit(args, _canonical_payload(obj), "%s,%d,%d,%d," % (
+        obj["bundle"], obj["g"], obj["n"], obj["dim"]))
     if args.format == "text":
-        print("skalg dim %d (cache %s)" % (obj["dim"],
-                                           "hit" if hit else "miss"),
-              file=sys.stderr)
+        print("skalg dim %d" % obj["dim"], file=sys.stderr)
     return EXIT_OK
 
 
 def cmd_char_map(args) -> int:
-    _, payload, _ = _cached_payload(args, "char-map", {})
-    obj = json.loads(payload)
-    _emit(args, payload, "%s,0,2,%d,%d" % (obj["bundle"], obj["dim"],
-                                           obj["image_rank"]))
+    _, obj = _payload(args)
+    _emit(args, _canonical_payload(obj), "%s,0,2,%d,%d" % (
+        obj["bundle"], obj["dim"], obj["image_rank"]))
     return EXIT_OK
 
 
 def cmd_rt_eval(args) -> int:
-    bundle, _ = _load_checked(args)
+    bundle = _load_checked(args)
     diagram = load_diagram(bundle, args.diagram)
     mat = evaluate(bundle, diagram)
     obj = _matrix_obj(mat, with_float=args.float_col)
@@ -291,7 +259,7 @@ def cmd_rt_eval(args) -> int:
 
 
 def cmd_red_to_blue(args) -> int:
-    bundle, _ = _load_checked(args)
+    bundle = _load_checked(args)
     try:
         with open(args.job, "r", encoding="utf-8") as fh:
             job = json.load(fh)
@@ -313,27 +281,6 @@ def cmd_red_to_blue(args) -> int:
     return EXIT_OK
 
 
-def cmd_cache_verify(args) -> int:
-    def recompute(op, params, input_bytes):
-        if op not in CACHED_OPS:
-            raise ModskeinError("unknown cached operation %r" % op)
-        return CACHED_OPS[op](_checked_bundle(input_bytes), params)
-
-    report = cache.verify_all(args.cache_dir, recompute)
-    bad = sum(r["status"] == "MISMATCH" for r in report)
-    corrupt = sum(r["status"] == "corrupt" for r in report)
-    if args.format == "text":
-        for r in report:
-            print("%s %s %s%s" % (r["status"], r.get("op", "?"), r["key"],
-                                  ": " + r["reason"] if "reason" in r else ""))
-        print("%d entries, %d mismatches, %d corrupt"
-              % (len(report), bad, corrupt))
-    else:
-        print(json.dumps({"entries": report, "mismatches": bad,
-                          "corrupt": corrupt}, indent=1))
-    return EXIT_OK if not bad and not corrupt else EXIT_FAIL
-
-
 # ---------------------------------------------------------------------------
 
 
@@ -345,8 +292,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=__version__)
     parser.add_argument("--format", choices=("json", "text", "csv"),
                         default="json")
-    parser.add_argument("--cache-dir", default=cache.default_cache_dir(),
-                        help="results cache (env %s)" % cache.ENV_VAR)
     parser.add_argument("--float", dest="float_col", action="store_true",
                         help="add a non-authoritative decimal column")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -366,7 +311,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("slf", help="basis of symmetric linear forms")
     p.add_argument("bundle")
     p.add_argument("--out")
-    p.add_argument("--verify", action="store_true")
     p.set_defaults(fn=cmd_slf)
 
     p = sub.add_parser("qchar", help="q-character of a module")
@@ -380,14 +324,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("g", type=int)
     p.add_argument("n", type=int)
     p.add_argument("--out")
-    p.add_argument("--verify", action="store_true")
     p.set_defaults(fn=cmd_skalg)
 
     p = sub.add_parser("char-map",
                        help="canonical map from the classical annulus algebra")
     p.add_argument("bundle")
     p.add_argument("--out")
-    p.add_argument("--verify", action="store_true")
     p.set_defaults(fn=cmd_char_map)
 
     p = sub.add_parser("rt-eval", help="evaluate a diagram file")
@@ -401,11 +343,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("job")
     p.add_argument("--out")
     p.set_defaults(fn=cmd_red_to_blue)
-
-    p = sub.add_parser("cache", help="cache maintenance")
-    csub = p.add_subparsers(dest="cache_command", required=True)
-    cv = csub.add_parser("verify", help="recompute and compare every entry")
-    cv.set_defaults(fn=cmd_cache_verify)
 
     return parser
 

@@ -273,8 +273,8 @@ class HopfBundle:
         self.ribbon = None if ribbon is None else tuple(ribbon)
         self.modules = dict(modules or {})
         self.simples = list(simples or [])
-        self.basis_labels = list(basis_labels) if basis_labels else [
-            "e%d" % k for k in range(dim)]
+        self.basis_labels = (["e%d" % k for k in range(dim)]
+                             if basis_labels is None else list(basis_labels))
         self.metadata = dict(metadata or {})
         self._check_shapes()
         self.mult, self.comult = _nonzero(self.mult), _nonzero(self.comult)
@@ -316,9 +316,11 @@ class HopfBundle:
             raise StructureError("ribbon element requires R")
         if len(self.basis_labels) != d:
             raise StructureError("need %d basis labels" % d)
-        for name in self.simples:
+        for k, name in enumerate(self.simples):
             if name not in self.modules:
                 raise StructureError("simple %r not in module list" % name)
+            if name in self.simples[:k]:
+                raise StructureError("simple %r listed twice" % name)
         for name, rep in self.modules.items():
             _check_rep(self, rep, "module %r" % name)
 

@@ -1,13 +1,17 @@
-"""Command-line surface: exit codes, formats, caching, determinism."""
+"""Command-line surface: exit codes, formats, determinism, the README's
+command list."""
 
+import argparse
 import json
 import os
+import re
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
-from modskein import cache
+import modskein
 from modskein.bundles import sweedler_bundle, z2_bundle, z4_bundle
 from modskein.cli import build_parser, main
 from modskein.hopf import bundle_to_obj, save_bundle
@@ -21,24 +25,17 @@ def work(tmp_path_factory):
     save_bundle(sweedler_bundle(), sw)
     z2 = root / "z2.json"
     save_bundle(z2_bundle(), z2)
-    return {"root": root, "sweedler": str(sw), "z2": str(z2),
-            "cache": str(root / "cache")}
+    return {"root": root, "sweedler": str(sw), "z2": str(z2)}
 
 
-def run_cli(work, *argv, env_extra=None, use_flag=True):
-    env = dict(os.environ)
-    env.pop("MODSKEIN_CACHE_DIR", None)
-    if env_extra:
-        env.update(env_extra)
-    cmd = [sys.executable, "-m", "modskein.cli"]
-    if use_flag:
-        cmd += ["--cache-dir", work["cache"]]
-    cmd += list(argv)
-    return subprocess.run(cmd, capture_output=True, text=True, env=env)
+def run_cli(*argv, env=None, cwd=None):
+    cmd = [sys.executable, "-m", "modskein.cli", *argv]
+    return subprocess.run(cmd, capture_output=True, text=True, env=env,
+                          cwd=cwd)
 
 
 def test_validate_exit_codes(work):
-    r = run_cli(work, "validate", work["sweedler"])
+    r = run_cli("validate", work["sweedler"])
     assert r.returncode == 0
     assert json.loads(r.stdout)["valid"]
 
@@ -50,39 +47,95 @@ def test_validate_exit_codes(work):
             break
     bad = work["root"] / "bad.json"
     bad.write_text(json.dumps(obj))
-    r = run_cli(work, "validate", str(bad))
+    r = run_cli("validate", str(bad))
     assert r.returncode == 1
     failures = json.loads(r.stdout)["failures"]
     assert failures and any("associativity" in f or "unit" in f
                             for f in failures)
 
     # missing file: exit 2
-    r = run_cli(work, "validate", str(work["root"] / "missing.json"))
+    r = run_cli("validate", str(work["root"] / "missing.json"))
     assert r.returncode == 2
     # unparsable file: exit 2
     junk = work["root"] / "junk.json"
     junk.write_text("{not json")
-    r = run_cli(work, "validate", str(junk))
+    r = run_cli("validate", str(junk))
     assert r.returncode == 2
 
 
 def test_threads_flag_is_rejected(work):
-    r = run_cli(work, "--threads=2", "validate", work["sweedler"])
+    r = run_cli("--threads=2", "validate", work["sweedler"])
     assert r.returncode == 2
     assert "unrecognized arguments: --threads=2" in r.stderr
 
 
+# The flags and the subcommand of the deleted results cache are unknown now.
+@pytest.mark.parametrize("argv, error", [
+    (("--cache-dir=D", "validate", "sweedler"),
+     "unrecognized arguments: --cache-dir=D"),
+    (("slf", "sweedler", "--verify"), "unrecognized arguments: --verify"),
+    (("cache", "verify"), "invalid choice: 'cache'"),
+], ids=["cache-dir", "verify", "cache-subcommand"])
+def test_the_removed_cache_surface_is_rejected(work, argv, error):
+    argv = [work.get(a, a) for a in argv]
+    r = run_cli(*argv)
+    assert r.returncode == 2 and r.stdout == ""
+    assert error in r.stderr
+
+
+def test_commands_write_nothing_but_their_output(work, tmp_path):
+    # Run from an empty directory, with every directory that a results cache
+    # could default to empty: only the --out file may appear.
+    dirs = {name: tmp_path / name for name in ("cwd", "home", "xdg", "env")}
+    for d in dirs.values():
+        d.mkdir()
+    env = {"HOME": str(dirs["home"]), "XDG_CACHE_HOME": str(dirs["xdg"]),
+           "MODSKEIN_CACHE_DIR": str(dirs["env"]),
+           "PYTHONPATH": str(Path(modskein.__file__).resolve().parents[1])}
+    for argv in (("slf", work["z2"]), ("skalg", work["z2"], "0", "2"),
+                 ("char-map", work["z2"])):
+        out = tmp_path / ("%s.json" % argv[0])
+        r = run_cli(*argv, "--out", str(out), env={**os.environ, **env},
+                    cwd=dirs["cwd"])
+        assert r.returncode == 0, r.stderr
+        assert r.stdout == out.read_text(encoding="utf-8"), argv
+        assert json.loads(r.stdout)["bundle"] == "z2"
+    assert {name: list(d.iterdir()) for name, d in dirs.items()} == {
+        name: [] for name in dirs}
+
+
+def test_readme_lists_every_command_and_global_flag():
+    # The README's "Command line" block names every subcommand in a
+    # `modskein <cmd>` line, and its "Global flags" sentence names the
+    # parser's global options, and nothing else.
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(
+        encoding="utf-8")
+    section = readme.split("## Command line", 1)[1].split("\n## ", 1)[0]
+    block = section.split("```sh\n", 1)[1].split("```", 1)[0]
+    listed = {m.group(1) for m in re.finditer(r"^modskein ([a-z][\w-]*)",
+                                              block, re.M)}
+    flags_line = section.split("Global flags:", 1)[1].split(".", 1)[0]
+    named = set(re.findall(r"`(--[\w-]+)", flags_line))
+    parser = build_parser()
+    (sub,) = [a for a in parser._actions
+              if isinstance(a, argparse._SubParsersAction)]
+    options = {o for a in parser._actions for o in a.option_strings
+               if o.startswith("--") and o not in ("--help", "--version")}
+    assert listed == set(sub.choices)
+    assert named == options == {"--format", "--float"}
+
+
 def test_gen_uqsl2(work):
     out = work["root"] / "uq2.json"
-    r = run_cli(work, "gen-uqsl2", "2", str(out))
+    r = run_cli("gen-uqsl2", "2", str(out))
     assert r.returncode == 0
     note = json.loads(r.stdout)
     assert note["dim"] == 16 and note["valid"] and not note["has_r"]
-    r2 = run_cli(work, "validate", str(out))
+    r2 = run_cli("validate", str(out))
     assert r2.returncode == 0
 
     out_r = work["root"] / "uq2r.json"
-    r = run_cli(work, "gen-uqsl2", "2", str(out_r), "--with-r")
+    r = run_cli("gen-uqsl2", "2", str(out_r), "--with-r")
     note = json.loads(r.stdout)
     assert note["valid"]
     cand = note["r_candidate"]
@@ -92,32 +145,30 @@ def test_gen_uqsl2(work):
 
 def test_gen_uqsl2_below_p_2_is_a_named_usage_error(work):
     out = work["root"] / "uq1.json"
-    r = run_cli(work, "gen-uqsl2", "1", str(out))
+    r = run_cli("gen-uqsl2", "1", str(out))
     assert r.returncode == 2
     assert r.stderr == "error: p must be >= 2\n" and r.stdout == ""
     assert not out.exists()
 
 
-def test_skalg_cache_and_verify(work):
-    r1 = run_cli(work, "skalg", work["sweedler"], "0", "2")
+def test_skalg_is_deterministic(work):
+    r1 = run_cli("skalg", work["sweedler"], "0", "2")
     assert r1.returncode == 0
-    r2 = run_cli(work, "skalg", work["sweedler"], "0", "2")
-    assert r2.stdout == r1.stdout          # cache hit, byte-identical
-    r3 = run_cli(work, "skalg", work["sweedler"], "0", "2", "--verify")
-    assert r3.returncode == 0
+    r2 = run_cli("skalg", work["sweedler"], "0", "2")
+    assert r2.returncode == 0 and r2.stdout == r1.stdout
     obj = json.loads(r1.stdout)
     assert obj["dim"] == 2 and obj["g"] == 0 and obj["n"] == 2
 
 
 def test_skalg_csv_summary(work):
-    r = run_cli(work, "--format", "csv", "skalg", work["z2"], "0", "2")
+    r = run_cli("--format", "csv", "skalg", work["z2"], "0", "2")
     lines = r.stdout.strip().splitlines()
     assert lines[0] == "bundle,g,n,dim,image_rank"
     assert lines[1] == "z2,0,2,2,"
 
 
 def test_char_map_csv(work):
-    r = run_cli(work, "--format", "csv", "char-map", work["z2"])
+    r = run_cli("--format", "csv", "char-map", work["z2"])
     lines = r.stdout.strip().splitlines()
     assert lines[1] == "z2,0,2,2,2"
 
@@ -126,25 +177,25 @@ def test_char_map_csv(work):
     (("skalg", "z2", "0", "2"), "z2,0,2,2,"), (("char-map", "z2"), "z2,0,2,2,2")])
 def test_csv_with_out_prints_the_row_and_writes_the_payload(work, argv, row):
     out = work["root"] / ("%s.out.json" % argv[0])
-    r = run_cli(work, "--format", "csv", argv[0], work[argv[1]], *argv[2:],
+    r = run_cli("--format", "csv", argv[0], work[argv[1]], *argv[2:],
                 "--out", str(out))
     assert r.returncode == 0
     assert r.stdout == "bundle,g,n,dim,image_rank\n%s\n" % row
-    payload = run_cli(work, argv[0], work[argv[1]], *argv[2:]).stdout
+    payload = run_cli(argv[0], work[argv[1]], *argv[2:]).stdout
     assert out.read_text(encoding="utf-8") == payload
     assert json.loads(payload)["bundle"] == "z2"
 
 
 def test_slf_and_qchar(work):
-    r = run_cli(work, "slf", work["sweedler"])
+    r = run_cli("slf", work["sweedler"])
     obj = json.loads(r.stdout)
     assert obj["dim"] == 2
     labels = [lbl for (lbl, _) in obj["basis"][0]]
     assert labels == ["1*", "g*", "x*", "gx*"]
-    r = run_cli(work, "qchar", work["sweedler"], "proj_plus")
+    r = run_cli("qchar", work["sweedler"], "proj_plus")
     vals = dict(json.loads(r.stdout)["values"])
     assert vals["1*"] == "2"      # plain trace of the 2-dim projective cover
-    r = run_cli(work, "--float", "qchar", work["sweedler"], "proj_plus")
+    r = run_cli("--float", "qchar", work["sweedler"], "proj_plus")
     obj = json.loads(r.stdout)
     assert "float_approx" in obj and "non-authoritative" in obj["float_note"]
 
@@ -161,7 +212,7 @@ def test_rt_eval_and_typing_exit(work):
         ]}
     dpath = work["root"] / "zig.json"
     dpath.write_text(json.dumps(diag))
-    r = run_cli(work, "rt-eval", work["sweedler"], str(dpath))
+    r = run_cli("rt-eval", work["sweedler"], str(dpath))
     assert r.returncode == 0
     obj = json.loads(r.stdout)
     assert obj["entries"] == [[0, 0, "1"], [1, 1, "1"]]
@@ -170,7 +221,7 @@ def test_rt_eval_and_typing_exit(work):
     bad["slices"] = [diag["slices"][1]]
     bpath = work["root"] / "badslice.json"
     bpath.write_text(json.dumps(bad))
-    r = run_cli(work, "rt-eval", work["sweedler"], str(bpath))
+    r = run_cli("rt-eval", work["sweedler"], str(bpath))
     assert r.returncode == 1
     assert "slice 0" in r.stderr
 
@@ -203,7 +254,7 @@ def test_rt_eval_r3_pair_agrees(work):
     for order in ("lhs", "rhs"):
         p = work["root"] / ("r3_%s.json" % order)
         p.write_text(json.dumps(braid_diag(order)))
-        r = run_cli(work, "rt-eval", work["sweedler"], str(p))
+        r = run_cli("rt-eval", work["sweedler"], str(p))
         outs.append(r.stdout)
     assert outs[0] == outs[1]
 
@@ -220,7 +271,7 @@ def test_red_to_blue_cli(work):
                              if not f.data[r][c].is_zero()]}}
     jpath = work["root"] / "job.json"
     jpath.write_text(json.dumps(job))
-    r = run_cli(work, "red-to-blue", work["sweedler"], str(jpath))
+    r = run_cli("red-to-blue", work["sweedler"], str(jpath))
     assert r.returncode == 0
     obj = json.loads(r.stdout)
     assert len(obj["terms"]) == 1
@@ -232,7 +283,7 @@ def test_red_to_blue_cli(work):
     job_bad["f"] = {"rows": 4, "cols": 1, "entries": []}
     bpath = work["root"] / "job_bad.json"
     bpath.write_text(json.dumps(job_bad))
-    r = run_cli(work, "red-to-blue", work["sweedler"], str(bpath))
+    r = run_cli("red-to-blue", work["sweedler"], str(bpath))
     assert r.returncode == 1
     assert "projectivity" in r.stderr
 
@@ -253,7 +304,7 @@ def test_red_to_blue_job_drops_zeros_and_keeps_the_last_repeat(work):
     for name, job in (("clean", clean), ("dirty", dirty)):
         path = work["root"] / ("job_%s.json" % name)
         path.write_text(json.dumps(job))
-        res = run_cli(work, "red-to-blue", work["sweedler"], str(path))
+        res = run_cli("red-to-blue", work["sweedler"], str(path))
         assert res.returncode == 0, res.stderr
         outs.append(res.stdout.encode("utf-8"))
     assert outs[0] == outs[1]
@@ -264,7 +315,7 @@ def test_red_to_blue_cli_negative_k_is_a_usage_error(work):
            "f": {"rows": 4, "cols": 4, "entries": []}}
     jpath = work["root"] / "job_negative_k.json"
     jpath.write_text(json.dumps(job))
-    r = run_cli(work, "red-to-blue", work["sweedler"], str(jpath))
+    r = run_cli("red-to-blue", work["sweedler"], str(jpath))
     assert r.returncode == 2
     assert "k must be >= 0" in r.stderr
     assert "Traceback" not in r.stderr
@@ -363,25 +414,10 @@ def test_malformed_input_is_a_usage_error(work, case):
     path.write_text(json.dumps(content()))
     argv = ((command, str(path)) if command == "validate"
             else (command, work["sweedler"], str(path)))
-    r = run_cli(work, *argv)
+    r = run_cli(*argv)
     assert r.returncode == 2, (r.stdout, r.stderr)
     assert r.stderr.startswith("error: ")
     assert "Traceback" not in r.stderr
-
-
-def test_cache_verify_command(work):
-    run_cli(work, "skalg", work["z2"], "0", "2")
-    r = run_cli(work, "--format", "text", "cache", "verify")
-    assert r.returncode == 0
-    assert "0 mismatches" in r.stdout
-
-
-def test_env_cache_dir(work, tmp_path):
-    envdir = str(tmp_path / "envcache")
-    r = run_cli(work, "skalg", work["z2"], "0", "2",
-                env_extra={"MODSKEIN_CACHE_DIR": envdir}, use_flag=False)
-    assert r.returncode == 0
-    assert os.path.isdir(envdir)
 
 
 def _mutant_z4_r():
@@ -404,18 +440,10 @@ def test_commands_refuse_an_invalid_bundle(work, tmp_path, make, named):
     obj = make()
     path = tmp_path / "mutant.json"
     path.write_text(json.dumps(obj))
-    data = path.read_bytes()
-    r = run_cli(work, "validate", str(path))
+    r = run_cli("validate", str(path))
     assert r.returncode == 1
     failures = json.loads(r.stdout)["failures"]
     assert any(f.startswith(named) for f in failures)
-
-    # A planted skalg entry must not be served: validation comes before the
-    # cache lookup, and nothing is stored for an invalid bundle.
-    cache_dir = str(tmp_path / "cache")
-    params = {"g": 0, "n": 2}
-    cache.store(cache_dir, cache.cache_key(data, "skalg", params), b"planted\n",
-                "skalg", params, data)
     module = sorted(obj["modules"])[0]
     strand = [module, "+"]
     diag = tmp_path / "id.json"
@@ -430,73 +458,12 @@ def test_commands_refuse_an_invalid_bundle(work, tmp_path, make, named):
                  ["slf", str(path)], ["qchar", str(path), module],
                  ["rt-eval", str(path), str(diag)],
                  ["red-to-blue", str(path), str(job)]):
-        r = run_cli(work, *argv, env_extra={"MODSKEIN_CACHE_DIR": cache_dir},
-                    use_flag=False)
+        r = run_cli(*argv)
         assert r.returncode == 1, argv
         assert r.stdout == "", argv
         assert "is not valid" in r.stderr, argv
         assert ["FAIL %s" % f for f in failures] == \
             r.stderr.strip().splitlines()[1:], argv
-    assert len(list(cache.entries(cache_dir))) == 1
-
-
-def test_cache_verify_reports_damaged_entries_and_fails(work, tmp_path):
-    env = {"MODSKEIN_CACHE_DIR": str(tmp_path)}
-    for argv in (("slf", work["z2"]), ("slf", work["sweedler"]),
-                 ("skalg", work["z2"], "0", "2"), ("char-map", work["z2"])):
-        r = run_cli(work, *argv, env_extra=env, use_flag=False)
-        assert r.returncode == 0
-    metas = {}
-    for path in sorted(tmp_path.glob("*/*/meta.json")):
-        metas.setdefault(json.loads(path.read_text())["op"], []).append(path)
-    assert sorted((op, len(p)) for op, p in metas.items()) == [
-        ("char-map", 1), ("skalg", 1), ("slf", 2)]
-    metas["slf"][0].write_bytes(b"{truncated")
-    for path, field, value in ((metas["slf"][1], "op", "no-such-op"),
-                               (metas["skalg"][0], "params", {"g": "x"})):
-        meta = json.loads(path.read_text())
-        meta[field] = value
-        path.write_text(json.dumps(meta))
-    text = run_cli(work, "--format", "text", "cache", "verify",
-                   env_extra=env, use_flag=False)
-    assert text.returncode == 1 and "Traceback" not in text.stderr
-    assert "4 entries, 0 mismatches, 3 corrupt" in text.stdout
-    assert "no-such-op" in text.stdout and "bad skalg params" in text.stdout
-    out = run_cli(work, "cache", "verify", env_extra=env, use_flag=False)
-    assert out.returncode == 1
-    report = json.loads(out.stdout)
-    assert report["corrupt"] == 3 and report["mismatches"] == 0
-    assert sorted(r["status"] for r in report["entries"]) == [
-        "corrupt", "corrupt", "corrupt", "ok"]
-
-
-def test_cache_verify_refuses_a_stored_input_that_fails_an_axiom(work,
-                                                                 tmp_path):
-    # A stored input is recomputed through the commands' checked load, so
-    # an entry whose input no command would accept is corrupt, not ok.
-    env = {"MODSKEIN_CACHE_DIR": str(tmp_path)}
-    assert run_cli(work, "slf", work["z2"], env_extra=env,
-                   use_flag=False).returncode == 0
-    (stored,) = tmp_path.glob("*/*/input")
-    obj = bundle_to_obj(z2_bundle())
-    obj["pivotal"] = ["2", "0"]
-    bad = tmp_path / "bad_pivotal.json"
-    bad.write_text(json.dumps(obj))
-    r = run_cli(work, "validate", str(bad))
-    assert r.returncode == 1
-    failures = json.loads(r.stdout)["failures"]
-    assert len(failures) == 3 and all(f.startswith("pivotal") for f in failures)
-    assert run_cli(work, "slf", str(bad), env_extra=env,
-                   use_flag=False).returncode == 1
-    stored.write_bytes(bad.read_bytes())
-    out = run_cli(work, "cache", "verify", env_extra=env, use_flag=False)
-    assert out.returncode == 1 and "Traceback" not in out.stderr
-    report = json.loads(out.stdout)
-    assert report["corrupt"] == 1 and report["mismatches"] == 0
-    (entry,) = report["entries"]
-    assert entry["status"] == "corrupt" and "is not valid" in entry["reason"]
-    assert ["FAIL %s" % f for f in failures] == \
-        entry["reason"].splitlines()[1:]
 
 
 # -- in-process runs of `main` ----------------------------------------------------
@@ -508,15 +475,11 @@ def run_main(capsys, *argv):
     return code, out, err
 
 
-def test_main_leaves_the_environment_unchanged(work, tmp_path, monkeypatch,
-                                               capsys):
-    monkeypatch.delenv(cache.ENV_VAR, raising=False)
+def test_main_leaves_the_environment_unchanged(work, capsys):
     before = dict(os.environ)
-    code, _, _ = run_main(capsys, "--cache-dir", str(tmp_path), "slf",
-                          work["z2"])
+    code, _, _ = run_main(capsys, "slf", work["z2"])
     assert code == 0
     assert dict(os.environ) == before
-    assert build_parser().parse_args(["slf", "x"]).cache_dir != str(tmp_path)
 
 
 def _without(*keys):
@@ -564,6 +527,11 @@ SHAPE_ERRORS = {
                                   "simples must be a list of strings"),
     "unknown simple": (lambda o: o["simples"].append("nope"),
                        "simple 'nope' not in module list"),
+    "no basis labels": (lambda o: o.__setitem__("basis_labels", []),
+                        "need 4 basis labels"),
+    "simple listed twice": (
+        lambda o: o.__setitem__("simples", ["triv", "triv"]),
+        "simple 'triv' listed twice"),
 }
 
 
@@ -572,8 +540,7 @@ def test_a_shape_error_is_a_named_usage_error(tmp_path, capsys, case):
     edit, message = SHAPE_ERRORS[case]
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(_bad_bundle(edit)))
-    code, out, err = run_main(capsys, "--cache-dir", str(tmp_path / "cache"),
-                              "validate", str(path))
+    code, out, err = run_main(capsys, "validate", str(path))
     assert code == 2 and out == ""
     assert err == "error: %s\n" % message
 
@@ -594,11 +561,9 @@ def test_validate_text_format(work, tmp_path, capsys):
     assert out.splitlines() == ["FAIL %s" % f for f in failures]
 
 
-def test_slf_float_column_renders_every_basis_entry(work, tmp_path, capsys):
-    flags = ("--cache-dir", str(tmp_path))
-    _, exact, _ = run_main(capsys, *flags, "slf", work["sweedler"])
-    code, out, _ = run_main(capsys, *flags, "--float", "slf",
-                            work["sweedler"])
+def test_slf_float_column_renders_every_basis_entry(work, capsys):
+    _, exact, _ = run_main(capsys, "slf", work["sweedler"])
+    code, out, _ = run_main(capsys, "--float", "slf", work["sweedler"])
     assert code == 0
     exact, obj = json.loads(exact), json.loads(out)
     assert obj.pop("float_note") == "decimal rendering is non-authoritative"
@@ -606,18 +571,3 @@ def test_slf_float_column_renders_every_basis_entry(work, tmp_path, capsys):
     assert obj == exact
     assert rendered == [[["1*", "1"], ["g*", "0"], ["x*", "0"], ["gx*", "0"]],
                         [["1*", "0"], ["g*", "1"], ["x*", "0"], ["gx*", "0"]]]
-
-
-def test_verify_refuses_a_tampered_cache_payload(work, tmp_path, capsys):
-    flags = ("--cache-dir", str(tmp_path))
-    code, out, _ = run_main(capsys, *flags, "slf", work["z2"])
-    assert code == 0
-    (payload,) = tmp_path.glob("*/*/payload")
-    obj = json.loads(payload.read_bytes())
-    obj["dim"] += 1
-    payload.write_bytes(json.dumps(obj).encode())
-    code, served, _ = run_main(capsys, *flags, "slf", work["z2"])
-    assert code == 0 and json.loads(served)["dim"] == obj["dim"]
-    code, out, err = run_main(capsys, *flags, "slf", work["z2"], "--verify")
-    assert code == 1 and out == ""
-    assert err.startswith("error: cache verification FAILED for slf (key ")

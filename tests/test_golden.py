@@ -79,15 +79,15 @@ def bundle_files(tmp_path_factory):
         paths[name] = str(root / ("%s.json" % name))
         save_bundle(maker(), paths[name])
     paths["uqsl2_p2"] = str(root / "uqsl2_p2.json")
-    assert main(["--format", "text", "--cache-dir", str(root / "cache"),
-                 "gen-uqsl2", "2", paths["uqsl2_p2"]]) == 0
+    assert main(["--format", "text", "gen-uqsl2", "2",
+                 paths["uqsl2_p2"]]) == 0
     return root, paths
 
 
 def _payload_sha(tmp_path, bundle_path, argv):
     out = tmp_path / "payload.json"
-    code = main(["--format", "text", "--cache-dir", str(tmp_path / "cache"),
-                 argv[0], bundle_path] + argv[1:] + ["--out", str(out)])
+    code = main(["--format", "text", argv[0], bundle_path] + argv[1:]
+                + ["--out", str(out)])
     assert code == 0
     return hashlib.sha256(out.read_bytes()).hexdigest()
 
@@ -111,8 +111,8 @@ def test_golden_payload(bundle_files, tmp_path, op, bundle, args):
                               for i in range(len(GEN_UQSL2_GOLDEN))])
 def test_golden_gen_uqsl2_bundle(tmp_path, p, flags):
     out = tmp_path / "uq.json"
-    assert main(["--format", "text", "--cache-dir", str(tmp_path / "cache"),
-                 "gen-uqsl2", str(p), str(out)] + list(flags)) == 0
+    assert main(["--format", "text", "gen-uqsl2", str(p), str(out)]
+                + list(flags)) == 0
     got = hashlib.sha256(out.read_bytes()).hexdigest()
     assert got == GEN_UQSL2_GOLDEN[(p, flags)]
 
