@@ -1,8 +1,8 @@
 """Golden payloads: sha256 of the canonical JSON that the CLI writes.
 
-The `slf`, `skalg` and `char-map` payloads are the engine's product.  Any
-refactor of the kernel, the module layer or the CLI must leave them
-byte-identical; a deliberate change of convention updates the hashes here
+The payloads of every payload command, with and without `--float`, are
+the engine's product.  Any refactor of the kernel, the module layer or the
+CLI must leave them byte-identical; a deliberate change of convention updates the hashes here
 in the same commit that changes the output.
 """
 
@@ -52,6 +52,11 @@ GOLDEN = {
         "d434a7a7bc8d2feb78829007adabe6dfd2fb37baed0a3acb18288d8ddccdbb41",
     ("skalg", "sweedler", ("2", "1")):
         "9ff7139c2bcaf6cf2d1f1f38d01c5802d4d313187c2b8e0c2113c82d71786fa3",
+    # q-characters: of a projective cover, and of the regular module.
+    ("qchar", "sweedler", ("proj_plus",)):
+        "a787f843b3580799ebe5d94b2bb5f3d7f368ed8ca65d05dc30470f77d7f9e608",
+    ("qchar", "z2", ("regular",)):
+        "2a321d8a7b02f1d110579f0df3e4e2ce9970f8d4475c183cc2f45b53d34ee2c3",
 }
 
 # sha256 of the bundle file written by `gen-uqsl2 p`, keyed by (p, flags),
@@ -84,9 +89,9 @@ def bundle_files(tmp_path_factory):
     return root, paths
 
 
-def _payload_sha(tmp_path, bundle_path, argv):
+def _payload_sha(tmp_path, bundle_path, argv, flags=()):
     out = tmp_path / "payload.json"
-    code = main(["--format", "text", argv[0], bundle_path] + argv[1:]
+    code = main(["--format", "text", *flags, argv[0], bundle_path] + argv[1:]
                 + ["--out", str(out)])
     assert code == 0
     return hashlib.sha256(out.read_bytes()).hexdigest()
@@ -203,3 +208,79 @@ def test_golden_disk_payload(bundle_files, tmp_path, op, bundle, job):
     job_path.write_text(json.dumps(_disk_job(bundle, job)))
     got = _payload_sha(tmp_path, paths[bundle], [op, str(job_path)])
     assert got == DISK_GOLDEN[(op, bundle, job)]
+
+
+# The payloads under `--float`: the exact payload plus its non-authoritative
+# decimal columns.  Keys are (op, bundle, args); the argument of `rt-eval`
+# and `red-to-blue` names a job that `_disk_job` writes.
+FLOAT_GOLDEN = {
+    ("slf", "sweedler", ()):
+        "abe61342c1a0aaa153eaeeef2b17a07f81b3328abb0474b36e43034813771940",
+    ("slf", "z4", ()):
+        "e84c478885a200d4fb439e081879cff318d1515f3f34932e5031c9d0d347d7ea",
+    ("qchar", "sweedler", ("proj_plus",)):
+        "7f1ac52fdb2820cd09c16a68a2ef1e3ef4b9621623c9a77fb32ae2f564e6f56a",
+    ("qchar", "z4", ("chi1",)):
+        "44f6df5109303cd06a66c3147d3a2f3315c572c3f72284648bc4f29cc4b03517",
+    ("rt-eval", "sweedler", ("r3-lhs",)):
+        "b9730eb5bad1e1f79ecb095275aabe4a6f28e69e2969a2c712366d0fa1fa4d93",
+    ("rt-eval", "z4", ("ev-coev-twist-braid-inv",)):
+        "62af938ff230d5b2e7037adbdbcefe3b560358a1e8c2eaf2e2fd632137dc8cae",
+    ("red-to-blue", "sweedler", ("regular-k1",)):
+        "708982f28217777764630171b9860b3f4671f9239a6c0e49f510136c8639f93d",
+}
+
+
+def _job_args(tmp_path, bundle, op, args):
+    """args, with the job name of `rt-eval` and `red-to-blue` replaced by
+    the path of its file."""
+    if op not in ("rt-eval", "red-to-blue"):
+        return list(args)
+    job_path = tmp_path / "job.json"
+    job_path.write_text(json.dumps(_disk_job(bundle, args[0])))
+    return [str(job_path)]
+
+
+@pytest.mark.parametrize("op,bundle,args", list(FLOAT_GOLDEN))
+def test_golden_float_payload(bundle_files, tmp_path, op, bundle, args):
+    _, paths = bundle_files
+    got = _payload_sha(tmp_path, paths[bundle],
+                       [op] + _job_args(tmp_path, bundle, op, args),
+                       flags=("--float",))
+    assert got == FLOAT_GOLDEN[(op, bundle, args)]
+
+
+# Under `--format text` and `--format csv` without `--out`, a command prints
+# its JSON payload, unless it has a CSV row (`skalg`, `char-map`) and the
+# format is csv; `slf` and `skalg` add a text summary on stderr.  Keys are
+# the golden of the payload printed: (op, bundle, args) in GOLDEN, or
+# (op, bundle, job) in DISK_GOLDEN.
+FALLBACK = [
+    ("text", ("slf", "z2", ()), "slf dim 2\n"),
+    ("csv", ("slf", "z2", ()), ""),
+    ("text", ("skalg", "z2", ("0", "2")), "skalg dim 2\n"),
+    ("text", ("char-map", "z2", ()), ""),
+    ("text", ("qchar", "sweedler", ("proj_plus",)), ""),
+    ("csv", ("qchar", "sweedler", ("proj_plus",)), ""),
+    ("text", ("rt-eval", "sweedler", "r3-lhs"), ""),
+    ("csv", ("rt-eval", "sweedler", "r3-lhs"), ""),
+    ("text", ("red-to-blue", "sweedler", "regular-k1"), ""),
+    ("csv", ("red-to-blue", "sweedler", "regular-k1"), ""),
+]
+
+
+@pytest.mark.parametrize("fmt,key,summary", FALLBACK,
+                         ids=["%s-%s" % (f, k[0]) for f, k, _ in FALLBACK])
+def test_text_and_csv_fall_back_to_the_payload(bundle_files, tmp_path,
+                                               capsys, fmt, key, summary):
+    _, paths = bundle_files
+    op, bundle, args = key
+    if key in DISK_GOLDEN:
+        want, args = DISK_GOLDEN[key], (args,)
+    else:
+        want = GOLDEN[key]
+    argv = [op, paths[bundle]] + _job_args(tmp_path, bundle, op, args)
+    assert main(["--format", fmt] + argv) == 0
+    out, err = capsys.readouterr()
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == want
+    assert err == summary
