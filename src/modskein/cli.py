@@ -7,6 +7,10 @@ and engine version: there is no randomness anywhere and all pivot orders are
 fixed.  Every command computes its payload afresh and writes nothing but
 stdout and `--out`.  Every command that computes on a bundle validates it
 first, and exits 1 with the named failures when it is not valid.
+
+The six payload commands are the rows of one table, `PAYLOADS`, and run
+through one function, `cmd_payload`.  Every input file (bundle, diagram,
+job) is read by `_read_json`; no other module of the engine reads a file.
 """
 
 from __future__ import annotations
@@ -19,11 +23,10 @@ from . import __version__
 from .bundles import uqsl2_bundle
 from .coend import qchar, red_to_blue, slf_basis
 from .cyclo import CycNum, ExactMatrix, _matrix, _parse_index, _sparse_rows
-from .errors import (CapabilityError, InadmissibleError, ModskeinError,
-                     StructureError, TypingError)
+from .errors import ModskeinError, StructureError, TypingError
 from .hopf import (HopfBundle, bundle_from_obj, regular_rep, save_bundle,
                    trivial_rep, validate_bundle)
-from .rt import evaluate, load_diagram
+from .rt import diagram_from_obj, evaluate
 from .surface import algebra_to_obj, char_map, skalg
 
 EXIT_OK = 0
@@ -43,8 +46,8 @@ def _matrix_obj(mat: ExactMatrix, with_float: bool = False) -> dict:
            "entries": [[r, c, v.to_obj()] for r, c, v in entries],
            "order": mat.field.order}
     if with_float:
-        obj["float_approx"] = [[r, c, _float_str(v)] for r, c, v in entries]
-        obj["float_note"] = "decimal rendering is non-authoritative"
+        obj.update(_float_columns([[r, c, _float_str(v)]
+                                   for r, c, v in entries]))
     return obj
 
 
@@ -53,6 +56,11 @@ def _float_str(v: CycNum) -> str:
     if abs(z.imag) < 1e-12:
         return "%.12g" % z.real
     return "%.12g%+.12gj" % (z.real, z.imag)
+
+
+def _float_columns(approx: list) -> dict:
+    return {"float_approx": approx,
+            "float_note": "decimal rendering is non-authoritative"}
 
 
 def _matrix_from_obj(obj: dict, field) -> ExactMatrix:
@@ -67,35 +75,81 @@ def _matrix_from_obj(obj: dict, field) -> ExactMatrix:
                            for row in rows], ncols)
 
 
-def _read_bytes(path: str) -> bytes:
-    with open(path, "rb") as fh:
-        return fh.read()
-
-
-def _bundle_from_bytes(data: bytes) -> HopfBundle:
+def _read_json(path: str, what: str):
+    """The JSON value in the `what` file at `path`.  Every input file is
+    read here; one that cannot be read or is not JSON is a StructureError
+    that names the file."""
     try:
-        return bundle_from_obj(json.loads(data.decode("utf-8")))
-    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
-        raise StructureError("malformed bundle JSON: %s" % exc)
+        with open(path, "rb") as fh:
+            return json.loads(fh.read().decode("utf-8"))
+    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
+        raise StructureError("cannot read %s file %s: %s"
+                             % (what, path, exc)) from exc
 
 
-def _emit(args, payload_bytes: bytes, csv_row: str | None = None) -> None:
-    """Write the payload to --out, and print it, or under --format csv the
-    CSV header and `csv_row` when the command has one."""
-    if args.out:
-        with open(args.out, "wb") as fh:
-            fh.write(payload_bytes)
-    if args.format == "csv" and csv_row is not None:
-        print("bundle,g,n,dim,image_rank")
-        print(csv_row)
-    elif args.format == "json" or args.out is None:
-        sys.stdout.write(payload_bytes.decode("utf-8"))
+def _load_checked(args) -> HopfBundle:
+    """Read, parse and validate args.bundle.
+
+    Every command that computes on a bundle loads it here, so none computes
+    on a bundle that fails an axiom; the failures are named in the error
+    (exit 1).
+    """
+    bundle = bundle_from_obj(_read_json(args.bundle, "bundle"))
+    failures = validate_bundle(bundle)
+    if failures:
+        raise ModskeinError("bundle %r is not valid:\n%s" % (
+            bundle.name, "\n".join("FAIL %s" % f for f in failures)))
+    return bundle
+
+
+def _resolve_module(bundle: HopfBundle, name: str):
+    if name == "regular":
+        return regular_rep(bundle)
+    if name == "trivial":
+        return trivial_rep(bundle)
+    return bundle.module(name)
+
+
+def _job_from_obj(bundle: HopfBundle, obj) -> tuple:
+    """(P, k, X, f) of a red-to-blue job object."""
+    try:
+        p_rep = _resolve_module(bundle, obj["P"])
+        x_rep = _resolve_module(bundle, obj.get("X", "trivial"))
+        k = obj["k"]
+        if not isinstance(k, int) or isinstance(k, bool):
+            raise TypeError("k %r is not an int" % (k,))
+        return p_rep, k, x_rep, _matrix_from_obj(obj["f"], bundle.field)
+    except (LookupError, TypeError, ValueError) as exc:
+        raise StructureError("malformed job file: %s" % exc) from exc
+
+
+def _form_floats(bundle: HopfBundle, form) -> list:
+    """The decimal rendering of a form, labelled as in `form.to_obj`."""
+    return [[label + "*", _float_str(c)]
+            for label, c in zip(bundle.basis_labels, form.coords)]
+
+
+# ---------------------------------------------------------------------------
+# Payload commands
+# ---------------------------------------------------------------------------
 
 
 def _slf_payload(bundle: HopfBundle, args) -> dict:
     basis = slf_basis(bundle)
-    return {"bundle": bundle.name, "dim": len(basis),
-            "basis": [f.to_obj(bundle) for f in basis]}
+    obj = {"bundle": bundle.name, "dim": len(basis),
+           "basis": [f.to_obj(bundle) for f in basis]}
+    if args.float_col:
+        obj.update(_float_columns([_form_floats(bundle, f) for f in basis]))
+    return obj
+
+
+def _qchar_payload(bundle: HopfBundle, args) -> dict:
+    form = qchar(bundle, _resolve_module(bundle, args.module))
+    obj = {"bundle": bundle.name, "module": args.module,
+           "values": form.to_obj(bundle)}
+    if args.float_col:
+        obj.update(_float_columns(_form_floats(bundle, form)))
+    return obj
 
 
 def _skalg_payload(bundle: HopfBundle, args) -> dict:
@@ -116,39 +170,90 @@ def _char_map_payload(bundle: HopfBundle, args) -> dict:
     }
 
 
-# The payload builders: command -> (checked bundle, args) -> payload object.
-# `slf`, `skalg` and `char-map` compute through this one table.
+def _rt_eval_payload(bundle: HopfBundle, args) -> dict:
+    diagram = diagram_from_obj(bundle, _read_json(args.diagram, "diagram"))
+    return _matrix_obj(evaluate(bundle, diagram), with_float=args.float_col)
+
+
+def _red_to_blue_payload(bundle: HopfBundle, args) -> dict:
+    p_rep, k, x_rep, f = _job_from_obj(bundle, _read_json(args.job, "job"))
+    terms = red_to_blue(bundle, f, p_rep, k, x_rep)
+    return {"bundle": bundle.name, "k": k,
+            "terms": [{"coefficient": c.to_obj(),
+                       "matrix": _matrix_obj(m, with_float=args.float_col)}
+                      for (c, m) in terms]}
+
+
+# The payload commands: command -> (help, arguments after the bundle as
+# (name, type) pairs, builder, CSV row, text summary).  A builder takes the
+# checked bundle and the parsed args and returns the payload object, with
+# its `--float` columns when the command renders them.  The CSV row and the
+# text summary are %-formats over that object; a command without a CSV row
+# prints its payload under `--format csv`.
 PAYLOADS = {
-    "slf": _slf_payload,
-    "skalg": _skalg_payload,
-    "char-map": _char_map_payload,
+    "slf": ("basis of symmetric linear forms", (),
+            _slf_payload, None, "slf dim %(dim)d"),
+    "qchar": ("q-character of a module", (("module", str),),
+              _qchar_payload, None, None),
+    "skalg": ("modified skein algebra of a surface",
+              (("g", int), ("n", int)), _skalg_payload,
+              "%(bundle)s,%(g)d,%(n)d,%(dim)d,", "skalg dim %(dim)d"),
+    "char-map": ("canonical map from the classical annulus algebra", (),
+                 _char_map_payload,
+                 "%(bundle)s,%(g)d,%(n)d,%(dim)d,%(image_rank)d", None),
+    "rt-eval": ("evaluate a diagram file", (("diagram", str),),
+                _rt_eval_payload, None, None),
+    "red-to-blue": ("resolve coend slots of a morphism", (("job", str),),
+                    _red_to_blue_payload, None, None),
 }
 
 
-def _payload(args):
-    """(bundle, payload object) of args.command on the checked args.bundle."""
-    bundle = _load_checked(args)
-    return bundle, PAYLOADS[args.command](bundle, args)
+def cmd_payload(args) -> int:
+    """Build args.command's payload on the checked bundle; write it to
+    --out, and print it, or under --format csv the command's CSV row when
+    it has one; under --format text, the summary goes to stderr."""
+    _, _, build, csv_row, summary = PAYLOADS[args.command]
+    obj = build(_load_checked(args), args)
+    payload = _canonical_payload(obj)
+    if args.out:
+        with open(args.out, "wb") as fh:
+            fh.write(payload)
+    if args.format == "csv" and csv_row is not None:
+        print("bundle,g,n,dim,image_rank")
+        print(csv_row % obj)
+    elif args.format == "json" or args.out is None:
+        sys.stdout.write(payload.decode("utf-8"))
+    if args.format == "text" and summary is not None:
+        print(summary % obj, file=sys.stderr)
+    return EXIT_OK
 
 
 # ---------------------------------------------------------------------------
-# Commands
+# Bundle commands
 # ---------------------------------------------------------------------------
+
+
+def _report(args, note: dict, headline: str | None) -> int:
+    """Print a bundle command's note: under --format text, `headline` and a
+    FAIL line per failure, else the note as JSON.  Exit 1 on a failure."""
+    failures = note["failures"]
+    if args.format == "text":
+        if headline is not None:
+            print(headline)
+        for f in failures:
+            print("FAIL %s" % f)
+    else:
+        print(json.dumps(note, indent=1))
+    return EXIT_OK if not failures else EXIT_FAIL
 
 
 def cmd_validate(args) -> int:
-    bundle = _bundle_from_bytes(_read_bytes(args.bundle))
+    bundle = bundle_from_obj(_read_json(args.bundle, "bundle"))
     failures = validate_bundle(bundle)
-    if args.format == "text":
-        if failures:
-            for f in failures:
-                print("FAIL %s" % f)
-        else:
-            print("VALID %s (dim %d)" % (bundle.name, bundle.dim))
-    else:
-        print(json.dumps({"bundle": bundle.name, "valid": not failures,
-                          "failures": failures}, indent=1))
-    return EXIT_OK if not failures else EXIT_FAIL
+    return _report(args, {"bundle": bundle.name, "valid": not failures,
+                          "failures": failures},
+                   None if failures else
+                   "VALID %s (dim %d)" % (bundle.name, bundle.dim))
 
 
 def cmd_gen_uqsl2(args) -> int:
@@ -160,125 +265,9 @@ def cmd_gen_uqsl2(args) -> int:
             "failures": failures}
     if "r_candidate" in bundle.metadata:
         note["r_candidate"] = bundle.metadata["r_candidate"]
-    if args.format == "text":
-        print("wrote %s (dim %d, %s)" % (
-            args.out, bundle.dim,
-            "ribbon" if bundle.has_ribbon else "pivotal-only"))
-        if failures:
-            for f in failures:
-                print("FAIL %s" % f)
-    else:
-        print(json.dumps(note, indent=1))
-    return EXIT_OK if not failures else EXIT_FAIL
-
-
-def _load_checked(args) -> HopfBundle:
-    """Read, parse and validate args.bundle.
-
-    Every command that computes on a bundle loads it here, so none computes
-    on a bundle that fails an axiom; the failures are named in the error
-    (exit 1).
-    """
-    bundle = _bundle_from_bytes(_read_bytes(args.bundle))
-    failures = validate_bundle(bundle)
-    if failures:
-        raise ModskeinError("bundle %r is not valid:\n%s" % (
-            bundle.name, "\n".join("FAIL %s" % f for f in failures)))
-    return bundle
-
-
-def _resolve_module(bundle: HopfBundle, name: str):
-    if name == "regular":
-        return regular_rep(bundle)
-    if name == "trivial":
-        return trivial_rep(bundle)
-    return bundle.module(name)
-
-
-def cmd_slf(args) -> int:
-    bundle, obj = _payload(args)
-    if args.float_col:
-        obj = _add_float_columns(bundle, obj)
-    _emit(args, _canonical_payload(obj))
-    if args.format == "text":
-        print("slf dim %d" % obj["dim"], file=sys.stderr)
-    return EXIT_OK
-
-
-def _add_float_columns(bundle, obj):
-    out = dict(obj)
-    if "basis" in obj:
-        out["float_approx"] = [
-            [[label, _float_str(CycNum.from_obj(v, bundle.field))]
-             for (label, v) in vec]
-            for vec in obj["basis"]]
-        out["float_note"] = "decimal rendering is non-authoritative"
-    if "values" in obj:
-        out["float_approx"] = [
-            [label, _float_str(CycNum.from_obj(v, bundle.field))]
-            for (label, v) in obj["values"]]
-        out["float_note"] = "decimal rendering is non-authoritative"
-    return out
-
-
-def cmd_qchar(args) -> int:
-    bundle = _load_checked(args)
-    rep = _resolve_module(bundle, args.module)
-    form = qchar(bundle, rep)
-    obj = {"bundle": bundle.name, "module": args.module,
-           "values": form.to_obj(bundle)}
-    if args.float_col:
-        obj = _add_float_columns(bundle, obj)
-    _emit(args, _canonical_payload(obj))
-    return EXIT_OK
-
-
-def cmd_skalg(args) -> int:
-    _, obj = _payload(args)
-    _emit(args, _canonical_payload(obj), "%s,%d,%d,%d," % (
-        obj["bundle"], obj["g"], obj["n"], obj["dim"]))
-    if args.format == "text":
-        print("skalg dim %d" % obj["dim"], file=sys.stderr)
-    return EXIT_OK
-
-
-def cmd_char_map(args) -> int:
-    _, obj = _payload(args)
-    _emit(args, _canonical_payload(obj), "%s,0,2,%d,%d" % (
-        obj["bundle"], obj["dim"], obj["image_rank"]))
-    return EXIT_OK
-
-
-def cmd_rt_eval(args) -> int:
-    bundle = _load_checked(args)
-    diagram = load_diagram(bundle, args.diagram)
-    mat = evaluate(bundle, diagram)
-    obj = _matrix_obj(mat, with_float=args.float_col)
-    _emit(args, _canonical_payload(obj))
-    return EXIT_OK
-
-
-def cmd_red_to_blue(args) -> int:
-    bundle = _load_checked(args)
-    try:
-        with open(args.job, "r", encoding="utf-8") as fh:
-            job = json.load(fh)
-        p_rep = _resolve_module(bundle, job["P"])
-        x_rep = _resolve_module(bundle, job.get("X", "trivial"))
-        k = job["k"]
-        if not isinstance(k, int) or isinstance(k, bool):
-            raise TypeError("k %r is not an int" % (k,))
-        f = _matrix_from_obj(job["f"], bundle.field)
-    except (OSError, KeyError, TypeError, ValueError) as exc:
-        print("error: malformed job file: %s" % exc, file=sys.stderr)
-        return EXIT_USAGE
-    terms = red_to_blue(bundle, f, p_rep, k, x_rep)
-    obj = {"bundle": bundle.name, "k": k,
-           "terms": [{"coefficient": c.to_obj(),
-                      "matrix": _matrix_obj(m, with_float=args.float_col)}
-                     for (c, m) in terms]}
-    _emit(args, _canonical_payload(obj))
-    return EXIT_OK
+    return _report(args, note, "wrote %s (dim %d, %s)" % (
+        args.out, bundle.dim,
+        "ribbon" if bundle.has_ribbon else "pivotal-only"))
 
 
 # ---------------------------------------------------------------------------
@@ -308,41 +297,13 @@ def build_parser() -> argparse.ArgumentParser:
                    help="attempt the candidate R-matrix (validator decides)")
     p.set_defaults(fn=cmd_gen_uqsl2)
 
-    p = sub.add_parser("slf", help="basis of symmetric linear forms")
-    p.add_argument("bundle")
-    p.add_argument("--out")
-    p.set_defaults(fn=cmd_slf)
-
-    p = sub.add_parser("qchar", help="q-character of a module")
-    p.add_argument("bundle")
-    p.add_argument("module")
-    p.add_argument("--out")
-    p.set_defaults(fn=cmd_qchar)
-
-    p = sub.add_parser("skalg", help="modified skein algebra of a surface")
-    p.add_argument("bundle")
-    p.add_argument("g", type=int)
-    p.add_argument("n", type=int)
-    p.add_argument("--out")
-    p.set_defaults(fn=cmd_skalg)
-
-    p = sub.add_parser("char-map",
-                       help="canonical map from the classical annulus algebra")
-    p.add_argument("bundle")
-    p.add_argument("--out")
-    p.set_defaults(fn=cmd_char_map)
-
-    p = sub.add_parser("rt-eval", help="evaluate a diagram file")
-    p.add_argument("bundle")
-    p.add_argument("diagram")
-    p.add_argument("--out")
-    p.set_defaults(fn=cmd_rt_eval)
-
-    p = sub.add_parser("red-to-blue", help="resolve coend slots of a morphism")
-    p.add_argument("bundle")
-    p.add_argument("job")
-    p.add_argument("--out")
-    p.set_defaults(fn=cmd_red_to_blue)
+    for name, (help_text, params, *_) in PAYLOADS.items():
+        p = sub.add_parser(name, help=help_text)
+        p.add_argument("bundle")
+        for param, kind in params:
+            p.add_argument(param, type=kind)
+        p.add_argument("--out")
+        p.set_defaults(fn=cmd_payload)
 
     return parser
 
@@ -353,9 +314,6 @@ def main(argv=None) -> int:
         return args.fn(args)
     except TypingError as exc:
         print("typing error: %s" % exc, file=sys.stderr)
-        return EXIT_FAIL
-    except (CapabilityError, InadmissibleError) as exc:
-        print("error: %s" % exc, file=sys.stderr)
         return EXIT_FAIL
     except (StructureError, OSError) as exc:
         print("error: %s" % exc, file=sys.stderr)

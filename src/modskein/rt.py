@@ -27,8 +27,6 @@ than trying to auto-resolve it.
 
 from __future__ import annotations
 
-import json
-
 from .cyclo import (CycNum, ExactMatrix, _matrix, _solve_in_basis,
                     _sparse_product, _sparse_rows, _transpose)
 from .errors import InadmissibleError, StructureError, TypingError
@@ -47,7 +45,6 @@ __all__ = [
     "boundary_rep",
     "diagram_to_obj",
     "diagram_from_obj",
-    "load_diagram",
 ]
 
 
@@ -391,18 +388,13 @@ def diagram_from_obj(b: HopfBundle, obj: dict) -> Diagram:
                     row.append(Generator(kind, points=[Point(*p)
                                                        for p in gobj["points"]]))
             slices.append(row)
+        admissible = obj.get("admissible", False)
+        if not isinstance(admissible, bool):
+            raise StructureError("diagram admissible must be true or false, "
+                                 "got %r" % (admissible,))
         return Diagram(bottom=[Point(*p) for p in obj["bottom"]],
                        top=[Point(*p) for p in obj["top"]],
-                       slices=slices,
-                       admissible=bool(obj.get("admissible", False)))
+                       slices=slices, admissible=admissible)
     except (LookupError, TypeError, ValueError, AttributeError) as exc:
         raise StructureError("malformed diagram object: %s" % exc) from exc
 
-
-def load_diagram(b: HopfBundle, path) -> Diagram:
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            obj = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
-        raise StructureError("cannot read diagram file %s: %s" % (path, exc))
-    return diagram_from_obj(b, obj)

@@ -156,7 +156,7 @@ class AlgebraPresentation:
     """
 
     def __init__(self, bundle_name, g, n, basis_vectors, labels, structure,
-                 unit_coords, provenance=None, field=None):
+                 unit_coords, provenance=None, *, field):
         self.bundle_name = bundle_name
         self.g = g
         self.n = n
@@ -375,18 +375,28 @@ def algebra_to_obj(alg: AlgebraPresentation) -> dict:
 
 
 def algebra_from_obj(obj: dict, field) -> AlgebraPresentation:
-    dim = _parse_index(obj["dim"])
-    structure = {(i, j): {} for i in range(dim) for j in range(dim)}
-    for (i, j, k, c) in obj["structure_constants"]:
-        c = CycNum.from_obj(c, field)
-        if not c.is_zero():
-            structure[(_parse_index(i, dim), _parse_index(j, dim))][
-                _parse_index(k, dim)] = c
-    return AlgebraPresentation(
-        bundle_name=obj["bundle"], g=_parse_index(obj["g"]),
-        n=_parse_index(obj["n"]),
-        basis_vectors=[[CycNum.from_obj(c, field) for c in vec]
-                       for vec in obj["basis_vectors"]],
-        labels=obj["basis_labels"], structure=structure,
-        unit_coords=[CycNum.from_obj(c, field) for c in obj["unit"]],
-        provenance=obj.get("provenance", {}), field=field)
+    """The algebra presentation of a JSON object, as `algebra_to_obj` writes
+    it; a malformed object is a StructureError."""
+    try:
+        dim = _parse_index(obj["dim"])
+        structure = {(i, j): {} for i in range(dim) for j in range(dim)}
+        for (i, j, k, c) in obj["structure_constants"]:
+            c = CycNum.from_obj(c, field)
+            if not c.is_zero():
+                structure[(_parse_index(i, dim), _parse_index(j, dim))][
+                    _parse_index(k, dim)] = c
+        basis_vectors = [[CycNum.from_obj(c, field) for c in vec]
+                         for vec in obj["basis_vectors"]]
+        unit = [CycNum.from_obj(c, field) for c in obj["unit"]]
+        for key, value in (("basis_vectors", basis_vectors), ("unit", unit)):
+            if len(value) != dim:
+                raise StructureError("malformed algebra object: %d %s for "
+                                     "dim %d" % (len(value), key, dim))
+        return AlgebraPresentation(
+            bundle_name=obj["bundle"], g=_parse_index(obj["g"]),
+            n=_parse_index(obj["n"]), basis_vectors=basis_vectors,
+            labels=obj["basis_labels"], structure=structure,
+            unit_coords=unit, provenance=obj.get("provenance", {}),
+            field=field)
+    except (LookupError, TypeError, ValueError, AttributeError) as exc:
+        raise StructureError("malformed algebra object: %s" % exc) from exc

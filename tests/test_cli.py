@@ -2,6 +2,7 @@
 command list."""
 
 import argparse
+import ast
 import json
 import os
 import re
@@ -13,7 +14,7 @@ import pytest
 
 import modskein
 from modskein.bundles import sweedler_bundle, z2_bundle, z4_bundle
-from modskein.cli import build_parser, main
+from modskein.cli import PAYLOADS, build_parser, main
 from modskein.hopf import bundle_to_obj, save_bundle
 from test_hopf import _index_as, _perturbed
 
@@ -404,6 +405,8 @@ MALFORMED = {
     "ev on a minus point": ("rt-eval", lambda: {
         "bottom": [["proj_plus", "-"], ["proj_plus", "+"]], "top": [],
         "slices": [[{"kind": "ev", "points": [["proj_plus", "-"]]}]]}),
+    "admissible as a string": ("rt-eval", lambda: {
+        **_one_generator_diagram("id", 1), "admissible": "false"}),
 }
 
 
@@ -418,6 +421,61 @@ def test_malformed_input_is_a_usage_error(work, case):
     assert r.returncode == 2, (r.stdout, r.stderr)
     assert r.stderr.startswith("error: ")
     assert "Traceback" not in r.stderr
+
+
+# An input file that cannot be read, or is not UTF-8 JSON, is a usage error
+# that names the file, whichever command reads it and in whichever role.
+@pytest.mark.parametrize("content", [None, b"{not json", b"\xff\xfe\x00"],
+                         ids=["missing", "not JSON", "not UTF-8"])
+@pytest.mark.parametrize("argv, what", [
+    (("validate", "FILE"), "bundle"),
+    (("slf", "FILE"), "bundle"),
+    (("rt-eval", "sweedler", "FILE"), "diagram"),
+    (("red-to-blue", "sweedler", "FILE"), "job"),
+], ids=["validate", "slf", "rt-eval", "red-to-blue"])
+def test_an_unreadable_input_file_is_named(tmp_path, capsys, work, argv,
+                                           what, content):
+    path = tmp_path / "input.json"
+    if content is not None:
+        path.write_bytes(content)
+    argv = [str(path) if a == "FILE" else work.get(a, a) for a in argv]
+    code, out, err = run_main(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err.startswith("error: cannot read %s file %s: " % (what, path))
+    assert err.count("\n") == 1
+
+
+def test_every_payload_command_comes_from_the_table():
+    # The subcommands are the payload table's and the two bundle commands,
+    # and every payload command takes --out.
+    parser = build_parser()
+    (sub,) = [a for a in parser._actions
+              if isinstance(a, argparse._SubParsersAction)]
+    assert set(sub.choices) == set(PAYLOADS) | {"validate", "gen-uqsl2"}
+    for name in PAYLOADS:
+        options = {o for a in sub.choices[name]._actions
+                   for o in a.option_strings}
+        assert "--out" in options, name
+
+
+def test_only_the_cli_reads_files():
+    # Outside `cli`, the engine opens files for writing only (`save_bundle`)
+    # and never loads JSON from a file or a path.
+    src = Path(modskein.__file__).parent
+    reads = {}
+    for path in sorted(src.glob("*.py")):
+        if path.name == "cli.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if not isinstance(node, ast.Call):
+                continue
+            name = getattr(node.func, "id", getattr(node.func, "attr", None))
+            mode = node.args[1] if len(node.args) > 1 else None
+            if name == "open" and not (isinstance(mode, ast.Constant)
+                                       and "w" in mode.value) or name in (
+                    "load", "read_text", "read_bytes"):
+                reads.setdefault(path.name, []).append(node.lineno)
+    assert reads == {}
 
 
 def _mutant_z4_r():

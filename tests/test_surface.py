@@ -7,7 +7,7 @@ import pytest
 from modskein import surface
 from modskein.bundles import sweedler_bundle, uqsl2_bundle, z4_bundle
 from modskein.coend import coadjoint_rep, dinat, qchar
-from modskein.cyclo import CycField, CycloError, ExactMatrix, _sparse_sum
+from modskein.cyclo import CycField, ExactMatrix, _sparse_sum
 from modskein.errors import CapabilityError, StructureError
 from modskein.hopf import (braiding, dual_rep, hom_space, is_projective,
                            tensor_rep, trivial_rep)
@@ -442,5 +442,22 @@ def test_editing_the_coend_product_changes_no_later_result():
 def test_algebra_from_obj_refuses_an_index_that_is_not_an_int(sweedler, edit):
     obj = algebra_to_obj(skalg(sweedler, 0, 2))
     edit(obj)
-    with pytest.raises(CycloError, match="not an int"):
+    with pytest.raises(StructureError, match="not an int"):
+        algebra_from_obj(obj, sweedler.field)
+
+
+@pytest.mark.parametrize("edit", [
+    lambda o: o.pop("dim"),
+    lambda o: o["structure_constants"][0].pop(),
+    lambda o: o.__setitem__("basis_vectors", 2),
+    lambda o: o["unit"].__setitem__(0, "1/0"),
+    lambda o: o["basis_vectors"].pop(),
+    lambda o: o["unit"].append("0"),
+], ids=["no dim", "short structure constant", "basis vectors not a list",
+        "zero denominator in the unit", "too few basis vectors",
+        "unit too long"])
+def test_algebra_from_obj_names_a_malformed_object(sweedler, edit):
+    obj = algebra_to_obj(skalg(sweedler, 0, 2))
+    edit(obj)
+    with pytest.raises(StructureError, match="^malformed algebra object: "):
         algebra_from_obj(obj, sweedler.field)
