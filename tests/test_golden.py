@@ -2,8 +2,8 @@
 
 The payloads of every payload command, with and without `--float`, are
 the engine's product.  Any refactor of the kernel, the module layer or the
-CLI must leave them byte-identical; a deliberate change of convention updates the hashes here
-in the same commit that changes the output.
+CLI must leave them byte-identical; a deliberate change of convention
+updates the hashes here in the same commit that changes the output.
 """
 
 import hashlib
