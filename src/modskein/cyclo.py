@@ -202,11 +202,7 @@ class CycNum:
 
     def _coerce(self, other) -> "CycNum":
         if isinstance(other, CycNum):
-            if other.field is not self.field:
-                raise CycloError(
-                    "cyclotomic order mismatch: %d vs %d (embed first)"
-                    % (self.field.order, other.field.order)
-                )
+            _same_field(self, other)
             return other
         if isinstance(other, (int, Fraction)):
             return self.field.from_rational(other)
@@ -326,10 +322,10 @@ class CycNum:
         return result
 
     def __eq__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = self.field.from_rational(other)
-        if not isinstance(other, CycNum):
-            return NotImplemented
+        if other.__class__ is not CycNum:
+            if not isinstance(other, (int, Fraction)):
+                return NotImplemented
+            other = self.field.from_rational(Fraction(other))
         return (self.field is other.field and self.num == other.num
                 and self.den == other.den)
 
@@ -408,10 +404,11 @@ def parse_rational(s) -> Fraction:
     """An int, a Fraction or a string such as "-7/3" as a Fraction.
 
     Floats (and anything else) are refused: 0.1 is not 1/10 in binary, and
-    accepting it would put a rounded value into exact arithmetic.  So is a
-    zero denominator.
+    accepting it would put a rounded value into exact arithmetic.  So are a
+    zero denominator and a bool, which is an int to Python but a JSON
+    true/false in a file, not a number.
     """
-    if isinstance(s, (int, Fraction)):
+    if isinstance(s, (int, Fraction)) and not isinstance(s, bool):
         return Fraction(s)
     if isinstance(s, str):
         try:
@@ -539,10 +536,12 @@ class ExactMatrix:
     # -- arithmetic ------------------------------------------------------------
 
     def __add__(self, other):
+        _same_field(self, other)
         if self.rows != other.rows or self.cols != other.cols:
             raise CycloError("matrix shape mismatch in add or sub")
+        # a row added to an empty row is shared: rows are immutable tuples
         return _matrix(self.field, [
-            _sparse_sum(chain(r1, r2))
+            r1 if not r2 else r2 if not r1 else _sparse_sum(chain(r1, r2))
             for r1, r2 in zip(_sparse_rows(self), _sparse_rows(other))],
             self.cols)
 
@@ -564,6 +563,7 @@ class ExactMatrix:
     def __mul__(self, other):
         if isinstance(other, (int, Fraction, CycNum)):
             return self.scale(other)
+        _same_field(self, other)
         if self.cols != other.rows:
             raise CycloError("matrix shape mismatch in mul: %dx%d * %dx%d"
                              % (self.rows, self.cols, other.rows, other.cols))
@@ -575,6 +575,7 @@ class ExactMatrix:
 
     def kron(self, other: "ExactMatrix") -> "ExactMatrix":
         """Kronecker product, row-major index convention (i1*r2+i2, j1*c2+j2)."""
+        _same_field(self, other)
         b_rows, c2 = _sparse_rows(other), other.cols
         return _matrix(self.field, tuple(
             tuple([(j1 * c2 + j2, a * b) for j1, a in arow for j2, b in brow])
@@ -804,6 +805,13 @@ def _width(table) -> int:
     return cols
 
 
+def _same_field(x, other) -> None:
+    """Refuse two numbers, or two matrices, over different fields."""
+    if other.field is not x.field:
+        raise CycloError("cyclotomic order mismatch: %d vs %d (embed first)"
+                         % (x.field.order, other.field.order))
+
+
 def _sparse_rows(mat: ExactMatrix) -> tuple:
     """The canonical sparse rows of a matrix: per row, its nonzero entries
     as (column, entry) pairs sorted by column."""
@@ -859,9 +867,11 @@ def _sparse_product(a_rows, b_rows) -> tuple:
 
     A row of A with one entry (k, a) gives row k of B itself when a is 1 and
     that row scaled by a otherwise: a field has no zero divisors, so nothing
-    cancels and the order stays sorted.  Any other row is summed.
+    cancels and the order stays sorted.  Any other row is summed over
+    integer numerators (`_product_row`).
     """
     out = []
+    int_rows: dict = {}  # k -> row k of B over one denominator
     for row in a_rows:
         if len(row) == 1:
             (k, a), = row
@@ -869,16 +879,69 @@ def _sparse_product(a_rows, b_rows) -> tuple:
                 out.append(b_rows[k])
             else:
                 out.append(tuple([(j, a * v) for j, v in b_rows[k]]))
+        elif row:
+            out.append(_product_row(row, b_rows, int_rows))
         else:
-            out.append(_sorted_row(_sparse_sum((j, a * v) for k, a in row
-                                               for j, v in b_rows[k])))
+            out.append(row)
     return tuple(out)
+
+
+def _int_row(row, deg: int) -> tuple:
+    """A sparse row of CycNums as (d, ((column, w), ...)) with each entry
+    w / d: one denominator d, and w an integer numerator vector (in Q, an
+    int)."""
+    d = math.lcm(*[v.den for _, v in row])
+    if deg == 1:
+        return d, tuple([(j, v.num[0] * (d // v.den)) for j, v in row])
+    return d, tuple([(j, v.num if v.den == d
+                      else tuple([c * (d // v.den) for c in v.num]))
+                     for j, v in row])
+
+
+def _product_row(row, b_rows, int_rows) -> tuple:
+    """The sparse row sum a * (row k of B) over the entries (k, a) of `row`,
+    with B's rows read through `_int_row` (kept in `int_rows`).
+
+    Every term is brought to one denominator, the row's, so the sum is over
+    integer vectors (integers in Q) and each output entry is one `_normal`.
+    """
+    field = row[0][1].field
+    deg = field.degree
+    terms = []
+    for k, a in row:
+        brow = int_rows.get(k)
+        if brow is None:
+            brow = int_rows[k] = _int_row(b_rows[k], deg)
+        if brow[1]:
+            terms.append((a, a.den * brow[0], brow[1]))
+    den = math.lcm(*[d for _, d, _ in terms])
+    acc: dict = {}
+    get = acc.get
+    if deg == 1:
+        for a, d, entries in terms:
+            x = a.num[0] * (den // d)
+            for j, w in entries:
+                acc[j] = get(j, 0) + x * w
+        return tuple([(j, _normal(field, (v,), den))
+                      for j, v in sorted(acc.items()) if v])
+    red = field._red
+    for a, d, entries in terms:
+        s = den // d
+        x = a.num if s == 1 else tuple([c * s for c in a.num])
+        for j, w in entries:
+            p = _ivec_mul(x, w, deg, red)
+            t = get(j)
+            acc[j] = p if t is None else tuple(map(_add, t, p))
+    return tuple([(j, _normal(field, v, den))
+                  for j, v in sorted(acc.items()) if any(v)])
 
 
 def _sparse_sum(terms) -> dict:
     """Sum (key, CycNum) pairs into a dict without zero values.
 
-    This is the one way the engine forms a sparse linear combination.  Keys
+    This is the one way the engine forms a sparse linear combination, but
+    for the rows of a matrix product: `_sparse_product` sums those over
+    integer numerators, one denominator per row.  Keys
     keep the order in which they first appear (a key whose sum cancels to
     zero is dropped at the end, not moved), so a caller that writes the dict
     out in iteration order gets the same order every time.

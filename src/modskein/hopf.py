@@ -216,20 +216,24 @@ class Rep:
         return "Rep(dim=%d)" % self.dim
 
 
+_ABSENT = object()  # what `_memo` reads for a key not yet built
+
+
 def _memo(b: HopfBundle, key: tuple, build):
     """The value of `build()` for `key`, built once per bundle.
 
     Everything the engine derives from a bundle and keeps is kept here, in
     `b._cache`, and nowhere else.  A key names content: a tag, then ints and
-    modules (a `Rep` hashes and compares by its rows), never a module name
+    modules (a `Rep` hashes and compares by its rows), or tuples of modules
+    with ribbon generator kinds and signs (`rt` slices), never a module name
     or an id().  A stored list or dict is handed out as a copy, the dicts
     inside a stored dict too, and everything else it stores (matrices,
     modules, tuples) is immutable, so nothing a caller does to a result can
     change what a later call returns.
     """
-    if key not in b._cache:
-        b._cache[key] = build()
-    value = b._cache[key]
+    value = b._cache.get(key, _ABSENT)
+    if value is _ABSENT:
+        value = b._cache[key] = build()
     if isinstance(value, dict):
         return {k: v.copy() if isinstance(v, dict) else v
                 for k, v in value.items()}

@@ -11,7 +11,10 @@ Reshetikhin-Turaev evaluation on disks.
 Every generator but the coupon is one row of a table: `_STRANDS` gives a
 kind's point count and its matrix on the realized points, and `_PAIRINGS`
 gives a duality pairing's two signs, whether it is a row (an evaluation) or
-a column, and the element it acts by.  Duality conventions (fixed by the
+a column, and the element it acts by.  A slice's matrix is memoised per
+bundle by content, the kinds and modules of its generators, unless it
+holds a coupon; a wrapper bound over a `hopf` name is called only when a
+slice is built, on a memo miss.  Duality conventions (fixed by the
 zig-zag identities):
     Ev(M):      M* (x) M  -> 1      phi (x) m -> phi(m)
     Coev(M):    1 -> M (x) M*       1 -> sum e_a (x) e^a
@@ -31,7 +34,7 @@ from .cyclo import (CycNum, ExactMatrix, _matrix, _solve_in_basis,
                     _sparse_product, _sparse_rows, _transpose)
 from .errors import InadmissibleError, StructureError, TypingError
 from .hopf import (HopfBundle, Rep, _action_rows, _intertwiner_failure,
-                   braiding, braiding_inverse, dual_rep, hom_space,
+                   _memo, braiding, braiding_inverse, dual_rep, hom_space,
                    is_projective, tensor_rep, trivial_rep, twist, twist_inverse)
 
 __all__ = [
@@ -75,7 +78,8 @@ def _realize(b: HopfBundle, pt: Point) -> Rep:
 # points, written as a row, the element A it acts by or None for the
 # identity), as in the module docstring.  Entries call the `hopf` functions
 # by their global names, so a wrapper bound over such a name later is the
-# one called.
+# one called, whenever a slice is built: slices are memoised per bundle by
+# content (`_slice_matrix`), so only a memo miss calls them.
 _STRANDS = {
     "id": (1, lambda b, m: ExactMatrix.identity(b.field, m.dim)),
     "twist": (1, lambda b, m: twist(b, m)),
@@ -230,6 +234,29 @@ def boundary_rep(b: HopfBundle, points) -> Rep:
     return out
 
 
+def _slice_matrix(b: HopfBundle, sl) -> ExactMatrix:
+    """The Kronecker product of a slice's generator matrices.
+
+    A slice without coupons is memoised per bundle, keyed by each
+    generator's kind and its points as (module, sign) pairs: the module a
+    name points to, never its realized dual, so a key is hashed without
+    building a dual's rows.  A coupon's colour is not in the key, so a slice
+    that holds one is built every time.
+    """
+    def build():
+        mat = None
+        for gen in sl:
+            gmat = _generator_matrix(b, gen)
+            mat = gmat if mat is None else mat.kron(gmat)
+        return ExactMatrix.identity(b.field, 1) if mat is None else mat
+
+    if any(gen.kind == "coupon" for gen in sl):
+        return build()
+    return _memo(b, ("slice", tuple(
+        (gen.kind, tuple((b.module(name), sign) for name, sign in gen.points))
+        for gen in sl)), build)
+
+
 def evaluate(b: HopfBundle, diagram: Diagram) -> ExactMatrix:
     """The Reshetikhin-Turaev evaluation of a sliced diagram.
 
@@ -241,13 +268,7 @@ def evaluate(b: HopfBundle, diagram: Diagram) -> ExactMatrix:
     dim = boundary_rep(b, diagram.bottom).dim
     total = None  # sparse rows of the slices composed so far
     for sl in diagram.slices:
-        mat = None
-        for gen in sl:
-            gmat = _generator_matrix(b, gen)
-            mat = gmat if mat is None else mat.kron(gmat)
-        if mat is None:
-            mat = ExactMatrix.identity(field, 1)
-        rows = _sparse_rows(mat)
+        rows = _sparse_rows(_slice_matrix(b, sl))
         total = rows if total is None else _sparse_product(rows, total)
     if total is None:
         return ExactMatrix.identity(field, dim)

@@ -603,6 +603,18 @@ def test_a_shape_error_is_a_named_usage_error(tmp_path, capsys, case):
     assert err == "error: %s\n" % message
 
 
+def test_a_bool_coefficient_is_a_named_usage_error(tmp_path, capsys):
+    # JSON true is a Python int; read as the rational 1 it would load a
+    # valid bundle, so it must be refused like a float
+    path = tmp_path / "bool_unit.json"
+    path.write_text(json.dumps(_bad_bundle(
+        lambda o: o["unit"].__setitem__(0, True))))
+    code, out, err = run_main(capsys, "validate", str(path))
+    assert code == 2 and out == ""
+    assert err == ("error: malformed bundle object: cannot parse an exact "
+                   "rational from True\n")
+
+
 def test_validate_text_format(work, tmp_path, capsys):
     code, out, _ = run_main(capsys, "--format", "text", "validate",
                             work["sweedler"])

@@ -378,3 +378,45 @@ def test_scalar_interface_the_benchmark_tracer_uses(monkeypatch):
     a, b = CycField(12).zeta(), CycField(12).one()
     a + b, 1 + a, a - b, a * b, 2 * a, a.inverse()
     assert calls == list(counted)
+
+
+def test_matrix_operations_refuse_another_field():
+    # a product, sum or Kronecker product of matrices over Q and Q(zeta_4)
+    # is a named error, whichever side holds which field, not a matrix
+    # labelled with one field that holds entries of the other
+    q, qi = CycField(1), CycField(4)
+    m = ExactMatrix(qi, [[qi.zeta(), 0], [1, qi.zeta()]])
+    for left, right in ((ExactMatrix.identity(q, 2), m),
+                        (m, ExactMatrix.identity(q, 2)),
+                        (ExactMatrix.zeros(q, 2, 2), m)):
+        for op in (lambda x, y: x * y, lambda x, y: x + y,
+                   lambda x, y: x - y, ExactMatrix.kron):
+            with pytest.raises(CycloError, match="cyclotomic order mismatch"):
+                op(left, right)
+    assert ExactMatrix.identity(qi, 2) * m == m
+
+
+def test_a_sum_shares_a_row_beside_an_empty_row():
+    field = CycField(4)
+    z = field.zeta()
+    a = ExactMatrix(field, [[z, 0], [0, 0], [1, -1]])
+    b = ExactMatrix(field, [[0, 0], [0, z], [-1, 1]])
+    total = a + b
+    assert total == ExactMatrix(field, [[z, 0], [0, z], [0, 0]])
+    assert total._sparse[0] is a._sparse[0]
+    assert total._sparse[1] is b._sparse[1]
+
+
+def test_a_bool_is_not_a_rational():
+    # JSON true/false reach the parser as Python bools, which are ints
+    field = CycField(4)
+    for bad in (True, False):
+        with pytest.raises(CycloError, match="cannot parse"):
+            parse_rational(bad)
+        with pytest.raises(CycloError, match="cannot parse"):
+            CycNum.from_obj(bad, field)
+        with pytest.raises(CycloError, match="cannot parse"):
+            field.from_coeffs([0, bad])
+    assert CycNum.from_obj(1, field) == field.one()
+    # comparing with a bool still answers, as for any int
+    assert field.one() == True and field.zero() == False  # noqa: E712

@@ -14,13 +14,15 @@ from modskein.bundles import sweedler_bundle, z4_bundle
 from modskein.coend import (coadjoint_rep, dinat, recompose, red_to_blue,
                             regular_rep, trivial_rep)
 from modskein.cyclo import (CycField, CycNum, ExactMatrix, LinearSystem,
-                            _from_cols, _nonzero_entries, _sparse_rows)
+                            _from_cols, _nonzero_entries, _sorted_row,
+                            _sparse_product, _sparse_rows, _sparse_sum)
 from modskein.hopf import (_free_cover_system, _intertwiner_system, braiding,
                            braiding_inverse, hom_space, projective_section,
                            tensor_rep, twist, twist_inverse)
 from modskein.rt import (_PAIRINGS, Diagram, Generator, SkeinVector, _pairing,
                          evaluate)
 from modskein.surface import coend_mult
+from test_cyclo import _oracle_product
 
 ORDERS = (1, 2, 3, 4, 5, 6, 8, 12)
 # each order and some of its proper multiples, the targets of `embed`
@@ -341,6 +343,69 @@ def test_multiplying_by_one_keeps_the_normal_form(x_one):
     for y in (x * one, one * x):
         assert y == x and (y.num, y.den) == (x.num, x.den)
         assert type(y.num) is tuple and type(y.den) is int
+
+
+# -- the sparse product kernel ---------------------------------------------------
+
+
+def _mixed_elems(field):
+    """Elements whose coefficients have denominators 1, 2, 3 or 6, so that
+    the entries of one row mix their denominators."""
+    coeff = st.builds(Fraction, st.integers(-3, 3),
+                      st.sampled_from((1, 2, 3, 6)))
+    return elems(field, coeff).filter(lambda x: not x.is_zero())
+
+
+@st.composite
+def product_rows(draw):
+    """Sparse rows A and B over Q, Q(zeta_4) or Q(zeta_10), and the indices
+    of A's rows that are one unit entry.  B's second half negates its first
+    half, so an A row that takes a row and its negation with one coefficient
+    cancels to zero."""
+    field = draw(st.sampled_from((1, 4, 10)).map(CycField))
+    x = _mixed_elems(field)
+    ncols, half = draw(st.integers(1, 5)), draw(st.integers(1, 4))
+    b_rows = [_sorted_row(_sparse_sum(
+        (j, draw(x)) for j in range(ncols) if draw(st.booleans())))
+        for _ in range(half)]
+    b_rows += [tuple((j, -v) for j, v in row) for row in b_rows]
+    k = st.integers(0, 2 * half - 1)
+    a_rows, units = [], []
+    for i in range(draw(st.integers(1, 6))):
+        kind = draw(st.sampled_from(("empty", "unit", "single", "cancel",
+                                     "any")))
+        if kind == "empty":
+            row = ()
+        elif kind == "unit":
+            row = ((draw(k), field.one()),)
+            units.append(i)
+        elif kind == "single":
+            row = ((draw(k), draw(x)),)
+        elif kind == "cancel":
+            j, c = draw(st.integers(0, half - 1)), draw(x)
+            row = ((j, c), (j + half, c))
+        else:
+            row = _sorted_row(_sparse_sum(
+                (j, draw(x)) for j in range(2 * half) if draw(st.booleans())))
+        a_rows.append(row)
+    return tuple(a_rows), tuple(b_rows), units
+
+
+@settings(max_examples=150)
+@given(product_rows())
+def test_the_sparse_product_matches_the_summing_oracle(drawn):
+    a_rows, b_rows, units = drawn
+    got = _sparse_product(a_rows, b_rows)
+    assert got == _oracle_product(a_rows, b_rows)
+    for row, out in zip(a_rows, got):
+        assert type(out) is tuple
+        assert all(not v.is_zero() for _, v in out)
+        assert [j for j, _ in out] == sorted({j for j, _ in out})
+        if len(row) == 2 and row[0][1] == row[1][1] \
+                and row[1][0] == row[0][0] + len(b_rows) // 2:
+            assert out == ()
+    for i in units:
+        assert got[i] is b_rows[a_rows[i][0][0]]
 
 
 # -- the two states of ExactMatrix -----------------------------------------------

@@ -491,3 +491,62 @@ def test_a_dual_follows_the_module_a_name_points_to():
     # no memo key holds a module name
     assert not [key for key in b._cache for part in key[1:]
                 if isinstance(part, str)]
+
+
+def _r3_left(a, b, c):
+    """The left side of the braid relation on three upward strands."""
+    return Diagram([a, b, c], [c, b, a], [
+        [gen("braid", a, b), gen("id", c)],
+        [gen("id", b), gen("braid", a, c)],
+        [gen("braid", b, c), gen("id", a)]])
+
+
+def test_a_slice_is_built_once_per_bundle(monkeypatch):
+    b = sweedler_bundle()
+    krons = []
+    real = ExactMatrix.kron
+
+    def counting(self, other):
+        krons.append(other)
+        return real(self, other)
+
+    monkeypatch.setattr(ExactMatrix, "kron", counting)
+    d = _r3_left(("reg", "+"), ("proj_plus", "+"), ("sgn", "+"))
+    first = evaluate(b, d)
+    assert len(krons) == 3
+    again = evaluate(b, d)
+    assert len(krons) == 3 and again == first
+    # the same slices on another bundle are built there
+    assert evaluate(sweedler_bundle(), d) == first and len(krons) == 6
+
+
+def test_an_identity_on_a_dual_never_builds_the_dual(monkeypatch):
+    b = sweedler_bundle()
+    calls = []
+    real = hopf._action_rows
+
+    def counting(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(hopf, "_action_rows", counting)
+    regd = ("reg", "-")
+    d = Diagram([regd] * 2, [regd] * 2, [[gen("id", regd)] * 2])
+    for _ in range(2):  # a memo miss, then a hit
+        assert evaluate(b, d) == ExactMatrix.identity(b.field, 16)
+    assert calls == []
+    # the counter sees a build when the dual's rows are read
+    assert hopf.dual_rep(b, b.module("reg")).rows and calls
+
+
+def test_coupons_on_the_same_points_keep_their_own_colours(sweedler):
+    b = sweedler
+    reg, triv = ("reg", "+"), ("triv", "+")
+    basis = hom_space(b, b.module("reg"), b.module("reg"))
+    assert len(set(basis)) == len(basis) > 1
+    for mat in basis + basis[::-1]:
+        coupon = Generator("coupon", dom=[reg], cod=[reg], matrix=mat)
+        assert evaluate(b, Diagram([reg], [reg], [[coupon]])) == mat
+        beside = Diagram([reg, triv], [reg, triv],
+                         [[coupon, gen("id", triv)]])
+        assert evaluate(b, beside) == mat
