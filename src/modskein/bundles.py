@@ -29,7 +29,7 @@ from itertools import accumulate, islice
 
 from .cyclo import (CycField, CycNum, ExactMatrix, _from_cols, _matrix,
                     _sparse_sum, parse_rational)
-from .errors import StructureError
+from .errors import StructureError, require_int
 from .hopf import (AXIOMS, R_INVERSE_FREE, HopfBundle, Rep, _character,
                    _regular_module, validate_bundle)
 
@@ -347,8 +347,7 @@ def uqsl2_bundle(p: int, with_r: bool = False) -> HopfBundle:
     otherwise the validator outcome is recorded in metadata and the bundle
     stays pivotal-only.
     """
-    if not isinstance(p, int) or isinstance(p, bool):
-        raise StructureError("p must be an int, not %r" % (p,))
+    require_int("p", p)
     if p < 2:
         raise StructureError("p must be >= 2")
     _, _, structure = _uqsl2_structure(p, 2 * p)

@@ -10,7 +10,9 @@ first, and exits 1 with the named failures when it is not valid.
 
 The six payload commands are the rows of one table, `PAYLOADS`, and run
 through one function, `cmd_payload`.  Every input file (bundle, diagram,
-job) is read by `_read_json`; no other module of the engine reads a file.
+job) is read by `_read_json`, and every output file (`--out`, the bundle of
+`gen-uqsl2`) is written by `_write`; no other module of the engine opens a
+file.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ from .bundles import uqsl2_bundle
 from .coend import qchar, red_to_blue, slf_basis
 from .cyclo import CycNum, ExactMatrix, _matrix, _parse_index, _sparse_rows
 from .errors import ModskeinError, StructureError, TypingError
-from .hopf import (HopfBundle, bundle_from_obj, regular_rep, save_bundle,
+from .hopf import (HopfBundle, bundle_from_obj, bundle_to_obj, regular_rep,
                    trivial_rep, validate_bundle)
 from .rt import diagram_from_obj, evaluate
 from .surface import algebra_to_obj, char_map, skalg
@@ -52,10 +54,13 @@ def _matrix_obj(mat: ExactMatrix, with_float: bool = False) -> dict:
 
 
 def _float_str(v: CycNum) -> str:
+    """The decimal rendering of v; a real or imaginary part below 1e-12 is
+    the noise of `to_complex` and renders as 0."""
     z = v.to_complex()
-    if abs(z.imag) < 1e-12:
-        return "%.12g" % z.real
-    return "%.12g%+.12gj" % (z.real, z.imag)
+    real, imag = (x if abs(x) >= 1e-12 else 0.0 for x in (z.real, z.imag))
+    if imag == 0.0:
+        return "%.12g" % real
+    return "%.12g%+.12gj" % (real, imag)
 
 
 def _float_columns(approx: list) -> dict:
@@ -87,6 +92,13 @@ def _read_json(path: str, what: str):
                              % (what, path, exc)) from exc
 
 
+def _write(path: str, payload: bytes) -> None:
+    """Write `payload` to the file at `path`; every output file is written
+    here."""
+    with open(path, "wb") as fh:
+        fh.write(payload)
+
+
 def _load_checked(args) -> HopfBundle:
     """Read, parse and validate args.bundle.
 
@@ -115,10 +127,8 @@ def _job_from_obj(bundle: HopfBundle, obj) -> tuple:
     try:
         p_rep = _resolve_module(bundle, obj["P"])
         x_rep = _resolve_module(bundle, obj.get("X", "trivial"))
-        k = obj["k"]
-        if not isinstance(k, int) or isinstance(k, bool):
-            raise TypeError("k %r is not an int" % (k,))
-        return p_rep, k, x_rep, _matrix_from_obj(obj["f"], bundle.field)
+        return p_rep, obj["k"], x_rep, _matrix_from_obj(obj["f"],
+                                                         bundle.field)
     except (LookupError, TypeError, ValueError) as exc:
         raise StructureError("malformed job file: %s" % exc) from exc
 
@@ -216,8 +226,7 @@ def cmd_payload(args) -> int:
     obj = build(_load_checked(args), args)
     payload = _canonical_payload(obj)
     if args.out:
-        with open(args.out, "wb") as fh:
-            fh.write(payload)
+        _write(args.out, payload)
     if args.format == "csv" and csv_row is not None:
         print("bundle,g,n,dim,image_rank")
         print(csv_row % obj)
@@ -258,7 +267,8 @@ def cmd_validate(args) -> int:
 
 def cmd_gen_uqsl2(args) -> int:
     bundle = uqsl2_bundle(args.p, with_r=args.with_r)
-    save_bundle(bundle, args.out)
+    _write(args.out, (json.dumps(bundle_to_obj(bundle), indent=1) + "\n"
+                      ).encode("utf-8"))
     failures = validate_bundle(bundle)
     note = {"bundle": bundle.name, "dim": bundle.dim, "out": args.out,
             "has_r": bundle.has_r, "valid": not failures,

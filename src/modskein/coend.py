@@ -35,7 +35,7 @@ from functools import partial, reduce
 
 from .cyclo import (CycNum, ExactMatrix, LinearSystem, _from_cols, _matrix,
                     _sorted_row, _sparse_cols, _sparse_sum)
-from .errors import InadmissibleError, StructureError
+from .errors import InadmissibleError, StructureError, require_int
 from .hopf import (HopfBundle, Rep, _check_rep, _commutators,
                    _intertwiner_failure, _memo, dual_rep, hom_space,
                    projective_section, regular_rep, tensor_rep, trivial_rep)
@@ -251,6 +251,7 @@ def red_to_blue(b: HopfBundle, f: ExactMatrix, p_rep: Rep, k: int,
     `hopf._intertwiner_failure`, which reads only the rows of S when f
     passes and otherwise names the first failing basis element of all.
     """
+    require_int("k", k)
     if k < 0:
         raise StructureError("k must be >= 0")
     field, d = b.field, b.dim
@@ -302,6 +303,7 @@ def recompose(b: HopfBundle, terms: list[tuple[CycNum, ExactMatrix]], k: int,
     red_to_blue, used to verify the roundtrip."""
     if not terms:
         raise StructureError("empty term list has no morphism to recompose")
+    require_int("k", k)
     if k < 0:
         raise StructureError("k must be >= 0")
     d = b.dim

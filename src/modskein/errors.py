@@ -1,4 +1,4 @@
-"""Shared exception types for the engine."""
+"""Shared exception types for the engine, and its one rule for counts."""
 
 
 class ModskeinError(Exception):
@@ -24,3 +24,10 @@ class TypingError(ModskeinError):
     def __init__(self, slice_index, message):
         super().__init__("slice %s: %s" % (slice_index, message))
         self.slice_index = slice_index
+
+
+def require_int(name: str, value) -> None:
+    """Refuse a count that is not an int, naming it; a bool is refused too,
+    since it would run as 0 or 1."""
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise StructureError("%s must be an int, not %r" % (name, value))

@@ -73,7 +73,6 @@ compares the rows themselves.
 
 from __future__ import annotations
 
-import json
 from itertools import chain, islice
 from operator import attrgetter
 
@@ -103,7 +102,6 @@ __all__ = [
     "direct_sum_rep",
     "bundle_to_obj",
     "bundle_from_obj",
-    "save_bundle",
 ]
 
 
@@ -411,19 +409,12 @@ class HopfBundle:
                            for k1, c1 in table[i1][i2]
                            for k2, c2 in table[j1][j2])
 
-    def r_sparse(self) -> tuple:
-        self.require_r()
-        return self.R
-
-    def r_inv_sparse(self) -> tuple:
-        self.require_r()
-        return self.R_inv
-
     def drinfeld_u(self) -> dict:
         """u = sum S(R2) R1, satisfying S^2(x) = u x u^{-1}."""
+        self.require_r()
         one = self.field.one()
         return _memo(self, ("drinfeld_u",), lambda: _sparse_sum(
-            (k, c * v) for (i, j, c) in self.r_sparse()
+            (k, c * v) for (i, j, c) in self.R
             for k, v in self.elem_mult(self.elem_antipode({j: one}),
                                        {i: one}).items()))
 
@@ -668,15 +659,15 @@ def _antipode(b):
 def _r_inverse(b):
     unit = b.elem_unit()
     unit2 = _outer(unit, unit)
-    R = {(i, j): c for i, j, c in b.r_sparse()}
-    Rinv = {(i, j): c for i, j, c in b.r_inv_sparse()}
+    R = {(i, j): c for i, j, c in b.R}
+    Rinv = {(i, j): c for i, j, c in b.R_inv}
     if b.tensor2_mult(R, Rinv) != unit2 or b.tensor2_mult(Rinv, R) != unit2:
         yield "quasitriangular: R * R_inv != 1 (x) 1"
 
 
 def _r_intertwines_delta(b):
     one = b.field.one()
-    R = {(i, j): c for i, j, c in b.r_sparse()}
+    R = {(i, j): c for i, j, c in b.R}
     for i in range(b.dim):
         delta = b.elem_comult({i: one})
         delta_op = {(k, j): c for (j, k), c in delta.items()}
@@ -685,7 +676,7 @@ def _r_intertwines_delta(b):
 
 
 def _r_delta_left(b):
-    R = b.r_sparse()
+    R = b.R
     r13_r23 = _sparse_sum(((i, k, kk), c * c2 * cm) for i, j, c in R
                           for k, l, c2 in R for kk, cm in b.mult_table[j][l])
     delta_r = _sparse_sum(((a, bb, j), c * c2) for i, j, c in R
@@ -695,7 +686,7 @@ def _r_delta_left(b):
 
 
 def _r_delta_right(b):
-    R = b.r_sparse()
+    R = b.R
     r13_r12 = _sparse_sum(((kk, l, j), c * c2 * cm) for i, j, c in R
                           for k, l, c2 in R for kk, cm in b.mult_table[i][k])
     delta_r = _sparse_sum(((i, a, bb), c * c2) for i, j, c in R
@@ -717,7 +708,7 @@ def _ribbon(b):
         yield "ribbon: S(v) != v"
     if b.elem_counit(v) != one:
         yield "ribbon: counit(v) != 1"
-    R = {(i, j): c for i, j, c in b.r_sparse()}
+    R = {(i, j): c for i, j, c in b.R}
     R21 = {(j, i): c for (i, j), c in R.items()}
     monodromy = b.tensor2_mult(R21, R)
     # Delta(v) = (R21 R)^-1 (v (x) v), checked multiplied through.
@@ -984,7 +975,7 @@ def braiding(b: HopfBundle, m: Rep, n: Rep) -> ExactMatrix:
     b.require_r()
 
     def build():
-        acc = _action_rows(b.r_sparse(), m, n)
+        acc = _action_rows(b.R, m, n)
         rows = [acc[a * n.dim + bb] for bb in range(n.dim) for a in range(m.dim)]
         return _matrix(b.field, rows, m.dim * n.dim)
     return _memo(b, ("braiding", m, n), build)
@@ -1001,7 +992,7 @@ def braiding_inverse(b: HopfBundle, m: Rep, n: Rep) -> ExactMatrix:
     def build():
         perm = [(k % m.dim) * n.dim + k // m.dim for k in range(m.dim * n.dim)]
         rows = [{perm[k]: v for k, v in row}
-                for row in _action_rows(b.r_inv_sparse(), n, m)]
+                for row in _action_rows(b.R_inv, n, m)]
         return _matrix(b.field, rows, m.dim * n.dim)
     return _memo(b, ("braiding_inv", m, n), build)
 
@@ -1166,8 +1157,3 @@ def bundle_from_obj(obj: dict) -> HopfBundle:
     except (LookupError, TypeError, ValueError, AttributeError) as exc:
         raise StructureError("malformed bundle object: %s" % exc) from exc
 
-
-def save_bundle(b: HopfBundle, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(bundle_to_obj(b), fh, indent=1)
-        fh.write("\n")

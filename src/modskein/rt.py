@@ -30,8 +30,8 @@ than trying to auto-resolve it.
 
 from __future__ import annotations
 
-from .cyclo import (CycNum, ExactMatrix, _matrix, _solve_in_basis,
-                    _sparse_product, _sparse_rows, _transpose)
+from .cyclo import (CycNum, ExactMatrix, _matrix, _sparse_product,
+                    _sparse_rows, _transpose)
 from .errors import InadmissibleError, StructureError, TypingError
 from .hopf import (HopfBundle, Rep, _action_rows, _intertwiner_failure,
                    _memo, braiding, braiding_inverse, dual_rep, hom_space,
@@ -46,7 +46,6 @@ __all__ = [
     "skein_module_disk",
     "skein_eq",
     "boundary_rep",
-    "diagram_to_obj",
     "diagram_from_obj",
 ]
 
@@ -325,51 +324,11 @@ def skein_module_disk(b: HopfBundle, bottom, top) -> list[ExactMatrix]:
 # ---------------------------------------------------------------------------
 
 
-def _points_to_obj(points):
-    return [[p[0], p[1]] for p in points]
-
-
-def diagram_to_obj(b: HopfBundle, diagram: Diagram) -> dict:
-    slices = []
-    for sl in diagram.slices:
-        row = []
-        for gen in sl:
-            if gen.kind == "coupon":
-                basis = hom_space(b, boundary_rep(b, gen.dom),
-                                  boundary_rep(b, gen.cod))
-                coeffs = _coupon_coords(b, gen.matrix, basis)
-                if coeffs is None:
-                    raise StructureError(
-                        "coupon is not in the computed hom space")
-                row.append({"kind": "coupon",
-                            "dom": _points_to_obj(gen.dom),
-                            "cod": _points_to_obj(gen.cod),
-                            "coeffs": [c.to_obj() for c in coeffs]})
-            else:
-                row.append({"kind": gen.kind,
-                            "points": _points_to_obj(gen.points)})
-        slices.append(row)
-    return {"bundle_ref": b.name,
-            "bottom": _points_to_obj(diagram.bottom),
-            "top": _points_to_obj(diagram.top),
-            "admissible": diagram.admissible,
-            "slices": slices}
-
-
-def _coupon_coords(b, matrix, basis):
-    """Coordinates of a coupon matrix in its hom-space basis, or None."""
-    def entries(mat):
-        return {(r, c): v for r, row in enumerate(_sparse_rows(mat))
-                for c, v in row}
-
-    res = _solve_in_basis(b.field, [entries(m) for m in basis],
-                          [entries(matrix)])
-    if not res.feasible:
-        return None
-    return res.particular.col(0)
-
-
 def diagram_from_obj(b: HopfBundle, obj: dict) -> Diagram:
+    """The diagram of a JSON object, as `rt-eval` reads it; the format is
+    read only.  A coupon names its map by coordinates (`coeffs`) or a basis
+    `index` in the hom space of its boundaries; a `bundle_ref` key is
+    never read.  A malformed object is a StructureError."""
     try:
         slices = []
         for sl in obj["slices"]:

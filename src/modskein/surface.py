@@ -31,9 +31,9 @@ from __future__ import annotations
 
 from itertools import product
 
-from .cyclo import (CycNum, ExactMatrix, _matrix, _parse_index,
-                    _solve_in_basis, _sparse_cols, _sparse_sum)
-from .errors import StructureError
+from .cyclo import (ExactMatrix, _matrix, _solve_in_basis, _sparse_cols,
+                    _sparse_sum)
+from .errors import StructureError, require_int
 from .hopf import (HopfBundle, Rep, _memo, braiding, hom_space, tensor_rep,
                    trivial_rep)
 from .coend import coadjoint_rep, qchar
@@ -45,7 +45,6 @@ __all__ = [
     "skalg_dimension",
     "char_map",
     "algebra_to_obj",
-    "algebra_from_obj",
 ]
 
 
@@ -72,7 +71,7 @@ def coend_mult(b: HopfBundle) -> ExactMatrix:
     def build():
         d, one = b.dim, b.field.one()
         coad = coadjoint_rep(b)
-        r_terms = b.r_sparse()
+        r_terms = b.R
         s_alpha_h = {alpha: [b.elem_mult(b.elem_antipode({alpha: one}),
                                          {h: one}) for h in range(d)]
                      for alpha in {alpha for alpha, _, _ in r_terms}}
@@ -230,6 +229,8 @@ def skalg_dimension(b: HopfBundle, g: int, n: int) -> int:
 
 
 def _surface_power(g: int, n: int) -> int:
+    require_int("g", g)
+    require_int("n", n)
     if n < 1:
         raise StructureError(
             "closed surfaces (n = 0) are unsupported: the invariants-of-coend "
@@ -357,6 +358,7 @@ def char_map(b: HopfBundle, alg: AlgebraPresentation) -> dict:
 
 
 def algebra_to_obj(alg: AlgebraPresentation) -> dict:
+    """The `skalg` payload of a presentation; the format is written only."""
     sc = [[i, j, k, c.to_obj()]
           for (i, j), coeffs in sorted(alg.structure.items())
           for k, c in sorted(coeffs.items())]
@@ -372,31 +374,3 @@ def algebra_to_obj(alg: AlgebraPresentation) -> dict:
         "structure_constants": sc,
         "provenance": alg.provenance,
     }
-
-
-def algebra_from_obj(obj: dict, field) -> AlgebraPresentation:
-    """The algebra presentation of a JSON object, as `algebra_to_obj` writes
-    it; a malformed object is a StructureError."""
-    try:
-        dim = _parse_index(obj["dim"])
-        structure = {(i, j): {} for i in range(dim) for j in range(dim)}
-        for (i, j, k, c) in obj["structure_constants"]:
-            c = CycNum.from_obj(c, field)
-            if not c.is_zero():
-                structure[(_parse_index(i, dim), _parse_index(j, dim))][
-                    _parse_index(k, dim)] = c
-        basis_vectors = [[CycNum.from_obj(c, field) for c in vec]
-                         for vec in obj["basis_vectors"]]
-        unit = [CycNum.from_obj(c, field) for c in obj["unit"]]
-        for key, value in (("basis_vectors", basis_vectors), ("unit", unit)):
-            if len(value) != dim:
-                raise StructureError("malformed algebra object: %d %s for "
-                                     "dim %d" % (len(value), key, dim))
-        return AlgebraPresentation(
-            bundle_name=obj["bundle"], g=_parse_index(obj["g"]),
-            n=_parse_index(obj["n"]), basis_vectors=basis_vectors,
-            labels=obj["basis_labels"], structure=structure,
-            unit_coords=unit, provenance=obj.get("provenance", {}),
-            field=field)
-    except (LookupError, TypeError, ValueError, AttributeError) as exc:
-        raise StructureError("malformed algebra object: %s" % exc) from exc

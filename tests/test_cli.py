@@ -14,8 +14,9 @@ import pytest
 
 import modskein
 from modskein.bundles import sweedler_bundle, z2_bundle, z4_bundle
-from modskein.cli import PAYLOADS, build_parser, main
-from modskein.hopf import bundle_to_obj, save_bundle
+from modskein.cli import PAYLOADS, _float_str, build_parser, main
+from modskein.cyclo import CycField
+from modskein.hopf import bundle_to_obj
 from test_hopf import _index_as, _perturbed
 
 
@@ -23,9 +24,9 @@ from test_hopf import _index_as, _perturbed
 def work(tmp_path_factory):
     root = tmp_path_factory.mktemp("cli")
     sw = root / "sweedler.json"
-    save_bundle(sweedler_bundle(), sw)
+    sw.write_text(json.dumps(bundle_to_obj(sweedler_bundle())))
     z2 = root / "z2.json"
-    save_bundle(z2_bundle(), z2)
+    z2.write_text(json.dumps(bundle_to_obj(z2_bundle())))
     return {"root": root, "sweedler": str(sw), "z2": str(z2)}
 
 
@@ -459,10 +460,10 @@ def test_every_payload_command_comes_from_the_table():
 
 
 def test_only_the_cli_reads_files():
-    # Outside `cli`, the engine opens files for writing only (`save_bundle`)
+    # Outside `cli`, the engine opens no file, for reading or for writing,
     # and never loads JSON from a file or a path.
     src = Path(modskein.__file__).parent
-    reads = {}
+    calls = {}
     for path in sorted(src.glob("*.py")):
         if path.name == "cli.py":
             continue
@@ -470,12 +471,10 @@ def test_only_the_cli_reads_files():
             if not isinstance(node, ast.Call):
                 continue
             name = getattr(node.func, "id", getattr(node.func, "attr", None))
-            mode = node.args[1] if len(node.args) > 1 else None
-            if name == "open" and not (isinstance(mode, ast.Constant)
-                                       and "w" in mode.value) or name in (
-                    "load", "read_text", "read_bytes"):
-                reads.setdefault(path.name, []).append(node.lineno)
-    assert reads == {}
+            if name in ("open", "load", "dump", "read_text", "read_bytes",
+                        "write_text", "write_bytes"):
+                calls.setdefault(path.name, []).append(node.lineno)
+    assert calls == {}
 
 
 def _mutant_z4_r():
@@ -629,6 +628,17 @@ def test_validate_text_format(work, tmp_path, capsys):
     code, out, _ = run_main(capsys, "--format", "text", "validate", str(path))
     assert code == 1
     assert out.splitlines() == ["FAIL %s" % f for f in failures]
+
+
+def test_float_str_renders_noise_below_1e_12_as_0():
+    # cos(2 pi / 4) and cos(2 pi * 2 / 8) are about 6e-17 and 2e-16 in
+    # binary, and must not be printed as a real part.
+    z4, z8 = CycField(4), CycField(8)
+    assert _float_str(z4.zeta()) == "0+1j"
+    assert _float_str(z4.zeta(3)) == "0-1j"
+    assert _float_str(z8.zeta(2)) == "0+1j"
+    assert _float_str(z4.zeta(2)) == "-1"
+    assert _float_str(z8.zeta()) == "0.707106781187+0.707106781187j"
 
 
 def test_slf_float_column_renders_every_basis_entry(work, capsys):

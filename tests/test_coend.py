@@ -1,6 +1,7 @@
 """Coend model: coadjoint action, dinaturality, SLF, q-characters, lifting."""
 
 import random
+import re
 
 import pytest
 
@@ -310,6 +311,21 @@ def test_recompose_rejects_empty_terms_and_negative_k(sweedler):
     terms = [(b.field.one(), ExactMatrix.zeros(b.field, 1, b.dim))]
     with pytest.raises(StructureError, match="k must be >= 0"):
         recompose(b, terms, -1, reg)
+
+
+@pytest.mark.parametrize("k", [True, 1.0], ids=["bool k", "float k"])
+@pytest.mark.parametrize("fn", ["red_to_blue", "recompose"])
+def test_a_k_that_is_not_an_int_is_refused(sweedler, fn, k):
+    # k = True would run as k = 1, and k = 1.0 would end in a TypeError.
+    b = sweedler
+    reg, x_rep = regular_rep(b), trivial_rep(b)
+    f = hom_space(b, reg, tensor_rep(b, coadjoint_rep(b), x_rep))[0]
+    call = {"red_to_blue": lambda: red_to_blue(b, f, reg, k, x_rep),
+            "recompose": lambda: recompose(b, [(b.field.one(), f)], k,
+                                           x_rep)}[fn]
+    with pytest.raises(StructureError,
+                       match="^k must be an int, not %s$" % re.escape(repr(k))):
+        call()
 
 
 def test_editing_a_projective_section_changes_no_later_lift():

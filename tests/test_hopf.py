@@ -520,10 +520,10 @@ def test_action_matrices_match_the_dense_definition(z2, sweedler, z4):
                 flip = _flip(f, m.dim, n.dim)
                 assert braiding(b, m, n) == flip * _dense_sum(
                     f, dim, ((c, m.mats[i].kron(n.mats[j]))
-                             for i, j, c in b.r_sparse()))
+                             for i, j, c in b.R))
                 assert braiding_inverse(b, m, n) == _dense_sum(
                     f, dim, ((c, n.mats[i].kron(m.mats[j]))
-                             for i, j, c in b.r_inv_sparse())) * flip
+                             for i, j, c in b.R_inv)) * flip
 
 
 def test_rep_from_rows_equals_rep_from_mats(z2, sweedler, z4):
@@ -575,7 +575,7 @@ def test_braiding_memo_returns_fresh_copies():
                            fresh.module("reg"))
     assert braiding(b, m, n) == flip * _dense_sum(
         f, m.dim * n.dim, ((c, m.mats[i].kron(n.mats[j]))
-                           for i, j, c in b.r_sparse()))
+                           for i, j, c in b.R))
 
 
 def test_shape_and_field_of_memo_results_are_read_only():

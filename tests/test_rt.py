@@ -9,7 +9,7 @@ from modskein.errors import InadmissibleError, StructureError, TypingError
 from modskein.hopf import hom_space, tensor_rep, twist
 from modskein.rt import (GENERATOR_KINDS, Diagram, Generator, SkeinVector,
                          _generator_matrix, boundary_rep, diagram_from_obj,
-                         diagram_to_obj, evaluate, skein_eq, skein_module_disk)
+                         evaluate, skein_eq, skein_module_disk)
 
 
 def gen(kind, *points):
@@ -313,32 +313,38 @@ def test_untwisted_loop_is_quantum_dimension(sweedler):
         assert val.data[0][0] == oracle
 
 
-def test_diagram_json_roundtrip(sweedler):
+def test_a_diagram_object_evaluates_as_its_python_diagram(sweedler):
+    # A hand-written object whose coupon has nonzero coordinates in the hom
+    # space reads to the diagram built here, with the same combination of
+    # basis maps as its coupon.
     b = sweedler
-    m = ("proj_plus", "+")
-    f = hom_space(b, b.module("proj_plus"), b.module("proj_plus"))[0]
-    d = Diagram([m, m], [m, m], [
-        [gen("braid", m, m)],
-        [gen("braid_inv", m, m)],
-        [Generator("coupon", dom=[m], cod=[m], matrix=f), gen("twist", m)],
-        [gen("twist_inv", m), gen("id", m)],
+    r, m = ["reg", "+"], ["proj_plus", "+"]
+    basis = hom_space(b, b.module("reg"), b.module("reg"))
+    coeffs = ["1/2", "-3", "2", "5/7"]
+    assert len(basis) == len(coeffs)
+    f = sum((mat.scale(b.field.from_rational(c))
+             for mat, c in zip(basis[1:], coeffs[1:])),
+            basis[0].scale(b.field.from_rational(coeffs[0])))
+    d = Diagram([r, m], [r, m], [
+        [gen("braid", r, m)],
+        [gen("braid_inv", m, r)],
+        [Generator("coupon", dom=[r], cod=[r], matrix=f), gen("twist", m)],
+        [gen("twist_inv", r), gen("id", m)],
     ])
-    obj = diagram_to_obj(b, d)
-    d2 = diagram_from_obj(b, obj)
-    assert evaluate(b, d2) == evaluate(b, d)
-    # coupon referenced by hom-space index
-    obj2 = diagram_to_obj(b, d)
-    for sl in obj2["slices"]:
-        for g2 in sl:
-            if g2["kind"] == "coupon":
-                del g2["coeffs"]
-                g2["index"] = 0
-    d3 = diagram_from_obj(b, obj2)
-    evaluate(b, d3)
+    obj = {"bottom": [r, m], "top": [r, m], "slices": [
+        [{"kind": "braid", "points": [r, m]}],
+        [{"kind": "braid_inv", "points": [m, r]}],
+        [{"kind": "coupon", "dom": [r], "cod": [r], "coeffs": coeffs},
+         {"kind": "twist", "points": [m]}],
+        [{"kind": "twist_inv", "points": [r]},
+         {"kind": "id", "points": [m]}],
+    ]}
+    assert evaluate(b, diagram_from_obj(b, obj)) == evaluate(b, d)
 
 
 def test_coupon_outside_an_empty_hom_space_is_refused(sweedler):
-    # Hom(triv, sgn) = 0, so no combination of the (empty) basis gives [[1]].
+    # Hom(triv, sgn) = 0, so [[1]] is not an intertwiner: evaluation names
+    # the coupon's slice.
     b = sweedler
     assert hom_space(b, b.module("triv"), b.module("sgn")) == []
     one = ExactMatrix(b.field, [[b.field.one()]])
@@ -346,9 +352,9 @@ def test_coupon_outside_an_empty_hom_space_is_refused(sweedler):
         [Generator("coupon", dom=[("triv", "+")], cod=[("sgn", "+")],
                    matrix=one)],
     ])
-    with pytest.raises(StructureError,
-                       match="coupon is not in the computed hom space"):
-        diagram_to_obj(b, d)
+    with pytest.raises(TypingError,
+                       match="^slice 0: coupon color is not an intertwiner"):
+        evaluate(b, d)
 
 
 def _dense_evaluate(b, diagram):
@@ -476,7 +482,6 @@ def test_a_coupon_on_an_empty_hom_space_is_the_zero_map(sweedler):
                         "coeffs": []}]]}
     d = diagram_from_obj(b, obj)
     assert evaluate(b, d) == ExactMatrix.zeros(b.field, 1, 2)
-    assert diagram_to_obj(b, d)["slices"][0][0]["coeffs"] == []
 
 
 def test_a_dual_follows_the_module_a_name_points_to():
