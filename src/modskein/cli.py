@@ -2,11 +2,12 @@
 
 All numeric output is exact ("p/q" strings and cyclotomic coefficient
 records); `--float` adds a decimal rendering column that is clearly marked
-non-authoritative.  Every command is bit-reproducible for identical inputs
-and engine version: there is no randomness anywhere and all pivot orders are
-fixed.  Every command computes its payload afresh and writes nothing but
-stdout and `--out`.  Every command that computes on a bundle validates it
-first, and exits 1 with the named failures when it is not valid.
+non-authoritative, and is refused by the commands that render none.  Every
+command is bit-reproducible for identical inputs and engine version: there
+is no randomness anywhere and all pivot orders are fixed.  Every command
+computes its payload afresh and writes nothing but stdout and `--out`.
+Every command that computes on a bundle validates it first, and exits 1
+with the named failures when it is not valid.
 
 The six payload commands are the rows of one table, `PAYLOADS`, and run
 through one function, `cmd_payload`.  Every input file (bundle, diagram,
@@ -34,6 +35,9 @@ from .surface import algebra_to_obj, char_map, skalg
 EXIT_OK = 0
 EXIT_FAIL = 1       # axiom failures, typing and admissibility errors
 EXIT_USAGE = 2      # unreadable/malformed inputs
+
+# The commands that render a `--float` column; every other one refuses it.
+_FLOAT_COMMANDS = ("slf", "qchar", "rt-eval", "red-to-blue")
 
 
 def _canonical_payload(obj) -> bytes:
@@ -321,6 +325,9 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        if args.float_col and args.command not in _FLOAT_COMMANDS:
+            raise StructureError("%s renders no decimal column; --float is "
+                                 "refused" % args.command)
         return args.fn(args)
     except TypingError as exc:
         print("typing error: %s" % exc, file=sys.stderr)

@@ -32,7 +32,6 @@ __all__ = [
     "LinearSystem",
     "SolveResult",
     "cyclotomic_poly",
-    "euler_phi",
     "parse_rational",
     "rational_str",
 ]
@@ -40,21 +39,6 @@ __all__ = [
 
 class CycloError(ValueError):
     """Bad cyclotomic arithmetic: order mismatch, division by zero, bad input."""
-
-
-def euler_phi(n: int) -> int:
-    if n < 1:
-        raise CycloError("cyclotomic order must be a positive integer, got %r" % (n,))
-    result, m, p = n, n, 2
-    while p * p <= m:
-        if m % p == 0:
-            while m % p == 0:
-                m //= p
-            result -= result // p
-        p += 1
-    if m > 1:
-        result -= result // m
-    return result
 
 
 def _poly_divide_exact(num: list[int], den: list[int]) -> list[int]:
@@ -170,14 +154,11 @@ class CycNum:
     """An exact element num/den of Q(zeta_N) in the power basis mod Phi_N.
 
     `num` is a tuple of `degree` ints and `den` a positive int with
-    gcd(den, *num) == 1; zero is (0, ..., 0)/1.  Instances are immutable.
+    gcd(den, *num) == 1; zero is (0, ..., 0)/1.  Instances are immutable
+    and built by the `CycField` constructors (`from_coeffs` and the rest).
     """
 
     __slots__ = ("field", "num", "den")
-
-    def __init__(self, field: CycField, coeffs):
-        x = field.from_coeffs(coeffs)
-        self.field, self.num, self.den = field, x.num, x.den
 
     @property
     def coeffs(self) -> tuple[Fraction, ...]:
@@ -192,11 +173,6 @@ class CycNum:
 
     def is_rational(self) -> bool:
         return not any(self.num[1:])
-
-    def rational_value(self) -> Fraction:
-        if not self.is_rational():
-            raise CycloError("not a rational number: %s" % (self,))
-        return Fraction(self.num[0], self.den)
 
     # -- coercion ------------------------------------------------------------
 
@@ -323,7 +299,7 @@ class CycNum:
 
     def __eq__(self, other):
         if other.__class__ is not CycNum:
-            if not isinstance(other, (int, Fraction)):
+            if not isinstance(other, (int, Fraction)) or other.__class__ is bool:
                 return NotImplemented
             other = self.field.from_rational(Fraction(other))
         return (self.field is other.field and self.num == other.num
@@ -361,7 +337,7 @@ class CycNum:
     def to_obj(self):
         """JSON form: plain "p/q" string when rational, else {order, coeffs}."""
         if self.is_rational():
-            return rational_str(self.rational_value())
+            return rational_str(Fraction(self.num[0], self.den))
         return {"order": self.field.order,
                 "coeffs": [rational_str(c) for c in self.coeffs]}
 
@@ -507,17 +483,9 @@ class ExactMatrix:
 
     # -- structure ------------------------------------------------------------
 
-    def __getitem__(self, idx):
-        i, j = idx
-        return self.data[i][j]
-
     def col(self, j) -> list:
         j, zero = range(self.cols)[j], self.field.zero()
         return [dict(row).get(j, zero) for row in _sparse_rows(self)]
-
-    def transpose(self) -> "ExactMatrix":
-        return _matrix(self.field, _transpose(_sparse_rows(self), self.cols),
-                       self.rows)
 
     def is_zero(self) -> bool:
         return not any(_sparse_rows(self))
@@ -610,14 +578,6 @@ class ExactMatrix:
             raise CycloError("solve: A has %d rows but B has %d"
                              % (self.rows, rhs.rows))
         return self._system(rhs).solve()
-
-    def inverse(self) -> "ExactMatrix":
-        if self.rows != self.cols:
-            raise CycloError("inverse of a non-square matrix")
-        res = self.solve(ExactMatrix.identity(self.field, self.rows))
-        if not res.feasible or res.kernel.cols:
-            raise CycloError("matrix is not invertible")
-        return res.particular
 
     def __repr__(self):
         return "ExactMatrix(%dx%d over Q(zeta_%d))" % (

@@ -99,7 +99,6 @@ __all__ = [
     "projective_section",
     "regular_rep",
     "trivial_rep",
-    "direct_sum_rep",
     "bundle_to_obj",
     "bundle_from_obj",
 ]
@@ -875,16 +874,6 @@ def dual_rep(b: HopfBundle, m: Rep) -> Rep:
     return _memo(b, ("dual", m), lambda: Rep.deferred(
         b.field, m.dim, b.dim,
         lambda i: _transpose(_action_rows(antipode[i], m), m.dim)))
-
-
-def direct_sum_rep(b: HopfBundle, m: Rep, n: Rep) -> Rep:
-    """M (+) N, with the coordinates of N after those of M, the rows of each
-    basis element built on their first read."""
-    _check_rep(b, m)
-    _check_rep(b, n)
-    return Rep.deferred(b.field, m.dim + n.dim, b.dim, lambda i: m.rows_of(i)
-                        + tuple(tuple((c + m.dim, v) for c, v in row)
-                                for row in n.rows_of(i)))
 
 
 def _constrained(b: HopfBundle):

@@ -41,10 +41,8 @@ __all__ = [
     "Point",
     "Generator",
     "Diagram",
-    "SkeinVector",
     "evaluate",
     "skein_module_disk",
-    "skein_eq",
     "boundary_rep",
     "diagram_from_obj",
 ]
@@ -272,36 +270,6 @@ def evaluate(b: HopfBundle, diagram: Diagram) -> ExactMatrix:
     if total is None:
         return ExactMatrix.identity(field, dim)
     return _matrix(field, total, dim)
-
-
-class SkeinVector:
-    """A formal k-linear combination of diagrams with equal boundaries."""
-
-    def __init__(self, terms):
-        self.terms = [(c, d) for (c, d) in terms]
-        if self.terms:
-            b0, t0 = self.terms[0][1].bottom, self.terms[0][1].top
-            for _, d in self.terms[1:]:
-                if d.bottom != b0 or d.top != t0:
-                    raise StructureError("skein vector mixes boundaries")
-
-    def boundaries(self):
-        if not self.terms:
-            return None
-        return self.terms[0][1].bottom, self.terms[0][1].top
-
-    def evaluate(self, b: HopfBundle) -> ExactMatrix:
-        if not self.terms:
-            raise StructureError("empty skein vector has no boundary")
-        first, *rest = (evaluate(b, d).scale(c) for c, d in self.terms)
-        return sum(rest, first)
-
-
-def skein_eq(b: HopfBundle, s1: SkeinVector, s2: SkeinVector) -> bool:
-    """The admissible skein relation: equality after RT evaluation, exactly."""
-    if s1.boundaries() != s2.boundaries():
-        raise StructureError("skein vectors have different boundaries")
-    return s1.evaluate(b) == s2.evaluate(b)
 
 
 def skein_module_disk(b: HopfBundle, bottom, top) -> list[ExactMatrix]:

@@ -170,22 +170,12 @@ class AlgebraPresentation:
     def dim(self) -> int:
         return len(self.basis_vectors)
 
-    def _product(self, x: dict, y: dict) -> dict:
-        """Structure-constant product of two sparse coordinate dicts."""
-        return _apply_mu(self.structure, x, y)
-
-    def product_coords(self, x, y) -> list:
-        """Structure-constant product of two coordinate vectors."""
-        xy = self._product(_sparse_sum(enumerate(x)),
-                           _sparse_sum(enumerate(y)))
-        zero = self.field.zero()
-        return [xy.get(k, zero) for k in range(self.dim)]
-
     # -- law checks (all exact) ---------------------------------------------
 
     def check_unit(self) -> bool:
         unit, one = _sparse_sum(enumerate(self.unit_coords)), self.field.one()
-        return all(self._product(unit, e) == e == self._product(e, unit)
+        mu = self.structure
+        return all(_apply_mu(mu, unit, e) == e == _apply_mu(mu, e, unit)
                    for e in ({i: one} for i in range(self.dim)))
 
     def check_associativity(self) -> bool:

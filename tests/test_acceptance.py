@@ -22,13 +22,13 @@ from modskein.bundles import (sweedler_bundle, trivial_bundle, uqsl2_bundle,
                               z2_bundle, z4_bundle)
 from modskein.coend import (canonical_image_dim, coadjoint_rep, recompose,
                             red_to_blue, slf_basis)
-from modskein.cyclo import ExactMatrix
+from modskein.cyclo import ExactMatrix, _sparse_sum
 from modskein.errors import InadmissibleError, StructureError
 from modskein.hopf import (bundle_from_obj, bundle_to_obj, hom_space,
                            regular_rep, tensor_rep, trivial_rep, twist,
                            validate_bundle)
 from modskein.rt import Diagram, Generator, boundary_rep, evaluate
-from modskein.surface import char_map, skalg, skalg_dimension
+from modskein.surface import _apply_mu, char_map, skalg, skalg_dimension
 
 
 def _verdict(num, desc, fn):
@@ -101,13 +101,14 @@ def test_criterion_3_semisimple_degeneration():
         assert cm["multiplicative"]
         # brute-force character-ring oracle: Z/2 characters multiply as the
         # group ring of the dual group; the image basis must reproduce it.
-        t_triv = cm["images"]["triv"]
-        t_sgn = cm["images"]["sgn"]
-        assert alg.product_coords(t_triv, t_triv) == t_triv
-        assert alg.product_coords(t_triv, t_sgn) == t_sgn
-        assert alg.product_coords(t_sgn, t_triv) == t_sgn
-        assert alg.product_coords(t_sgn, t_sgn) == t_triv
-        assert alg.unit_coords == t_triv
+        t_triv, t_sgn = (_sparse_sum(enumerate(cm["images"][name]))
+                         for name in ("triv", "sgn"))
+        mu = alg.structure
+        assert _apply_mu(mu, t_triv, t_triv) == t_triv
+        assert _apply_mu(mu, t_triv, t_sgn) == t_sgn
+        assert _apply_mu(mu, t_sgn, t_triv) == t_sgn
+        assert _apply_mu(mu, t_sgn, t_sgn) == t_triv
+        assert _sparse_sum(enumerate(alg.unit_coords)) == t_triv
 
     _verdict(3, "z2 annulus = 2-dim character ring, char_map surjective",
              body)

@@ -8,6 +8,7 @@ import os
 import re
 import subprocess
 import sys
+from itertools import chain
 from pathlib import Path
 
 import pytest
@@ -477,6 +478,45 @@ def test_only_the_cli_reads_files():
     assert calls == {}
 
 
+# The modules whose public names a command, a demo or the benchmark must
+# use; `bundles` is left out, since its names are shipped data.
+SURFACE_MODULES = ("cyclo", "hopf", "rt", "coend", "surface", "errors")
+
+
+def _public_names(tree) -> set:
+    """The names in a module's `__all__`, or, without one, its public
+    top-level classes and functions."""
+    for node in tree.body:
+        if (isinstance(node, ast.Assign)
+                and [getattr(t, "id", None) for t in node.targets]
+                == ["__all__"]):
+            return set(ast.literal_eval(node.value))
+    return {node.name for node in tree.body
+            if isinstance(node, (ast.ClassDef, ast.FunctionDef))
+            and not node.name.startswith("_")}
+
+
+def test_every_public_engine_name_is_used_outside_the_tests():
+    # A name or attribute in the engine, the demos or the benchmark counts
+    # as a use, except inside the top-level definition of that name; an
+    # import and an `__all__` string do not.
+    root = Path(__file__).resolve().parent.parent
+    src = Path(modskein.__file__).parent
+    used = set()
+    for path in sorted(chain(src.glob("*.py"), (root / "demos").glob("*.py"),
+                             (root / "perfbench").glob("*.py"))):
+        for top in ast.parse(path.read_text(encoding="utf-8")).body:
+            own = getattr(top, "name", None)
+            for node in ast.walk(top):
+                name = getattr(node, "id", getattr(node, "attr", None))
+                if isinstance(node, (ast.Name, ast.Attribute)) and name != own:
+                    used.add(name)
+    unused = {mod: sorted(_public_names(ast.parse(
+        (src / (mod + ".py")).read_text(encoding="utf-8"))) - used)
+        for mod in SURFACE_MODULES}
+    assert unused == {mod: [] for mod in SURFACE_MODULES}
+
+
 def _mutant_z4_r():
     obj = bundle_to_obj(z4_bundle())
     obj["R"][0][-1] = _perturbed(obj["R"][0][-1])
@@ -639,6 +679,22 @@ def test_float_str_renders_noise_below_1e_12_as_0():
     assert _float_str(z8.zeta(2)) == "0+1j"
     assert _float_str(z4.zeta(2)) == "-1"
     assert _float_str(z8.zeta()) == "0.707106781187+0.707106781187j"
+
+
+# `--float` adds a decimal column; a command that renders none refuses it
+# before it reads or writes a file.
+@pytest.mark.parametrize("argv", [
+    ("validate", "sweedler"), ("gen-uqsl2", "2", "OUT"),
+    ("skalg", "z2", "0", "2"), ("char-map", "z2"),
+], ids=["validate", "gen-uqsl2", "skalg", "char-map"])
+def test_float_is_refused_where_no_decimal_column_renders(work, tmp_path,
+                                                          capsys, argv):
+    out_path = tmp_path / "out.json"
+    argv = [str(out_path) if a == "OUT" else work.get(a, a) for a in argv]
+    code, out, err = run_main(capsys, "--float", *argv)
+    assert code == 2 and out == "" and not out_path.exists()
+    assert err == ("error: %s renders no decimal column; --float is "
+                   "refused\n" % argv[0])
 
 
 def test_slf_float_column_renders_every_basis_entry(work, capsys):

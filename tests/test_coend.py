@@ -14,9 +14,8 @@ from modskein.bundles import (sweedler_bundle, trivial_bundle, uqsl2_bundle,
                               z2_bundle, z4_bundle)
 from modskein.cyclo import ExactMatrix, _sparse_rows, _sparse_sum
 from modskein.errors import InadmissibleError, StructureError
-from modskein.hopf import (Rep, direct_sum_rep, dual_rep, hom_space,
-                           projective_section, regular_rep, tensor_rep,
-                           trivial_rep, validate_rep)
+from modskein.hopf import (Rep, dual_rep, hom_space, projective_section,
+                           regular_rep, tensor_rep, trivial_rep, validate_rep)
 
 
 # Fresh bundles by name, so that no cached coadjoint action is compared.
@@ -100,7 +99,8 @@ def test_dinaturality(sweedler):
             for f in hom_space(b, m, n):
                 eye_m = ExactMatrix.identity(b.field, m.dim)
                 eye_ns = ExactMatrix.identity(b.field, n.dim)
-                lhs = dinat(b, m) * eye_m.kron(f.transpose())
+                lhs = dinat(b, m) * eye_m.kron(
+                    ExactMatrix(b.field, list(zip(*f.data))))
                 rhs = dinat(b, n) * f.kron(eye_ns)
                 assert lhs == rhs, (n1, n2)
 
@@ -142,7 +142,11 @@ def test_qchar_additive_on_direct_sums(sweedler):
     b = sweedler
     m = b.module("proj_plus")
     n = b.module("sgn")
-    s = direct_sum_rep(b, m, n)
+    zero = b.field.zero()
+    s = Rep(m.dim + n.dim, [
+        ExactMatrix(b.field, [list(row) + [zero] * n.dim for row in x.data]
+                    + [[zero] * m.dim + list(row) for row in y.data])
+        for x, y in zip(m.mats, n.mats)])
     lhs = qchar(b, s).coords
     rhs = [a + c for a, c in zip(qchar(b, m).coords, qchar(b, n).coords)]
     assert lhs == rhs

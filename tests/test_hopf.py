@@ -22,10 +22,10 @@ from modskein.cyclo import (CycField, CycloError, ExactMatrix, LinearSystem,
 from modskein.errors import CapabilityError, StructureError
 from modskein.hopf import (AXIOMS, HopfBundle, Rep, _generators, braiding,
                            braiding_inverse, bundle_from_obj, bundle_to_obj,
-                           direct_sum_rep, dual_rep, hom_space, is_projective,
+                           dual_rep, hom_space, is_projective,
                            projective_section, regular_rep, tensor_rep,
-                           trivial_rep, twist, twist_inverse, validate_bundle,
-                           validate_rep)
+                           trivial_rep, twist, twist_inverse,
+                           validate_bundle, validate_rep)
 from modskein.rt import Diagram, Generator, diagram_from_obj, evaluate
 from modskein.surface import char_map, skalg, skalg_dimension
 from test_acceptance import _perturb_once
@@ -508,8 +508,8 @@ def test_action_matrices_match_the_dense_definition(z2, sweedler, z4):
                     f, m.dim, ((c, m.mats[i]) for i, c in x.items()))
             dual = dual_rep(b, m)
             for i, s_i in enumerate(b.antipode_cols):
-                assert dual.mats[i] == _dense_sum(
-                    f, m.dim, ((c, m.mats[k]) for k, c in s_i)).transpose()
+                dense = _dense_sum(f, m.dim, ((c, m.mats[k]) for k, c in s_i))
+                assert dual.mats[i] == ExactMatrix(f, list(zip(*dense.data)))
             for _, n in mods:
                 dim = m.dim * n.dim
                 prod = tensor_rep(b, m, n)
@@ -533,29 +533,11 @@ def test_rep_from_rows_equals_rep_from_mats(z2, sweedler, z4):
         mods = [m for _, m in sorted(b.modules.items())]
         built = [dual_rep(b, m) for m in mods]
         built += [tensor_rep(b, m, n) for m in mods for n in mods[:2]]
-        built += [direct_sum_rep(b, mods[0], mods[-1])]
         for rep in mods + built:
             dense = Rep(rep.dim, list(rep.mats))
             assert dense is not rep and dense == rep and rep == dense
             assert hash(dense) == hash(rep)
             assert Rep.from_rows(b.field, rep.dim, dense.rows) == rep
-
-
-def test_direct_sum_matches_the_block_definition(sweedler, z4):
-    for b in (sweedler, z4):
-        mods = [m for _, m in sorted(b.modules.items())]
-        for m in mods:
-            for n in mods:
-                s = direct_sum_rep(b, m, n)
-                for i in range(b.dim):
-                    table = [[b.field.zero()] * s.dim for _ in range(s.dim)]
-                    for r in range(m.dim):
-                        for c in range(m.dim):
-                            table[r][c] = m.mats[i].data[r][c]
-                    for r in range(n.dim):
-                        for c in range(n.dim):
-                            table[m.dim + r][m.dim + c] = n.mats[i].data[r][c]
-                    assert s.mats[i] == ExactMatrix(b.field, table)
 
 
 def test_braiding_memo_returns_fresh_copies():
@@ -948,13 +930,11 @@ def test_a_lazy_module_of_another_bundle_is_refused_unbuilt(z2):
     # a shared bundle an earlier test may already have built it.
     b = sweedler_bundle()
     reg = b.module("reg")
-    for lazy in (tensor_rep(b, reg, reg), dual_rep(b, reg),
-                 direct_sum_rep(b, reg, reg)):
+    for lazy in (tensor_rep(b, reg, reg), dual_rep(b, reg)):
         assert lazy.n_actions == b.dim
         for call in (lambda: tensor_rep(z2, lazy, z2.module("reg")),
                      lambda: tensor_rep(z2, z2.module("reg"), lazy),
-                     lambda: dual_rep(z2, lazy),
-                     lambda: direct_sum_rep(z2, lazy, z2.module("reg"))):
+                     lambda: dual_rep(z2, lazy)):
             with pytest.raises(StructureError, match="action matrices"):
                 call()
         assert lazy._rows is None
@@ -966,19 +946,11 @@ def _derived_modules(b):
     m, n = mods[-1], mods[0]
     return [
         (tensor_rep(b, m, n), _eager_tensor(b, m, n)),
-        (dual_rep(b, m), Rep(m.dim, [
-            m.act(b.elem_antipode({i: b.field.one()})).transpose()
+        (dual_rep(b, m), Rep(m.dim, [ExactMatrix(b.field, list(zip(
+            *m.act(b.elem_antipode({i: b.field.one()})).data)))
             for i in range(b.dim)])),
-        (direct_sum_rep(b, m, n), Rep(m.dim + n.dim, [
-            _block_diag(b.field, x, y) for x, y in zip(m.mats, n.mats)])),
         (coadjoint_rep(b), Rep(b.dim, _dense_coadjoint(b))),
     ]
-
-
-def _block_diag(field, x, y):
-    zero = field.zero()
-    return ExactMatrix(field, [list(row) + [zero] * y.cols for row in x.data]
-                       + [[zero] * x.cols + list(row) for row in y.data])
 
 
 @pytest.mark.parametrize("first", sorted(_FIRST_READS))

@@ -53,13 +53,13 @@ def _hom_space_all(b, m, n, indices=None):
                 row = {}
                 for s in range(nd):
                     row[s * md + c] = row.get(s * md + c, b.field.zero()) \
-                        + nm[r, s]
+                        + nm.data[r][s]
                 for t in range(md):
                     row[r * md + t] = row.get(r * md + t, b.field.zero()) \
-                        - mm[t, c]
+                        - mm.data[t][c]
                 sys.add_row({k: v for k, v in row.items() if not v.is_zero()})
     kern = sys.kernel()
-    return [ExactMatrix(b.field, [[kern[r * md + c, j] for c in range(md)]
+    return [ExactMatrix(b.field, [[kern.data[r * md + c][j] for c in range(md)]
                                   for r in range(nd)])
             for j in range(kern.cols)]
 
@@ -83,24 +83,24 @@ def _projective_section_all(b, m):
                     row = {}
                     for hp in range(d):
                         key = (hp * md + r) * md + c
-                        row[key] = row.get(key, zero) + lm[h, hp]
+                        row[key] = row.get(key, zero) + lm.data[h][hp]
                     for t in range(md):
                         key = (h * md + r) * md + t
-                        row[key] = row.get(key, zero) - mm[t, c]
+                        row[key] = row.get(key, zero) - mm.data[t][c]
                     sys.add_row({k: v for k, v in row.items()
                                  if not v.is_zero()})
     mats = m.mats
     for cp in range(md):
         for c in range(md):
-            row = {(h * md + r) * md + c: mats[h][cp, r]
+            row = {(h * md + r) * md + c: mats[h].data[cp][r]
                    for h in range(d) for r in range(md)
-                   if not mats[h][cp, r].is_zero()}
+                   if not mats[h].data[cp][r].is_zero()}
             sys.add_row(row, {0: one} if cp == c else None)
     res = sys.solve()
     if not res.feasible:
         return None
     x = res.particular
-    return ExactMatrix(field, [[x[s * md + c, 0] for c in range(md)]
+    return ExactMatrix(field, [[x.data[s * md + c][0] for c in range(md)]
                                for s in range(d * md)])
 
 

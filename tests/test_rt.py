@@ -7,9 +7,9 @@ from modskein.bundles import sweedler_bundle, z4_bundle
 from modskein.cyclo import ExactMatrix, LinearSystem
 from modskein.errors import InadmissibleError, StructureError, TypingError
 from modskein.hopf import hom_space, tensor_rep, twist
-from modskein.rt import (GENERATOR_KINDS, Diagram, Generator, SkeinVector,
+from modskein.rt import (GENERATOR_KINDS, Diagram, Generator,
                          _generator_matrix, boundary_rep, diagram_from_obj,
-                         evaluate, skein_eq, skein_module_disk)
+                         evaluate, skein_module_disk)
 
 
 def gen(kind, *points):
@@ -257,7 +257,7 @@ def test_disk_dimension_cyclic_rotation(sweedler):
         assert len(set(dims)) == 1, (pts, dims)
 
 
-def test_skein_eq(sweedler):
+def test_skein_relations_are_equalities_of_evaluations(sweedler):
     b = sweedler
     m, n = ("proj_plus", "+"), ("proj_minus", "+")
     r2 = Diagram([m, n], [m, n], [
@@ -265,22 +265,16 @@ def test_skein_eq(sweedler):
         [gen("braid_inv", n, m)],
     ])
     flat = Diagram([m, n], [m, n], [[gen("id", m), gen("id", n)]])
-    assert skein_eq(b, SkeinVector([(b.field.one(), r2)]),
-                    SkeinVector([(b.field.one(), flat)]))
+    assert evaluate(b, r2) == evaluate(b, flat)
     with_zig = Diagram([m, n], [m, n], [
         [gen("coev", m), gen("id", m), gen("id", n)],
         [gen("id", m), gen("ev", m), gen("id", n)],
     ])
-    assert skein_eq(b, SkeinVector([(b.field.one(), with_zig)]),
-                    SkeinVector([(b.field.one(), flat)]))
-    # linear combination: 2*flat - 2*r2 evaluates to zero against empty-sum
+    assert evaluate(b, with_zig) == evaluate(b, flat)
+    # linear combination: 2*flat - 2*r2 evaluates to zero
     two = b.field.from_rational(2)
-    diff = SkeinVector([(two, flat), (-two, r2)])
-    zero = SkeinVector([(b.field.zero(), flat)])
-    assert skein_eq(b, diff, zero)
-    other = Diagram([m], [m], [[gen("id", m)]])
-    with pytest.raises(StructureError):
-        skein_eq(b, diff, SkeinVector([(b.field.one(), other)]))
+    diff = evaluate(b, flat).scale(two) + evaluate(b, r2).scale(-two)
+    assert diff.is_zero() and diff == evaluate(b, flat).scale(0)
 
 
 def test_twisted_loop_trace_oracle(sweedler, z4):
