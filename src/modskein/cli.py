@@ -137,12 +137,6 @@ def _job_from_obj(bundle: HopfBundle, obj) -> tuple:
         raise StructureError("malformed job file: %s" % exc) from exc
 
 
-def _form_floats(bundle: HopfBundle, form) -> list:
-    """The decimal rendering of a form, labelled as in `form.to_obj`."""
-    return [[label + "*", _float_str(c)]
-            for label, c in zip(bundle.basis_labels, form.coords)]
-
-
 # ---------------------------------------------------------------------------
 # Payload commands
 # ---------------------------------------------------------------------------
@@ -153,7 +147,8 @@ def _slf_payload(bundle: HopfBundle, args) -> dict:
     obj = {"bundle": bundle.name, "dim": len(basis),
            "basis": [f.to_obj(bundle) for f in basis]}
     if args.float_col:
-        obj.update(_float_columns([_form_floats(bundle, f) for f in basis]))
+        obj.update(_float_columns([f.to_obj(bundle, _float_str)
+                                   for f in basis]))
     return obj
 
 
@@ -162,7 +157,7 @@ def _qchar_payload(bundle: HopfBundle, args) -> dict:
     obj = {"bundle": bundle.name, "module": args.module,
            "values": form.to_obj(bundle)}
     if args.float_col:
-        obj.update(_float_columns(_form_floats(bundle, form)))
+        obj.update(_float_columns(form.to_obj(bundle, _float_str)))
     return obj
 
 
@@ -173,11 +168,13 @@ def _skalg_payload(bundle: HopfBundle, args) -> dict:
 def _char_map_payload(bundle: HopfBundle, args) -> dict:
     alg = skalg(bundle, 0, 2)
     cm = char_map(bundle, alg)
+    zero = bundle.field.zero()
     return {
         "bundle": bundle.name, "g": 0, "n": 2, "dim": alg.dim,
         "image_rank": cm["rank"],
         "multiplicative": cm["multiplicative"],
-        "images": {name: [c.to_obj() for c in coords]
+        "images": {name: [coords.get(t, zero).to_obj()
+                          for t in range(alg.dim)]
                    for name, coords in sorted(cm["images"].items())},
         "qchars": {name: form.to_obj(bundle)
                    for name, form in sorted(cm["qchars"].items())},

@@ -33,8 +33,9 @@ from __future__ import annotations
 import math
 from functools import partial, reduce
 
-from .cyclo import (CycNum, ExactMatrix, LinearSystem, _from_cols, _matrix,
-                    _sorted_row, _sparse_cols, _sparse_sum)
+from .cyclo import (CycNum, ExactMatrix, LinearSystem, _column_system,
+                    _from_cols, _matrix, _sorted_row, _sparse_cols,
+                    _sparse_sum)
 from .errors import InadmissibleError, StructureError, require_int
 from .hopf import (HopfBundle, Rep, _check_rep, _commutators,
                    _intertwiner_failure, _memo, dual_rep, hom_space,
@@ -56,20 +57,23 @@ __all__ = [
 
 
 class SLFElem:
-    """A symmetric linear form on H; membership is checked, not assumed."""
+    """A symmetric linear form f on H, held as the sparse dict `coords` of
+    its nonzero values {i: f(e_i)}; membership is checked, not assumed."""
 
     __slots__ = ("coords",)
 
-    def __init__(self, b: HopfBundle, coords):
-        self.coords = list(coords)
-        if len(self.coords) != b.dim:
-            raise StructureError("SLF coordinate length != dim H")
+    def __init__(self, b: HopfBundle, coords: dict):
+        self.coords = dict(coords)
+        if any(i not in range(b.dim) for i in self.coords):
+            raise StructureError("SLF coordinate index outside range(dim H)")
         if not is_symmetric_form(b, self.coords):
             raise StructureError("form is not symmetric: f(xy) != f(yx)")
 
-    def to_obj(self, b: HopfBundle):
-        return [[b.basis_labels[i] + "*", self.coords[i].to_obj()]
-                for i in range(b.dim)]
+    def to_obj(self, b: HopfBundle, render=CycNum.to_obj):
+        """[label*, value] per basis element, rendered by `render`."""
+        zero = b.field.zero()
+        return [[label + "*", render(self.coords.get(i, zero))]
+                for i, label in enumerate(b.basis_labels)]
 
     def __eq__(self, other):
         return isinstance(other, SLFElem) and self.coords == other.coords
@@ -78,11 +82,12 @@ class SLFElem:
         return "SLFElem(%s)" % (self.coords,)
 
 
-def is_symmetric_form(b: HopfBundle, coords) -> bool:
-    """f(xy) = f(yx) for all x, y, decided on the rows of `_commutators`."""
+def is_symmetric_form(b: HopfBundle, coords: dict) -> bool:
+    """f(xy) = f(yx) for all x, y, decided on the rows of `_commutators`;
+    the form is a sparse {i: f(e_i)} dict."""
     zero = b.field.zero()
-    return all(sum((c * coords[k] for k, c in row), zero).is_zero()
-               for row in _commutators(b))
+    return all(sum((c * coords[k] for k, c in row if k in coords),
+                   zero).is_zero() for row in _commutators(b))
 
 
 def coadjoint_rep(b: HopfBundle) -> Rep:
@@ -130,15 +135,14 @@ def slf_basis(b: HopfBundle) -> list[SLFElem]:
     sys = LinearSystem(b.field, b.dim)
     for row in _commutators(b):
         sys.add_row(dict(row))
-    kern = sys.kernel()
-    basis = [SLFElem(b, kern.col(j)) for j in range(kern.cols)]
+    basis = [SLFElem(b, dict(col)) for col in _sparse_cols(sys.kernel())]
     invs = hom_space(b, trivial_rep(b), coadjoint_rep(b))
     if len(invs) != len(basis):
         raise StructureError(
             "SLF dimension %d != coadjoint invariant dimension %d"
             % (len(basis), len(invs)))
     for f in invs:
-        if not is_symmetric_form(b, f.col(0)):
+        if not is_symmetric_form(b, dict(_sparse_cols(f)[0])):
             raise StructureError("coadjoint invariant is not a symmetric form")
     return basis
 
@@ -148,10 +152,13 @@ def qchar(b: HopfBundle, m: Rep) -> SLFElem:
 
     Concretely i_M(coev) = the trace form x -> tr_M(rho(x)); the pivotal
     element enters the loop's evaluation twice with cancelling exponents,
-    so no twist survives.  Membership in the SLF space is checked.
+    so no twist survives.  Membership in the SLF space is checked.  M must
+    be a module of b, as `hopf.validate_rep` decides.
     """
-    return SLFElem(b, [_matrix(b.field, rows, m.dim).trace()
-                       for rows in m.rows])
+    _check_rep(b, m)
+    return SLFElem(b, _sparse_sum((i, v) for i, rows in enumerate(m.rows)
+                                  for r, row in enumerate(rows)
+                                  for c, v in row if c == r))
 
 
 def canonical_image_dim(b: HopfBundle) -> int:
@@ -159,8 +166,8 @@ def canonical_image_dim(b: HopfBundle) -> int:
     image of the classical skein algebra inside the annulus algebra."""
     if not b.simples:
         raise StructureError("bundle has no simple module list")
-    rows = [qchar(b, b.module(name)).coords for name in b.simples]
-    return ExactMatrix(b.field, rows).rank()
+    return _column_system(b.field, [qchar(b, b.module(name)).coords
+                                    for name in b.simples]).rank()
 
 
 # ---------------------------------------------------------------------------
@@ -170,6 +177,9 @@ def canonical_image_dim(b: HopfBundle) -> int:
 
 def iterated_comult(b: HopfBundle, i: int, m: int) -> list[tuple[tuple, CycNum]]:
     """Delta^{(m)}(e_i) as a sparse list of (index tuple of length m, coeff)."""
+    require_int("m", m)
+    if i.__class__ is not int or not 0 <= i < b.dim:
+        raise StructureError("e_%r is not a basis element of %r" % (i, b.name))
     if m < 1:
         raise StructureError("need at least one tensor factor")
     if m == 1:
@@ -185,7 +195,7 @@ def apply_factored_action(b: HopfBundle, factors: list[Rep], i: int,
 
     Returns the image as a sparse vector; positions are row-major in the
     factors, as in `ExactMatrix.kron`.  A factor on which e_k acts by the
-    identity is skipped.
+    identity is skipped.  An index i outside range(dim H) is refused.
     """
     dims = [f.dim for f in factors]
     blocks = [_action_blocks(b, f) for f in factors]

@@ -11,10 +11,13 @@ anything built on it) ever rounds.
 
 A matrix is immutable, and its canonical sparse rows (nonzero entries sorted
 by column) are its only state; `data` is a read-only dense view of them.
-Matrices are eliminated fraction-free: rows are scaled to integer
-coefficient vectors in Z[zeta_N] and reduced by content-normalized
-cross-multiplication (Bareiss-style), so intermediate entries stay integral.
-Pivoting is deterministic: leftmost nonzero column first, earliest row wins.
+`LinearSystem` is the one way to eliminate; `_column_system` builds the
+system of a list of sparse vectors, for their rank and for coordinates in
+their span (`_solve_in_basis`).  It eliminates fraction-free: rows are
+scaled to integer coefficient vectors in Z[zeta_N] and reduced by
+content-normalized cross-multiplication (Bareiss-style), so intermediate
+entries stay integral.  Pivoting is deterministic: leftmost nonzero column
+first, earliest row wins.
 """
 
 from __future__ import annotations
@@ -82,6 +85,10 @@ class CycField:
     _registry: dict[int, "CycField"] = {}
 
     def __new__(cls, order: int):
+        # a bool or a float would pass the registry lookup as an int
+        if order.__class__ is not int:
+            raise CycloError("cyclotomic order must be an int, not %r"
+                             % (order,))
         if order in cls._registry:
             return cls._registry[order]
         self = super().__new__(cls)
@@ -483,10 +490,6 @@ class ExactMatrix:
 
     # -- structure ------------------------------------------------------------
 
-    def col(self, j) -> list:
-        j, zero = range(self.cols)[j], self.field.zero()
-        return [dict(row).get(j, zero) for row in _sparse_rows(self)]
-
     def is_zero(self) -> bool:
         return not any(_sparse_rows(self))
 
@@ -555,29 +558,6 @@ class ExactMatrix:
             raise CycloError("trace of a non-square matrix")
         return sum((v for i, row in enumerate(_sparse_rows(self))
                     for c, v in row if c == i), self.field.zero())
-
-    # -- elimination ------------------------------------------------------------
-
-    def _system(self, rhs: "ExactMatrix | None" = None) -> "LinearSystem":
-        sys = LinearSystem(self.field, self.cols, rhs.cols if rhs else 0)
-        rhs_rows = _sparse_rows(rhs) if rhs else None
-        for i, row in enumerate(_sparse_rows(self)):
-            sys.add_row(dict(row), None if rhs is None else dict(rhs_rows[i]))
-        return sys
-
-    def rank(self) -> int:
-        return self._system().rank()
-
-    def kernel_basis(self) -> "ExactMatrix":
-        """Columns span the nullspace {x : A x = 0}; rank-nullity holds exactly."""
-        return self._system().kernel()
-
-    def solve(self, rhs: "ExactMatrix") -> SolveResult:
-        """Exact affine solution set of self @ X = rhs."""
-        if rhs.rows != self.rows:
-            raise CycloError("solve: A has %d rows but B has %d"
-                             % (self.rows, rhs.rows))
-        return self._system(rhs).solve()
 
     def __repr__(self):
         return "ExactMatrix(%dx%d over Q(zeta_%d))" % (
@@ -720,13 +700,14 @@ class LinearSystem:
         return SolveResult(_from_cols(self.field, cols, self.ncols), kernel)
 
 
-def _solve_in_basis(field: CycField, basis: list, targets: list) -> SolveResult:
-    """Coordinates of sparse `targets` in the span of sparse `basis` vectors.
+def _column_system(field: CycField, basis: list,
+                   targets: list = ()) -> LinearSystem:
+    """The system whose column t is the sparse vector basis[t] and whose
+    right-hand side s is the sparse vector targets[s].
 
-    Column t of the system is basis vector t and right-hand side s is target
-    s; there is one row per coordinate key, added in sorted key order, so
-    pivots do not depend on how the vectors were built.  An empty basis gives
-    an infeasible result unless every target is zero.
+    There is one row per coordinate key, added in sorted key order, so
+    pivots do not depend on how the vectors were built; its rank is the rank
+    of `basis`.
     """
     rows: dict = {}
     for side, vecs in enumerate((basis, targets)):
@@ -736,7 +717,14 @@ def _solve_in_basis(field: CycField, basis: list, targets: list) -> SolveResult:
     sys = LinearSystem(field, len(basis), len(targets))
     for key in sorted(rows):
         sys.add_row(*rows[key])
-    return sys.solve()
+    return sys
+
+
+def _solve_in_basis(field: CycField, basis: list, targets: list) -> SolveResult:
+    """Coordinates of sparse `targets` in the span of sparse `basis` vectors,
+    solved in their `_column_system`.  An empty basis gives an infeasible
+    result unless every target is zero."""
+    return _column_system(field, basis, targets).solve()
 
 
 def _nonzero_entries(row: list) -> tuple:

@@ -323,7 +323,7 @@ class HopfBundle:
             if name in self.simples[:k]:
                 raise StructureError("simple %r listed twice" % name)
         for name, rep in self.modules.items():
-            _check_rep(self, rep, "module %r" % name)
+            _check_rep(self, rep, what="module %r" % name)
 
     def _build_tables(self):
         d = self.dim
@@ -457,12 +457,17 @@ class HopfBundle:
 # ---------------------------------------------------------------------------
 
 
-def _check_rep(b: HopfBundle, rep: Rep, what: str = "module") -> None:
-    """Refuse a module without one action matrix per basis element of b,
-    such as a module of another bundle, with a StructureError."""
-    if rep.n_actions != b.dim:
-        raise StructureError("%s has %d action matrices, bundle %r needs %d"
-                             % (what, rep.n_actions, b.name, b.dim))
+def _check_rep(b: HopfBundle, *reps: Rep, what: str = "module") -> None:
+    """Refuse a module without one action matrix per basis element of b, or
+    over another field, such as a module of another bundle, with a
+    StructureError."""
+    for rep in reps:
+        if rep.n_actions != b.dim:
+            raise StructureError("%s has %d action matrices, bundle %r needs "
+                                 "%d" % (what, rep.n_actions, b.name, b.dim))
+        if rep.field is not b.field:
+            raise StructureError("%s is over %r, bundle %r over %r"
+                                 % (what, rep.field, b.name, b.field))
 
 
 def _decided_on(gens, d: int, loop):
@@ -484,7 +489,8 @@ def validate_rep(b: HopfBundle, rep: Rep) -> list[str]:
     Decided on i in S by lemma (iii) of the module docstring when H is
     associative and rho(1) = id; otherwise, or when that finds a failure,
     the first failing pair (i, j) of all of them is named.  A module with the
-    wrong number of action matrices raises StructureError.
+    wrong number of action matrices, or over another field, raises
+    StructureError.
     """
     _check_rep(b, rep)
     failures = []
@@ -859,8 +865,7 @@ def _action_rows(terms, m: Rep, n: Rep | None = None) -> tuple:
 def tensor_rep(b: HopfBundle, m: Rep, n: Rep) -> Rep:
     """Action on M (x) N through the comultiplication, the rows of each
     basis element built on their first read."""
-    _check_rep(b, m)
-    _check_rep(b, n)
+    _check_rep(b, m, n)
     comult = b.comult_table
     return Rep.deferred(b.field, m.dim * n.dim, b.dim,
                         lambda i: _action_rows(comult[i], m, n))
@@ -889,8 +894,7 @@ def _intertwiner_system(b: HopfBundle, m: Rep, n: Rep,
     """The rows of rho_N(e_i) F - F rho_M(e_i) = 0 on F: M -> N for i in
     `_constrained(b)`, one per entry (r, c) that does not vanish identically,
     with F[s][t] as column s * dim M + t."""
-    _check_rep(b, m)
-    _check_rep(b, n)
+    _check_rep(b, m, n)
     md = m.dim
     sys = LinearSystem(b.field, n.dim * md, nrhs)
     for i in _constrained(b):
@@ -962,6 +966,7 @@ def braiding(b: HopfBundle, m: Rep, n: Rep) -> ExactMatrix:
     b * dim M + a.
     """
     b.require_r()
+    _check_rep(b, m, n)
 
     def build():
         acc = _action_rows(b.R, m, n)
@@ -977,6 +982,7 @@ def braiding_inverse(b: HopfBundle, m: Rep, n: Rep) -> ExactMatrix:
     a * dim N + b.
     """
     b.require_r()
+    _check_rep(b, m, n)
 
     def build():
         perm = [(k % m.dim) * n.dim + k // m.dim for k in range(m.dim * n.dim)]
@@ -993,11 +999,13 @@ def twist(b: HopfBundle, m: Rep) -> ExactMatrix:
     what satisfies theta_{M(x)N} = (theta_M (x) theta_N) o c_{N,M} o c_{M,N}.
     """
     b.require_ribbon()
+    _check_rep(b, m)
     return m.act(b.ribbon_inverse())
 
 
 def twist_inverse(b: HopfBundle, m: Rep) -> ExactMatrix:
     b.require_ribbon()
+    _check_rep(b, m)
     return m.act(b.ribbon_elem())
 
 

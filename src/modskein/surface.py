@@ -12,6 +12,10 @@ R-matrix and the comultiplication.  Tensor powers multiply factor-wise with
 the positive braiding mediating the middle swap; the algebra-vs-opposite
 ambiguity left by the mirror braiding choice is documented, not resolved.
 
+`skalg(g, n)` depends on (g, n) only through m = 2g + n - 1: a handle's two
+loops get the braided product of two more punctures, so (1, 1) and (0, 3)
+give the same algebra, though factorization homology tells them apart.
+
 The product of L^{(x)m} is kept as sparse columns: for basis vectors e_i,
 e_j of L^{(x)m}, `_power_mult(b, m)[(i, j)]` is e_i e_j as a {k: CycNum} dict,
 present only when nonzero.  Each column is summed straight from the
@@ -31,8 +35,8 @@ from __future__ import annotations
 
 from itertools import product
 
-from .cyclo import (ExactMatrix, _matrix, _solve_in_basis, _sparse_cols,
-                    _sparse_sum)
+from .cyclo import (ExactMatrix, _column_system, _matrix, _solve_in_basis,
+                    _sparse_cols, _sparse_sum)
 from .errors import StructureError, require_int
 from .hopf import (HopfBundle, Rep, _memo, braiding, hom_space, tensor_rep,
                    trivial_rep)
@@ -149,22 +153,22 @@ def _apply_mu(cols: dict, x: dict, y: dict) -> dict:
 class AlgebraPresentation:
     """Basis, exact structure constants and unit of a computed skein algebra.
 
-    `structure[(i, j)]` is the product v_i v_j as a sparse {k: CycNum} dict
-    with no zero values, in the engine's one sparse convention; the unit and
-    the basis vectors are dense coordinate lists.
+    Each vector is a sparse {k: CycNum} dict without zero values:
+    `basis_vectors[t]` is v_t in L^{(x)m}, of dimension `ambient_dim`, and
+    `structure[(i, j)]`, the product v_i v_j, and `unit_coords`, the unit,
+    are written in the basis v.
     """
 
-    def __init__(self, bundle_name, g, n, basis_vectors, labels, structure,
-                 unit_coords, provenance=None, *, field):
+    def __init__(self, bundle_name, g, n, basis_vectors, structure,
+                 unit_coords, *, field, ambient_dim):
         self.bundle_name = bundle_name
         self.g = g
         self.n = n
-        self.basis_vectors = basis_vectors  # list of coordinate lists in L^m
-        self.labels = list(labels)
+        self.basis_vectors = basis_vectors  # list of {k: CycNum} in L^m
         self.structure = structure          # dict[(i, j)] -> {k: CycNum}
-        self.unit_coords = list(unit_coords)
-        self.provenance = provenance or {}
+        self.unit_coords = unit_coords      # {k: CycNum}
         self.field = field
+        self.ambient_dim = ambient_dim
 
     @property
     def dim(self) -> int:
@@ -173,8 +177,7 @@ class AlgebraPresentation:
     # -- law checks (all exact) ---------------------------------------------
 
     def check_unit(self) -> bool:
-        unit, one = _sparse_sum(enumerate(self.unit_coords)), self.field.one()
-        mu = self.structure
+        mu, unit, one = self.structure, self.unit_coords, self.field.one()
         return all(_apply_mu(mu, unit, e) == e == _apply_mu(mu, e, unit)
                    for e in ({i: one} for i in range(self.dim)))
 
@@ -245,36 +248,28 @@ def skalg(b: HopfBundle, g: int, n: int, threads: int = 1) -> AlgebraPresentatio
     """
     m = _surface_power(g, n)
     b.require_r()
-    field = b.field
     power = _power_rep(b, m)
-    inv = hom_space(b, trivial_rep(b), power)
-    basis = [mat.col(0) for mat in inv]
-    vecs = [dict(_sparse_cols(mat)[0]) for mat in inv]
+    vecs = [dict(_sparse_cols(mat)[0])
+            for mat in hom_space(b, trivial_rep(b), power)]
     mu_m = _power_mult(b, m)
 
     # Express the nonzero products (and the unit) back in the invariant
     # basis: one shared solve with their right-hand sides stacked, the unit
     # last.  A zero product has zero coordinates.
-    dim = len(basis)
     targets = {(i, j): xy for (i, x), (j, y) in product(enumerate(vecs),
                                                         repeat=2)
                if (xy := _apply_mu(mu_m, x, y))}
-    res = _solve_in_basis(field, vecs,
+    res = _solve_in_basis(b.field, vecs,
                           list(targets.values()) + [_eps_power(b, m)])
     if not res.feasible:
         raise StructureError(
             "invariants are not closed under the braided product "
             "(convention drift); this should be impossible")
-    structure = {(i, j): {} for i in range(dim) for j in range(dim)}
-    coords = _sparse_cols(res.particular)
-    for col, pair in enumerate(targets):
-        structure[pair] = dict(coords[col])
-    unit_coords = res.particular.col(len(targets))
-    labels = ["v%d" % t for t in range(dim)]
-    alg = AlgebraPresentation(
-        bundle_name=b.name, g=g, n=n, basis_vectors=basis, labels=labels,
-        structure=structure, unit_coords=unit_coords,
-        provenance={"model": "invariants of L^(x)%d" % m}, field=field)
+    coords = [dict(col) for col in _sparse_cols(res.particular)]
+    structure = {pair: {} for pair in product(range(len(vecs)), repeat=2)}
+    structure.update(zip(targets, coords))
+    alg = AlgebraPresentation(b.name, g, n, vecs, structure, coords[-1],
+                              field=b.field, ambient_dim=power.dim)
     if not alg.check_unit() or not alg.check_associativity():
         raise StructureError("computed algebra fails unit/associativity laws")
     return alg
@@ -304,39 +299,35 @@ def char_map(b: HopfBundle, alg: AlgebraPresentation) -> dict:
     """
     if alg.g != 0 or alg.n != 2:
         raise StructureError("char_map needs the annulus algebra (g=0, n=2)")
+    if alg.field is not b.field or alg.ambient_dim != b.dim:
+        raise StructureError("presentation is not one of bundle %r" % b.name)
     if not b.simples:
         raise StructureError("bundle has no simple module list")
-    field = b.field
     # one q-character per module, the simples' first; b.module names a
     # simple missing from the module list
     qchars = {name: qchar(b, b.module(name))
               for name in dict.fromkeys(b.simples + list(b.modules))}
-    chars = {name: _sparse_sum(enumerate(form.coords))
-             for name, form in qchars.items()}
-    res = _solve_in_basis(
-        field, [_sparse_sum(enumerate(v)) for v in alg.basis_vectors],
-        [chars[name] for name in b.simples])
+    res = _solve_in_basis(b.field, alg.basis_vectors,
+                          [qchars[name].coords for name in b.simples])
     if not res.feasible:
         raise StructureError(
             "q-characters do not lie in the invariant space "
             "(internal consistency error: convention mismatch)")
-    images = {name: res.particular.col(s) for s, name in enumerate(b.simples)}
-    rank = ExactMatrix(field, [images[name] for name in b.simples]).rank()
+    images = {name: dict(col)
+              for name, col in zip(b.simples, _sparse_cols(res.particular))}
 
     mu = _power_mult(b, 1)
     mult_report = {}
-    for name_m in sorted(b.modules):
-        for name_n in sorted(b.modules):
-            lhs = _apply_mu(mu, chars[name_m], chars[name_n])
-            chi_m, chi_n = qchars[name_m].coords, qchars[name_n].coords
-            rhs = _sparse_sum((i, c * chi_m[j] * chi_n[k])
-                              for i, delta in enumerate(b.comult_table)
-                              for j, k, c in delta)
-            mult_report[(name_m, name_n)] = (lhs == rhs)
+    for name_m, name_n in product(sorted(b.modules), repeat=2):
+        chi_m, chi_n = qchars[name_m].coords, qchars[name_n].coords
+        rhs = _sparse_sum((i, c * chi_m[j] * chi_n[k])
+                          for i, delta in enumerate(b.comult_table)
+                          for j, k, c in delta if j in chi_m and k in chi_n)
+        mult_report[(name_m, name_n)] = _apply_mu(mu, chi_m, chi_n) == rhs
     return {
         "images": images,
         "qchars": {name: qchars[name] for name in b.simples},
-        "rank": rank,
+        "rank": _column_system(b.field, list(images.values())).rank(),
         "multiplicative": all(mult_report.values()),
         "multiplicativity_report": mult_report,
     }
@@ -348,7 +339,9 @@ def char_map(b: HopfBundle, alg: AlgebraPresentation) -> dict:
 
 
 def algebra_to_obj(alg: AlgebraPresentation) -> dict:
-    """The `skalg` payload of a presentation; the format is written only."""
+    """The `skalg` payload of a presentation, its vectors rendered densely;
+    the format is written only."""
+    zero = alg.field.zero()
     sc = [[i, j, k, c.to_obj()]
           for (i, j), coeffs in sorted(alg.structure.items())
           for k, c in sorted(coeffs.items())]
@@ -357,10 +350,13 @@ def algebra_to_obj(alg: AlgebraPresentation) -> dict:
         "g": alg.g,
         "n": alg.n,
         "dim": alg.dim,
-        "basis_labels": alg.labels,
-        "basis_vectors": [[c.to_obj() for c in vec]
+        "basis_labels": ["v%d" % t for t in range(alg.dim)],
+        "basis_vectors": [[vec.get(k, zero).to_obj()
+                           for k in range(alg.ambient_dim)]
                           for vec in alg.basis_vectors],
-        "unit": [c.to_obj() for c in alg.unit_coords],
+        "unit": [alg.unit_coords.get(t, zero).to_obj()
+                 for t in range(alg.dim)],
         "structure_constants": sc,
-        "provenance": alg.provenance,
+        "provenance": {"model": "invariants of L^(x)%d"
+                       % (2 * alg.g + alg.n - 1)},
     }

@@ -496,24 +496,43 @@ def _public_names(tree) -> set:
             and not node.name.startswith("_")}
 
 
+def _used_names(node, own=frozenset()):
+    """The names and attributes referenced in `node`, except inside the
+    definition (a function, a class or a method) of the same name."""
+    if isinstance(node, (ast.ClassDef, ast.FunctionDef)):
+        own = own | {node.name}
+    name = getattr(node, "id", getattr(node, "attr", None))
+    if isinstance(node, (ast.Name, ast.Attribute)) and name not in own:
+        yield name
+    for child in ast.iter_child_nodes(node):
+        yield from _used_names(child, own)
+
+
+def _public_methods(tree, classes) -> set:
+    """Class.method for the public non-dunder methods of `classes`."""
+    return {"%s.%s" % (node.name, f.name) for node in tree.body
+            if isinstance(node, ast.ClassDef) and node.name in classes
+            for f in node.body
+            if isinstance(f, ast.FunctionDef) and not f.name.startswith("_")}
+
+
 def test_every_public_engine_name_is_used_outside_the_tests():
     # A name or attribute in the engine, the demos or the benchmark counts
-    # as a use, except inside the top-level definition of that name; an
-    # import and an `__all__` string do not.
+    # as a use, except inside the definition of that name; an import and an
+    # `__all__` string do not.  A method counts by its attribute name.
     root = Path(__file__).resolve().parent.parent
     src = Path(modskein.__file__).parent
     used = set()
     for path in sorted(chain(src.glob("*.py"), (root / "demos").glob("*.py"),
                              (root / "perfbench").glob("*.py"))):
-        for top in ast.parse(path.read_text(encoding="utf-8")).body:
-            own = getattr(top, "name", None)
-            for node in ast.walk(top):
-                name = getattr(node, "id", getattr(node, "attr", None))
-                if isinstance(node, (ast.Name, ast.Attribute)) and name != own:
-                    used.add(name)
-    unused = {mod: sorted(_public_names(ast.parse(
-        (src / (mod + ".py")).read_text(encoding="utf-8"))) - used)
-        for mod in SURFACE_MODULES}
+        used.update(_used_names(ast.parse(path.read_text(encoding="utf-8"))))
+    unused = {}
+    for mod in SURFACE_MODULES:
+        tree = ast.parse((src / (mod + ".py")).read_text(encoding="utf-8"))
+        names = _public_names(tree)
+        unused[mod] = sorted(names - used) + sorted(
+            m for m in _public_methods(tree, names)
+            if m.split(".")[1] not in used)
     assert unused == {mod: [] for mod in SURFACE_MODULES}
 
 

@@ -2,6 +2,7 @@
 
 import random
 import re
+from itertools import chain
 
 import pytest
 
@@ -12,10 +13,11 @@ from modskein.coend import (SLFElem, _action_blocks, _commutators,
                             recompose, red_to_blue, slf_basis)
 from modskein.bundles import (sweedler_bundle, trivial_bundle, uqsl2_bundle,
                               z2_bundle, z4_bundle)
-from modskein.cyclo import ExactMatrix, _sparse_rows, _sparse_sum
+from modskein.cyclo import ExactMatrix, _sparse_cols, _sparse_rows, _sparse_sum
 from modskein.errors import InadmissibleError, StructureError
 from modskein.hopf import (Rep, dual_rep, hom_space, projective_section,
                            regular_rep, tensor_rep, trivial_rep, validate_rep)
+from test_cyclo import rank
 
 
 # Fresh bundles by name, so that no cached coadjoint action is compared.
@@ -86,7 +88,7 @@ def test_dinat_trivial_image_is_counit(sweedler):
 
 def test_dinat_regular_is_surjective(z2, sweedler, z4):
     for b in (z2, sweedler, z4):
-        assert dinat(b, regular_rep(b)).rank() == b.dim
+        assert rank(dinat(b, regular_rep(b))) == b.dim
 
 
 def test_dinaturality(sweedler):
@@ -116,10 +118,13 @@ def test_slf_basis_dimensions(z2, sweedler, z4, trivial):
 
 def test_slf_membership_is_checked(sweedler):
     b = sweedler
-    coords = [b.field.zero()] * b.dim
-    coords[2] = b.field.one()   # f(x) = 1 is not symmetric: f([g, x]/2) != 0
-    with pytest.raises(StructureError):
-        SLFElem(b, coords)
+    one = b.field.one()
+    # f(x) = 1 is not symmetric: f([g, x]/2) != 0
+    with pytest.raises(StructureError, match="not symmetric"):
+        SLFElem(b, {2: one})
+    for i in (-1, b.dim, "e0"):
+        with pytest.raises(StructureError, match="outside range"):
+            SLFElem(b, {i: one})
 
 
 def test_invariants_equal_slf(z2, sweedler, z4):
@@ -128,14 +133,16 @@ def test_invariants_equal_slf(z2, sweedler, z4):
         slfs = slf_basis(b)
         assert len(invs) == len(slfs)
         for f in invs:
-            assert is_symmetric_form(b, f.col(0))
-            SLFElem(b, f.col(0))
+            coords = dict(_sparse_cols(f)[0])
+            assert is_symmetric_form(b, coords)
+            SLFElem(b, coords)
 
 
 def test_qchar_trivial_is_counit(z2, sweedler, z4):
     for b in (z2, sweedler, z4):
         form = qchar(b, trivial_rep(b))
-        assert form.coords == list(b.counit)
+        assert form.coords == {i: c for i, c in enumerate(b.counit)
+                               if not c.is_zero()}
 
 
 def test_qchar_additive_on_direct_sums(sweedler):
@@ -148,7 +155,8 @@ def test_qchar_additive_on_direct_sums(sweedler):
                     + [[zero] * m.dim + list(row) for row in y.data])
         for x, y in zip(m.mats, n.mats)])
     lhs = qchar(b, s).coords
-    rhs = [a + c for a, c in zip(qchar(b, m).coords, qchar(b, n).coords)]
+    rhs = _sparse_sum(chain(qchar(b, m).coords.items(),
+                            qchar(b, n).coords.items()))
     assert lhs == rhs
 
 
@@ -159,10 +167,11 @@ def test_qchar_lands_in_slf(sweedler, z4, uqsl2_p2):
 
 
 def _symmetric_by_pairs(b, coords):
-    """f(e_i e_j) = f(e_j e_i) for every pair i, j, one pair at a time."""
+    """f(e_i e_j) = f(e_j e_i) for every pair i, j, one pair at a time; the
+    form is a sparse {i: f(e_i)} dict."""
     def f(i, j):
-        return sum((c * coords[k] for k, c in b.mult_table[i][j]),
-                   b.field.zero())
+        return sum((c * coords[k] for k, c in b.mult_table[i][j]
+                    if k in coords), b.field.zero())
     return all(f(i, j) == f(j, i) for i in range(b.dim) for j in range(b.dim))
 
 
@@ -177,7 +186,7 @@ def test_is_symmetric_form_agrees_with_the_pairwise_definition(
     chars = [qchar(b, b.module(m)).coords for m in sorted(b.modules)]
     # the first SLF basis vector, with one coordinate raised by 1; a
     # non-symmetric one exists exactly when H is not commutative
-    perturbed = [slfs[0][:k] + [slfs[0][k] + b.field.one()] + slfs[0][k + 1:]
+    perturbed = [_sparse_sum(chain(slfs[0].items(), [(k, b.field.one())]))
                  for k in range(b.dim)]
     bad = next((v for v in perturbed if not _symmetric_by_pairs(b, v)),
                perturbed[0])
@@ -276,7 +285,7 @@ def _kron_action(b, factors, i, vec):
         for f, k in zip(factors, idxs):
             mat = mat.kron(f.mats[k])
         acc = acc + (mat * column).scale(c)
-    return {p: v for p, v in enumerate(acc.col(0)) if not v.is_zero()}
+    return dict(_sparse_cols(acc)[0])
 
 
 def test_apply_factored_action_matches_the_kronecker_definition(sweedler, z4):
@@ -293,6 +302,23 @@ def test_apply_factored_action_matches_the_kronecker_definition(sweedler, z4):
             for i in range(b.dim):
                 assert apply_factored_action(b, factors, i, vec) == \
                     _kron_action(b, factors, i, vec), (b.name, i)
+
+
+@pytest.mark.parametrize("call", [
+    lambda b: apply_factored_action(b, [regular_rep(b)], -1,
+                                    {0: b.field.one()}),
+    lambda b: apply_factored_action(b, [regular_rep(b)], b.dim,
+                                    {0: b.field.one()}),
+    lambda b: iterated_comult(b, 99, 2),
+    lambda b: iterated_comult(b, -1, 1),
+    lambda b: iterated_comult(b, 0, 2.0),
+    lambda b: iterated_comult(b, True, 2),
+], ids=["action at -1", "action at dim", "comult at 99", "comult at -1",
+        "float m", "bool i"])
+def test_factored_actions_refuse_a_bad_index_or_count(sweedler, call):
+    # e_-1 must not be read as the last basis element
+    with pytest.raises(StructureError):
+        call(sweedler)
 
 
 def test_red_to_blue_rejects_negative_k(sweedler):

@@ -15,13 +15,14 @@ from modskein.coend import (coadjoint_rep, dinat, recompose, red_to_blue,
                             regular_rep, trivial_rep)
 from modskein.cyclo import (CycField, CycNum, ExactMatrix, LinearSystem,
                             _from_cols, _nonzero_entries, _sorted_row,
-                            _sparse_product, _sparse_rows, _sparse_sum)
+                            _sparse_cols, _sparse_product, _sparse_rows,
+                            _sparse_sum)
 from modskein.hopf import (_free_cover_system, _intertwiner_system, braiding,
                            braiding_inverse, hom_space, projective_section,
                            tensor_rep, twist, twist_inverse)
 from modskein.rt import _PAIRINGS, Diagram, Generator, _pairing, evaluate
 from modskein.surface import coend_mult
-from test_cyclo import _oracle_product
+from test_cyclo import _oracle_product, kernel, rank, solve
 
 ORDERS = (1, 2, 3, 4, 5, 6, 8, 12)
 # each order and some of its proper multiples, the targets of `embed`
@@ -150,13 +151,13 @@ def dense_rank(a):
 @settings(max_examples=60)
 @given(matrices())
 def test_rank_nullity(a):
-    kern = a.kernel_basis()
-    assert a.rank() == dense_rank(a)
-    assert a.rank() + kern.cols == a.cols
+    kern = kernel(a)
+    assert rank(a) == dense_rank(a)
+    assert rank(a) + kern.cols == a.cols
     assert kern.rows == a.cols
     if kern.cols:
         assert (a * kern).is_zero()
-        assert kern.rank() == kern.cols
+        assert rank(kern) == kern.cols
 
 
 @settings(max_examples=60)
@@ -166,14 +167,14 @@ def test_solve_has_zero_residual(ab):
     field = ab.field
     a = ExactMatrix(field, [r[:-1] for r in ab.data])
     b = ExactMatrix(field, [r[-1:] for r in ab.data])
-    res = a.solve(b)
-    assert res.feasible == (ab.rank() == a.rank())
-    assert res.kernel == a.kernel_basis()
+    res = solve(a, b)
+    assert res.feasible == (rank(ab) == rank(a))
+    assert res.kernel == kernel(a)
     if res.feasible:
         assert (a * res.particular - b).is_zero()
     # a right-hand side of the form A x0 is always feasible
     x0 = ExactMatrix(field, [[field.one()] for _ in range(a.cols)])
-    res = a.solve(a * x0)
+    res = solve(a, a * x0)
     assert res.feasible and a * res.particular == a * x0
 
 
@@ -233,10 +234,11 @@ def test_solve_matches_each_right_hand_side_alone(a, infeasible, data):
         assert res.kernel == joint.kernel
     if joint.feasible:
         assert isinstance(joint.particular, ExactMatrix)
+        cols = _sparse_cols(joint.particular)
         for j, res in enumerate(alone):
-            assert joint.particular.col(j) == res.particular.col(0)
+            assert cols[j] == _sparse_cols(res.particular)[0]
         for j in (0, 2):
-            assert all(e.is_zero() for e in joint.particular.col(j))
+            assert not cols[j]
 
 
 
@@ -497,9 +499,9 @@ def test_rows_and_table_twins_agree(drawn, s):
         assert hash(got) == hash(oracle) == hash(twin), name
         assert got.data == oracle.data, name
     assert a == ta and hash(a) == hash(ta) and a.is_zero() == ta.is_zero()
-    assert a.rank() == ta.rank()
-    assert a.kernel_basis() == ta.kernel_basis()
-    ra, rt = a.solve(a * b), ta.solve(ta * tb)
+    assert rank(a) == rank(ta)
+    assert kernel(a) == kernel(ta)
+    ra, rt = solve(a, a * b), solve(ta, ta * tb)
     assert ra.feasible and rt.feasible
     assert ra.particular == rt.particular and ra.kernel == rt.kernel
 

@@ -30,6 +30,7 @@ from modskein.rt import Diagram, Generator, diagram_from_obj, evaluate
 from modskein.surface import char_map, skalg, skalg_dimension
 from test_acceptance import _perturb_once
 from test_coend import _dense_coadjoint
+from test_cyclo import rank
 
 
 def test_validators_pass(z2, sweedler, z4, trivial, uqsl2_p2):
@@ -115,7 +116,7 @@ def test_double_dual_via_pivot(sweedler):
                     rhs = g_mat.data[r][c]
                     sys.add_row(row, {0: rhs} if not rhs.is_zero() else None)
             assert sys.solve().feasible
-        assert g_mat.rank() == m.dim
+        assert rank(g_mat) == m.dim
 
 
 def test_hom_space_basics(sweedler, uqsl2_p2):
@@ -856,21 +857,46 @@ def test_generating_set(maker, size):
     assert validate_bundle(b) == []
 
 
-@pytest.mark.parametrize("call", [
-    lambda b, m: validate_rep(b, m),
-    lambda b, m: hom_space(b, regular_rep(b), m),
-    lambda b, m: hom_space(b, m, regular_rep(b)),
-    lambda b, m: tensor_rep(b, m, trivial_rep(b)),
-    lambda b, m: tensor_rep(b, trivial_rep(b), m),
-    lambda b, m: dual_rep(b, m),
-    lambda b, m: dinat(b, m),
-], ids=["validate_rep", "hom_space to", "hom_space from", "tensor_rep left",
-        "tensor_rep right", "dual_rep", "dinat"])
+# Every call that takes a module of the bundle, by id.
+_MODULE_CALLS = {
+    "validate_rep": lambda b, m: validate_rep(b, m),
+    "hom_space to": lambda b, m: hom_space(b, regular_rep(b), m),
+    "hom_space from": lambda b, m: hom_space(b, m, regular_rep(b)),
+    "tensor_rep left": lambda b, m: tensor_rep(b, m, trivial_rep(b)),
+    "tensor_rep right": lambda b, m: tensor_rep(b, trivial_rep(b), m),
+    "dual_rep": lambda b, m: dual_rep(b, m),
+    "dinat": lambda b, m: dinat(b, m),
+    "braiding left": lambda b, m: braiding(b, m, trivial_rep(b)),
+    "braiding right": lambda b, m: braiding(b, trivial_rep(b), m),
+    "braiding_inverse left": lambda b, m: braiding_inverse(b, m,
+                                                           trivial_rep(b)),
+    "braiding_inverse right": lambda b, m: braiding_inverse(b, trivial_rep(b),
+                                                            m),
+    "twist": lambda b, m: twist(b, m),
+    "twist_inverse": lambda b, m: twist_inverse(b, m),
+    "qchar": lambda b, m: qchar(b, m),
+}
+
+
+@pytest.mark.parametrize("call", list(_MODULE_CALLS.values()),
+                         ids=list(_MODULE_CALLS))
 @pytest.mark.parametrize("own, other", [(z2_bundle, sweedler_bundle),
                                         (sweedler_bundle, z2_bundle)],
                          ids=["z2 given sweedler", "sweedler given z2"])
 def test_a_module_of_another_bundle_is_refused(call, own, other):
     with pytest.raises(StructureError, match="action matrices"):
+        call(own(), other().module("reg"))
+
+
+@pytest.mark.parametrize("call", list(_MODULE_CALLS.values()),
+                         ids=list(_MODULE_CALLS))
+@pytest.mark.parametrize("own, other", [(z4_bundle, sweedler_bundle),
+                                        (sweedler_bundle, z4_bundle)],
+                         ids=["z4 given sweedler", "sweedler given z4"])
+def test_a_module_over_another_field_is_refused(call, own, other):
+    # z4 and sweedler have the same dimension: only the field tells their
+    # modules apart
+    with pytest.raises(StructureError, match="is over CycField"):
         call(own(), other().module("reg"))
 
 

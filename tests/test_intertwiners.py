@@ -10,6 +10,7 @@ action matrices.
 import ast
 import json
 import random
+from itertools import chain
 from pathlib import Path
 
 import pytest
@@ -19,7 +20,7 @@ from modskein.bundles import (sweedler_bundle, uqsl2_bundle, z2_bundle,
                               z4_bundle)
 from modskein.coend import (coadjoint_rep, is_symmetric_form, qchar,
                             red_to_blue, slf_basis)
-from modskein.cyclo import ExactMatrix, LinearSystem
+from modskein.cyclo import ExactMatrix, LinearSystem, _sparse_cols, _sparse_sum
 from modskein.errors import StructureError, TypingError
 from modskein.hopf import (_generators, bundle_from_obj, bundle_to_obj,
                            dual_rep, hom_space, is_projective,
@@ -105,17 +106,20 @@ def _projective_section_all(b, m):
 
 
 def _symmetric_all(b, coords):
-    """f(e_i e_j) = f(e_j e_i) for every pair of basis elements."""
+    """f(e_i e_j) = f(e_j e_i) for every pair of basis elements; the form
+    is a sparse {i: f(e_i)} dict."""
     one, zero = b.field.one(), b.field.zero()
 
     def f(i, j):
         return sum((c * coords[k] for k, c in
-                    b.elem_mult({i: one}, {j: one}).items()), zero)
+                    b.elem_mult({i: one}, {j: one}).items() if k in coords),
+                   zero)
     return all(f(i, j) == f(j, i) for i in range(b.dim) for j in range(b.dim))
 
 
 def _slf_all(b):
-    """A kernel basis of the rows e_i e_j - e_j e_i, i < j, as coordinates."""
+    """A kernel basis of the rows e_i e_j - e_j e_i, i < j, as sparse
+    coordinate dicts."""
     one = b.field.one()
     sys = LinearSystem(b.field, b.dim)
     for i in range(b.dim):
@@ -124,8 +128,7 @@ def _slf_all(b):
             for k, c in b.elem_mult({j: one}, {i: one}).items():
                 row[k] = row.get(k, b.field.zero()) - c
             sys.add_row({k: v for k, v in row.items() if not v.is_zero()})
-    kern = sys.kernel()
-    return [kern.col(j) for j in range(kern.cols)]
+    return [dict(col) for col in _sparse_cols(sys.kernel())]
 
 
 @pytest.mark.parametrize("name", sorted(MAKERS))
@@ -147,10 +150,10 @@ def test_symmetric_forms_equal_the_exhaustive_ones(name):
     chars = [qchar(b, m).coords for m in _modules(b)]
     rng = random.Random(21)
     one = b.field.one()
-    perturbed = [v[:k] + [v[k] + one] + v[k + 1:]
+    perturbed = [_sparse_sum(chain(v.items(), [(k, one)]))
                  for v in slfs for k in range(b.dim)]
-    drawn = [[b.field.from_rational(rng.randint(-2, 2)) for _ in range(b.dim)]
-             for _ in range(10)]
+    drawn = [_sparse_sum((k, b.field.from_rational(rng.randint(-2, 2)))
+                         for k in range(b.dim)) for _ in range(10)]
     verdicts = []
     for coords in slfs + chars + perturbed + drawn:
         verdicts.append(is_symmetric_form(b, coords))

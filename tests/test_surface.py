@@ -8,7 +8,7 @@ import pytest
 from modskein import surface
 from modskein.bundles import sweedler_bundle, uqsl2_bundle, z4_bundle
 from modskein.coend import coadjoint_rep, dinat, qchar
-from modskein.cyclo import CycField, ExactMatrix, _sparse_sum
+from modskein.cyclo import CycField, ExactMatrix, _sparse_cols, _sparse_sum
 from modskein.errors import CapabilityError, StructureError
 from modskein.hopf import (braiding, dual_rep, hom_space, is_projective,
                            tensor_rep, trivial_rep)
@@ -132,10 +132,10 @@ def _dense_power_mult(b, m):
                                     ("z2", 3)])
 def test_power_mult_columns_match_dense_definition(request, name, m):
     b = request.getfixturevalue(name)
-    dense = _dense_power_mult(b, m)
+    cols = _sparse_cols(_dense_power_mult(b, m))
     dm = b.dim ** m
-    want = {(i, j): col for i in range(dm) for j in range(dm)
-            if (col := sparse(dense.col(i * dm + j)))}
+    want = {(i, j): dict(cols[i * dm + j]) for i in range(dm)
+            for j in range(dm) if cols[i * dm + j]}
     assert _power_mult(b, m) == want
 
 
@@ -188,8 +188,7 @@ def test_skalg_z2_annulus_is_character_ring(z2):
     cm = char_map(b, alg)
     assert cm["rank"] == 2          # surjective: SkAlg_I = SkAlg_A
     assert cm["multiplicative"]
-    t_triv = sparse(cm["images"]["triv"])
-    t_sgn = sparse(cm["images"]["sgn"])
+    t_triv, t_sgn = cm["images"]["triv"], cm["images"]["sgn"]
     # chi_sgn * chi_sgn = chi_{sgn (x) sgn} = chi_triv, etc.
     assert _apply_mu(alg.structure, t_sgn, t_sgn) == t_triv
     assert _apply_mu(alg.structure, t_triv, t_sgn) == t_sgn
@@ -287,6 +286,17 @@ def test_char_map_names_a_simple_missing_from_the_modules():
         char_map(b, alg)
 
 
+@pytest.mark.parametrize("bundle, presented", [
+    ("sweedler", "z4"), ("z4", "sweedler"), ("z2", "sweedler")])
+def test_char_map_refuses_a_presentation_of_another_bundle(
+        request, bundle, presented):
+    # sweedler and z4 differ in field, z2 and sweedler in dimension
+    b = request.getfixturevalue(bundle)
+    alg = skalg(request.getfixturevalue(presented), 0, 2)
+    with pytest.raises(StructureError, match="is not one of bundle"):
+        char_map(b, alg)
+
+
 def test_char_map_needs_annulus(sweedler):
     alg = skalg(sweedler, 1, 1)
     with pytest.raises(StructureError):
@@ -300,9 +310,8 @@ def test_trace_invariants_multiplicative_under_mu(sweedler, z4):
         for n1 in names:
             for n2 in names:
                 m, n = b.module(n1), b.module(n2)
-                lhs = _apply_mu(mu, sparse(qchar(b, m).coords),
-                                sparse(qchar(b, n).coords))
-                rhs = sparse(qchar(b, tensor_rep(b, m, n)).coords)
+                lhs = _apply_mu(mu, qchar(b, m).coords, qchar(b, n).coords)
+                rhs = qchar(b, tensor_rep(b, m, n)).coords
                 assert lhs == rhs, (b.name, n1, n2)
 
 
@@ -335,8 +344,8 @@ def _with_constant(alg, pair, k, c):
     if c.is_zero():
         del structure[pair][k]
     return AlgebraPresentation(alg.bundle_name, alg.g, alg.n,
-                               alg.basis_vectors, alg.labels, structure,
-                               alg.unit_coords, field=alg.field)
+                               alg.basis_vectors, structure, alg.unit_coords,
+                               field=alg.field, ambient_dim=alg.ambient_dim)
 
 
 def test_law_checks_reject_mutated_structure_constants(sweedler, z4):
@@ -358,13 +367,12 @@ def test_law_checks_reject_mutated_structure_constants(sweedler, z4):
 def _matrix_units():
     """M_2(Q): matrix unit E_ab at index 2a + b, E_ab E_cd = [b = c] E_ad."""
     field = CycField(1)
-    one, zero = field.one(), field.zero()
+    one = field.one()
     structure = {(2 * a + b, 2 * c + d): {2 * a + d: one} if b == c else {}
                  for a in range(2) for b in range(2)
                  for c in range(2) for d in range(2)}
-    return AlgebraPresentation("m2", 0, 1, [[one]] * 4,
-                               ["E00", "E01", "E10", "E11"], structure,
-                               [one, zero, zero, one], field=field)
+    return AlgebraPresentation("m2", 0, 1, [{0: one}] * 4, structure,
+                               {0: one, 3: one}, field=field, ambient_dim=1)
 
 
 def test_law_checks_on_the_matrix_algebra():
